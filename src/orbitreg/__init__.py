@@ -40,7 +40,6 @@ from .estimators import (
     LocalConstantEstimator,
     bandwidth,
     lce_predict,
-    monte_carlo_symmetrised_predict,
     partial_symmetrised_predict,
 )
 from .groups import (
@@ -67,7 +66,6 @@ from .oracles import (
 )
 from .orbit_grids import (
     OrbitGrid,
-    OrbitGridCache,
     build_orbit_grid,
     hypercube_side,
     recover_group_element,
@@ -82,6 +80,7 @@ from .selection import (
     empirical_error,
     global_ems,
     local_ems,
+    monte_carlo_symmetrised_predict,
     split_dataset,
 )
 from .spaces import (

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, SpaceMismatchError
-from .estimators import Dataset, LocalConstantEstimator, bandwidth
+from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .randomness import polar_gaussian, substream
 from .selection import BestSymmetricPredictor, SelectionInput, global_ems
 from .spaces import (
@@ -237,17 +237,13 @@ def generate_data(scenario: Scenario, n: int, noise_sd: float,
     return Dataset(scenario.space, X, scenario.fn(X) + noise)
 
 
-def estimate_risk(pred, truth_fn: Callable[[np.ndarray], np.ndarray], k: int,
+def estimate_risk(pred: Predictor, truth_fn: Callable[[np.ndarray], np.ndarray], k: int,
                   rng: np.random.Generator, space: CovariateSpace) -> float:
     """Mean squared deviation from the truth over ``k`` fresh uniform points."""
     if k < 1:
         raise ConfigError("risk estimation needs at least one evaluation point")
     X = sample_points(space, PointDistribution.UNIFORM_SPACE, k, rng)
-    if hasattr(pred, "predict_coords"):
-        values = pred.predict_coords(X)
-    else:
-        values = np.array([pred(Point.of(space, row, validate=False)) for row in X])
-    diff = values - truth_fn(X)
+    diff = pred.predict_coords(X) - truth_fn(X)
     return float(np.mean(diff * diff))
 
 
@@ -331,13 +327,3 @@ def run_experiment(cfg: ScenarioConfig) -> RiskReport:
     rows = [row for batch in results for row in batch]
     rows.sort(key=lambda r: (r.scenario, r.n, r.trial, r.estimator))
     return RiskReport(rows, config=cfg)
-
-
-def merge_reports(reports: list[RiskReport]) -> RiskReport:
-    rows = [row for rep in reports for row in rep.rows]
-    rows.sort(key=lambda r: (r.scenario, r.n, r.trial, r.estimator))
-    return RiskReport(rows, config=reports[0].config if reports else None)
-
-
-def with_scenario(cfg: ScenarioConfig, scenario_id: str) -> ScenarioConfig:
-    return replace(cfg, scenario=scenario_id)

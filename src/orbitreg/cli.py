@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -169,10 +170,17 @@ def _read_sample_csv(path: str, space) -> Dataset:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(expected):
+                raise ConfigError(f"{path}:{lineno}: expected {len(expected)} values, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: non-numeric value") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{path}:{lineno}: non-finite value")
+            if not space.contains(np.asarray(values[:-1])):
+                raise ConfigError(f"{path}:{lineno}: point {values[:-1]} does not lie in {space}")
+            rows.append(values)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     data = np.asarray(rows)

@@ -2,15 +2,15 @@
 
 The base estimator is the local constant (Nadaraya-Watson) estimator with a
 rectangular kernel: the prediction at ``x`` is the mean response over data
-points strictly within distance ``h``, and 0 when that ball is empty.  Two
-symmetrised wrappers average base predictions over a group orbit: a
-deterministic average over an orbit grid, and a Monte-Carlo average over
-uniform draws from a compact subgroup.
+points strictly within distance ``h``, and 0 when that ball is empty.
+:func:`partial_symmetrised_predict` averages base predictions over a built
+orbit grid; the batched symmetrised predictor, by orbit grid or by
+Monte-Carlo draws from a compact subgroup, is
+:class:`orbitreg.selection.BestSymmetricPredictor`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -18,10 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, SpaceMismatchError
 from .orbit_grids import OrbitGrid
-from .spaces import CovariateSpace, Point, SpaceKind, neighbor_mask, neighbor_stats
-from .subgroups import ClosedSubgroup, is_compact, sample_orbit_coords
-
-_INDEX_THRESHOLD = 512
+from .spaces import CovariateSpace, Point, neighbor_mask, neighbor_stats
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,61 +101,6 @@ def bandwidth(a: float, n: int, beta: float, d: int, d_group: int) -> float:
     return a * float(n) ** (-1.0 / (2.0 * beta + d - d_group))
 
 
-class _CellIndex:
-    """Uniform cell grid over ambient coordinates for fixed-radius queries.
-
-    Cells have side equal to the ambient search radius, so all neighbours
-    of a query lie in the 3^d surrounding cells.  Torus/box coordinates wrap
-    at the period; sphere queries use the chord radius equivalent to the
-    geodesic one.
-    """
-
-    def __init__(self, space: CovariateSpace, X: np.ndarray, h: float):
-        self.space = space
-        self.radius = self._ambient_radius(space, h)
-        self.periods = None
-        if space.kind is SpaceKind.TORUS:
-            self.periods = np.ones(space.ambient_dim)
-        elif space.kind is SpaceKind.BOX:
-            self.periods = np.asarray(space.sides, dtype=np.float64)
-        if self.periods is None:
-            self.cell = np.full(space.ambient_dim, self.radius)
-            self.cells_per_axis = None
-        else:
-            # Uniform partitions of each period with cell width >= radius, so
-            # +-1 cell offsets (wrapped) always cover the search ball even at
-            # the seam.
-            counts = np.maximum(np.floor(self.periods / self.radius).astype(np.int64), 1)
-            self.cell = self.periods / counts
-            self.cells_per_axis = counts
-        keys = np.floor(X / self.cell).astype(np.int64)
-        buckets: dict[tuple, list[int]] = defaultdict(list)
-        for i, key in enumerate(map(tuple, keys)):
-            buckets[key].append(i)
-        self.cells = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-
-    @staticmethod
-    def _ambient_radius(space: CovariateSpace, h: float) -> float:
-        if space.kind is SpaceKind.UNIT_SPHERE2:
-            return 2.0 * np.sin(min(h, np.pi) / 2.0)
-        return h
-
-    def candidates(self, coords: np.ndarray) -> np.ndarray:
-        base = np.floor(coords / self.cell).astype(np.int64)
-        hits = []
-        d = coords.size
-        for offset in np.ndindex(*([3] * d)):
-            key = base + np.asarray(offset) - 1
-            if self.cells_per_axis is not None:
-                key = np.mod(key, self.cells_per_axis)
-            bucket = self.cells.get(tuple(key))
-            if bucket is not None:
-                hits.append(bucket)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(hits))
-
-
 class LocalConstantEstimator:
     """Rectangular-kernel local constant estimator.
 
@@ -174,9 +116,6 @@ class LocalConstantEstimator:
         self.data = data
         self.config = config
         self.space = data.space
-        self._index = None
-        if len(data) > _INDEX_THRESHOLD:
-            self._index = _CellIndex(data.space, data.X, config.bandwidth)
 
     @property
     def h(self) -> float:
@@ -184,28 +123,14 @@ class LocalConstantEstimator:
 
     def neighbor_indices(self, x: Point) -> np.ndarray:
         """Indices of the data points inside the open h-ball around x."""
-        if len(self.data) == 0:
-            return np.empty(0, dtype=np.int64)
-        if self._index is not None:
-            cand = self._index.candidates(x.coords)
-            if cand.size == 0:
-                return cand
-            mask = neighbor_mask(self.space, x.coords[None, :], self.data.X[cand], self.h)[0]
-            return cand[mask]
-        mask = neighbor_mask(self.space, x.coords[None, :], self.data.X, self.h)[0]
-        return np.nonzero(mask)[0]
+        return np.flatnonzero(neighbor_mask(self.space, x.coords[None, :], self.data.X, self.h)[0])
 
     def predict(self, x: Point) -> float:
-        idx = self.neighbor_indices(x)
-        if idx.size == 0:
-            return self.config.default_value
-        return float(self.data.Y[idx].mean())
+        return float(self.predict_coords(x.coords[None, :])[0])
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
         out = np.full(coords.shape[0], self.config.default_value, dtype=np.float64)
-        if len(self.data) == 0:
-            return out
         counts, sums = neighbor_stats(self.space, coords, self.data.X, self.h, self.data.Y)
         nonzero = counts > 0
         out[nonzero] = sums[nonzero] / counts[nonzero]
@@ -222,16 +147,3 @@ def partial_symmetrised_predict(base: Predictor, grid: OrbitGrid, x: Point) -> f
     if grid.base.space != x.space:
         raise SpaceMismatchError("orbit grid was built for a different space")
     return float(base.predict_coords(grid.orbit_coords).mean())
-
-
-def monte_carlo_symmetrised_predict(base: Predictor, group: ClosedSubgroup, m: int,
-                                    rng: np.random.Generator, x: Point) -> float:
-    """Average the base prediction over ``m`` uniform draws from the subgroup."""
-    if not is_compact(group):
-        from .errors import NotCompactError
-
-        raise NotCompactError("Monte-Carlo symmetrisation requires a compact subgroup")
-    if m < 1:
-        raise ConfigError("the number of Monte-Carlo draws must be at least 1")
-    pts = sample_orbit_coords(group, x.coords[None, :], m, rng)[0]
-    return float(base.predict_coords(pts).mean())

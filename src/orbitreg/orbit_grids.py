@@ -15,11 +15,10 @@ construction is:
    directions, so tangential separations, and hence distances, survive;
 3. recover one group element per projected point.
 
-For the flat torus the orbit of a line subgroup is a closed loop which
-re-approaches itself, so the tangent shadow is capped at side 1/2: offsets
-of at most 1/4 per coordinate stay inside the injectivity radius of the
-wrapped metric and distances remain exactly Euclidean.  Everything here is
-deterministic; identical inputs give identical grids.
+Steps 1 and 2 run batched over many base points in the family's entry of
+:data:`orbitreg.subgroups.FAMILY_TABLE`; a single grid is one row of that
+batch.  Everything here is deterministic; identical inputs give identical
+grids.
 """
 
 from __future__ import annotations
@@ -28,28 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleActionError, OffOrbitError
-from .groups import (
-    BoxTranslation,
-    GroupElement,
-    Rotation3,
-    TorusShift,
-    quat_from_axis_angle,
-)
-from .spaces import CovariateSpace, Point, SpaceKind, wrap_coords
+from .errors import IncompatibleActionError
+from .groups import GroupElement
+from .spaces import CovariateSpace, Point
 from .subgroups import (
+    FAMILY_TABLE,
     ClosedSubgroup,
     CompactNeighborhood,
-    NeighborhoodKind,
-    SubgroupFamily,
     WHOLE_GROUP,
     check_acts_on,
-    identity_element,
-    orbit_dimension,
 )
-
-_SINGULAR_TOL = 1e-9
-_TORUS_SHADOW_SIDE = 0.5  # stays within the wrap metric's injectivity radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,203 +60,31 @@ def hypercube_side(x: Point, group: ClosedSubgroup,
                    neighborhood: CompactNeighborhood = WHOLE_GROUP) -> float:
     """Side length of the tangent-space hypercube used to seed the grid."""
     check_acts_on(group, x.space)
-    fam = group.family
-    if fam is SubgroupFamily.TRIVIAL:
-        return 1.0
-    if fam is SubgroupFamily.FULL_SO3:
-        # Orbit is the sphere of radius |x|; its tangent shadow is a disc of
-        # the same radius, whose inscribed square has side sqrt(2) |x|.
-        return float(np.sqrt(2.0) * np.linalg.norm(x.coords))
-    if fam is SubgroupFamily.CIRCLE3:
-        # Orbit is a circle of radius r around the axis; its shadow on the
-        # tangent line is an interval of length 2r.
-        axial = float(x.coords @ group.axis_array())
-        r = float(np.linalg.norm(x.coords - axial * group.axis_array()))
-        return 2.0 * r
-    if fam in (SubgroupFamily.TORUS_LINE, SubgroupFamily.FULL_TORUS):
-        return _TORUS_SHADOW_SIDE
-    # axis translations on a box: capped by the neighbourhood cube and by
-    # half the shortest masked side (so wrapped offsets never re-approach)
-    r_u = neighborhood.radius if neighborhood.kind is NeighborhoodKind.CUBE else 1.0
-    masked_sides = [x.space.sides[i] for i in group.mask]
-    return float(min(2.0 * r_u, min(masked_sides) / 2.0))
-
-
-def _ladder(side: float, h: float) -> np.ndarray:
-    """Centred positions in [-side/2, side/2] with spacing exactly 2h.
-
-    Rung count floor(side / 2h) + 1 meets the packing lower bound
-    side / 2h for every non-integer ratio; a single rung sits at 0.
-    """
-    count = int(np.floor(side / (2.0 * h))) + 1
-    return (np.arange(count) - (count - 1) / 2.0) * (2.0 * h)
-
-
-def _tangent_frame(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane orthogonal to ``unit``."""
-    k = int(np.argmin(np.abs(unit)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    e1 = e - unit * unit[k]
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(unit, e1)
+    return float(FAMILY_TABLE[group.family].side(group, x.space, x.coords[None, :], neighborhood)[0])
 
 
 def build_orbit_grid(x: Point, group: ClosedSubgroup, h: float,
                      neighborhood: CompactNeighborhood = WHOLE_GROUP) -> OrbitGrid:
-    """Construct the symmetrising set at ``x`` for bandwidth ``h``."""
-    if h <= 0.0:
-        raise IncompatibleActionError("bandwidth must be positive")
-    check_acts_on(group, x.space)
-    side = hypercube_side(x, group, neighborhood)
-    fam = group.family
+    """Construct the symmetrising set at ``x`` for bandwidth ``h``.
 
-    def trivial_grid(singular: bool) -> OrbitGrid:
-        return OrbitGrid(x, group, h, (identity_element(group),),
-                         x.coords[None, :].copy(), side, singular=singular)
-
-    if fam is SubgroupFamily.TRIVIAL:
-        return trivial_grid(singular=False)
-
-    if fam is SubgroupFamily.CIRCLE3:
-        u = group.axis_array()
-        axial = float(x.coords @ u)
-        center = axial * u
-        radial = x.coords - center
-        r = float(np.linalg.norm(radial))
-        if r <= _SINGULAR_TOL:
-            return trivial_grid(singular=True)
-        e1 = radial / r
-        e2 = np.cross(u, e1)
-        offsets = _ladder(side, h)
-        angles = np.arcsin(np.clip(offsets / r, -1.0, 1.0))
-        coords = center + r * np.cos(angles)[:, None] * e1 + r * np.sin(angles)[:, None] * e2
-        elements = tuple(Rotation3(quat_from_axis_angle(u, a)) for a in angles)
-        return OrbitGrid(x, group, h, elements, coords, side)
-
-    if fam is SubgroupFamily.FULL_SO3:
-        s = float(np.linalg.norm(x.coords))
-        if s <= _SINGULAR_TOL:
-            return trivial_grid(singular=True)
-        unit = x.coords / s
-        e1, e2 = _tangent_frame(unit)
-        ladder = _ladder(side, h)
-        a1, a2 = np.meshgrid(ladder, ladder, indexing="ij")
-        a1, a2 = a1.ravel(), a2.ravel()
-        normal = np.sqrt(np.maximum(s * s - a1 * a1 - a2 * a2, 0.0))
-        coords = a1[:, None] * e1 + a2[:, None] * e2 + normal[:, None] * unit
-        elements = tuple(_minimal_rotation(x.coords, c) for c in coords)
-        return OrbitGrid(x, group, h, elements, coords, side)
-
-    if fam is SubgroupFamily.TORUS_LINE:
-        direction = group.direction_array()
-        w = direction / np.linalg.norm(direction)
-        offsets = _ladder(side, h)
-        shifts = offsets[:, None] * w
-        coords = np.mod(x.coords + shifts, 1.0)
-        elements = tuple(TorusShift(sh) for sh in shifts)
-        return OrbitGrid(x, group, h, elements, coords, side)
-
-    if fam is SubgroupFamily.FULL_TORUS:
-        d = x.space.ambient_dim
-        ladder = _ladder(side, h)
-        mesh = np.meshgrid(*([ladder] * d), indexing="ij")
-        shifts = np.stack([m.ravel() for m in mesh], axis=1)
-        coords = np.mod(x.coords + shifts, 1.0)
-        elements = tuple(TorusShift(sh) for sh in shifts)
-        return OrbitGrid(x, group, h, elements, coords, side)
-
-    # axis translations on a box
-    d = x.space.ambient_dim
-    mask = list(group.mask)
-    ladder = _ladder(side, h)
-    mesh = np.meshgrid(*([ladder] * len(mask)), indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    shifts = np.zeros((flat.shape[0], d))
-    shifts[:, mask] = flat
-    coords = wrap_coords(x.space, x.coords + shifts)
-    elements = tuple(BoxTranslation(sh) for sh in shifts)
-    return OrbitGrid(x, group, h, elements, coords, side)
-
-
-def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
-    """Minimal-angle rotation taking ``source`` to ``target`` (equal norms)."""
-    cross = np.cross(source, target)
-    norm_cross = float(np.linalg.norm(cross))
-    dot = float(source @ target)
-    if norm_cross <= 1e-14 * max(float(source @ source), 1e-300):
-        if dot >= 0.0:
-            return Rotation3(np.array([1.0, 0.0, 0.0, 0.0]))
-        # Antipodal pair: any axis orthogonal to the source works; pick the
-        # deterministic frame vector.
-        unit = source / np.linalg.norm(source)
-        axis, _ = _tangent_frame(unit)
-        return Rotation3(quat_from_axis_angle(axis, np.pi))
-    angle = float(np.arctan2(norm_cross, dot))
-    return Rotation3(quat_from_axis_angle(cross / norm_cross, angle))
+    The points are one row of :func:`orbit_coords_batch`; the elements are
+    recovered from them.  A base point on the fixed set of the action (the
+    origin, or a point on a circle's axis) gives the singular one-point grid.
+    """
+    row = x.coords[None, :]
+    coords, _ = orbit_coords_batch(x.space, group, row, h, neighborhood)
+    elements = tuple(recover_group_element(x, Point(c, x.space), group) for c in coords)
+    singular = bool(FAMILY_TABLE[group.family].singular(group, row)[0])
+    return OrbitGrid(x, group, h, elements, coords, hypercube_side(x, group, neighborhood),
+                     singular=singular)
 
 
 def recover_group_element(x: Point, target: Point, group: ClosedSubgroup,
                           tol: float = 1e-9) -> GroupElement:
     """Find ``g`` in the subgroup with ``g . x = target`` (within ``tol``)."""
     check_acts_on(group, x.space)
-    fam = group.family
+    return FAMILY_TABLE[group.family].recover(group, x, target, tol)
 
-    if fam is SubgroupFamily.TRIVIAL:
-        deviation = float(np.linalg.norm(target.coords - x.coords))
-        if deviation > tol:
-            raise OffOrbitError("target is not the base point of the trivial orbit", deviation)
-        return identity_element(group)
-
-    if fam is SubgroupFamily.CIRCLE3:
-        u = group.axis_array()
-        ax_x, ax_t = float(x.coords @ u), float(target.coords @ u)
-        rad_x = x.coords - ax_x * u
-        rad_t = target.coords - ax_t * u
-        r = float(np.linalg.norm(rad_x))
-        deviation = float(np.hypot(ax_t - ax_x, np.linalg.norm(rad_t) - r))
-        if deviation > tol:
-            raise OffOrbitError("target does not lie on the rotation circle", deviation)
-        if r <= _SINGULAR_TOL:
-            return identity_element(group)
-        e1 = rad_x / r
-        e2 = np.cross(u, e1)
-        angle = float(np.arctan2(rad_t @ e2, rad_t @ e1))
-        return Rotation3(quat_from_axis_angle(u, angle))
-
-    if fam is SubgroupFamily.FULL_SO3:
-        deviation = abs(float(np.linalg.norm(target.coords)) - float(np.linalg.norm(x.coords)))
-        if deviation > tol:
-            raise OffOrbitError("target does not lie on the rotation sphere", deviation)
-        if np.linalg.norm(x.coords) <= _SINGULAR_TOL:
-            return identity_element(group)
-        return _minimal_rotation(x.coords, target.coords)
-
-    if fam in (SubgroupFamily.TORUS_LINE, SubgroupFamily.FULL_TORUS):
-        delta = np.mod(target.coords - x.coords, 1.0)
-        if fam is SubgroupFamily.TORUS_LINE:
-            p, q = group.direction
-            length = float(np.hypot(p, q))
-            residue = float(q * delta[0] - p * delta[1])
-            deviation = abs(residue - round(residue)) / length
-            if deviation > tol:
-                raise OffOrbitError("target does not lie on the line orbit", deviation)
-        return TorusShift(delta)
-
-    # axis translations on a box
-    sides = np.asarray(x.space.sides)
-    delta = np.mod(target.coords - x.coords + sides / 2.0, sides) - sides / 2.0
-    off_mask = [i for i in range(x.space.ambient_dim) if i not in group.mask]
-    deviation = float(np.linalg.norm(delta[off_mask])) if off_mask else 0.0
-    if deviation > tol:
-        raise OffOrbitError("target moves coordinates outside the translation mask", deviation)
-    shift = np.zeros_like(delta)
-    shift[list(group.mask)] = delta[list(group.mask)]
-    return BoxTranslation(shift)
-
-
-# ---------------------------------------------------------------------------
-# batched construction (the symmetry search evaluates grids at many points)
 
 def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
                        xs: np.ndarray, h: float,
@@ -278,119 +93,10 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     """Orbit-grid points for every row of ``xs`` at once.
 
     Returns ``(coords, counts)`` where ``coords`` stacks the grids of all
-    rows (row i owns ``counts[i]`` consecutive entries).  Matches
-    :func:`build_orbit_grid` point for point.
+    rows (row i owns ``counts[i]`` consecutive entries).
     """
+    if h <= 0.0:
+        raise IncompatibleActionError("bandwidth must be positive")
     check_acts_on(group, space)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    n = xs.shape[0]
-    fam = group.family
-
-    if fam is SubgroupFamily.TRIVIAL:
-        return xs.copy(), np.ones(n, dtype=np.int64)
-
-    if fam is SubgroupFamily.CIRCLE3:
-        u = group.axis_array()
-        axial = xs @ u
-        radial = xs - axial[:, None] * u
-        r = np.linalg.norm(radial, axis=1)
-        counts = np.where(r <= _SINGULAR_TOL, 1,
-                          np.floor(2.0 * r / (2.0 * h)).astype(np.int64) + 1)
-        row = np.repeat(np.arange(n), counts)
-        rank = _ragged_arange(counts)
-        offsets = (rank - (counts[row] - 1) / 2.0) * (2.0 * h)
-        r_rep = r[row]
-        safe_r = np.where(r_rep <= _SINGULAR_TOL, 1.0, r_rep)
-        angles = np.arcsin(np.clip(offsets / safe_r, -1.0, 1.0))
-        e1 = radial / np.where(r <= _SINGULAR_TOL, 1.0, r)[:, None]
-        e2 = np.cross(np.broadcast_to(u, e1.shape), e1)
-        coords = (axial[row, None] * u
-                  + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
-                  + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
-        coords[r_rep <= _SINGULAR_TOL] = xs[row[r_rep <= _SINGULAR_TOL]]
-        return coords, counts
-
-    if fam is SubgroupFamily.FULL_SO3:
-        s = np.linalg.norm(xs, axis=1)
-        per_axis = np.where(s <= _SINGULAR_TOL, 1,
-                            np.floor(np.sqrt(2.0) * s / (2.0 * h)).astype(np.int64) + 1)
-        counts = per_axis**2
-        coords = np.empty((int(counts.sum()), 3))
-        pos = 0
-        for i in range(n):
-            if s[i] <= _SINGULAR_TOL:
-                coords[pos] = xs[i]
-                pos += 1
-                continue
-            unit = xs[i] / s[i]
-            e1, e2 = _tangent_frame(unit)
-            ladder = (np.arange(per_axis[i]) - (per_axis[i] - 1) / 2.0) * (2.0 * h)
-            a1, a2 = np.meshgrid(ladder, ladder, indexing="ij")
-            a1, a2 = a1.ravel(), a2.ravel()
-            normal = np.sqrt(np.maximum(s[i] ** 2 - a1**2 - a2**2, 0.0))
-            block = a1[:, None] * e1 + a2[:, None] * e2 + normal[:, None] * unit
-            coords[pos : pos + block.shape[0]] = block
-            pos += block.shape[0]
-        return coords, counts
-
-    if fam is SubgroupFamily.TORUS_LINE:
-        direction = group.direction_array()
-        w = direction / np.linalg.norm(direction)
-        ladder = _ladder(_TORUS_SHADOW_SIDE, h)
-        shifts = ladder[:, None] * w
-        coords = np.mod(xs[:, None, :] + shifts[None, :, :], 1.0).reshape(-1, xs.shape[1])
-        return coords, np.full(n, len(ladder), dtype=np.int64)
-
-    if fam is SubgroupFamily.FULL_TORUS:
-        d = space.ambient_dim
-        ladder = _ladder(_TORUS_SHADOW_SIDE, h)
-        mesh = np.meshgrid(*([ladder] * d), indexing="ij")
-        shifts = np.stack([m.ravel() for m in mesh], axis=1)
-        coords = np.mod(xs[:, None, :] + shifts[None, :, :], 1.0).reshape(-1, d)
-        return coords, np.full(n, shifts.shape[0], dtype=np.int64)
-
-    dummy = Point.of(space, xs[0], validate=False)
-    side = hypercube_side(dummy, group, neighborhood)
-    d = space.ambient_dim
-    ladder = _ladder(side, h)
-    mesh = np.meshgrid(*([ladder] * len(group.mask)), indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    shifts = np.zeros((flat.shape[0], d))
-    shifts[:, list(group.mask)] = flat
-    stacked = xs[:, None, :] + shifts[None, :, :]
-    coords = wrap_coords(space, stacked.reshape(-1, d))
-    return coords, np.full(n, shifts.shape[0], dtype=np.int64)
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """[0..c0), [0..c1), ... concatenated."""
-    total = int(counts.sum())
-    out = np.arange(total)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return out - starts
-
-
-class OrbitGridCache:
-    """Opt-in cache for grids keyed by a quantised base point.
-
-    ``quantum`` is the rounding step applied to coordinates before keying;
-    0 disables quantisation (exact coordinates must match).  Only worth
-    using in loops that revisit (nearly) identical prediction points.
-    """
-
-    def __init__(self, quantum: float = 0.0):
-        self.quantum = float(quantum)
-        self._store: dict = {}
-
-    def get(self, x: Point, group: ClosedSubgroup, h: float,
-            neighborhood: CompactNeighborhood = WHOLE_GROUP) -> OrbitGrid:
-        if self.quantum > 0.0:
-            snapped = np.round(x.coords / self.quantum) * self.quantum
-        else:
-            snapped = x.coords
-        key = (group.canonical_key(), float(h), snapped.tobytes())
-        grid = self._store.get(key)
-        if grid is None:
-            grid = build_orbit_grid(x, group, h, neighborhood)
-            self._store[key] = grid
-        return grid
+    return FAMILY_TABLE[group.family].grid(group, space, xs, h, neighborhood)

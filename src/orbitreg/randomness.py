@@ -59,8 +59,3 @@ def polar_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
         out[filled : filled + take] = pair[:take]
         filled += take
     return out
-
-
-def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Matrix of standard normals drawn with :func:`polar_gaussian`."""
-    return polar_gaussian(rng, rows * cols).reshape(rows, cols)

@@ -19,22 +19,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyHoldoutError
-from .estimators import (
-    Dataset,
-    LocalConstantEstimator,
-    Predictor,
-    bandwidth,
-    monte_carlo_symmetrised_predict,
-    partial_symmetrised_predict,
-)
-from .orbit_grids import build_orbit_grid, orbit_coords_batch
+from .errors import ConfigError, EmptyHoldoutError, NotCompactError
+from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
+from .orbit_grids import orbit_coords_batch
 from .spaces import Point
 from .subgroups import (
     ClosedSubgroup,
     CompactNeighborhood,
     SubgroupFamily,
     WHOLE_GROUP,
+    is_compact,
     orbit_dimension,
     orbit_quadrature_coords,
     sample_orbit_coords,
@@ -103,16 +97,11 @@ class SymmetrySelection:
         return "\n".join(lines)
 
 
-def empirical_error(pred, holdout: Dataset) -> float:
+def empirical_error(pred: Predictor, holdout: Dataset) -> float:
     """Mean squared residual of a predictor over a holdout sample."""
     if len(holdout) == 0:
         raise EmptyHoldoutError("cannot estimate error on an empty holdout set")
-    if hasattr(pred, "predict_coords"):
-        values = pred.predict_coords(holdout.X)
-    else:
-        values = np.array([pred(Point.of(holdout.space, row, validate=False))
-                           for row in holdout.X])
-    residual = values - holdout.Y
+    residual = pred.predict_coords(holdout.X) - holdout.Y
     return float(np.mean(residual * residual))
 
 
@@ -126,17 +115,6 @@ def _candidate_base(inp: SelectionInput, h: float) -> Predictor:
     if inp.base is not None:
         return inp.base
     return LocalConstantEstimator(inp.fit_data, h)
-
-
-def _group_holdout_error(inp: SelectionInput, group: ClosedSubgroup, h: float,
-                         X: np.ndarray, Y: np.ndarray) -> float:
-    base = _candidate_base(inp, h)
-    coords, counts = orbit_coords_batch(inp.holdout.space, group, X, h, inp.neighborhood)
-    preds = base.predict_coords(coords)
-    starts = np.cumsum(counts) - counts
-    sym = np.add.reduceat(preds, starts) / counts
-    residual = sym - Y
-    return float(np.mean(residual * residual))
 
 
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: float,
@@ -229,31 +207,13 @@ def _run_search(inp: SelectionInput, mask: np.ndarray) -> SymmetrySelection:
     return SymmetrySelection(chosen, bw[chosen], errors, bandwidth_by_group=bw)
 
 
-def best_symmetric_predict(base: Predictor, selection: SymmetrySelection, x: Point,
-                           method: str = "grid", mc_draws: int | None = None,
-                           rng: np.random.Generator | None = None,
-                           neighborhood: CompactNeighborhood = WHOLE_GROUP) -> float:
-    """Predict at ``x`` with the base estimator symmetrised by the selection."""
-    if method == "grid":
-        grid = build_orbit_grid(x, selection.chosen, selection.chosen_bandwidth, neighborhood)
-        return partial_symmetrised_predict(base, grid, x)
-    if method != "monte_carlo":
-        raise ConfigError(f"unknown symmetrisation method {method!r}")
-    if rng is None:
-        raise ConfigError("monte_carlo symmetrisation needs an explicit rng")
-    m = mc_draws if mc_draws is not None else _default_mc_draws(base)
-    return monte_carlo_symmetrised_predict(base, selection.chosen, m, rng, x)
-
-
-def _default_mc_draws(base: Predictor) -> int:
-    data = getattr(base, "data", None)
-    if data is None or len(data) == 0:
-        raise ConfigError("mc_draws must be given when the base has no training set")
-    return len(data)
-
-
 class BestSymmetricPredictor:
-    """Predictor wrapper around :func:`best_symmetric_predict` with batching."""
+    """The base estimator symmetrised by the selected subgroup, batched.
+
+    ``method="grid"`` averages over each point's orbit grid at the chosen
+    bandwidth; ``method="monte_carlo"`` averages over ``mc_draws`` uniform
+    draws from the (compact) subgroup, by default one per training point.
+    """
 
     def __init__(self, base: Predictor, selection: SymmetrySelection,
                  method: str = "grid", mc_draws: int | None = None,
@@ -261,13 +221,22 @@ class BestSymmetricPredictor:
                  neighborhood: CompactNeighborhood = WHOLE_GROUP):
         if method not in ("grid", "monte_carlo"):
             raise ConfigError(f"unknown symmetrisation method {method!r}")
-        if method == "monte_carlo" and rng is None:
-            raise ConfigError("monte_carlo symmetrisation needs an explicit rng")
+        if method == "monte_carlo":
+            if rng is None:
+                raise ConfigError("monte_carlo symmetrisation needs an explicit rng")
+            if not is_compact(selection.chosen):
+                raise NotCompactError("Monte-Carlo symmetrisation requires a compact subgroup")
+            if mc_draws is None:
+                data = getattr(base, "data", None)
+                if data is None or len(data) == 0:
+                    raise ConfigError("mc_draws must be given when the base has no training set")
+                mc_draws = len(data)
+            if mc_draws < 1:
+                raise ConfigError("the number of Monte-Carlo draws must be at least 1")
         self.base = base
         self.selection = selection
         self.method = method
-        self.mc_draws = mc_draws if mc_draws is not None else (
-            _default_mc_draws(base) if method == "monte_carlo" else None)
+        self.mc_draws = mc_draws
         self.rng = rng
         self.neighborhood = neighborhood
         self.space = base.space
@@ -287,13 +256,28 @@ class BestSymmetricPredictor:
             return np.add.reduceat(preds, starts) / counts
         m = self.mc_draws
         out = np.empty(coords.shape[0])
-        chunk = max(1, int(200_000 / max(m, 1)))
+        chunk = max(1, int(200_000 / m))
         for start in range(0, coords.shape[0], chunk):
             block = coords[start : start + chunk]
             pts = sample_orbit_coords(group, block, m, self.rng)
             preds = self.base.predict_coords(pts.reshape(-1, coords.shape[1]))
             out[start : start + chunk] = preds.reshape(len(block), m).mean(axis=1)
         return out
+
+
+def best_symmetric_predict(base: Predictor, selection: SymmetrySelection, x: Point,
+                           method: str = "grid", mc_draws: int | None = None,
+                           rng: np.random.Generator | None = None,
+                           neighborhood: CompactNeighborhood = WHOLE_GROUP) -> float:
+    """Predict at ``x`` with the base estimator symmetrised by the selection."""
+    return BestSymmetricPredictor(base, selection, method, mc_draws, rng, neighborhood).predict(x)
+
+
+def monte_carlo_symmetrised_predict(base: Predictor, group: ClosedSubgroup, m: int,
+                                    rng: np.random.Generator, x: Point) -> float:
+    """Average the base prediction over ``m`` uniform draws from the subgroup."""
+    return BestSymmetricPredictor(base, SymmetrySelection(group, float("nan"), {}),
+                                  "monte_carlo", m, rng).predict(x)
 
 
 def split_dataset(full: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

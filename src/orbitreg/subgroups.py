@@ -9,6 +9,12 @@ The searchable symmetry catalog consists of, per ambient group:
   full torus;
 * box translations: subgroups translating a masked subset of coordinates.
 
+Everything that depends on a subgroup's family -- orbit dimension, Haar
+samples, quadrature nodes, nets, and the orbit-grid construction of
+:mod:`orbitreg.orbit_grids` -- lives in one entry of :data:`FAMILY_TABLE`.
+The three translation families share one implementation parameterised by
+their generator rows.
+
 Subgroups of the same ambient group are compared with the Hausdorff metric
 between their intersections with a compact identity neighbourhood ``U``,
 computed on finite nets of documented resolution.  Covers of the subgroup
@@ -21,11 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleActionError, NotCompactError
+from .errors import ConfigError, IncompatibleActionError, NotCompactError, OffOrbitError
 from .groups import (
     BoxTranslation,
     GroupElement,
@@ -40,7 +45,7 @@ from .groups import (
     torus_shift_distance_matrix,
 )
 from .randomness import polar_gaussian
-from .spaces import CovariateSpace, SpaceKind
+from .spaces import CovariateSpace, SpaceKind, wrap_coords
 
 PARENT_SO3 = "so3"
 
@@ -80,32 +85,14 @@ class ClosedSubgroup:
 
     def canonical_key(self) -> tuple:
         """Deterministic sort key: family rank first, then parameters."""
-        rank = {
-            SubgroupFamily.TRIVIAL: 0,
-            SubgroupFamily.CIRCLE3: 1,
-            SubgroupFamily.TORUS_LINE: 1,
-            SubgroupFamily.AXIS_TRANSLATIONS: 1,
-            SubgroupFamily.FULL_SO3: 2,
-            SubgroupFamily.FULL_TORUS: 2,
-        }[self.family]
-        params: tuple = ()
         if self.axis is not None:
             params = tuple(round(a, 12) for a in self.axis)
-        elif self.direction is not None:
-            params = self.direction
-        elif self.mask is not None:
-            params = self.mask
-        return (rank, self.family.value, params)
+        else:
+            params = self.direction or self.mask or ()
+        return (FAMILY_TABLE[self.family].rank, self.family.value, params)
 
     def describe(self) -> str:
-        if self.family is SubgroupFamily.CIRCLE3:
-            ax = ",".join(f"{a:.12g}" for a in self.axis)
-            return f"circle3 axis={ax}"
-        if self.family is SubgroupFamily.TORUS_LINE:
-            return f"torus_line direction={self.direction[0]},{self.direction[1]}"
-        if self.family is SubgroupFamily.AXIS_TRANSLATIONS:
-            return "axis_translations mask=" + ",".join(str(i) for i in self.mask)
-        return f"{self.family.value} parent={self.parent}"
+        return FAMILY_TABLE[self.family].describe(self)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +164,12 @@ class CompactNeighborhood:
 WHOLE_GROUP = CompactNeighborhood(NeighborhoodKind.WHOLE_GROUP)
 
 
-def default_neighborhood(group: ClosedSubgroup) -> CompactNeighborhood:
-    """Whole group for the compact parents, a unit cube for box translations."""
-    if group.parent.startswith("box"):
-        return CompactNeighborhood(NeighborhoodKind.CUBE, radius=1.0)
-    return WHOLE_GROUP
-
-
 def is_compact(group: ClosedSubgroup) -> bool:
-    return group.family is not SubgroupFamily.AXIS_TRANSLATIONS
+    return FAMILY_TABLE[group.family].compact
 
 
 # ---------------------------------------------------------------------------
-# orbit dimension
+# parents and orbit dimension
 
 def _parent_dim(parent: str) -> int:
     for prefix in ("torus", "box"):
@@ -200,28 +180,18 @@ def _parent_dim(parent: str) -> int:
 
 def check_acts_on(group: ClosedSubgroup, space: CovariateSpace) -> None:
     if group.parent == PARENT_SO3:
-        if space.kind not in (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2):
-            raise IncompatibleActionError(f"{group.parent} subgroups do not act on {space}")
-    elif group.parent.startswith("torus"):
-        if space.kind is not SpaceKind.TORUS or space.ambient_dim != _parent_dim(group.parent):
-            raise IncompatibleActionError(f"{group.parent} subgroups do not act on {space}")
+        acts = space.kind in (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2)
     else:
-        if space.kind is not SpaceKind.BOX or space.ambient_dim != _parent_dim(group.parent):
-            raise IncompatibleActionError(f"{group.parent} subgroups do not act on {space}")
+        kind = SpaceKind.TORUS if group.parent.startswith("torus") else SpaceKind.BOX
+        acts = space.kind is kind and space.ambient_dim == _parent_dim(group.parent)
+    if not acts:
+        raise IncompatibleActionError(f"{group.parent} subgroups do not act on {space}")
 
 
 def orbit_dimension(group: ClosedSubgroup, space: CovariateSpace) -> int:
     """Dimension of a principle orbit of the subgroup's action on the space."""
     check_acts_on(group, space)
-    if group.family is SubgroupFamily.TRIVIAL:
-        return 0
-    if group.family in (SubgroupFamily.CIRCLE3, SubgroupFamily.TORUS_LINE):
-        return 1
-    if group.family is SubgroupFamily.FULL_SO3:
-        return 2
-    if group.family is SubgroupFamily.FULL_TORUS:
-        return space.intrinsic_dim
-    return len(group.mask)
+    return FAMILY_TABLE[group.family].orbit_dim(group, space)
 
 
 def identity_element(group: ClosedSubgroup) -> GroupElement:
@@ -233,30 +203,11 @@ def identity_element(group: ClosedSubgroup) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# uniform sampling on compact subgroups
+# uniform sampling and quadrature on compact subgroups
 
 def sample_group(group: ClosedSubgroup, rng: np.random.Generator) -> GroupElement:
     """One draw from the normalised Haar measure on a compact subgroup."""
-    if group.family is SubgroupFamily.TRIVIAL:
-        return identity_element(group)
-    if group.family is SubgroupFamily.CIRCLE3:
-        theta = rng.random() * 2.0 * np.pi
-        return Rotation3(quat_from_axis_angle(group.axis_array(), theta))
-    if group.family is SubgroupFamily.FULL_SO3:
-        return Rotation3(_uniform_quaternions(rng, 1)[0])
-    if group.family is SubgroupFamily.TORUS_LINE:
-        t = rng.random()
-        return TorusShift(t * group.direction_array())
-    if group.family is SubgroupFamily.FULL_TORUS:
-        return TorusShift(rng.random(_parent_dim(group.parent)))
-    raise NotCompactError("axis translation subgroups are not compact; no uniform distribution exists")
-
-
-def _uniform_quaternions(rng: np.random.Generator, m: int) -> np.ndarray:
-    q = polar_gaussian(rng, 4 * m).reshape(m, 4)
-    norms = np.linalg.norm(q, axis=1)
-    norms[norms == 0.0] = 1.0
-    return q / norms[:, None]
+    return FAMILY_TABLE[group.family].element(group, rng)
 
 
 def sample_orbit_coords(group: ClosedSubgroup, x_coords: np.ndarray, m: int,
@@ -267,22 +218,7 @@ def sample_orbit_coords(group: ClosedSubgroup, x_coords: np.ndarray, m: int,
     across rows, matching a Monte-Carlo orbit average evaluated pointwise.
     """
     xs = np.atleast_2d(np.asarray(x_coords, dtype=np.float64))
-    k = xs.shape[0]
-    if group.family is SubgroupFamily.TRIVIAL:
-        return np.repeat(xs[:, None, :], m, axis=1)
-    if group.family is SubgroupFamily.CIRCLE3:
-        theta = rng.random((k, m)) * 2.0 * np.pi
-        quats = quat_from_axis_angle(group.axis_array(), theta)
-        return quat_rotate(quats, xs[:, None, :])
-    if group.family is SubgroupFamily.FULL_SO3:
-        quats = _uniform_quaternions(rng, k * m).reshape(k, m, 4)
-        return quat_rotate(quats, xs[:, None, :])
-    if group.family is SubgroupFamily.TORUS_LINE:
-        t = rng.random((k, m))
-        return np.mod(xs[:, None, :] + t[:, :, None] * group.direction_array(), 1.0)
-    if group.family is SubgroupFamily.FULL_TORUS:
-        return np.mod(xs[:, None, :] + rng.random((k, m, xs.shape[1])), 1.0)
-    raise NotCompactError("axis translation subgroups are not compact; no uniform distribution exists")
+    return FAMILY_TABLE[group.family].sample(group, xs, m, rng)
 
 
 def orbit_quadrature_coords(group: ClosedSubgroup, xs: np.ndarray,
@@ -297,34 +233,14 @@ def orbit_quadrature_coords(group: ClosedSubgroup, xs: np.ndarray,
     :func:`orbitreg.orbit_grids.orbit_coords_batch`.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    n = xs.shape[0]
-    fam = group.family
-    if fam is SubgroupFamily.TRIVIAL:
-        return xs.copy(), np.ones(n, dtype=np.int64)
-    if fam is SubgroupFamily.CIRCLE3:
-        theta = np.arange(points_1d) * (2.0 * np.pi / points_1d)
-        quats = quat_from_axis_angle(group.axis_array(), theta)
-        coords = quat_rotate(quats[None, :, :], xs[:, None, :])
-        return coords.reshape(-1, 3), np.full(n, points_1d, dtype=np.int64)
-    if fam is SubgroupFamily.FULL_SO3:
-        nodes = fibonacci_sphere(points_2d)
-        radii = np.linalg.norm(xs, axis=1)
-        coords = radii[:, None, None] * nodes[None, :, :]
-        return coords.reshape(-1, 3), np.full(n, points_2d, dtype=np.int64)
-    if fam is SubgroupFamily.TORUS_LINE:
-        t = np.arange(points_1d) / points_1d
-        shifts = t[:, None] * group.direction_array()[None, :]
-        coords = np.mod(xs[:, None, :] + shifts[None, :, :], 1.0)
-        return coords.reshape(-1, xs.shape[1]), np.full(n, points_1d, dtype=np.int64)
-    if fam is SubgroupFamily.FULL_TORUS:
-        d = _parent_dim(group.parent)
-        per_axis = max(int(round(points_2d ** (1.0 / d))), 2)
-        axes = [np.arange(per_axis) / per_axis] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        shifts = np.stack([m.ravel() for m in mesh], axis=1)
-        coords = np.mod(xs[:, None, :] + shifts[None, :, :], 1.0)
-        return coords.reshape(-1, d), np.full(n, shifts.shape[0], dtype=np.int64)
-    raise NotCompactError("uniform orbit quadrature requires a compact subgroup")
+    return FAMILY_TABLE[group.family].quadrature(group, xs, points_1d, points_2d)
+
+
+def _uniform_quaternions(rng: np.random.Generator, m: int) -> np.ndarray:
+    q = polar_gaussian(rng, 4 * m).reshape(m, 4)
+    norms = np.linalg.norm(q, axis=1)
+    norms[norms == 0.0] = 1.0
+    return q / norms[:, None]
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -335,6 +251,409 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     golden = np.pi * (3.0 - np.sqrt(5.0))
     theta = golden * i
     return np.stack([radius * np.cos(theta), radius * np.sin(theta), z], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+_SINGULAR_TOL = 1e-9
+_TORUS_SHADOW_SIDE = 0.5  # stays within the wrap metric's injectivity radius
+
+
+class FamilyEntry:
+    """Everything that depends on a subgroup's family, in one place.
+
+    An entry states the canonical ``rank`` (trivial 0, one-parameter 1,
+    full group 2) and whether the family is ``compact``.  Its methods take
+    the subgroup ``g`` first; ``xs`` is row-stacked coordinates and ``nb``
+    the compact identity neighbourhood ``U``:
+
+    * ``describe``: the catalog line;
+    * ``orbit_dim``: principal orbit dimension (``dim`` where it is fixed);
+    * ``singular``: rows whose orbit is the point itself;
+    * ``side``: per-row side of the hypercube in the orbit's tangent shadow;
+    * ``grid``: the batched packing grid of
+      :func:`orbitreg.orbit_grids.orbit_coords_batch`;
+    * ``recover``: the element taking ``x`` to ``target``;
+    * ``sample`` / ``element``: Haar orbit samples / one Haar draw;
+    * ``quadrature``: deterministic orbit nodes;
+    * ``net``: an eps-net inside ``U``, tagged ``"rotation"`` or ``"shift"``.
+    """
+
+    rank = 1
+    compact = True
+
+    def describe(self, g: ClosedSubgroup) -> str:
+        return f"{g.family.value} parent={g.parent}"
+
+    def orbit_dim(self, g: ClosedSubgroup, space: CovariateSpace) -> int:
+        return self.dim
+
+    def singular(self, g: ClosedSubgroup, xs: np.ndarray) -> np.ndarray:
+        return np.zeros(len(xs), dtype=bool)
+
+
+def _ladder(side: float, h: float) -> np.ndarray:
+    """Centred positions in [-side/2, side/2] with spacing exactly 2h.
+
+    Rung count floor(side / 2h) + 1 meets the packing lower bound
+    side / 2h for every non-integer ratio; a single rung sits at 0.
+    """
+    count = int(np.floor(side / (2.0 * h))) + 1
+    return (np.arange(count) - (count - 1) / 2.0) * (2.0 * h)
+
+
+def _lattice(values: np.ndarray, k: int) -> np.ndarray:
+    """All k-tuples of ``values`` as rows, first coordinate slowest."""
+    mesh = np.meshgrid(*([values] * k), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """[0..c0), [0..c1), ... concatenated."""
+    total = int(counts.sum())
+    out = np.arange(total)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    return out - starts
+
+
+def _tangent_frame(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal pair spanning the plane orthogonal to ``unit``."""
+    k = int(np.argmin(np.abs(unit)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    e1 = e - unit * unit[k]
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(unit, e1)
+
+
+def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
+    """Minimal-angle rotation taking ``source`` to ``target`` (equal norms)."""
+    cross = np.cross(source, target)
+    norm_cross = float(np.linalg.norm(cross))
+    dot = float(source @ target)
+    if norm_cross <= 1e-14 * max(float(source @ source), 1e-300):
+        if dot >= 0.0:
+            return Rotation3(np.array([1.0, 0.0, 0.0, 0.0]))
+        # Antipodal pair: any axis orthogonal to the source works; pick the
+        # deterministic frame vector.
+        unit = source / np.linalg.norm(source)
+        axis, _ = _tangent_frame(unit)
+        return Rotation3(quat_from_axis_angle(axis, np.pi))
+    angle = float(np.arctan2(norm_cross, dot))
+    return Rotation3(quat_from_axis_angle(cross / norm_cross, angle))
+
+
+class _Trivial(FamilyEntry):
+    rank = 0
+    dim = 0
+
+    def side(self, g, space, xs, nb):
+        return np.ones(len(xs))
+
+    def grid(self, g, space, xs, h, nb):
+        return xs.copy(), np.ones(len(xs), dtype=np.int64)
+
+    def recover(self, g, x, target, tol):
+        deviation = float(np.linalg.norm(target.coords - x.coords))
+        if deviation > tol:
+            raise OffOrbitError("target is not the base point of the trivial orbit", deviation)
+        return identity_element(g)
+
+    def sample(self, g, xs, m, rng):
+        return np.repeat(xs[:, None, :], m, axis=1)
+
+    def element(self, g, rng):
+        return identity_element(g)
+
+    def quadrature(self, g, xs, points_1d, points_2d):
+        return xs.copy(), np.ones(len(xs), dtype=np.int64)
+
+    def net(self, g, nb, eps):
+        if g.parent == PARENT_SO3:
+            return "rotation", np.array([[1.0, 0.0, 0.0, 0.0]])
+        return "shift", np.zeros((1, _parent_dim(g.parent)))
+
+
+class _Rotations(FamilyEntry):
+    """Rotation subgroups; ``haar(g, rng, shape)`` draws unit quaternions."""
+
+    def sample(self, g, xs, m, rng):
+        return quat_rotate(self.haar(g, rng, (xs.shape[0], m)), xs[:, None, :])
+
+    def element(self, g, rng):
+        return Rotation3(self.haar(g, rng, ()))
+
+
+class _Circle(_Rotations):
+    """Rotations about one axis; orbits are circles around the axis."""
+
+    dim = 1
+
+    def describe(self, g):
+        return "circle3 axis=" + ",".join(f"{a:.12g}" for a in g.axis)
+
+    @staticmethod
+    def _split(g, xs):
+        """Axial coordinate, radial part and distance to the axis of each row."""
+        u = g.axis_array()
+        axial = xs @ u
+        radial = xs - axial[:, None] * u
+        return axial, radial, np.linalg.norm(radial, axis=1)
+
+    def singular(self, g, xs):
+        return self._split(g, xs)[2] <= _SINGULAR_TOL
+
+    def side(self, g, space, xs, nb):
+        # a circle of radius r casts an interval of length 2r on its tangent line
+        return 2.0 * self._split(g, xs)[2]
+
+    def grid(self, g, space, xs, h, nb):
+        u = g.axis_array()
+        axial, radial, r = self._split(g, xs)
+        counts = np.where(r <= _SINGULAR_TOL, 1,
+                          np.floor(2.0 * r / (2.0 * h)).astype(np.int64) + 1)
+        row = np.repeat(np.arange(len(xs)), counts)
+        rank = _ragged_arange(counts)
+        offsets = (rank - (counts[row] - 1) / 2.0) * (2.0 * h)
+        r_rep = r[row]
+        safe_r = np.where(r_rep <= _SINGULAR_TOL, 1.0, r_rep)
+        angles = np.arcsin(np.clip(offsets / safe_r, -1.0, 1.0))
+        e1 = radial / np.where(r <= _SINGULAR_TOL, 1.0, r)[:, None]
+        e2 = np.cross(np.broadcast_to(u, e1.shape), e1)
+        coords = (axial[row, None] * u
+                  + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
+                  + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
+        coords[r_rep <= _SINGULAR_TOL] = xs[row[r_rep <= _SINGULAR_TOL]]
+        return coords, counts
+
+    def recover(self, g, x, target, tol):
+        u = g.axis_array()
+        ax_x, ax_t = float(x.coords @ u), float(target.coords @ u)
+        rad_x = x.coords - ax_x * u
+        rad_t = target.coords - ax_t * u
+        r = float(np.linalg.norm(rad_x))
+        deviation = float(np.hypot(ax_t - ax_x, np.linalg.norm(rad_t) - r))
+        if deviation > tol:
+            raise OffOrbitError("target does not lie on the rotation circle", deviation)
+        if r <= _SINGULAR_TOL:
+            return identity_element(g)
+        e1 = rad_x / r
+        e2 = np.cross(u, e1)
+        angle = float(np.arctan2(rad_t @ e2, rad_t @ e1))
+        return Rotation3(quat_from_axis_angle(u, angle))
+
+    def haar(self, g, rng, shape):
+        return quat_from_axis_angle(g.axis_array(), rng.random(shape) * 2.0 * np.pi)
+
+    def quadrature(self, g, xs, points_1d, points_2d):
+        theta = np.arange(points_1d) * (2.0 * np.pi / points_1d)
+        quats = quat_from_axis_angle(g.axis_array(), theta)
+        coords = quat_rotate(quats[None, :, :], xs[:, None, :])
+        return coords.reshape(-1, 3), np.full(xs.shape[0], points_1d, dtype=np.int64)
+
+    def net(self, g, nb, eps):
+        count = max(int(np.ceil(2.0 * np.pi / eps)), 1)
+        theta = np.arange(count) * (2.0 * np.pi / count)
+        return "rotation", quat_from_axis_angle(g.axis_array(), theta)
+
+
+class _FullSO3(_Rotations):
+    """All rotations; orbits are spheres about the origin."""
+
+    rank = 2
+    dim = 2
+
+    def singular(self, g, xs):
+        return np.linalg.norm(xs, axis=1) <= _SINGULAR_TOL
+
+    def side(self, g, space, xs, nb):
+        # a sphere of radius |x| casts a disc of radius |x| on its tangent
+        # plane; the inscribed square has side sqrt(2) |x|
+        return np.sqrt(2.0) * np.linalg.norm(xs, axis=1)
+
+    def grid(self, g, space, xs, h, nb):
+        s = np.linalg.norm(xs, axis=1)
+        per_axis = np.where(s <= _SINGULAR_TOL, 1,
+                            np.floor(np.sqrt(2.0) * s / (2.0 * h)).astype(np.int64) + 1)
+        blocks = [np.empty((0, 3))]
+        for i in range(len(xs)):
+            if s[i] <= _SINGULAR_TOL:
+                blocks.append(xs[i : i + 1])
+                continue
+            unit = xs[i] / s[i]
+            e1, e2 = _tangent_frame(unit)
+            ladder = (np.arange(per_axis[i]) - (per_axis[i] - 1) / 2.0) * (2.0 * h)
+            a1, a2 = np.meshgrid(ladder, ladder, indexing="ij")
+            a1, a2 = a1.ravel(), a2.ravel()
+            normal = np.sqrt(np.maximum(s[i] ** 2 - a1**2 - a2**2, 0.0))
+            blocks.append(a1[:, None] * e1 + a2[:, None] * e2 + normal[:, None] * unit)
+        return np.concatenate(blocks), per_axis**2
+
+    def recover(self, g, x, target, tol):
+        deviation = abs(float(np.linalg.norm(target.coords)) - float(np.linalg.norm(x.coords)))
+        if deviation > tol:
+            raise OffOrbitError("target does not lie on the rotation sphere", deviation)
+        if np.linalg.norm(x.coords) <= _SINGULAR_TOL:
+            return identity_element(g)
+        return _minimal_rotation(x.coords, target.coords)
+
+    def haar(self, g, rng, shape):
+        return _uniform_quaternions(rng, math.prod(shape)).reshape(shape + (4,))
+
+    def quadrature(self, g, xs, points_1d, points_2d):
+        nodes = fibonacci_sphere(points_2d)
+        radii = np.linalg.norm(xs, axis=1)
+        coords = radii[:, None, None] * nodes[None, :, :]
+        return coords.reshape(-1, 3), np.full(xs.shape[0], points_2d, dtype=np.int64)
+
+    def net(self, g, nb, eps):
+        return "rotation", _so3_net(eps)
+
+
+class _Translations(FamilyEntry):
+    """Translations along the rows of ``generators(g)``; orbits are flat.
+
+    The packing grid lays the ladder along each unit generator over the
+    side ``shadow_side`` and wraps into the space's fundamental domain.
+    """
+
+    def orbit_dim(self, g, space):
+        return len(self.generators(g))
+
+    def side(self, g, space, xs, nb):
+        return np.full(len(xs), self.shadow_side(g, space, nb))
+
+    def grid(self, g, space, xs, h, nb):
+        gens = self.generators(g)
+        unit = gens / np.linalg.norm(gens, axis=1)[:, None]
+        shifts = _lattice(_ladder(self.shadow_side(g, space, nb), h), len(gens)) @ unit
+        stacked = xs[:, None, :] + shifts[None, :, :]
+        coords = wrap_coords(space, stacked.reshape(-1, space.ambient_dim))
+        return coords, np.full(xs.shape[0], shifts.shape[0], dtype=np.int64)
+
+
+class _TorusTranslations(_Translations):
+    """Closed translation subgroups of a torus: every generator row returns
+    to the identity at parameter 1, so the subgroup is the image of the
+    parameter cube [0, 1)^k.  The shadow is capped at side 1/2: offsets of
+    at most 1/4 per coordinate stay inside the injectivity radius of the
+    wrapped metric, so distances remain exactly Euclidean."""
+
+    def shadow_side(self, g, space, nb):
+        return _TORUS_SHADOW_SIDE
+
+    def sample(self, g, xs, m, rng):
+        gens = self.generators(g)
+        return np.mod(xs[:, None, :] + rng.random((xs.shape[0], m, len(gens))) @ gens, 1.0)
+
+    def element(self, g, rng):
+        gens = self.generators(g)
+        return TorusShift(rng.random(len(gens)) @ gens)
+
+    def quadrature(self, g, xs, points_1d, points_2d):
+        gens = self.generators(g)
+        count = self.nodes_per_axis(len(gens), points_1d, points_2d)
+        shifts = _lattice(np.arange(count) / count, len(gens)) @ gens
+        coords = np.mod(xs[:, None, :] + shifts[None, :, :], 1.0)
+        return coords.reshape(-1, xs.shape[1]), np.full(xs.shape[0], shifts.shape[0], dtype=np.int64)
+
+    def net(self, g, nb, eps):
+        # a parameter cell of side 1/count maps onto a cell of diameter
+        # sqrt(k) |generator| / count <= eps (the rows share one length)
+        gens = self.generators(g)
+        k = len(gens)
+        count = max(int(np.ceil(np.sqrt(k) * float(np.linalg.norm(gens[0])) / eps)), 1)
+        return "shift", np.mod(_lattice(np.arange(count) / count, k) @ gens, 1.0)
+
+
+class _TorusLine(_TorusTranslations):
+    """The closed line through the origin with primitive direction (p, q)."""
+
+    def describe(self, g):
+        return f"torus_line direction={g.direction[0]},{g.direction[1]}"
+
+    def generators(self, g):
+        return g.direction_array()[None, :]
+
+    def nodes_per_axis(self, k, points_1d, points_2d):
+        return points_1d
+
+    def recover(self, g, x, target, tol):
+        delta = np.mod(target.coords - x.coords, 1.0)
+        p, q = g.direction
+        residue = float(q * delta[0] - p * delta[1])
+        deviation = abs(residue - round(residue)) / float(np.hypot(p, q))
+        if deviation > tol:
+            raise OffOrbitError("target does not lie on the line orbit", deviation)
+        return TorusShift(delta)
+
+
+class _FullTorus(_TorusTranslations):
+    rank = 2
+
+    def generators(self, g):
+        return np.eye(_parent_dim(g.parent))
+
+    def nodes_per_axis(self, k, points_1d, points_2d):
+        return max(int(round(points_2d ** (1.0 / k))), 2)
+
+    def recover(self, g, x, target, tol):
+        return TorusShift(np.mod(target.coords - x.coords, 1.0))
+
+
+class _AxisTranslations(_Translations):
+    """Translations of the masked box coordinates; not compact."""
+
+    compact = False
+
+    def describe(self, g):
+        return "axis_translations mask=" + ",".join(str(i) for i in g.mask)
+
+    def generators(self, g):
+        return np.eye(_parent_dim(g.parent))[list(g.mask)]
+
+    def shadow_side(self, g, space, nb):
+        # capped by the neighbourhood cube and by half the shortest masked
+        # side (so wrapped offsets never re-approach)
+        r_u = nb.radius if nb.kind is NeighborhoodKind.CUBE else 1.0
+        return float(min(2.0 * r_u, min(space.sides[i] for i in g.mask) / 2.0))
+
+    def recover(self, g, x, target, tol):
+        sides = np.asarray(x.space.sides)
+        delta = np.mod(target.coords - x.coords + sides / 2.0, sides) - sides / 2.0
+        off_mask = [i for i in range(x.space.ambient_dim) if i not in g.mask]
+        deviation = float(np.linalg.norm(delta[off_mask])) if off_mask else 0.0
+        if deviation > tol:
+            raise OffOrbitError("target moves coordinates outside the translation mask", deviation)
+        shift = np.zeros_like(delta)
+        shift[list(g.mask)] = delta[list(g.mask)]
+        return BoxTranslation(shift)
+
+    def sample(self, g, *args):
+        raise NotCompactError("axis translation subgroups are not compact; no uniform distribution exists")
+
+    element = sample
+
+    def quadrature(self, g, xs, points_1d, points_2d):
+        raise NotCompactError("uniform orbit quadrature requires a compact subgroup")
+
+    def net(self, g, nb, eps):
+        # grid over the masked coordinates of the cube U
+        r = nb.radius if nb.kind is NeighborhoodKind.CUBE else 1.0
+        k = len(g.mask)
+        per_axis = max(int(np.ceil(2.0 * r * np.sqrt(k) / (2.0 * eps))), 1) + 1
+        return "shift", _lattice(np.linspace(-r, r, per_axis), k) @ self.generators(g)
+
+
+FAMILY_TABLE: dict[SubgroupFamily, FamilyEntry] = {
+    SubgroupFamily.TRIVIAL: _Trivial(),
+    SubgroupFamily.CIRCLE3: _Circle(),
+    SubgroupFamily.FULL_SO3: _FullSO3(),
+    SubgroupFamily.TORUS_LINE: _TorusLine(),
+    SubgroupFamily.FULL_TORUS: _FullTorus(),
+    SubgroupFamily.AXIS_TRANSLATIONS: _AxisTranslations(),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -350,39 +669,7 @@ def subgroup_net(group: ClosedSubgroup, neighborhood: CompactNeighborhood,
     """
     if eps <= 0.0:
         raise ConfigError("net resolution must be positive")
-    fam = group.family
-    if fam is SubgroupFamily.TRIVIAL:
-        if group.parent == PARENT_SO3:
-            return "rotation", np.array([[1.0, 0.0, 0.0, 0.0]])
-        return "shift", np.zeros((1, _parent_dim(group.parent)))
-    if fam is SubgroupFamily.CIRCLE3:
-        count = max(int(np.ceil(2.0 * np.pi / eps)), 1)
-        theta = np.arange(count) * (2.0 * np.pi / count)
-        return "rotation", quat_from_axis_angle(group.axis_array(), theta)
-    if fam is SubgroupFamily.FULL_SO3:
-        return "rotation", _so3_net(eps)
-    if fam is SubgroupFamily.TORUS_LINE:
-        length = float(np.linalg.norm(group.direction_array()))
-        count = max(int(np.ceil(length / eps)), 1)
-        t = np.arange(count) / count
-        return "shift", np.mod(t[:, None] * group.direction_array()[None, :], 1.0)
-    if fam is SubgroupFamily.FULL_TORUS:
-        d = _parent_dim(group.parent)
-        step_count = max(int(np.ceil(np.sqrt(d) / eps)), 1)
-        axes = [np.arange(step_count) / step_count] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return "shift", np.stack([m.ravel() for m in mesh], axis=1)
-    # axis translations: grid over the masked coordinates of the cube U
-    d = _parent_dim(group.parent)
-    r = neighborhood.radius if neighborhood.kind is NeighborhoodKind.CUBE else 1.0
-    k = len(group.mask)
-    per_axis = max(int(np.ceil(2.0 * r * np.sqrt(k) / (2.0 * eps))), 1) + 1
-    line = np.linspace(-r, r, per_axis)
-    mesh = np.meshgrid(*([line] * k), indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    out = np.zeros((flat.shape[0], d))
-    out[:, list(group.mask)] = flat
-    return "shift", out
+    return FAMILY_TABLE[group.family].net(group, neighborhood, eps)
 
 
 def _so3_net(eps: float) -> np.ndarray:
@@ -579,8 +866,3 @@ def line_angle_degrees(g: ClosedSubgroup) -> float:
     p, q = g.direction
     ang = math.degrees(math.atan2(q, p)) % 180.0
     return ang
-
-
-def rational_slope(g: ClosedSubgroup) -> Fraction | None:
-    p, q = g.direction
-    return None if p == 0 else Fraction(q, p)

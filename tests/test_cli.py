@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from orbitreg.cli import main
 from orbitreg.randomness import substream
@@ -98,6 +99,24 @@ class TestSelect:
         code = main(["select", "--input", str(bad), "--space", "torus2"])
         assert code == 2
         assert "expected header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space, bad_row, message", [
+        ("unit_ball3", "3.0,4.0,0.0,1.0", "does not lie in unit_ball3"),
+        ("torus2", "0.5,0.5,inf", "non-finite value"),
+        ("torus2", "nan,0.5,1.0", "non-finite value"),
+        ("torus2", "0.5,0.5", "expected 3 values"),
+    ])
+    def test_bad_row_is_a_config_error_naming_its_line(self, tmp_path, capsys,
+                                                        space, bad_row, message):
+        dim = 3 if space == "unit_ball3" else 2
+        header = ",".join(f"x{i + 1}" for i in range(dim)) + ",y"
+        good = ",".join(["0.25"] * dim) + ",1.0"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{good}\n{good}\n{bad_row}\n{good}\n", encoding="utf-8")
+        code = main(["select", "--input", str(bad), "--space", space])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.csv:4: " in err and message in err
 
     def test_missing_file_is_an_io_error(self, capsys):
         code = main(["select", "--input", "no_such_file.csv", "--space", "torus2"])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitreg import (
+    NotCompactError,
     OffOrbitError,
-    OrbitGridCache,
     PARENT_SO3,
     Point,
     PointDistribution,
@@ -15,6 +16,7 @@ from orbitreg import (
     full_torus,
     hypercube_side,
     orbit_dimension,
+    orbit_quadrature_coords,
     recover_group_element,
     sample_points,
     substream,
@@ -24,9 +26,11 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
+from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import act, quat_rotation_angle
 from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.spaces import pairwise_distance
+from orbitreg.subgroups import SubgroupFamily, sample_orbit_coords
 
 
 def grid_is_well_packed(space, grid, h):
@@ -249,15 +253,88 @@ class TestBatchedGrids:
             offset += grid.m
             assert np.allclose(block, grid.orbit_coords, atol=1e-12)
 
-    def test_cache_reuses_grids(self):
-        cache = OrbitGridCache()
-        x = Point.of(unit_ball3(), [0.4, 0.0, 0.2])
-        a = cache.get(x, full_so3(), 0.1)
-        b = cache.get(x, full_so3(), 0.1)
-        assert a is b
+    @pytest.mark.parametrize("h", [0.0, -0.1])
+    def test_non_positive_bandwidth_rejected(self, h):
+        xs = np.array([[0.5, 0.1, 0.2]])
+        for group in (circle3([0.0, 0.0, 1.0]), full_so3()):
+            with pytest.raises(IncompatibleActionError):
+                orbit_coords_batch(unit_ball3(), group, xs, h)
+            with pytest.raises(IncompatibleActionError):
+                build_orbit_grid(Point.of(unit_ball3(), xs[0]), group, h)
 
-    def test_cache_quantisation_snaps_nearby_points(self):
-        cache = OrbitGridCache(quantum=0.01)
-        a = cache.get(Point.of(unit_ball3(), [0.400, 0.0, 0.2]), full_so3(), 0.1)
-        b = cache.get(Point.of(unit_ball3(), [0.401, 0.0, 0.2]), full_so3(), 0.1)
-        assert a is b
+
+unit_vectors = (st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                .map(np.array)
+                .filter(lambda v: np.linalg.norm(v) > 0.1)
+                .map(lambda v: v / np.linalg.norm(v)))
+
+
+@st.composite
+def orbit_cases(draw):
+    """(space, group, base point, h) over all six families, with the fixed
+    points of the rotation actions (origin, circle axis) drawn on purpose."""
+    family = draw(st.sampled_from(["trivial", "circle", "so3", "line", "torus", "box"]))
+    h = draw(st.floats(0.03, 0.7))
+    if family == "box":
+        sides = draw(st.lists(st.floats(0.3, 3.0), min_size=1, max_size=3))
+        mask = draw(st.lists(st.integers(0, len(sides) - 1), min_size=1, unique=True))
+        x = [draw(st.floats(0.0, s, exclude_max=True)) for s in sides]
+        return box(sides), axis_translations(len(sides), mask), np.array(x), h
+    if family in ("line", "torus"):
+        d = 2 if family == "line" else draw(st.integers(1, 3))
+        x = [draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(d)]
+        if family == "line":
+            p, q = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: v != (0, 0)))
+            group = torus_line(p, q)
+        else:
+            group = full_torus(d)
+        return torus(d), group, np.array(x), h
+    space = draw(st.sampled_from([unit_ball3(), unit_sphere2()]))
+    axis = draw(unit_vectors)
+    group = {"trivial": trivial_subgroup(PARENT_SO3), "circle": circle3(axis), "so3": full_so3()}[family]
+    where = draw(st.sampled_from(["generic", "on_axis", "origin"]))
+    if where == "origin" and space == unit_ball3():
+        return space, group, np.zeros(3), h
+    radius = 1.0 if space == unit_sphere2() else draw(st.floats(0.0, 1.0))
+    direction = axis if where != "generic" else draw(unit_vectors)
+    return space, group, radius * direction, h
+
+
+def assert_on_orbit(x, coords, group):
+    """Every row of ``coords`` is reached from ``x`` by a recovered element."""
+    for c in coords:
+        g = recover_group_element(x, Point(c, x.space), group)
+        assert pairwise_distance(x.space, act(g, x).coords, c)[0, 0] <= 1e-9
+
+
+class TestGridProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(orbit_cases())
+    def test_grid_points_lie_on_the_orbit_and_are_packed(self, case):
+        space, group, coords, h = case
+        x = Point.of(space, coords)
+        grid = build_orbit_grid(x, group, h)
+        assert_on_orbit(x, grid.orbit_coords, group)
+        acted = np.array([act(g, x).coords for g in grid.elements])
+        assert np.diag(pairwise_distance(space, acted, grid.orbit_coords)).max() <= 1e-9
+        assert grid_is_well_packed(space, grid, h)
+        if grid.singular:
+            assert grid.m == 1 and np.array_equal(grid.orbit_coords[0], x.coords)
+
+    @settings(max_examples=100, deadline=None)
+    @given(orbit_cases(), st.integers(0, 2**32 - 1))
+    def test_quadrature_and_monte_carlo_points_lie_on_the_orbit(self, case, seed):
+        space, group, coords, _ = case
+        x = Point.of(space, coords)
+        if group.family is SubgroupFamily.AXIS_TRANSLATIONS:
+            with pytest.raises(NotCompactError):
+                orbit_quadrature_coords(group, coords)
+            with pytest.raises(NotCompactError):
+                sample_orbit_coords(group, coords, 4, np.random.default_rng(seed))
+            return
+        nodes, counts = orbit_quadrature_coords(group, coords, points_1d=7, points_2d=20)
+        assert counts.tolist() == [len(nodes)]
+        assert_on_orbit(x, nodes, group)
+        draws = sample_orbit_coords(group, coords, 16, np.random.default_rng(seed))
+        assert draws.shape == (1, 16, space.ambient_dim)
+        assert_on_orbit(x, draws[0], group)

@@ -12,6 +12,7 @@ from orbitreg import (
     Point,
     PointDistribution,
     SelectionInput,
+    SymmetrySelection,
     WHOLE_GROUP,
     best_symmetric_predict,
     circle3,
@@ -258,6 +259,12 @@ class TestBestSymmetricPredictor:
                                         cover=[trivial_subgroup(PARENT_SO3)], base=base))
         with pytest.raises(ConfigError):
             BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=10)
+
+    def test_monte_carlo_needs_at_least_one_draw(self):
+        base = FunctionPredictor(BALL, f1)
+        sel = SymmetrySelection(full_so3(), 0.3, {})
+        with pytest.raises(ConfigError):
+            BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=0, rng=substream(0))
 
 
 class TestSplitDataset:
