@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, SpaceMismatchError
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
+from .groups import parent_group
 from .randomness import polar_gaussian, substream
 from .selection import BestSymmetricPredictor, SelectionInput, global_ems
 from .spaces import (
@@ -35,16 +36,7 @@ from .spaces import (
     torus,
     unit_ball3,
 )
-from .subgroups import (
-    PARENT_SO3,
-    ClosedSubgroup,
-    delta_cover,
-    delta_schedule,
-    full_so3,
-    full_torus,
-    orbit_dimension,
-    parent_torus,
-)
+from .subgroups import PARENT_SO3, ClosedSubgroup, delta_cover, delta_schedule, parent_torus
 
 BASELINE = "baseline"
 BEST_SYMMETRIC = "best_symmetric"
@@ -100,13 +92,14 @@ def register_scenario(scenario_id: str, space: CovariateSpace, parent: str,
                       maximal_symmetry: str = "unknown") -> Scenario:
     """Add a custom regression function to the scenario catalog.
 
-    The parent group must be one the cover construction supports (the
-    rotation group for ball/sphere spaces, the 2-torus for torus spaces).
+    The parent group must be one the benchmark has a cover scale for (the
+    rotation group or the 2-torus) and must act on the scenario's space.
     """
     if scenario_id in SCENARIOS:
         raise ConfigError(f"scenario id {scenario_id!r} is already registered")
-    if parent not in (PARENT_SO3, parent_torus(2)):
+    if parent not in _BENCH_DELTA:
         raise ConfigError(f"no cover construction for parent group {parent!r}")
+    parent_group(parent).check_acts_on(space)
     scenario = Scenario(scenario_id, space, parent, fn, maximal_symmetry)
     SCENARIOS[scenario_id] = scenario
     return scenario
@@ -261,8 +254,7 @@ def cover_for(cfg: ScenarioConfig, n: int) -> list[ClosedSubgroup]:
     if cfg.delta is not None:
         delta = cfg.delta
     elif cfg.use_schedule:
-        parent_full = full_so3() if scenario.parent == PARENT_SO3 else full_torus(2)
-        d_max = orbit_dimension(parent_full, scenario.space)
+        d_max = parent_group(scenario.parent).max_orbit_dim
         delta = delta_schedule(n, cfg.beta, scenario.space.intrinsic_dim, d_max,
                                cfg.lipschitz_f, cfg.lipschitz_action)
     else:

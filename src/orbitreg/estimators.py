@@ -23,7 +23,7 @@ from .spaces import CovariateSpace, Point, neighbor_mask, neighbor_stats
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Regression sample: row-stacked covariates ``X`` and responses ``Y``."""
+    """Regression sample: covariate rows ``X`` in the space, finite responses ``Y``."""
 
     space: CovariateSpace
     X: np.ndarray
@@ -34,24 +34,23 @@ class Dataset:
         Y = np.asarray(self.Y, dtype=np.float64).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ConfigError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries")
-        if X.shape[0] and X.shape[1] != self.space.ambient_dim:
-            raise SpaceMismatchError(f"points of dimension {X.shape[1]} do not lie in {self.space}")
+        bad = np.flatnonzero(~np.isfinite(Y))
+        if bad.size:
+            raise ConfigError(f"response {bad[0]} is not finite: {Y[bad[0]]}")
+        bad = np.flatnonzero(~self.space.contains_rows(X))
+        if bad.size:
+            raise SpaceMismatchError(f"row {bad[0]} ({X[bad[0]]}) does not lie in {self.space}")
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
     @staticmethod
-    def from_pairs(space: CovariateSpace, pairs, validate: bool = True) -> "Dataset":
-        xs, ys = [], []
-        for x, y in pairs:
-            coords = x.coords if isinstance(x, Point) else np.asarray(x, dtype=np.float64)
-            if validate and not space.contains(coords):
-                raise SpaceMismatchError(f"point {coords} does not lie in {space}")
-            xs.append(coords)
-            ys.append(float(y))
-        X = np.array(xs) if xs else np.zeros((0, space.ambient_dim))
-        return Dataset(space, X, np.array(ys))
+    def from_pairs(space: CovariateSpace, pairs) -> "Dataset":
+        pairs = list(pairs)
+        xs = [x.coords if isinstance(x, Point) else x for x, _ in pairs]
+        X = np.array(xs, dtype=np.float64) if xs else np.zeros((0, space.ambient_dim))
+        return Dataset(space, X, np.array([y for _, y in pairs], dtype=np.float64))
 
     def __len__(self) -> int:
         return self.X.shape[0]

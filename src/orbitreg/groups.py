@@ -1,11 +1,17 @@
-"""Group elements, their actions on covariate spaces, and the group metric.
+"""Group elements, parent groups, their actions on spaces, and the group metric.
 
 Three element variants cover the transformation catalog:
 
 * ``Rotation3`` -- a 3D rotation stored as a unit quaternion (w, x, y, z)
   with the sign convention w >= 0 (q and -q describe the same rotation);
-* ``TorusShift`` -- a translation of the flat d-torus, coordinates in [0, 1);
+* ``TorusShift`` -- a translation of the flat d-torus, reduced into [0, 1);
 * ``BoxTranslation`` -- a translation vector acting on a box by wrap-around.
+
+The translation variants share one implementation with a period (1 for torus
+shifts, none for box translations).  Each variant carries its own product,
+inverse, distance and action.  Everything that depends on the parent group
+is one :class:`ParentGroup` entry, parsed once from the names ``"so3"``,
+``"torus{d}"`` and ``"box{d}"`` by :func:`parent_group`.
 
 The group metric is the minimal rotation angle for rotations (the length of
 the shortest geodesic under the bi-invariant metric), wrap-around Euclidean
@@ -14,14 +20,25 @@ distance for torus shifts, and plain Euclidean distance for box translations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
-from .errors import IncompatibleActionError, InvalidElementError, VariantMismatchError
-from .spaces import CovariateSpace, Point, SpaceKind, wrap_coords
+from .errors import ConfigError, IncompatibleActionError, InvalidElementError, VariantMismatchError
+from .spaces import CovariateSpace, Point, SpaceKind, flat_distance_matrix, wrap_coords
 
-_UNIT_TOL = 1e-12
+PARENT_SO3 = "so3"
+
+
+def parent_torus(d: int) -> str:
+    return f"torus{d}"
+
+
+def parent_box(d: int) -> str:
+    return f"box{d}"
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +112,8 @@ def quat_rotation_angle(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # element variants
 
-class _ArrayEqualityMixin:
-    """Value equality for frozen element types that hold one array field."""
+class _Element:
+    """Equality, hashing and the same-parent check of a one-array element."""
 
     _field: str
 
@@ -108,9 +125,14 @@ class _ArrayEqualityMixin:
     def __hash__(self):
         return hash((type(self).__name__, getattr(self, self._field).tobytes()))
 
+    def _check_same_parent(self, other: GroupElement) -> None:
+        mine, theirs = self.parent_group.name, other.parent_group.name
+        if mine != theirs:
+            raise VariantMismatchError(f"elements of different parents: {mine} vs {theirs}")
+
 
 @dataclass(frozen=True, eq=False)
-class Rotation3(_ArrayEqualityMixin):
+class Rotation3(_Element):
     quaternion: np.ndarray
     _field = "quaternion"
 
@@ -124,35 +146,130 @@ class Rotation3(_ArrayEqualityMixin):
         q.flags.writeable = False
         object.__setattr__(self, "quaternion", q)
 
+    @property
+    def parent_group(self) -> ParentGroup:
+        return parent_group(PARENT_SO3)
+
+    def compose(self, other: Rotation3) -> Rotation3:
+        self._check_same_parent(other)
+        return Rotation3(quat_multiply(self.quaternion, other.quaternion))
+
+    def inverse(self) -> Rotation3:
+        return Rotation3(quat_conjugate(self.quaternion))
+
+    def distance(self, other: Rotation3) -> float:
+        self._check_same_parent(other)
+        return float(quat_rotation_angle(quat_multiply(quat_conjugate(self.quaternion),
+                                                       other.quaternion)))
+
+    def act_on(self, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
+        self.parent_group.check_acts_on(space)
+        return quat_rotate(self.quaternion, coords)
+
 
 @dataclass(frozen=True, eq=False)
-class TorusShift(_ArrayEqualityMixin):
+class _Translation(_Element):
+    """Translation by ``shift``; with a ``period``, reduced and wrapped by it."""
+
     shift: np.ndarray
     _field = "shift"
-
-    def __post_init__(self):
-        s = np.mod(np.array(self.shift, dtype=np.float64), 1.0)
-        s[s == 1.0] = 0.0
-        s.flags.writeable = False
-        object.__setattr__(self, "shift", s)
-
-
-@dataclass(frozen=True, eq=False)
-class BoxTranslation(_ArrayEqualityMixin):
-    shift: np.ndarray
-    _field = "shift"
+    period = None
 
     def __post_init__(self):
         s = np.array(self.shift, dtype=np.float64)
+        if self.period is not None:
+            s = np.mod(s, self.period)
+            s[s == self.period] = 0.0
         s.flags.writeable = False
         object.__setattr__(self, "shift", s)
+
+    @property
+    def parent_group(self) -> ParentGroup:
+        return parent_group(f"{self.prefix}{self.shift.size}")
+
+    def compose(self, other: _Translation) -> _Translation:
+        self._check_same_parent(other)
+        return type(self)(self.shift + other.shift)
+
+    def inverse(self) -> _Translation:
+        return type(self)(-self.shift)
+
+    def distance(self, other: _Translation) -> float:
+        self._check_same_parent(other)
+        diff = np.abs(self.shift - other.shift)
+        if self.period is not None:
+            diff = np.minimum(diff, self.period - diff)
+        return float(np.linalg.norm(diff))
+
+    def act_on(self, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
+        self.parent_group.check_acts_on(space)
+        return wrap_coords(space, coords + self.shift)
+
+
+class TorusShift(_Translation):
+    period = 1.0
+    prefix = "torus"
+
+
+class BoxTranslation(_Translation):
+    prefix = "box"
 
 
 GroupElement = Rotation3 | TorusShift | BoxTranslation
 
 
+# ---------------------------------------------------------------------------
+# parent groups
+
+def _rotation_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    dots = np.abs(np.asarray(a) @ np.asarray(b).T)
+    return 2.0 * np.arccos(np.clip(dots, -1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class ParentGroup:
+    """Everything that depends on the parent group: its ``name`` (the key of
+    ``ClosedSubgroup.parent``), element variant, the dimension and ``kinds``
+    of the spaces it acts on, the principal orbit dimension of the whole
+    group, and the tag, identity row and batched metric of its nets."""
+
+    name: str
+    element: type
+    dim: int
+    max_orbit_dim: int
+    kinds: tuple[SpaceKind, ...]
+    tag: str
+    identity_row: tuple[float, ...]
+    net_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def check_acts_on(self, space: CovariateSpace) -> None:
+        """The one rule for the spaces a parent acts on."""
+        if space.kind not in self.kinds or space.ambient_dim != self.dim:
+            raise IncompatibleActionError(f"{self.name} does not act on {space}")
+
+    def identity(self) -> GroupElement:
+        return self.element(np.array(self.identity_row))
+
+
+@lru_cache(maxsize=None)
+def parent_group(name: str) -> ParentGroup:
+    """The entry of a parent name: ``"so3"``, ``"torus{d}"`` or ``"box{d}"``."""
+    if name == PARENT_SO3:
+        return ParentGroup(name, Rotation3, 3, 2, (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2),
+                           "rotation", (1.0, 0.0, 0.0, 0.0), _rotation_angles)
+    match = re.fullmatch(r"(torus|box)([1-9][0-9]*)", name)
+    if match is None:
+        raise ConfigError(f"unknown parent group {name!r}")
+    element, d = {"torus": TorusShift, "box": BoxTranslation}[match[1]], int(match[2])
+    return ParentGroup(name, element, d, d, (SpaceKind(match[1]),), "shift", (0.0,) * d,
+                       partial(flat_distance_matrix, period=element.period))
+
+
+# ---------------------------------------------------------------------------
+# constructors and group operations
+
 def rotation_identity() -> Rotation3:
-    return Rotation3(np.array([1.0, 0.0, 0.0, 0.0]))
+    return parent_group(PARENT_SO3).identity()
 
 
 def rotation_about(axis, angle: float) -> Rotation3:
@@ -164,94 +281,32 @@ def rotation_about(axis, angle: float) -> Rotation3:
 
 
 def torus_identity(d: int) -> TorusShift:
-    return TorusShift(np.zeros(d))
-
-
-def box_identity(d: int) -> BoxTranslation:
-    return BoxTranslation(np.zeros(d))
+    return parent_group(parent_torus(d)).identity()
 
 
 def identity_like(g: GroupElement) -> GroupElement:
-    if isinstance(g, Rotation3):
-        return rotation_identity()
-    if isinstance(g, TorusShift):
-        return torus_identity(g.shift.size)
-    return box_identity(g.shift.size)
+    return g.parent_group.identity()
 
-
-def _check_same_variant(g: GroupElement, h: GroupElement) -> None:
-    if type(g) is not type(h):
-        raise VariantMismatchError(f"variant mismatch: {type(g).__name__} vs {type(h).__name__}")
-    if not isinstance(g, Rotation3) and g.shift.size != h.shift.size:
-        raise VariantMismatchError("translation dimensions differ")
-
-
-# ---------------------------------------------------------------------------
-# group operations
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Group product g * h (first apply h, then g)."""
-    _check_same_variant(g, h)
-    if isinstance(g, Rotation3):
-        return Rotation3(quat_multiply(g.quaternion, h.quaternion))
-    if isinstance(g, TorusShift):
-        return TorusShift(g.shift + h.shift)
-    return BoxTranslation(g.shift + h.shift)
+    return g.compose(h)
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    if isinstance(g, Rotation3):
-        return Rotation3(quat_conjugate(g.quaternion))
-    if isinstance(g, TorusShift):
-        return TorusShift(-g.shift)
-    return BoxTranslation(-g.shift)
+    return g.inverse()
 
 
 def group_distance(g: GroupElement, h: GroupElement) -> float:
-    """Geodesic distance between two elements of the same variant."""
-    _check_same_variant(g, h)
-    if isinstance(g, Rotation3):
-        rel = quat_multiply(quat_conjugate(g.quaternion), h.quaternion)
-        return float(quat_rotation_angle(rel))
-    if isinstance(g, TorusShift):
-        diff = np.abs(g.shift - h.shift)
-        diff = np.minimum(diff, 1.0 - diff)
-        return float(np.linalg.norm(diff))
-    return float(np.linalg.norm(g.shift - h.shift))
+    """Geodesic distance between two elements of the same parent group."""
+    return g.distance(h)
 
 
 def act(g: GroupElement, x: Point) -> Point:
     """Apply a group element to a point of a compatible space."""
-    coords = act_on_coords(g, x.space, x.coords[None, :])[0]
-    return Point(coords, x.space)
+    return Point(act_on_coords(g, x.space, x.coords[None, :])[0], x.space)
 
 
 def act_on_coords(g: GroupElement, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
     """Apply ``g`` to row-stacked coordinates (batched form of :func:`act`)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if isinstance(g, Rotation3):
-        if space.kind not in (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2):
-            raise IncompatibleActionError(f"rotations do not act on {space}")
-        return quat_rotate(g.quaternion, coords)
-    if isinstance(g, TorusShift):
-        if space.kind is not SpaceKind.TORUS or space.ambient_dim != g.shift.size:
-            raise IncompatibleActionError(f"torus shift of dimension {g.shift.size} does not act on {space}")
-        return np.mod(coords + g.shift, 1.0)
-    if space.kind is not SpaceKind.BOX or space.ambient_dim != g.shift.size:
-        raise IncompatibleActionError(f"box translation of dimension {g.shift.size} does not act on {space}")
-    return wrap_coords(space, coords + g.shift)
-
-
-# ---------------------------------------------------------------------------
-# batched metric helpers used by subgroup nets and selection
-
-def rotation_distance_matrix(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Pairwise rotation angles between two stacks of unit quaternions."""
-    dots = np.abs(np.asarray(qa) @ np.asarray(qb).T)
-    return 2.0 * np.arccos(np.clip(dots, -1.0, 1.0))
-
-
-def torus_shift_distance_matrix(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    diff = np.abs(sa[:, None, :] - sb[None, :, :])
-    diff = np.minimum(diff, 1.0 - diff)
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return g.act_on(space, np.asarray(coords, dtype=np.float64))

@@ -8,6 +8,9 @@ Four compact covariate spaces are supported:
 * an axis-aligned flat box with per-axis side lengths and opposite faces
   identified (``BOX``), i.e. a rescaled torus.
 
+A torus is a box of unit sides: every computation on either reads the
+per-axis ``period``, so the two differ only in their constructors and names.
+
 Each space carries a membership predicate, an intrinsic distance (Euclidean
 on the ball, great-circle on the sphere, wrap-around Euclidean on the torus
 and box), and a uniform sampler.
@@ -24,6 +27,8 @@ from .errors import ConfigError, SpaceMismatchError
 from .randomness import polar_gaussian
 
 _MEMBERSHIP_TOL = 1e-12
+# entries of the transient score or distance matrix built per chunk
+CHUNK_ELEMENTS = 4_000_000
 
 
 class SpaceKind(Enum):
@@ -40,24 +45,36 @@ class PointDistribution(Enum):
 
 @dataclass(frozen=True)
 class CovariateSpace:
-    """A covariate space: its kind, dimensions, and (for boxes) side lengths."""
+    """A covariate space: its kind, dimensions, and (tori, boxes) side lengths."""
 
     kind: SpaceKind
     ambient_dim: int
     intrinsic_dim: int
     sides: tuple[float, ...] = field(default=())
 
+    def __post_init__(self):
+        if self.kind is SpaceKind.TORUS:  # a torus is a box of unit sides
+            object.__setattr__(self, "sides", (1.0,) * self.ambient_dim)
+
+    @property
+    def period(self) -> np.ndarray | None:
+        """Per-axis period of a torus (ones) or box (its sides); else None."""
+        return np.asarray(self.sides) if self.sides else None
+
+    def contains_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Membership of each row of ``coords``; NaN or inf rows lie outside."""
+        c = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+        if c.shape[1] != self.ambient_dim:
+            return np.zeros(c.shape[0], dtype=bool)
+        if self.kind is SpaceKind.UNIT_BALL3:
+            return np.linalg.norm(c, axis=1) <= 1.0 + _MEMBERSHIP_TOL
+        if self.kind is SpaceKind.UNIT_SPHERE2:
+            return np.abs(np.linalg.norm(c, axis=1) - 1.0) <= _MEMBERSHIP_TOL
+        return np.all((c >= 0.0) & (c < self.period), axis=1)
+
     def contains(self, coords: np.ndarray) -> bool:
         c = np.asarray(coords, dtype=np.float64)
-        if c.shape != (self.ambient_dim,):
-            return False
-        if self.kind is SpaceKind.UNIT_BALL3:
-            return bool(np.linalg.norm(c) <= 1.0 + _MEMBERSHIP_TOL)
-        if self.kind is SpaceKind.UNIT_SPHERE2:
-            return bool(abs(np.linalg.norm(c) - 1.0) <= _MEMBERSHIP_TOL)
-        if self.kind is SpaceKind.TORUS:
-            return bool(np.all(c >= 0.0) and np.all(c < 1.0))
-        return bool(np.all(c >= 0.0) and np.all(c < np.asarray(self.sides)))
+        return c.shape == (self.ambient_dim,) and bool(self.contains_rows(c)[0])
 
     def __str__(self) -> str:
         if self.kind is SpaceKind.TORUS:
@@ -115,11 +132,8 @@ def _check_same_space(x: Point, y: Point) -> None:
 
 def wrap_coords(space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
     """Reduce coordinates into the fundamental domain of a torus or box."""
-    if space.kind is SpaceKind.TORUS:
-        return np.mod(coords, 1.0)
-    if space.kind is SpaceKind.BOX:
-        return np.mod(coords, np.asarray(space.sides))
-    return coords
+    period = space.period
+    return coords if period is None else np.mod(coords, period)
 
 
 def space_distance(x: Point, y: Point) -> float:
@@ -132,40 +146,39 @@ def pairwise_distance(space: CovariateSpace, a: np.ndarray, b: np.ndarray) -> np
     """Distance matrix between row-stacked coordinate arrays ``a`` and ``b``."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if space.kind is SpaceKind.UNIT_BALL3:
-        return _euclidean_matrix(a, b)
     if space.kind is SpaceKind.UNIT_SPHERE2:
         # half-chord form: well conditioned near zero, exact for equal points
-        chord = _euclidean_matrix(a, b)
+        chord = flat_distance_matrix(a, b)
         return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
-    period = 1.0 if space.kind is SpaceKind.TORUS else np.asarray(space.sides)
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    diff = np.minimum(diff, period - diff)
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return flat_distance_matrix(a, b, space.period)
 
 
-def _euclidean_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def flat_distance_matrix(a: np.ndarray, b: np.ndarray, period=None) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and ``b``, wrapped
+    around each axis of the given period (the torus and box metric)."""
     # direct difference form: no cancellation, exact zeros for equal points
-    diff = a[:, None, :] - b[None, :, :]
+    diff = np.abs(a[:, None, :] - b[None, :, :])
+    if period is not None:
+        diff = np.minimum(diff, period - diff)
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _ball_score(queries: np.ndarray, data: np.ndarray, h: float,
-                kind: SpaceKind, sides) -> np.ndarray:
+def _ball_score(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
+                h: float) -> np.ndarray:
     """Positive entries mark strict h-neighbours (h^2 minus squared distance,
     or cosine margin on the sphere).  Shared by the mask and stats paths so
     both apply the identical comparison."""
-    if kind is SpaceKind.UNIT_SPHERE2:
+    if space.kind is SpaceKind.UNIT_SPHERE2:
         score = queries @ data.T
         score -= np.cos(min(h, np.pi)) if h <= np.pi else -2.0
         return score
-    if kind is SpaceKind.UNIT_BALL3:
+    if space.kind is SpaceKind.UNIT_BALL3:
         # score = h^2 - |q - x|^2, assembled as 2 q.x + (h^2 - |q|^2) - |x|^2
         score = queries @ (data.T * 2.0)
         score += (h * h - np.einsum("ij,ij->i", queries, queries))[:, None]
         score -= np.einsum("ij,ij->i", data, data)[None, :]
         return score
-    period = np.ones(data.shape[1]) if kind is SpaceKind.TORUS else np.asarray(sides)
+    period = space.period
     sq = np.zeros((queries.shape[0], data.shape[0]))
     for j in range(data.shape[1]):
         diff = np.abs(np.subtract.outer(queries[:, j], data[:, j]))
@@ -183,17 +196,17 @@ def neighbor_mask(space: CovariateSpace, queries: np.ndarray, data: np.ndarray, 
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    return _ball_score(queries, data, h, space.kind, space.sides) > 0.0
+    return _ball_score(space, queries, data, h) > 0.0
 
 
 def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
-                   h: float, values: np.ndarray,
-                   chunk_elements: int = 4_000_000) -> tuple[np.ndarray, np.ndarray]:
+                   h: float, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-query count of, and value sum over, data in the open h-ball.
 
-    Chunked over query rows so the transient score matrix stays small; the
-    indicator is formed in place (heaviside of the score) and both the
-    count and the value sum come out of a single matrix product.
+    Chunked over query rows so the transient score matrix stays within
+    ``CHUNK_ELEMENTS`` entries; the indicator is formed in place (heaviside
+    of the score) and both the count and the value sum come out of a single
+    matrix product.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -204,9 +217,9 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         return counts, sums
     stacked = np.column_stack([np.asarray(values, dtype=np.float64),
                                np.ones(data.shape[0])])
-    rows = max(1, chunk_elements // data.shape[0])
+    rows = max(1, CHUNK_ELEMENTS // data.shape[0])
     for start in range(0, q, rows):
-        score = _ball_score(queries[start : start + rows], data, h, space.kind, space.sides)
+        score = _ball_score(space, queries[start : start + rows], data, h)
         # overwrite the score with the 0/1 indicator in place
         np.greater(score, 0.0, out=score, casting="unsafe")
         agg = score @ stacked
@@ -241,11 +254,7 @@ def sample_points(space: CovariateSpace, distribution: PointDistribution, n: int
         return direction * radius[:, None]
     if space.kind is SpaceKind.UNIT_SPHERE2:
         return _unit_directions(rng, n)
-    if space.kind is SpaceKind.TORUS:
-        return rng.random((n, space.ambient_dim))
-    if space.kind is SpaceKind.BOX:
-        return rng.random((n, space.ambient_dim)) * np.asarray(space.sides)
-    raise SpaceMismatchError(f"unsupported (space, distribution) pair: ({space}, {distribution})")
+    return rng.random((n, space.ambient_dim)) * space.period
 
 
 def _unit_directions(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -13,7 +13,10 @@ Everything that depends on a subgroup's family -- orbit dimension, Haar
 samples, quadrature nodes, nets, and the orbit-grid construction of
 :mod:`orbitreg.orbit_grids` -- lives in one entry of :data:`FAMILY_TABLE`.
 The three translation families share one implementation parameterised by
-their generator rows.
+their generator rows.  Everything that depends on the parent group -- the
+spaces it acts on, its identity, its dimension and the group metric on
+nets -- is the parent's entry in :func:`orbitreg.groups.parent_group`,
+looked up from the subgroup's ``parent`` name.
 
 Subgroups of the same ambient group are compared with the Hausdorff metric
 between their intersections with a compact identity neighbourhood ``U``,
@@ -32,30 +35,19 @@ import numpy as np
 
 from .errors import ConfigError, IncompatibleActionError, NotCompactError, OffOrbitError
 from .groups import (
+    PARENT_SO3,
     BoxTranslation,
     GroupElement,
     Rotation3,
     TorusShift,
-    box_identity,
+    parent_box,
+    parent_group,
+    parent_torus,
     quat_from_axis_angle,
     quat_rotate,
-    rotation_distance_matrix,
-    rotation_identity,
-    torus_identity,
-    torus_shift_distance_matrix,
 )
 from .randomness import polar_gaussian
-from .spaces import CovariateSpace, SpaceKind, wrap_coords
-
-PARENT_SO3 = "so3"
-
-
-def parent_torus(d: int) -> str:
-    return f"torus{d}"
-
-
-def parent_box(d: int) -> str:
-    return f"box{d}"
+from .spaces import CHUNK_ELEMENTS, CovariateSpace, pairwise_distance, wrap_coords
 
 
 class SubgroupFamily(Enum):
@@ -171,21 +163,8 @@ def is_compact(group: ClosedSubgroup) -> bool:
 # ---------------------------------------------------------------------------
 # parents and orbit dimension
 
-def _parent_dim(parent: str) -> int:
-    for prefix in ("torus", "box"):
-        if parent.startswith(prefix):
-            return int(parent[len(prefix):])
-    return 3
-
-
 def check_acts_on(group: ClosedSubgroup, space: CovariateSpace) -> None:
-    if group.parent == PARENT_SO3:
-        acts = space.kind in (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2)
-    else:
-        kind = SpaceKind.TORUS if group.parent.startswith("torus") else SpaceKind.BOX
-        acts = space.kind is kind and space.ambient_dim == _parent_dim(group.parent)
-    if not acts:
-        raise IncompatibleActionError(f"{group.parent} subgroups do not act on {space}")
+    parent_group(group.parent).check_acts_on(space)
 
 
 def orbit_dimension(group: ClosedSubgroup, space: CovariateSpace) -> int:
@@ -195,11 +174,7 @@ def orbit_dimension(group: ClosedSubgroup, space: CovariateSpace) -> int:
 
 
 def identity_element(group: ClosedSubgroup) -> GroupElement:
-    if group.parent == PARENT_SO3:
-        return rotation_identity()
-    if group.parent.startswith("torus"):
-        return torus_identity(_parent_dim(group.parent))
-    return box_identity(_parent_dim(group.parent))
+    return parent_group(group.parent).identity()
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +252,7 @@ class FamilyEntry:
     * ``recover``: the element taking ``x`` to ``target``;
     * ``sample`` / ``element``: Haar orbit samples / one Haar draw;
     * ``quadrature``: deterministic orbit nodes;
-    * ``net``: an eps-net inside ``U``, tagged ``"rotation"`` or ``"shift"``.
+    * ``net``: an eps-net inside ``U`` as row-stacked quaternions or shifts.
     """
 
     rank = 1
@@ -355,7 +330,7 @@ class _Trivial(FamilyEntry):
         return xs.copy(), np.ones(len(xs), dtype=np.int64)
 
     def recover(self, g, x, target, tol):
-        deviation = float(np.linalg.norm(target.coords - x.coords))
+        deviation = float(pairwise_distance(x.space, x.coords, target.coords)[0, 0])
         if deviation > tol:
             raise OffOrbitError("target is not the base point of the trivial orbit", deviation)
         return identity_element(g)
@@ -370,9 +345,7 @@ class _Trivial(FamilyEntry):
         return xs.copy(), np.ones(len(xs), dtype=np.int64)
 
     def net(self, g, nb, eps):
-        if g.parent == PARENT_SO3:
-            return "rotation", np.array([[1.0, 0.0, 0.0, 0.0]])
-        return "shift", np.zeros((1, _parent_dim(g.parent)))
+        return np.array([parent_group(g.parent).identity_row])
 
 
 class _Rotations(FamilyEntry):
@@ -455,7 +428,7 @@ class _Circle(_Rotations):
     def net(self, g, nb, eps):
         count = max(int(np.ceil(2.0 * np.pi / eps)), 1)
         theta = np.arange(count) * (2.0 * np.pi / count)
-        return "rotation", quat_from_axis_angle(g.axis_array(), theta)
+        return quat_from_axis_angle(g.axis_array(), theta)
 
 
 class _FullSO3(_Rotations):
@@ -508,7 +481,7 @@ class _FullSO3(_Rotations):
         return coords.reshape(-1, 3), np.full(xs.shape[0], points_2d, dtype=np.int64)
 
     def net(self, g, nb, eps):
-        return "rotation", _so3_net(eps)
+        return _so3_net(eps)
 
 
 class _Translations(FamilyEntry):
@@ -564,7 +537,7 @@ class _TorusTranslations(_Translations):
         gens = self.generators(g)
         k = len(gens)
         count = max(int(np.ceil(np.sqrt(k) * float(np.linalg.norm(gens[0])) / eps)), 1)
-        return "shift", np.mod(_lattice(np.arange(count) / count, k) @ gens, 1.0)
+        return np.mod(_lattice(np.arange(count) / count, k) @ gens, 1.0)
 
 
 class _TorusLine(_TorusTranslations):
@@ -593,7 +566,7 @@ class _FullTorus(_TorusTranslations):
     rank = 2
 
     def generators(self, g):
-        return np.eye(_parent_dim(g.parent))
+        return np.eye(parent_group(g.parent).dim)
 
     def nodes_per_axis(self, k, points_1d, points_2d):
         return max(int(round(points_2d ** (1.0 / k))), 2)
@@ -611,7 +584,7 @@ class _AxisTranslations(_Translations):
         return "axis_translations mask=" + ",".join(str(i) for i in g.mask)
 
     def generators(self, g):
-        return np.eye(_parent_dim(g.parent))[list(g.mask)]
+        return np.eye(parent_group(g.parent).dim)[list(g.mask)]
 
     def shadow_side(self, g, space, nb):
         # capped by the neighbourhood cube and by half the shortest masked
@@ -643,7 +616,7 @@ class _AxisTranslations(_Translations):
         r = nb.radius if nb.kind is NeighborhoodKind.CUBE else 1.0
         k = len(g.mask)
         per_axis = max(int(np.ceil(2.0 * r * np.sqrt(k) / (2.0 * eps))), 1) + 1
-        return "shift", _lattice(np.linspace(-r, r, per_axis), k) @ self.generators(g)
+        return _lattice(np.linspace(-r, r, per_axis), k) @ self.generators(g)
 
 
 FAMILY_TABLE: dict[SubgroupFamily, FamilyEntry] = {
@@ -669,7 +642,7 @@ def subgroup_net(group: ClosedSubgroup, neighborhood: CompactNeighborhood,
     """
     if eps <= 0.0:
         raise ConfigError("net resolution must be positive")
-    return FAMILY_TABLE[group.family].net(group, neighborhood, eps)
+    return parent_group(group.parent).tag, FAMILY_TABLE[group.family].net(group, neighborhood, eps)
 
 
 def _so3_net(eps: float) -> np.ndarray:
@@ -733,12 +706,6 @@ def sphere_net(r: float) -> np.ndarray:
     return np.concatenate(points, axis=0)
 
 
-def _net_distance_matrix(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if kind == "rotation":
-        return rotation_distance_matrix(a, b)
-    return torus_shift_distance_matrix(a, b)
-
-
 def hausdorff_U_distance(g: ClosedSubgroup, h: ClosedSubgroup,
                          neighborhood: CompactNeighborhood = WHOLE_GROUP,
                          net_resolution: float = 0.05) -> float:
@@ -752,25 +719,17 @@ def hausdorff_U_distance(g: ClosedSubgroup, h: ClosedSubgroup,
         raise ConfigError("net resolution must be positive")
     if g.parent != h.parent:
         raise IncompatibleActionError(f"subgroups of different parents: {g.parent} vs {h.parent}")
-    kind, net_a = subgroup_net(g, neighborhood, net_resolution)
+    metric = parent_group(g.parent).net_distance
+    _, net_a = subgroup_net(g, neighborhood, net_resolution)
     _, net_b = subgroup_net(h, neighborhood, net_resolution)
-    euclid = g.parent.startswith("box")
-    sup_ab = _sup_inf(kind, net_a, net_b, euclid)
-    sup_ba = _sup_inf(kind, net_b, net_a, euclid)
-    return float(max(sup_ab, sup_ba))
+    return float(max(_sup_inf(metric, net_a, net_b), _sup_inf(metric, net_b, net_a)))
 
 
-def _sup_inf(kind: str, a: np.ndarray, b: np.ndarray, euclid: bool) -> float:
+def _sup_inf(metric, a: np.ndarray, b: np.ndarray) -> float:
     sup = 0.0
-    chunk = max(1, int(4_000_000 / max(len(b), 1)))
+    chunk = max(1, CHUNK_ELEMENTS // max(len(b), 1))
     for start in range(0, len(a), chunk):
-        block = a[start : start + chunk]
-        if euclid:
-            diff = block[:, None, :] - b[None, :, :]
-            dmat = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        else:
-            dmat = _net_distance_matrix(kind, block, b)
-        sup = max(sup, float(dmat.min(axis=1).max()))
+        sup = max(sup, float(metric(a[start : start + chunk], b).min(axis=1).max()))
     return sup
 
 
@@ -787,7 +746,7 @@ def delta_cover(parent: str, space: CovariateSpace, delta: float) -> list[Closed
     """
     if delta <= 0.0:
         raise ConfigError("delta must be positive")
-    check_acts_on(trivial_subgroup(parent), space)
+    parent_group(parent).check_acts_on(space)
     if parent == PARENT_SO3:
         return [trivial_subgroup(parent)] + _circle_axis_grid(delta) + [full_so3()]
     if parent == parent_torus(2):

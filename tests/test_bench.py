@@ -3,6 +3,7 @@ import pytest
 
 from orbitreg import (
     ConfigError,
+    IncompatibleActionError,
     Point,
     RiskReport,
     RiskRow,
@@ -238,3 +239,11 @@ class TestCustomScenario:
             register_scenario("so3_f1", unit_ball3(), "so3", lambda X: X[:, 0])
         with pytest.raises(ConfigError):
             register_scenario("weird", unit_ball3(), "box3", lambda X: X[:, 0])
+
+    def test_parent_that_does_not_act_on_the_space_rejected(self):
+        from orbitreg.bench import register_scenario
+        from orbitreg.subgroups import parent_torus
+
+        with pytest.raises(IncompatibleActionError, match="torus2 does not act on torus3"):
+            register_scenario("mismatched", torus(3), parent_torus(2), lambda X: X[:, 0])
+        assert "mismatched" not in SCENARIOS

@@ -259,3 +259,14 @@ class TestDatasetValidation:
 
         with pytest.raises(SpaceMismatchError):
             Dataset.from_pairs(BALL, [([2.0, 0.0, 0.0], 1.0)])
+
+    def test_non_finite_response_rejected(self):
+        with pytest.raises(ConfigError, match="response 1 is not finite"):
+            Dataset(torus(2), np.array([[0.2, 0.3], [0.5, 0.2]]), np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("row", [[1.5, 0.2], [np.nan, 0.2], [-np.inf, 0.2], [0.2, 1.0]])
+    def test_row_outside_the_space_rejected(self, row):
+        from orbitreg import SpaceMismatchError
+
+        with pytest.raises(SpaceMismatchError, match="row 1 "):
+            Dataset(torus(2), np.array([[0.2, 0.3], row]), np.array([1.0, 2.0]))

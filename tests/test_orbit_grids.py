@@ -229,6 +229,20 @@ class TestRecoverElement:
         g = recover_group_element(x, target, full_so3())
         assert np.allclose(act(g, x).coords, target.coords, atol=1e-12)
 
+    @pytest.mark.parametrize("space, parent, x, seam, off", [
+        (torus(2), "torus2", [0.0, 0.5], [1.0 - 1e-12, 0.5], [0.5, 0.5]),
+        (box((2.0, 0.5)), "box2", [0.3, 0.0], [0.3, 0.5 - 1e-12], [1.8, 0.0]),
+    ])
+    def test_trivial_recovery_measures_the_wrap_metric(self, space, parent, x, seam, off):
+        # x and seam are 1e-12 apart across the wrap seam; off is 0.5 away
+        # in the wrap metric (1.5 in raw coordinates on the box)
+        x = Point.of(space, x)
+        g = recover_group_element(x, Point.of(space, seam), trivial_subgroup(parent))
+        assert np.all(g.shift == 0.0)
+        with pytest.raises(OffOrbitError) as excinfo:
+            recover_group_element(x, Point.of(space, off), trivial_subgroup(parent))
+        assert excinfo.value.deviation == pytest.approx(0.5, abs=1e-12)
+
 
 class TestBatchedGrids:
     @pytest.mark.parametrize("family", ["trivial", "circle", "so3", "line", "torus"])
