@@ -89,7 +89,6 @@ from .spaces import (
     PointDistribution,
     SpaceKind,
     box,
-    sample_point,
     sample_points,
     space_distance,
     torus,

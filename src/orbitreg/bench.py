@@ -126,8 +126,6 @@ class ScenarioConfig:
     eval_points: int = 200
     beta: float = 1.0
     a: float = 1.0
-    lipschitz_f: float = 1.0
-    lipschitz_action: float = 1.0
     delta: float | None = None
     use_schedule: bool = False
     seed: int = 20260801
@@ -255,8 +253,7 @@ def cover_for(cfg: ScenarioConfig, n: int) -> list[ClosedSubgroup]:
         delta = cfg.delta
     elif cfg.use_schedule:
         d_max = parent_group(scenario.parent).max_orbit_dim
-        delta = delta_schedule(n, cfg.beta, scenario.space.intrinsic_dim, d_max,
-                               cfg.lipschitz_f, cfg.lipschitz_action)
+        delta = delta_schedule(n, cfg.beta, scenario.space.intrinsic_dim, d_max)
     else:
         delta = _BENCH_DELTA[scenario.parent]
     return delta_cover(scenario.parent, scenario.space, delta)

@@ -86,10 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "select":
             return _cmd_select(args)
         return _cmd_validate(args)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OrbitregError as exc:
+    except (OrbitregError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

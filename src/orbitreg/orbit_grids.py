@@ -15,10 +15,12 @@ construction is:
    directions, so tangential separations, and hence distances, survive;
 3. recover one group element per projected point.
 
-Steps 1 and 2 run batched over many base points in the family's entry of
-:data:`orbitreg.subgroups.FAMILY_TABLE`; a single grid is one row of that
-batch.  Everything here is deterministic; identical inputs give identical
-grids.
+Steps 1 and 2 run batched over many base points in
+:func:`orbit_coords_batch`, the one home of the rung count and the ladder;
+the family's entry of :data:`orbitreg.subgroups.FAMILY_TABLE` supplies only
+the geometry (``side``, ``singular``, the orbit dimension, and the
+projection ``place``).  A single grid is one row of that batch.  Everything
+here is deterministic; identical inputs give identical grids.
 """
 
 from __future__ import annotations
@@ -92,11 +94,29 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Orbit-grid points for every row of ``xs`` at once.
 
-    Returns ``(coords, counts)`` where ``coords`` stacks the grids of all
-    rows (row i owns ``counts[i]`` consecutive entries).
+    Each row gets ``floor(R / 2h) + 1`` rungs per tangent axis (one on a
+    singular row), so ``counts = rungs**k``; the lattice of centred ladders
+    (first axis slowest) is placed on the orbit by the family, and a
+    singular row keeps its base point.  Returns ``(coords, counts)`` where
+    ``coords`` stacks the grids of all rows (row i owns ``counts[i]``
+    consecutive entries).
     """
     if h <= 0.0:
         raise IncompatibleActionError("bandwidth must be positive")
     check_acts_on(group, space)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    return FAMILY_TABLE[group.family].grid(group, space, xs, h, neighborhood)
+    entry = FAMILY_TABLE[group.family]
+    singular = entry.singular(group, xs)
+    side = entry.side(group, space, xs, neighborhood)
+    rungs = np.where(singular, 1, np.floor(side / (2.0 * h)).astype(np.int64) + 1)
+    k = entry.orbit_dim(group, space)
+    counts = rungs**k
+    row = np.repeat(np.arange(len(xs)), counts)
+    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    per_axis = rungs[row, None]
+    # axis i takes digit i of the point's rank in base per_axis (first axis slowest)
+    offsets = (rank[:, None] // per_axis ** np.arange(k - 1, -1, -1) % per_axis
+               - (per_axis - 1) / 2.0) * (2.0 * h)
+    coords = entry.place(group, space, xs, row, offsets)
+    coords[singular[row]] = xs[row[singular[row]]]
+    return coords, counts

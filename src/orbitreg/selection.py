@@ -117,6 +117,20 @@ def _candidate_base(inp: SelectionInput, h: float) -> Predictor:
     return LocalConstantEstimator(inp.fit_data, h)
 
 
+def _orbit_points(method: str, space, group: ClosedSubgroup, xs: np.ndarray, h: float,
+                  neighborhood: CompactNeighborhood) -> tuple[np.ndarray, np.ndarray]:
+    """The points each row of ``xs`` is averaged over, as ``(coords, counts)``:
+    quadrature nodes for ``"uniform"``, else the orbit grid at bandwidth ``h``."""
+    if method == "uniform":
+        return orbit_quadrature_coords(group, xs)
+    return orbit_coords_batch(space, group, xs, h, neighborhood)
+
+
+def _orbit_means(preds: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each row's ``counts[i]`` consecutive predictions."""
+    return np.add.reduceat(preds, np.cumsum(counts) - counts) / counts
+
+
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: float,
                           X: np.ndarray, Y: np.ndarray) -> dict[ClosedSubgroup, float]:
     """Errors for all candidates sharing one bandwidth, via one prediction pass.
@@ -127,22 +141,12 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: 
     average, matching a Monte-Carlo deployment of compact groups.
     """
     base = _candidate_base(inp, h)
-    if inp.symmetriser == "uniform":
-        blocks = [orbit_quadrature_coords(g, X) for g in groups]
-    else:
-        blocks = [orbit_coords_batch(inp.holdout.space, g, X, h, inp.neighborhood)
-                  for g in groups]
+    blocks = [_orbit_points(inp.symmetriser, inp.holdout.space, g, X, h, inp.neighborhood)
+              for g in groups]
     preds = base.predict_coords(np.vstack([coords for coords, _ in blocks]))
-    errors: dict[ClosedSubgroup, float] = {}
-    offset = 0
-    for group, (coords, counts) in zip(groups, blocks):
-        block = preds[offset : offset + coords.shape[0]]
-        offset += coords.shape[0]
-        starts = np.cumsum(counts) - counts
-        sym = np.add.reduceat(block, starts) / counts
-        residual = sym - Y
-        errors[group] = float(np.mean(residual * residual))
-    return errors
+    sym = _orbit_means(preds, np.concatenate([counts for _, counts in blocks]))
+    residual = sym.reshape(len(groups), -1) - Y
+    return dict(zip(groups, np.mean(residual * residual, axis=1).tolist()))
 
 
 def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgroup:
@@ -248,12 +252,9 @@ class BestSymmetricPredictor:
         coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
         group = self.selection.chosen
         if self.method == "grid":
-            pts, counts = orbit_coords_batch(self.space, group, coords,
-                                             self.selection.chosen_bandwidth,
-                                             self.neighborhood)
-            preds = self.base.predict_coords(pts)
-            starts = np.cumsum(counts) - counts
-            return np.add.reduceat(preds, starts) / counts
+            pts, counts = _orbit_points("grid", self.space, group, coords,
+                                        self.selection.chosen_bandwidth, self.neighborhood)
+            return _orbit_means(self.base.predict_coords(pts), counts)
         m = self.mc_draws
         out = np.empty(coords.shape[0])
         chunk = max(1, int(200_000 / m))

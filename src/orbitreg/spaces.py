@@ -55,6 +55,9 @@ class CovariateSpace:
     def __post_init__(self):
         if self.kind is SpaceKind.TORUS:  # a torus is a box of unit sides
             object.__setattr__(self, "sides", (1.0,) * self.ambient_dim)
+        if self.kind is SpaceKind.BOX and (len(self.sides) != self.ambient_dim or not self.sides
+                                           or not all(s > 0 for s in self.sides)):
+            raise ConfigError("box side lengths must be positive, one per axis")
 
     @property
     def period(self) -> np.ndarray | None:
@@ -100,8 +103,6 @@ def torus(d: int) -> CovariateSpace:
 
 def box(sides: tuple[float, ...] | list[float]) -> CovariateSpace:
     sides = tuple(float(s) for s in sides)
-    if not sides or any(s <= 0 for s in sides):
-        raise ConfigError("box side lengths must be positive")
     return CovariateSpace(SpaceKind.BOX, ambient_dim=len(sides), intrinsic_dim=len(sides), sides=sides)
 
 
@@ -226,12 +227,6 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         sums[start : start + rows] = agg[:, 0]
         counts[start : start + rows] = np.rint(agg[:, 1]).astype(np.int64)
     return counts, sums
-
-
-def sample_point(space: CovariateSpace, distribution: PointDistribution, rng: np.random.Generator) -> Point:
-    """Draw one point from the stated law (see :func:`sample_points`)."""
-    return Point.of(space, sample_points(space, distribution, 1, rng)[0],
-                    validate=distribution is not PointDistribution.GAUSSIAN3)
 
 
 def sample_points(space: CovariateSpace, distribution: PointDistribution, n: int,

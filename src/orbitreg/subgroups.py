@@ -10,7 +10,7 @@ The searchable symmetry catalog consists of, per ambient group:
 * box translations: subgroups translating a masked subset of coordinates.
 
 Everything that depends on a subgroup's family -- orbit dimension, Haar
-samples, quadrature nodes, nets, and the orbit-grid construction of
+samples, quadrature nodes, nets, and the geometry of the orbit grids of
 :mod:`orbitreg.orbit_grids` -- lives in one entry of :data:`FAMILY_TABLE`.
 The three translation families share one implementation parameterised by
 their generator rows.  Everything that depends on the parent group -- the
@@ -247,7 +247,9 @@ class FamilyEntry:
     * ``orbit_dim``: principal orbit dimension (``dim`` where it is fixed);
     * ``singular``: rows whose orbit is the point itself;
     * ``side``: per-row side of the hypercube in the orbit's tangent shadow;
-    * ``grid``: the batched packing grid of
+    * ``place(g, space, xs, row, offsets)``: projects tangent-shadow
+      ``offsets`` (one ``k``-vector per output point, belonging to base row
+      ``row``) onto the orbit; the packing rule that lays the offsets out is
       :func:`orbitreg.orbit_grids.orbit_coords_batch`;
     * ``recover``: the element taking ``x`` to ``target``;
     * ``sample`` / ``element``: Haar orbit samples / one Haar draw;
@@ -268,37 +270,20 @@ class FamilyEntry:
         return np.zeros(len(xs), dtype=bool)
 
 
-def _ladder(side: float, h: float) -> np.ndarray:
-    """Centred positions in [-side/2, side/2] with spacing exactly 2h.
-
-    Rung count floor(side / 2h) + 1 meets the packing lower bound
-    side / 2h for every non-integer ratio; a single rung sits at 0.
-    """
-    count = int(np.floor(side / (2.0 * h))) + 1
-    return (np.arange(count) - (count - 1) / 2.0) * (2.0 * h)
-
-
 def _lattice(values: np.ndarray, k: int) -> np.ndarray:
     """All k-tuples of ``values`` as rows, first coordinate slowest."""
     mesh = np.meshgrid(*([values] * k), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """[0..c0), [0..c1), ... concatenated."""
-    total = int(counts.sum())
-    out = np.arange(total)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return out - starts
-
-
 def _tangent_frame(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane orthogonal to ``unit``."""
-    k = int(np.argmin(np.abs(unit)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    e1 = e - unit * unit[k]
-    e1 /= np.linalg.norm(e1)
+    """Deterministic orthonormal pairs spanning the planes orthogonal to the
+    rows of ``unit``: each row's least aligned coordinate axis, made
+    orthogonal to it, and the cross product."""
+    k = np.argmin(np.abs(unit), axis=1)
+    e1 = np.eye(3)[k] - unit * unit[np.arange(len(unit)), k][:, None]
+    # the matmul form of the norm rounds like a one-row dot product
+    e1 /= np.sqrt(e1[:, None, :] @ e1[:, :, None])[:, 0]
     return e1, np.cross(unit, e1)
 
 
@@ -313,7 +298,7 @@ def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
         # Antipodal pair: any axis orthogonal to the source works; pick the
         # deterministic frame vector.
         unit = source / np.linalg.norm(source)
-        axis, _ = _tangent_frame(unit)
+        axis = _tangent_frame(unit[None, :])[0][0]
         return Rotation3(quat_from_axis_angle(axis, np.pi))
     angle = float(np.arctan2(norm_cross, dot))
     return Rotation3(quat_from_axis_angle(cross / norm_cross, angle))
@@ -326,8 +311,8 @@ class _Trivial(FamilyEntry):
     def side(self, g, space, xs, nb):
         return np.ones(len(xs))
 
-    def grid(self, g, space, xs, h, nb):
-        return xs.copy(), np.ones(len(xs), dtype=np.int64)
+    def place(self, g, space, xs, row, offsets):
+        return xs[row]
 
     def recover(self, g, x, target, tol):
         deviation = float(pairwise_distance(x.space, x.coords, target.coords)[0, 0])
@@ -381,24 +366,18 @@ class _Circle(_Rotations):
         # a circle of radius r casts an interval of length 2r on its tangent line
         return 2.0 * self._split(g, xs)[2]
 
-    def grid(self, g, space, xs, h, nb):
+    def place(self, g, space, xs, row, offsets):
+        # an offset t on the tangent line sits at angle arcsin(t / r)
         u = g.axis_array()
         axial, radial, r = self._split(g, xs)
-        counts = np.where(r <= _SINGULAR_TOL, 1,
-                          np.floor(2.0 * r / (2.0 * h)).astype(np.int64) + 1)
-        row = np.repeat(np.arange(len(xs)), counts)
-        rank = _ragged_arange(counts)
-        offsets = (rank - (counts[row] - 1) / 2.0) * (2.0 * h)
-        r_rep = r[row]
-        safe_r = np.where(r_rep <= _SINGULAR_TOL, 1.0, r_rep)
-        angles = np.arcsin(np.clip(offsets / safe_r, -1.0, 1.0))
-        e1 = radial / np.where(r <= _SINGULAR_TOL, 1.0, r)[:, None]
+        safe_r = np.where(r <= _SINGULAR_TOL, 1.0, r)
+        angles = np.arcsin(np.clip(offsets[:, 0] / safe_r[row], -1.0, 1.0))
+        e1 = radial / safe_r[:, None]
         e2 = np.cross(np.broadcast_to(u, e1.shape), e1)
-        coords = (axial[row, None] * u
-                  + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
-                  + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
-        coords[r_rep <= _SINGULAR_TOL] = xs[row[r_rep <= _SINGULAR_TOL]]
-        return coords, counts
+        r_rep = r[row]
+        return (axial[row, None] * u
+                + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
+                + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
 
     def recover(self, g, x, target, tol):
         u = g.axis_array()
@@ -445,23 +424,15 @@ class _FullSO3(_Rotations):
         # plane; the inscribed square has side sqrt(2) |x|
         return np.sqrt(2.0) * np.linalg.norm(xs, axis=1)
 
-    def grid(self, g, space, xs, h, nb):
+    def place(self, g, space, xs, row, offsets):
+        # offsets in the tangent plane at x, moved along the normal onto the
+        # sphere of radius |x| (float_power rounds like the scalar square)
         s = np.linalg.norm(xs, axis=1)
-        per_axis = np.where(s <= _SINGULAR_TOL, 1,
-                            np.floor(np.sqrt(2.0) * s / (2.0 * h)).astype(np.int64) + 1)
-        blocks = [np.empty((0, 3))]
-        for i in range(len(xs)):
-            if s[i] <= _SINGULAR_TOL:
-                blocks.append(xs[i : i + 1])
-                continue
-            unit = xs[i] / s[i]
-            e1, e2 = _tangent_frame(unit)
-            ladder = (np.arange(per_axis[i]) - (per_axis[i] - 1) / 2.0) * (2.0 * h)
-            a1, a2 = np.meshgrid(ladder, ladder, indexing="ij")
-            a1, a2 = a1.ravel(), a2.ravel()
-            normal = np.sqrt(np.maximum(s[i] ** 2 - a1**2 - a2**2, 0.0))
-            blocks.append(a1[:, None] * e1 + a2[:, None] * e2 + normal[:, None] * unit)
-        return np.concatenate(blocks), per_axis**2
+        unit = xs / np.where(s <= _SINGULAR_TOL, 1.0, s)[:, None]
+        e1, e2 = _tangent_frame(unit)
+        a1, a2 = offsets[:, 0], offsets[:, 1]
+        normal = np.sqrt(np.maximum(np.float_power(s[row], 2) - a1**2 - a2**2, 0.0))
+        return a1[:, None] * e1[row] + a2[:, None] * e2[row] + normal[:, None] * unit[row]
 
     def recover(self, g, x, target, tol):
         deviation = abs(float(np.linalg.norm(target.coords)) - float(np.linalg.norm(x.coords)))
@@ -487,23 +458,17 @@ class _FullSO3(_Rotations):
 class _Translations(FamilyEntry):
     """Translations along the rows of ``generators(g)``; orbits are flat.
 
-    The packing grid lays the ladder along each unit generator over the
-    side ``shadow_side`` and wraps into the space's fundamental domain.
+    Grid offsets run along the unit generators and wrap into the space's
+    fundamental domain; every row shares one shadow side.
     """
 
     def orbit_dim(self, g, space):
         return len(self.generators(g))
 
-    def side(self, g, space, xs, nb):
-        return np.full(len(xs), self.shadow_side(g, space, nb))
-
-    def grid(self, g, space, xs, h, nb):
+    def place(self, g, space, xs, row, offsets):
         gens = self.generators(g)
         unit = gens / np.linalg.norm(gens, axis=1)[:, None]
-        shifts = _lattice(_ladder(self.shadow_side(g, space, nb), h), len(gens)) @ unit
-        stacked = xs[:, None, :] + shifts[None, :, :]
-        coords = wrap_coords(space, stacked.reshape(-1, space.ambient_dim))
-        return coords, np.full(xs.shape[0], shifts.shape[0], dtype=np.int64)
+        return wrap_coords(space, xs[row] + offsets @ unit)
 
 
 class _TorusTranslations(_Translations):
@@ -513,8 +478,8 @@ class _TorusTranslations(_Translations):
     at most 1/4 per coordinate stay inside the injectivity radius of the
     wrapped metric, so distances remain exactly Euclidean."""
 
-    def shadow_side(self, g, space, nb):
-        return _TORUS_SHADOW_SIDE
+    def side(self, g, space, xs, nb):
+        return np.full(len(xs), _TORUS_SHADOW_SIDE)
 
     def sample(self, g, xs, m, rng):
         gens = self.generators(g)
@@ -586,11 +551,11 @@ class _AxisTranslations(_Translations):
     def generators(self, g):
         return np.eye(parent_group(g.parent).dim)[list(g.mask)]
 
-    def shadow_side(self, g, space, nb):
+    def side(self, g, space, xs, nb):
         # capped by the neighbourhood cube and by half the shortest masked
         # side (so wrapped offsets never re-approach)
         r_u = nb.radius if nb.kind is NeighborhoodKind.CUBE else 1.0
-        return float(min(2.0 * r_u, min(space.sides[i] for i in g.mask) / 2.0))
+        return np.full(len(xs), min(2.0 * r_u, min(space.sides[i] for i in g.mask) / 2.0))
 
     def recover(self, g, x, target, tol):
         sides = np.asarray(x.space.sides)

@@ -30,7 +30,13 @@ from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import act, quat_rotation_angle
 from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.spaces import pairwise_distance
-from orbitreg.subgroups import SubgroupFamily, sample_orbit_coords
+from orbitreg.subgroups import (
+    WHOLE_GROUP,
+    CompactNeighborhood,
+    NeighborhoodKind,
+    SubgroupFamily,
+    sample_orbit_coords,
+)
 
 
 def grid_is_well_packed(space, grid, h):
@@ -275,6 +281,69 @@ class TestBatchedGrids:
                 orbit_coords_batch(unit_ball3(), group, xs, h)
             with pytest.raises(IncompatibleActionError):
                 build_orbit_grid(Point.of(unit_ball3(), xs[0]), group, h)
+
+
+_AXIS = np.array([0.6, 0.0, 0.8])
+_BALL_ROWS = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.06, 0.0, 0.08],
+                       [0.5, -0.2, 0.1], [-0.1, 0.7, 0.3], [0.0, 0.0, 0.9]])
+_SPHERE_ROWS = np.vstack([_AXIS, -_AXIS, _BALL_ROWS[3:] / np.linalg.norm(_BALL_ROWS[3:], axis=1)[:, None]])
+_TORUS_ROWS = np.array([[0.0, 0.0], [0.3, 0.7], [0.95, 0.05], [0.5, 0.999]])
+_BOX_ROWS = np.array([[0.0, 0.0, 0.0], [0.9, 1.4, 0.1], [0.25, 0.75, 0.4]])
+_CUBE = CompactNeighborhood(NeighborhoodKind.CUBE, radius=0.15)
+
+
+def _axis_distance(xs):
+    return np.linalg.norm(xs - (xs @ _AXIS)[:, None] * _AXIS, axis=1)
+
+
+# (space, group, neighbourhood, rows, per-row side R and singular flag from
+# the geometry, orbit dimension k) -- one line per family and configuration
+PACKING_TABLE = {
+    "trivial": (unit_ball3(), trivial_subgroup(PARENT_SO3), WHOLE_GROUP, _BALL_ROWS,
+                lambda xs: (np.ones(len(xs)), np.zeros(len(xs), bool)), 0),
+    "circle_ball": (unit_ball3(), circle3(_AXIS), WHOLE_GROUP, _BALL_ROWS,
+                    lambda xs: (2.0 * _axis_distance(xs), _axis_distance(xs) <= 1e-9), 1),
+    "circle_sphere": (unit_sphere2(), circle3(_AXIS), WHOLE_GROUP, _SPHERE_ROWS,
+                      lambda xs: (2.0 * _axis_distance(xs), _axis_distance(xs) <= 1e-9), 1),
+    "so3_ball": (unit_ball3(), full_so3(), WHOLE_GROUP, _BALL_ROWS,
+                 lambda xs: (np.sqrt(2.0) * np.linalg.norm(xs, axis=1),
+                             np.linalg.norm(xs, axis=1) <= 1e-9), 2),
+    "so3_sphere": (unit_sphere2(), full_so3(), WHOLE_GROUP, _SPHERE_ROWS,
+                   lambda xs: (np.sqrt(2.0) * np.linalg.norm(xs, axis=1), np.zeros(len(xs), bool)), 2),
+    "line": (torus(2), torus_line(2, -1), WHOLE_GROUP, _TORUS_ROWS,
+             lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 1),
+    "torus2": (torus(2), full_torus(2), WHOLE_GROUP, _TORUS_ROWS,
+               lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 2),
+    "torus3": (torus(3), full_torus(3), WHOLE_GROUP, _BOX_ROWS * 0.5,
+               lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 3),
+    # box sides (1.0, 1.5, 0.8): half the shortest masked side, capped at 2 r_U
+    "box_mask0": (box((1.0, 1.5, 0.8)), axis_translations(3, [0]), WHOLE_GROUP, _BOX_ROWS,
+                  lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 1),
+    "box_mask12": (box((1.0, 1.5, 0.8)), axis_translations(3, [1, 2]), WHOLE_GROUP, _BOX_ROWS,
+                   lambda xs: (np.full(len(xs), 0.4), np.zeros(len(xs), bool)), 2),
+    "box_mask012_cube": (box((1.0, 1.5, 0.8)), axis_translations(3, [0, 1, 2]), _CUBE, _BOX_ROWS,
+                         lambda xs: (np.full(len(xs), 0.3), np.zeros(len(xs), bool)), 3),
+}
+
+
+class TestPackingRule:
+    @pytest.mark.parametrize("h", [0.013, 0.05, 0.2, 0.9])
+    @pytest.mark.parametrize("case", sorted(PACKING_TABLE))
+    def test_counts_follow_the_rung_rule(self, case, h):
+        """counts = 1 on singular rows, else (floor(R / 2h) + 1) ** k, and
+        singular rows keep the base point itself."""
+        space, group, nb, xs, geometry, k = PACKING_TABLE[case]
+        side, singular = geometry(xs)
+        assert orbit_dimension(group, space) == k
+        coords, counts = orbit_coords_batch(space, group, xs, h, nb)
+        expected = np.where(singular, 1, (np.floor(side / (2.0 * h)).astype(np.int64) + 1) ** k)
+        assert counts.tolist() == expected.tolist()
+        assert coords.shape == (int(counts.sum()), space.ambient_dim)
+        starts = np.cumsum(counts) - counts
+        for i in np.flatnonzero(singular):
+            assert np.array_equal(coords[starts[i]], xs[i])
+        for i, x in enumerate(xs):
+            assert hypercube_side(Point.of(space, x), group, nb) == pytest.approx(side[i], abs=1e-12)
 
 
 unit_vectors = (st.tuples(*[st.floats(-1.0, 1.0)] * 3)

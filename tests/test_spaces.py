@@ -13,7 +13,8 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
-from orbitreg.spaces import neighbor_mask, neighbor_stats, pairwise_distance
+from orbitreg.errors import ConfigError
+from orbitreg.spaces import CovariateSpace, SpaceKind, neighbor_mask, neighbor_stats, pairwise_distance
 
 ALL_SPACES = [unit_ball3(), unit_sphere2(), torus(2), box((1.0, 1.5, 0.8))]
 
@@ -42,6 +43,17 @@ class TestMembership:
         Point.of(space, [0.9, 1.9])
         with pytest.raises(SpaceMismatchError):
             Point.of(space, [0.9, 2.1])
+
+    @pytest.mark.parametrize("sides", [(), (1.0,), (1.0, 2.0, 3.0), (1.0, 0.0), (1.0, -2.0),
+                                       (1.0, float("nan"))])
+    def test_box_sides_must_be_positive_one_per_axis(self, sides):
+        with pytest.raises(ConfigError):
+            CovariateSpace(SpaceKind.BOX, 2, 2, sides=sides)
+
+    def test_box_built_directly_matches_the_constructor(self):
+        space = CovariateSpace(SpaceKind.BOX, 2, 2, sides=(1.0, 2.0))
+        assert space == box((1.0, 2.0))
+        assert space.contains(np.array([0.5, 1.5])) and not space.contains(np.array([0.5, 2.5]))
 
     def test_intrinsic_dimensions(self):
         assert unit_ball3().intrinsic_dim == 3
