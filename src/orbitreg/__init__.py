@@ -36,7 +36,6 @@ from .errors import (
 from .estimators import (
     Dataset,
     FunctionPredictor,
-    LceConfig,
     LocalConstantEstimator,
     bandwidth,
     lce_predict,

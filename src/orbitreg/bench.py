@@ -137,10 +137,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: unknown id {self.scenario!r}; known: {sorted(SCENARIOS)}")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd: must be nonnegative")
-        if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
-            raise ConfigError("n_grid: must be a nonempty ascending list of sample sizes")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ConfigError("noise_sd: must be finite and nonnegative")
+        if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError("n_grid: must be a nonempty strictly ascending list of sample sizes")
         if any(n < 2 for n in self.n_grid):
             raise ConfigError("n_grid: sample sizes must be at least 2")
         if self.trials < 1:
@@ -149,10 +149,10 @@ class ScenarioConfig:
             raise ConfigError("eval_points: must be at least 1")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError("beta: must lie in (0, 1] (degree-0 local estimator)")
-        if self.a <= 0.0:
-            raise ConfigError("a: bandwidth constant must be positive")
-        if self.delta is not None and self.delta <= 0:
-            raise ConfigError("delta: must be positive when given")
+        if not 0.0 < self.a < math.inf:
+            raise ConfigError("a: bandwidth constant must be finite and positive")
+        if self.delta is not None and not 0.0 < self.delta < math.inf:
+            raise ConfigError("delta: must be finite and positive when given")
         if self.delta is not None and self.use_schedule:
             raise ConfigError("delta: give a fixed value or use_schedule, not both")
         if self.selector not in ("grid", "uniform"):
@@ -213,11 +213,12 @@ class RiskReport:
         return float(slope)
 
 
-def wald_halfwidth(values, z: float = WALD_Z) -> float:
+def wald_halfwidth(values) -> float:
+    """Half-width of the normal-approximation interval for the mean (z = WALD_Z)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         return 0.0
-    return float(z * values.std(ddof=1) / math.sqrt(values.size))
+    return float(WALD_Z * values.std(ddof=1) / math.sqrt(values.size))
 
 
 def generate_data(scenario: Scenario, n: int, noise_sd: float,

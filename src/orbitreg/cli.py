@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when validation (oracles) fails, 2 on
 configuration or I/O errors.  ``simulate`` accepts a flat ``key = value``
-config file with command-line flags taking precedence.
+config file with command-line flags taking precedence: ``--delta`` and
+``--schedule-delta`` each replace both ``delta`` and ``use_schedule``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ from .selection import SelectionInput, global_ems, split_dataset
 from .spaces import torus, unit_ball3
 from .subgroups import PARENT_SO3, catalog_lines, delta_cover, parent_torus
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOLEANS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}")
+    return _BOOLEANS[text.lower()]
+
+
 _CONFIG_KEYS = {
     "scenario": str,
     "noise_sd": float,
@@ -33,9 +43,9 @@ _CONFIG_KEYS = {
     "beta": float,
     "a": float,
     "delta": float,
-    "use_schedule": str,
+    "use_schedule": _parse_bool,
     "seed": int,
-    "split": str,
+    "split": _parse_bool,
     "selector": str,
     "final_method": str,
     "workers": int,
@@ -55,9 +65,11 @@ def main(argv: list[str] | None = None) -> int:
     sim.add_argument("--trials", type=int)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--sigma", type=float, dest="noise_sd")
-    sim.add_argument("--delta", type=float, help="fixed cover scale (omit for the schedule)")
-    sim.add_argument("--schedule-delta", action="store_true",
-                     help="derive the cover scale from each sample size")
+    scale = sim.add_mutually_exclusive_group()
+    scale.add_argument("--delta", type=float,
+                       help="fixed cover scale (default: the benchmark scale of the parent group)")
+    scale.add_argument("--schedule-delta", action="store_true",
+                       help="derive the cover scale from each sample size")
     sim.add_argument("--eval-points", type=int)
     sim.add_argument("--no-split", action="store_true",
                      help="reuse one sample for both fitting and selection")
@@ -124,15 +136,15 @@ def _cmd_simulate(args) -> int:
     if args.config:
         values = _parse_config_file(args.config)
         out = values.pop("out", out)
-    for key in ("split", "use_schedule"):
-        if key in values:
-            values[key] = values[key].lower() not in ("false", "0", "no")
     if "n_grid" in values:
         values["n_grid"] = _parse_n_grid(values["n_grid"])
-    for key in ("scenario", "trials", "seed", "noise_sd", "eval_points", "workers", "delta"):
-        flag = getattr(args, key, None)
+    for key in ("scenario", "trials", "seed", "noise_sd", "eval_points", "workers"):
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
+    if args.delta is not None:
+        values["delta"] = args.delta
+        values["use_schedule"] = False
     if args.n_grid is not None:
         values["n_grid"] = _parse_n_grid(args.n_grid)
     if args.no_split:

@@ -11,6 +11,7 @@ Monte-Carlo draws from a compact subgroup, is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -59,16 +60,6 @@ class Dataset:
         return Dataset(self.space, self.X[indices], self.Y[indices])
 
 
-@dataclass(frozen=True)
-class LceConfig:
-    bandwidth: float
-    default_value: float = 0.0
-
-    def __post_init__(self):
-        if self.bandwidth <= 0.0:
-            raise ConfigError("bandwidth must be positive")
-
-
 class Predictor(Protocol):
     """A fitted point predictor: total on its space, finite everywhere."""
 
@@ -95,8 +86,8 @@ class FunctionPredictor:
 
 def bandwidth(a: float, n: int, beta: float, d: int, d_group: int) -> float:
     """Rate-optimal bandwidth a * n**(-1 / (2 beta + d - d_group))."""
-    if a <= 0.0 or n < 1 or 2.0 * beta + d - d_group <= 0.0:
-        raise ConfigError("bandwidth requires a > 0, n >= 1 and 2*beta + d - d_group > 0")
+    if not 0.0 < a < math.inf or n < 1 or 2.0 * beta + d - d_group <= 0.0:
+        raise ConfigError("bandwidth requires a finite a > 0, n >= 1 and 2*beta + d - d_group > 0")
     return a * float(n) ** (-1.0 / (2.0 * beta + d - d_group))
 
 
@@ -105,20 +96,17 @@ class LocalConstantEstimator:
 
     Strictly local: the prediction at ``x`` depends only on responses of
     data points at distance < h, so predictions at points 2h apart use
-    disjoint data.  The empty-ball default is a fixed constant (0 unless
-    configured otherwise).
+    disjoint data.  An empty ball predicts 0.  The bandwidth ``h`` must be
+    a finite positive float.
     """
 
-    def __init__(self, data: Dataset, config: LceConfig | float):
-        if not isinstance(config, LceConfig):
-            config = LceConfig(bandwidth=float(config))
+    def __init__(self, data: Dataset, h: float):
+        h = float(h)
+        if not 0.0 < h < math.inf:
+            raise ConfigError(f"bandwidth must be finite and positive, got {h}")
         self.data = data
-        self.config = config
+        self.h = h
         self.space = data.space
-
-    @property
-    def h(self) -> float:
-        return self.config.bandwidth
 
     def neighbor_indices(self, x: Point) -> np.ndarray:
         """Indices of the data points inside the open h-ball around x."""
@@ -129,16 +117,16 @@ class LocalConstantEstimator:
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-        out = np.full(coords.shape[0], self.config.default_value, dtype=np.float64)
+        out = np.zeros(coords.shape[0])
         counts, sums = neighbor_stats(self.space, coords, self.data.X, self.h, self.data.Y)
         nonzero = counts > 0
         out[nonzero] = sums[nonzero] / counts[nonzero]
         return out
 
 
-def lce_predict(data: Dataset, config: LceConfig | float, x: Point) -> float:
+def lce_predict(data: Dataset, h: float, x: Point) -> float:
     """One-shot form of :class:`LocalConstantEstimator` prediction."""
-    return LocalConstantEstimator(data, config).predict(x)
+    return LocalConstantEstimator(data, h).predict(x)
 
 
 def partial_symmetrised_predict(base: Predictor, grid: OrbitGrid, x: Point) -> float:

@@ -159,7 +159,7 @@ def _random_config(rng: np.random.Generator, index: int):
     if index % 50 == 0 and space.kind.value == "unit_ball3":
         coords = np.zeros(3)  # singular base point: the grid must degrade, not crash
     h = float(np.exp(rng.uniform(np.log(0.02), np.log(0.8))))
-    return space, group, Point.of(space, coords, validate=False), h
+    return space, group, Point(coords, space), h
 
 
 def _random_axis(rng: np.random.Generator) -> np.ndarray:
@@ -218,7 +218,7 @@ def bias_bound_oracle(samples: int, rng: np.random.Generator, delta: float = 0.5
     hs = np.exp(rng.uniform(np.log(0.05), np.log(0.4), size=samples))
     for x_coords, pick, h in zip(X, picks, hs):
         group = cover[int(pick)]
-        x = Point.of(space, x_coords, validate=False)
+        x = Point(x_coords, space)
         grid = build_orbit_grid(x, group, float(h))
         gap = abs(float(fn.predict_coords(grid.orbit_coords).mean()) - fn.predict(x))
         limit = distances[group] + 2.0 * net_resolution

@@ -25,6 +25,7 @@ here is deterministic; identical inputs give identical grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +82,10 @@ def build_orbit_grid(x: Point, group: ClosedSubgroup, h: float,
                      singular=singular)
 
 
-def recover_group_element(x: Point, target: Point, group: ClosedSubgroup,
-                          tol: float = 1e-9) -> GroupElement:
-    """Find ``g`` in the subgroup with ``g . x = target`` (within ``tol``)."""
+def recover_group_element(x: Point, target: Point, group: ClosedSubgroup) -> GroupElement:
+    """Find ``g`` in the subgroup with ``g . x = target`` (within 1e-9)."""
     check_acts_on(group, x.space)
-    return FAMILY_TABLE[group.family].recover(group, x, target, tol)
+    return FAMILY_TABLE[group.family].recover(group, x, target)
 
 
 def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
@@ -101,8 +101,8 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     ``coords`` stacks the grids of all rows (row i owns ``counts[i]``
     consecutive entries).
     """
-    if h <= 0.0:
-        raise IncompatibleActionError("bandwidth must be positive")
+    if not 0.0 < h < math.inf:
+        raise IncompatibleActionError(f"bandwidth must be finite and positive, got {h}")
     check_acts_on(group, space)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     entry = FAMILY_TABLE[group.family]

@@ -25,9 +25,7 @@ from .orbit_grids import orbit_coords_batch
 from .spaces import Point
 from .subgroups import (
     ClosedSubgroup,
-    CompactNeighborhood,
     SubgroupFamily,
-    WHOLE_GROUP,
     is_compact,
     orbit_dimension,
     orbit_quadrature_coords,
@@ -35,6 +33,7 @@ from .subgroups import (
 )
 
 _TIE_TOL = 1e-12
+_FALLBACK_ERROR = 1.0  # every candidate's error when the region holds no holdout point
 
 
 @dataclass
@@ -45,6 +44,9 @@ class SelectionInput:
     ``fit_data`` each candidate gets its own local-constant base estimator
     at that candidate's bandwidth; a fixed ``base`` is used verbatim for
     every candidate (the orbit grids still use per-candidate bandwidths).
+    The bandwidths use the size of ``fit_data`` (of ``holdout`` with a
+    fixed ``base``).  Orbit grids span the whole subgroup, and an empty
+    ``region`` reports error 1.0 for every candidate.
     """
 
     holdout: Dataset
@@ -53,10 +55,7 @@ class SelectionInput:
     base: Predictor | None = None
     a: float = 1.0
     beta: float = 1.0
-    bandwidth_n: int | None = None
-    neighborhood: CompactNeighborhood = WHOLE_GROUP
     region: Callable[[np.ndarray], np.ndarray] | None = None
-    fallback_error: float = 1.0
     symmetriser: str = "grid"
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class SelectionInput:
             raise ConfigError("symmetriser must be 'grid' or 'uniform'")
 
     def effective_n(self) -> int:
-        if self.bandwidth_n is not None:
-            return self.bandwidth_n
         return len(self.fit_data) if self.fit_data is not None else len(self.holdout)
 
 
@@ -117,13 +114,13 @@ def _candidate_base(inp: SelectionInput, h: float) -> Predictor:
     return LocalConstantEstimator(inp.fit_data, h)
 
 
-def _orbit_points(method: str, space, group: ClosedSubgroup, xs: np.ndarray, h: float,
-                  neighborhood: CompactNeighborhood) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_points(method: str, space, group: ClosedSubgroup, xs: np.ndarray,
+                  h: float) -> tuple[np.ndarray, np.ndarray]:
     """The points each row of ``xs`` is averaged over, as ``(coords, counts)``:
     quadrature nodes for ``"uniform"``, else the orbit grid at bandwidth ``h``."""
     if method == "uniform":
         return orbit_quadrature_coords(group, xs)
-    return orbit_coords_batch(space, group, xs, h, neighborhood)
+    return orbit_coords_batch(space, group, xs, h)
 
 
 def _orbit_means(preds: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -141,8 +138,7 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: 
     average, matching a Monte-Carlo deployment of compact groups.
     """
     base = _candidate_base(inp, h)
-    blocks = [_orbit_points(inp.symmetriser, inp.holdout.space, g, X, h, inp.neighborhood)
-              for g in groups]
+    blocks = [_orbit_points(inp.symmetriser, inp.holdout.space, g, X, h) for g in groups]
     preds = base.predict_coords(np.vstack([coords for coords, _ in blocks]))
     sym = _orbit_means(preds, np.concatenate([counts for _, counts in blocks]))
     residual = sym.reshape(len(groups), -1) - Y
@@ -171,15 +167,18 @@ def local_ems(inp: SelectionInput) -> SymmetrySelection:
     Points exactly on the region boundary count as inside (membership
     predicates are expected to use closed comparisons).  When no holdout
     point lies in the region the search cannot be run; the trivial group is
-    returned with the configured fallback error level for every candidate.
+    returned with error 1.0 for every candidate.  The predicate must return
+    one entry per holdout row.
     """
     if inp.region is None:
         raise ConfigError("local_ems requires a region membership predicate")
     mask = np.asarray(inp.region(inp.holdout.X), dtype=bool) if len(inp.holdout) else np.zeros(0, bool)
+    if mask.shape != (len(inp.holdout),):
+        raise ConfigError(f"region returned shape {mask.shape} for {len(inp.holdout)} holdout rows")
     if mask.sum() == 0:
         cover = _canonical_cover(inp.cover)
         trivial = next(g for g in cover if g.family is SubgroupFamily.TRIVIAL)
-        errors = {g: inp.fallback_error for g in cover}
+        errors = {g: _FALLBACK_ERROR for g in cover}
         bw = {g: _candidate_bandwidth(inp, g) for g in cover}
         return SymmetrySelection(trivial, bw[trivial], errors, used_fallback=True,
                                  bandwidth_by_group=bw)
@@ -214,15 +213,15 @@ def _run_search(inp: SelectionInput, mask: np.ndarray) -> SymmetrySelection:
 class BestSymmetricPredictor:
     """The base estimator symmetrised by the selected subgroup, batched.
 
-    ``method="grid"`` averages over each point's orbit grid at the chosen
-    bandwidth; ``method="monte_carlo"`` averages over ``mc_draws`` uniform
-    draws from the (compact) subgroup, by default one per training point.
+    ``method="grid"`` averages over each point's orbit grid of the whole
+    subgroup at the chosen bandwidth; ``method="monte_carlo"`` averages
+    over ``mc_draws`` uniform draws from the (compact) subgroup, by default
+    one per training point.
     """
 
     def __init__(self, base: Predictor, selection: SymmetrySelection,
                  method: str = "grid", mc_draws: int | None = None,
-                 rng: np.random.Generator | None = None,
-                 neighborhood: CompactNeighborhood = WHOLE_GROUP):
+                 rng: np.random.Generator | None = None):
         if method not in ("grid", "monte_carlo"):
             raise ConfigError(f"unknown symmetrisation method {method!r}")
         if method == "monte_carlo":
@@ -242,7 +241,6 @@ class BestSymmetricPredictor:
         self.method = method
         self.mc_draws = mc_draws
         self.rng = rng
-        self.neighborhood = neighborhood
         self.space = base.space
 
     def predict(self, x: Point) -> float:
@@ -253,7 +251,7 @@ class BestSymmetricPredictor:
         group = self.selection.chosen
         if self.method == "grid":
             pts, counts = _orbit_points("grid", self.space, group, coords,
-                                        self.selection.chosen_bandwidth, self.neighborhood)
+                                        self.selection.chosen_bandwidth)
             return _orbit_means(self.base.predict_coords(pts), counts)
         m = self.mc_draws
         out = np.empty(coords.shape[0])
@@ -268,10 +266,9 @@ class BestSymmetricPredictor:
 
 def best_symmetric_predict(base: Predictor, selection: SymmetrySelection, x: Point,
                            method: str = "grid", mc_draws: int | None = None,
-                           rng: np.random.Generator | None = None,
-                           neighborhood: CompactNeighborhood = WHOLE_GROUP) -> float:
+                           rng: np.random.Generator | None = None) -> float:
     """Predict at ``x`` with the base estimator symmetrised by the selection."""
-    return BestSymmetricPredictor(base, selection, method, mc_draws, rng, neighborhood).predict(x)
+    return BestSymmetricPredictor(base, selection, method, mc_draws, rng).predict(x)
 
 
 def monte_carlo_symmetrised_predict(base: Predictor, group: ClosedSubgroup, m: int,

@@ -119,9 +119,10 @@ class Point:
         object.__setattr__(self, "coords", c)
 
     @staticmethod
-    def of(space: CovariateSpace, coords, validate: bool = True) -> "Point":
+    def of(space: CovariateSpace, coords) -> "Point":
+        """The point with these coordinates, which must lie in ``space``."""
         c = np.asarray(coords, dtype=np.float64)
-        if validate and not space.contains(c):
+        if not space.contains(c):
             raise SpaceMismatchError(f"coordinates {c} do not lie in {space}")
         return Point(c, space)
 

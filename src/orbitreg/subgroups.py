@@ -97,7 +97,7 @@ def trivial_subgroup(parent: str) -> ClosedSubgroup:
 def circle3(axis) -> ClosedSubgroup:
     u = np.asarray(axis, dtype=np.float64)
     norm = np.linalg.norm(u)
-    if u.shape != (3,) or abs(norm - 1.0) > 1e-9:
+    if u.shape != (3,) or not abs(norm - 1.0) <= 1e-9:  # NaN fails the comparison
         raise ConfigError("circle3 axis must be a unit 3-vector")
     u = u / norm
     u = _canonical_axis(u)
@@ -196,19 +196,19 @@ def sample_orbit_coords(group: ClosedSubgroup, x_coords: np.ndarray, m: int,
     return FAMILY_TABLE[group.family].sample(group, xs, m, rng)
 
 
-def orbit_quadrature_coords(group: ClosedSubgroup, xs: np.ndarray,
-                            points_1d: int = 24, points_2d: int = 64
-                            ) -> tuple[np.ndarray, np.ndarray]:
+def orbit_quadrature_coords(group: ClosedSubgroup,
+                            xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic near-uniform quadrature nodes on each row's orbit.
 
     Approximates the full orbit average (the compact-group symmetrised
-    value) without Monte-Carlo noise: equally spaced angles on circles and
-    lines, a Fibonacci lattice on sphere orbits, a square lattice on full
-    torus orbits.  Returns ``(coords, counts)`` shaped like
+    value) without Monte-Carlo noise: 24 equally spaced angles on circles
+    and lines, a 64-point Fibonacci lattice on sphere orbits, and a square
+    lattice of about 64 points (8 x 8 on the 2-torus) on full torus orbits.
+    Returns ``(coords, counts)`` shaped like
     :func:`orbitreg.orbit_grids.orbit_coords_batch`.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    return FAMILY_TABLE[group.family].quadrature(group, xs, points_1d, points_2d)
+    return FAMILY_TABLE[group.family].quadrature(group, xs)
 
 
 def _uniform_quaternions(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -232,6 +232,9 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 # the family table
 
 _SINGULAR_TOL = 1e-9
+_RECOVER_TOL = 1e-9  # largest orbit deviation a recovered element may leave
+_QUADRATURE_1D = 24  # quadrature nodes on a one-dimensional orbit
+_QUADRATURE_2D = 64  # on a sphere orbit; full tori round it to a square lattice
 _TORUS_SHADOW_SIDE = 0.5  # stays within the wrap metric's injectivity radius
 
 
@@ -251,7 +254,7 @@ class FamilyEntry:
       ``offsets`` (one ``k``-vector per output point, belonging to base row
       ``row``) onto the orbit; the packing rule that lays the offsets out is
       :func:`orbitreg.orbit_grids.orbit_coords_batch`;
-    * ``recover``: the element taking ``x`` to ``target``;
+    * ``recover``: the element taking ``x`` to ``target`` (within 1e-9);
     * ``sample`` / ``element``: Haar orbit samples / one Haar draw;
     * ``quadrature``: deterministic orbit nodes;
     * ``net``: an eps-net inside ``U`` as row-stacked quaternions or shifts.
@@ -314,9 +317,9 @@ class _Trivial(FamilyEntry):
     def place(self, g, space, xs, row, offsets):
         return xs[row]
 
-    def recover(self, g, x, target, tol):
+    def recover(self, g, x, target):
         deviation = float(pairwise_distance(x.space, x.coords, target.coords)[0, 0])
-        if deviation > tol:
+        if deviation > _RECOVER_TOL:
             raise OffOrbitError("target is not the base point of the trivial orbit", deviation)
         return identity_element(g)
 
@@ -326,7 +329,7 @@ class _Trivial(FamilyEntry):
     def element(self, g, rng):
         return identity_element(g)
 
-    def quadrature(self, g, xs, points_1d, points_2d):
+    def quadrature(self, g, xs):
         return xs.copy(), np.ones(len(xs), dtype=np.int64)
 
     def net(self, g, nb, eps):
@@ -379,16 +382,16 @@ class _Circle(_Rotations):
                 + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
                 + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
 
-    def recover(self, g, x, target, tol):
+    def recover(self, g, x, target):
         u = g.axis_array()
         ax_x, ax_t = float(x.coords @ u), float(target.coords @ u)
         rad_x = x.coords - ax_x * u
         rad_t = target.coords - ax_t * u
         r = float(np.linalg.norm(rad_x))
         deviation = float(np.hypot(ax_t - ax_x, np.linalg.norm(rad_t) - r))
-        if deviation > tol:
+        if deviation > _RECOVER_TOL:
             raise OffOrbitError("target does not lie on the rotation circle", deviation)
-        if r <= _SINGULAR_TOL:
+        if r == 0.0:  # any r > 0 needs the angle: the orbit is 2r across, maybe > tol
             return identity_element(g)
         e1 = rad_x / r
         e2 = np.cross(u, e1)
@@ -398,11 +401,11 @@ class _Circle(_Rotations):
     def haar(self, g, rng, shape):
         return quat_from_axis_angle(g.axis_array(), rng.random(shape) * 2.0 * np.pi)
 
-    def quadrature(self, g, xs, points_1d, points_2d):
-        theta = np.arange(points_1d) * (2.0 * np.pi / points_1d)
+    def quadrature(self, g, xs):
+        theta = np.arange(_QUADRATURE_1D) * (2.0 * np.pi / _QUADRATURE_1D)
         quats = quat_from_axis_angle(g.axis_array(), theta)
         coords = quat_rotate(quats[None, :, :], xs[:, None, :])
-        return coords.reshape(-1, 3), np.full(xs.shape[0], points_1d, dtype=np.int64)
+        return coords.reshape(-1, 3), np.full(xs.shape[0], _QUADRATURE_1D, dtype=np.int64)
 
     def net(self, g, nb, eps):
         count = max(int(np.ceil(2.0 * np.pi / eps)), 1)
@@ -434,22 +437,20 @@ class _FullSO3(_Rotations):
         normal = np.sqrt(np.maximum(np.float_power(s[row], 2) - a1**2 - a2**2, 0.0))
         return a1[:, None] * e1[row] + a2[:, None] * e2[row] + normal[:, None] * unit[row]
 
-    def recover(self, g, x, target, tol):
+    def recover(self, g, x, target):
         deviation = abs(float(np.linalg.norm(target.coords)) - float(np.linalg.norm(x.coords)))
-        if deviation > tol:
+        if deviation > _RECOVER_TOL:
             raise OffOrbitError("target does not lie on the rotation sphere", deviation)
-        if np.linalg.norm(x.coords) <= _SINGULAR_TOL:
-            return identity_element(g)
         return _minimal_rotation(x.coords, target.coords)
 
     def haar(self, g, rng, shape):
         return _uniform_quaternions(rng, math.prod(shape)).reshape(shape + (4,))
 
-    def quadrature(self, g, xs, points_1d, points_2d):
-        nodes = fibonacci_sphere(points_2d)
+    def quadrature(self, g, xs):
+        nodes = fibonacci_sphere(_QUADRATURE_2D)
         radii = np.linalg.norm(xs, axis=1)
         coords = radii[:, None, None] * nodes[None, :, :]
-        return coords.reshape(-1, 3), np.full(xs.shape[0], points_2d, dtype=np.int64)
+        return coords.reshape(-1, 3), np.full(xs.shape[0], _QUADRATURE_2D, dtype=np.int64)
 
     def net(self, g, nb, eps):
         return _so3_net(eps)
@@ -476,7 +477,9 @@ class _TorusTranslations(_Translations):
     to the identity at parameter 1, so the subgroup is the image of the
     parameter cube [0, 1)^k.  The shadow is capped at side 1/2: offsets of
     at most 1/4 per coordinate stay inside the injectivity radius of the
-    wrapped metric, so distances remain exactly Euclidean."""
+    wrapped metric, so distances remain exactly Euclidean.  Quadrature
+    puts ``round(nodes ** (1/k))`` (at least 2) nodes on each parameter
+    axis."""
 
     def side(self, g, space, xs, nb):
         return np.full(len(xs), _TORUS_SHADOW_SIDE)
@@ -489,9 +492,9 @@ class _TorusTranslations(_Translations):
         gens = self.generators(g)
         return TorusShift(rng.random(len(gens)) @ gens)
 
-    def quadrature(self, g, xs, points_1d, points_2d):
+    def quadrature(self, g, xs):
         gens = self.generators(g)
-        count = self.nodes_per_axis(len(gens), points_1d, points_2d)
+        count = max(int(round(self.nodes ** (1.0 / len(gens)))), 2)
         shifts = _lattice(np.arange(count) / count, len(gens)) @ gens
         coords = np.mod(xs[:, None, :] + shifts[None, :, :], 1.0)
         return coords.reshape(-1, xs.shape[1]), np.full(xs.shape[0], shifts.shape[0], dtype=np.int64)
@@ -508,35 +511,32 @@ class _TorusTranslations(_Translations):
 class _TorusLine(_TorusTranslations):
     """The closed line through the origin with primitive direction (p, q)."""
 
+    nodes = _QUADRATURE_1D
+
     def describe(self, g):
         return f"torus_line direction={g.direction[0]},{g.direction[1]}"
 
     def generators(self, g):
         return g.direction_array()[None, :]
 
-    def nodes_per_axis(self, k, points_1d, points_2d):
-        return points_1d
-
-    def recover(self, g, x, target, tol):
+    def recover(self, g, x, target):
         delta = np.mod(target.coords - x.coords, 1.0)
         p, q = g.direction
         residue = float(q * delta[0] - p * delta[1])
         deviation = abs(residue - round(residue)) / float(np.hypot(p, q))
-        if deviation > tol:
+        if deviation > _RECOVER_TOL:
             raise OffOrbitError("target does not lie on the line orbit", deviation)
         return TorusShift(delta)
 
 
 class _FullTorus(_TorusTranslations):
     rank = 2
+    nodes = _QUADRATURE_2D
 
     def generators(self, g):
         return np.eye(parent_group(g.parent).dim)
 
-    def nodes_per_axis(self, k, points_1d, points_2d):
-        return max(int(round(points_2d ** (1.0 / k))), 2)
-
-    def recover(self, g, x, target, tol):
+    def recover(self, g, x, target):
         return TorusShift(np.mod(target.coords - x.coords, 1.0))
 
 
@@ -557,12 +557,12 @@ class _AxisTranslations(_Translations):
         r_u = nb.radius if nb.kind is NeighborhoodKind.CUBE else 1.0
         return np.full(len(xs), min(2.0 * r_u, min(space.sides[i] for i in g.mask) / 2.0))
 
-    def recover(self, g, x, target, tol):
+    def recover(self, g, x, target):
         sides = np.asarray(x.space.sides)
         delta = np.mod(target.coords - x.coords + sides / 2.0, sides) - sides / 2.0
         off_mask = [i for i in range(x.space.ambient_dim) if i not in g.mask]
         deviation = float(np.linalg.norm(delta[off_mask])) if off_mask else 0.0
-        if deviation > tol:
+        if deviation > _RECOVER_TOL:
             raise OffOrbitError("target moves coordinates outside the translation mask", deviation)
         shift = np.zeros_like(delta)
         shift[list(g.mask)] = delta[list(g.mask)]
@@ -573,7 +573,7 @@ class _AxisTranslations(_Translations):
 
     element = sample
 
-    def quadrature(self, g, xs, points_1d, points_2d):
+    def quadrature(self, g, xs):
         raise NotCompactError("uniform orbit quadrature requires a compact subgroup")
 
     def net(self, g, nb, eps):
@@ -605,8 +605,8 @@ def subgroup_net(group: ClosedSubgroup, neighborhood: CompactNeighborhood,
     group metric.  Rotations are returned as (n, 4) unit quaternions,
     translations as (n, d) shift vectors.
     """
-    if eps <= 0.0:
-        raise ConfigError("net resolution must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError("net resolution must be finite and positive")
     return parent_group(group.parent).tag, FAMILY_TABLE[group.family].net(group, neighborhood, eps)
 
 
@@ -680,8 +680,6 @@ def hausdorff_U_distance(g: ClosedSubgroup, h: ClosedSubgroup,
     Hausdorff distance between the intersections with U (each point of
     either group is within eps of its net).
     """
-    if net_resolution <= 0.0:
-        raise ConfigError("net resolution must be positive")
     if g.parent != h.parent:
         raise IncompatibleActionError(f"subgroups of different parents: {g.parent} vs {h.parent}")
     metric = parent_group(g.parent).net_distance
@@ -709,8 +707,8 @@ def delta_cover(parent: str, space: CovariateSpace, delta: float) -> list[Closed
     contains the trivial group and the full parent group, so each orbit
     dimension stratum is represented.
     """
-    if delta <= 0.0:
-        raise ConfigError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ConfigError("delta must be finite and positive")
     parent_group(parent).check_acts_on(space)
     if parent == PARENT_SO3:
         return [trivial_subgroup(parent)] + _circle_axis_grid(delta) + [full_so3()]

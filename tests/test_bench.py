@@ -137,6 +137,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="scenario"):
             ScenarioConfig(scenario="bogus")
 
+    @pytest.mark.parametrize("field", ["a", "delta", "noise_sd"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scales_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field}:"):
+            ScenarioConfig(scenario="so3_f1", **{field: value})
+
+    def test_duplicate_sample_sizes_rejected(self):
+        with pytest.raises(ConfigError, match="n_grid"):
+            ScenarioConfig(scenario="so3_f1", n_grid=(30, 30))
+        with pytest.raises(ConfigError, match="n_grid"):
+            ScenarioConfig(scenario="so3_f1", n_grid=(24, 30, 30, 50))
+
 
 class TestAggregates:
     def test_aggregates_match_independent_recount(self):

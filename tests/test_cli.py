@@ -64,6 +64,58 @@ class TestSimulate:
         assert code == 2
         assert "bad.cfg:2" in capsys.readouterr().err
 
+    def test_delta_flag_overrides_schedule_from_config(self, tmp_path):
+        cfg = tmp_path / "sched.cfg"
+        cfg.write_text("scenario = t2_g1\nn_grid = 24\ntrials = 1\nseed = 3\n"
+                       "use_schedule = true\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg), "--delta", "0.5",
+                     "--out", str(tmp_path / "a")])
+        assert code == 0
+        main(["simulate", "--scenario", "t2_g1", "--n-grid", "24", "--trials", "1",
+              "--seed", "3", "--delta", "0.5", "--out", str(tmp_path / "b")])
+        assert (tmp_path / "a" / "rows.csv").read_bytes() == (tmp_path / "b" / "rows.csv").read_bytes()
+
+    def test_schedule_flag_overrides_delta_from_config(self, tmp_path):
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text("scenario = t2_g1\nn_grid = 24\ntrials = 1\ndelta = 0.5\n",
+                       encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg), "--schedule-delta",
+                     "--out", str(tmp_path / "a")])
+        assert code == 0
+
+    def test_delta_and_schedule_flags_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", "t2_g1", "--delta", "0.5", "--schedule-delta",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["split = flase", "use_schedule = maybe", "split ="])
+    def test_boolean_keys_reject_other_words(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario = t2_g1\n{line}\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.cfg:2: " in err and line.split()[0] in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("word, split", [("False", False), ("no", False), ("0", False),
+                                             ("TRUE", True), ("yes", True), ("1", True)])
+    def test_boolean_keys_accept_the_six_words(self, tmp_path, word, split):
+        from orbitreg.cli import _parse_config_file
+
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(f"split = {word}\n", encoding="utf-8")
+        assert _parse_config_file(str(cfg)) == {"split": split}
+
+    def test_delta_help_names_the_default_scale(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "omit for the schedule" not in help_text
+        assert "default: the benchmark scale of the parent group" in help_text
+
     def test_invalid_n_grid_value(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "t2_g1", "--n-grid", "24,banana",
                      "--out", str(tmp_path / "y")])
@@ -92,6 +144,21 @@ class TestSelect:
         out = capsys.readouterr().out
         assert "trivial parent=torus2" in out
         assert "full_torus parent=torus2" in out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--a", "inf", "bandwidth requires a finite a > 0"),
+        ("--a", "nan", "bandwidth requires a finite a > 0"),
+        ("--delta", "nan", "delta must be finite and positive"),
+        ("--delta", "inf", "delta must be finite and positive"),
+    ])
+    def test_non_finite_scale_is_a_config_error(self, tmp_path, capsys, flag, value, message):
+        csv_path = tmp_path / "sample.csv"
+        write_line_sample_csv(csv_path, n=60)
+        code = main(["select", "--input", str(csv_path), "--space", "torus2", flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "chosen:" not in captured.out
 
     def test_wrong_header_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

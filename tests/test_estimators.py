@@ -5,7 +5,6 @@ from orbitreg import (
     ConfigError,
     Dataset,
     FunctionPredictor,
-    LceConfig,
     LocalConstantEstimator,
     NotCompactError,
     PARENT_SO3,
@@ -38,7 +37,7 @@ def ball_dataset(rng, n, fn, noise_sd=0.0):
 class TestLocalConstantEstimator:
     def test_empty_ball_returns_default_zero(self):
         data = Dataset.from_pairs(BALL, [(Point.of(BALL, [0.9, 0, 0]), 5.0)])
-        assert lce_predict(data, LceConfig(bandwidth=0.1), Point.of(BALL, [0, 0, 0])) == 0.0
+        assert lce_predict(data, 0.1, Point.of(BALL, [0, 0, 0])) == 0.0
 
     def test_single_neighbour_returns_its_value(self):
         data = Dataset.from_pairs(BALL, [([0.05, 0.0, 0.0], 2.5)])
@@ -58,6 +57,14 @@ class TestLocalConstantEstimator:
         est = LocalConstantEstimator(data, 0.3)
         assert est.predict(Point.of(BALL, [0.1, 0.1, 0.1])) == 0.0
         assert np.all(est.predict_coords(np.zeros((4, 3))) == 0.0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_bandwidth_must_be_finite_and_positive(self, h):
+        data = Dataset.from_pairs(BALL, [([0.05, 0.0, 0.0], 2.5)])
+        with pytest.raises(ConfigError):
+            LocalConstantEstimator(data, h)
+        with pytest.raises(ConfigError):
+            lce_predict(data, h, Point.of(BALL, [0, 0, 0]))
 
     def test_strict_locality_disjoint_index_sets(self):
         rng = substream(0, "local")
@@ -131,6 +138,11 @@ class TestBandwidth:
             bandwidth(1.0, 0, 1.0, 3, 0)
         with pytest.raises(ConfigError):
             bandwidth(1.0, 10, 1.0, 2, 5)
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_non_finite_constant_rejected(self, a):
+        with pytest.raises(ConfigError):
+            bandwidth(a, 10, 1.0, 3, 0)
 
 
 class TestPartialSymmetrised:

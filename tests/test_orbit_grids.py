@@ -235,6 +235,17 @@ class TestRecoverElement:
         g = recover_group_element(x, target, full_so3())
         assert np.allclose(act(g, x).coords, target.coords, atol=1e-12)
 
+    @pytest.mark.parametrize("r", [1e-300, 5e-10, 1e-9])
+    @pytest.mark.parametrize("group", [circle3([0.0, 0.0, 1.0]), full_so3()])
+    def test_tiny_orbits_recover_every_quadrature_node(self, group, r):
+        """An orbit of radius r <= 1e-9 is still up to 2r across, so the
+        recovered element must turn x onto the node, not stay the identity."""
+        x = Point.of(unit_ball3(), [0.0, r, 0.0])
+        nodes, _ = orbit_quadrature_coords(group, x.coords)
+        for c in nodes:
+            g = recover_group_element(x, Point(c, x.space), group)
+            assert pairwise_distance(x.space, act(g, x).coords, c)[0, 0] <= 1e-12
+
     @pytest.mark.parametrize("space, parent, x, seam, off", [
         (torus(2), "torus2", [0.0, 0.5], [1.0 - 1e-12, 0.5], [0.5, 0.5]),
         (box((2.0, 0.5)), "box2", [0.3, 0.0], [0.3, 0.5 - 1e-12], [1.8, 0.0]),
@@ -273,7 +284,7 @@ class TestBatchedGrids:
             offset += grid.m
             assert np.allclose(block, grid.orbit_coords, atol=1e-12)
 
-    @pytest.mark.parametrize("h", [0.0, -0.1])
+    @pytest.mark.parametrize("h", [0.0, -0.1, float("nan"), float("inf")])
     def test_non_positive_bandwidth_rejected(self, h):
         xs = np.array([[0.5, 0.1, 0.2]])
         for group in (circle3([0.0, 0.0, 1.0]), full_so3()):
@@ -415,7 +426,7 @@ class TestGridProperties:
             with pytest.raises(NotCompactError):
                 sample_orbit_coords(group, coords, 4, np.random.default_rng(seed))
             return
-        nodes, counts = orbit_quadrature_coords(group, coords, points_1d=7, points_2d=20)
+        nodes, counts = orbit_quadrature_coords(group, coords)
         assert counts.tolist() == [len(nodes)]
         assert_on_orbit(x, nodes, group)
         draws = sample_orbit_coords(group, coords, 16, np.random.default_rng(seed))

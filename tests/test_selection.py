@@ -142,8 +142,7 @@ class TestLocalSearch:
         holdout = noiseless_holdout(f1, 25, 6)
         sel = local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
                                        base=FunctionPredictor(BALL, f1),
-                                       region=lambda X: np.zeros(X.shape[0], dtype=bool),
-                                       fallback_error=1.0))
+                                       region=lambda X: np.zeros(X.shape[0], dtype=bool)))
         assert sel.used_fallback
         assert sel.chosen.family is SubgroupFamily.TRIVIAL
         assert all(err == 1.0 for err in sel.per_group_error.values())
@@ -167,8 +166,7 @@ class TestLocalSearch:
                                        fit_data=fit, region=region))
         mask = holdout.X[:, 0] >= 0.0
         masked = Dataset(BALL, holdout.X[mask], holdout.Y[mask])
-        again = global_ems(SelectionInput(holdout=masked, cover=SMALL_COVER, fit_data=fit,
-                                          bandwidth_n=len(fit)))
+        again = global_ems(SelectionInput(holdout=masked, cover=SMALL_COVER, fit_data=fit))
         for group in SMALL_COVER:
             assert sel.per_group_error[group] == pytest.approx(again.per_group_error[group],
                                                                abs=1e-12)
@@ -184,6 +182,15 @@ class TestLocalSearch:
             sel = local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
                                            base=FunctionPredictor(BALL, f1), region=region))
             assert sel.chosen is not None
+
+    @pytest.mark.parametrize("region", [lambda X: np.ones(X.shape[0] - 1, dtype=bool),
+                                        lambda X: np.ones((X.shape[0], 2), dtype=bool),
+                                        lambda X: True])
+    def test_region_must_mark_each_holdout_row(self, region):
+        holdout = noiseless_holdout(f1, 12, 11)
+        with pytest.raises(ConfigError, match="region"):
+            local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
+                                     base=FunctionPredictor(BALL, f1), region=region))
 
     def test_requires_region(self):
         holdout = noiseless_holdout(f1, 10, 10)

@@ -71,6 +71,12 @@ class TestCanonicalForms:
     def test_circle_axes_identify_antipodes(self):
         assert circle3([0, 0, 1]) == circle3([0, 0, -1])
 
+    @pytest.mark.parametrize("axis", [[float("nan"), 0.0, 0.0], [1.0, float("nan"), 0.0],
+                                      [float("inf"), 0.0, 0.0], [0.6, 0.0, 0.0]])
+    def test_circle_axis_must_be_a_finite_unit_vector(self, axis):
+        with pytest.raises(ConfigError):
+            circle3(axis)
+
     def test_line_angles(self):
         assert line_angle_degrees(torus_line(1, 0)) == 0.0
         assert line_angle_degrees(torus_line(1, 1)) == 45.0
@@ -242,6 +248,13 @@ class TestHausdorff:
         with pytest.raises(ConfigError):
             hausdorff_U_distance(full_so3(), full_so3(), net_resolution=0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_resolution_rejected(self, eps):
+        with pytest.raises(ConfigError):
+            hausdorff_U_distance(full_so3(), circle3([0, 0, 1.0]), net_resolution=eps)
+        with pytest.raises(ConfigError):
+            subgroup_net(full_torus(2), WHOLE_GROUP, eps)
+
     def test_parent_mismatch_rejected(self):
         with pytest.raises(IncompatibleActionError):
             hausdorff_U_distance(full_so3(), full_torus(2))
@@ -320,6 +333,13 @@ class TestDeltaCover:
                     p, q = g.direction
                     assert np.gcd(abs(p), abs(q)) == 1
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ConfigError):
+            delta_cover(PARENT_SO3, unit_ball3(), delta)
+        with pytest.raises(ConfigError):
+            delta_cover(parent_torus(2), torus(2), delta)
+
     def test_unsupported_parent(self):
         with pytest.raises(ConfigError):
             delta_cover("box3", box((1, 1, 1)), 0.5)
@@ -367,8 +387,8 @@ class TestQuadrature:
     def test_circle_quadrature_matches_dense_average(self):
         group = circle3([0.0, 0.0, 1.0])
         x = np.array([[0.6, 0.0, 0.3]])
-        coords, counts = orbit_quadrature_coords(group, x, points_1d=64)
-        assert counts[0] == 64
+        coords, counts = orbit_quadrature_coords(group, x)
+        assert counts[0] == 24
         fn = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 2]
         dense_angles = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
         dense = np.stack([0.6 * np.cos(dense_angles), 0.6 * np.sin(dense_angles),
