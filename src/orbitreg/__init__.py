@@ -27,7 +27,6 @@ from .errors import (
     EmptyHoldoutError,
     IncompatibleActionError,
     InvalidElementError,
-    NotCompactError,
     OffOrbitError,
     OrbitregError,
     SpaceMismatchError,
@@ -42,7 +41,6 @@ from .estimators import (
     partial_symmetrised_predict,
 )
 from .groups import (
-    BoxTranslation,
     GroupElement,
     Rotation3,
     TorusShift,
@@ -87,7 +85,6 @@ from .spaces import (
     Point,
     PointDistribution,
     SpaceKind,
-    box,
     sample_points,
     space_distance,
     torus,
@@ -97,9 +94,7 @@ from .spaces import (
 from .subgroups import (
     PARENT_SO3,
     ClosedSubgroup,
-    CompactNeighborhood,
     SubgroupFamily,
-    WHOLE_GROUP,
     axis_translations,
     catalog_lines,
     circle3,
@@ -110,7 +105,6 @@ from .subgroups import (
     hausdorff_U_distance,
     orbit_dimension,
     orbit_quadrature_coords,
-    parent_box,
     parent_torus,
     sample_group,
     torus_line,

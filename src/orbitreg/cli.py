@@ -34,10 +34,17 @@ def _parse_bool(text: str) -> bool:
     return _BOOLEANS[text.lower()]
 
 
+def _parse_n_grid(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+
+
 _CONFIG_KEYS = {
     "scenario": str,
     "noise_sd": float,
-    "n_grid": str,
+    "n_grid": _parse_n_grid,
     "trials": int,
     "eval_points": int,
     "beta": float,
@@ -123,21 +130,12 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_n_grid(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"n_grid: expected comma-separated integers, got {text!r}") from exc
-
-
 def _cmd_simulate(args) -> int:
     values: dict = {}
     out = "bench_out"
     if args.config:
         values = _parse_config_file(args.config)
         out = values.pop("out", out)
-    if "n_grid" in values:
-        values["n_grid"] = _parse_n_grid(values["n_grid"])
     for key in ("scenario", "trials", "seed", "noise_sd", "eval_points", "workers"):
         flag = getattr(args, key)
         if flag is not None:
@@ -146,7 +144,10 @@ def _cmd_simulate(args) -> int:
         values["delta"] = args.delta
         values["use_schedule"] = False
     if args.n_grid is not None:
-        values["n_grid"] = _parse_n_grid(args.n_grid)
+        try:
+            values["n_grid"] = _parse_n_grid(args.n_grid)
+        except ValueError as exc:
+            raise ConfigError(f"--n-grid: {exc}") from exc
     if args.no_split:
         values["split"] = False
     if args.schedule_delta:

@@ -21,10 +21,6 @@ class InvalidElementError(OrbitregError):
     """A group element violates its representation invariant (e.g. non-unit quaternion)."""
 
 
-class NotCompactError(OrbitregError):
-    """Uniform sampling was requested on a non-compact group."""
-
-
 class OffOrbitError(OrbitregError):
     """A target point does not lie on the required orbit.
 

@@ -1,21 +1,19 @@
 """Group elements, parent groups, their actions on spaces, and the group metric.
 
-Three element variants cover the transformation catalog:
+Two element variants cover the transformation catalog:
 
 * ``Rotation3`` -- a 3D rotation stored as a unit quaternion (w, x, y, z)
   with the sign convention w >= 0 (q and -q describe the same rotation);
-* ``TorusShift`` -- a translation of the flat d-torus, reduced into [0, 1);
-* ``BoxTranslation`` -- a translation vector acting on a box by wrap-around.
+* ``TorusShift`` -- a translation of the flat d-torus, reduced into [0, 1).
 
-The translation variants share one implementation with a period (1 for torus
-shifts, none for box translations).  Each variant carries its own product,
-inverse, distance and action.  Everything that depends on the parent group
-is one :class:`ParentGroup` entry, parsed once from the names ``"so3"``,
-``"torus{d}"`` and ``"box{d}"`` by :func:`parent_group`.
+Each variant carries its own product, inverse, distance and action.
+Everything that depends on the parent group is one :class:`ParentGroup`
+entry, parsed once from the names ``"so3"`` and ``"torus{d}"`` by
+:func:`parent_group`.
 
 The group metric is the minimal rotation angle for rotations (the length of
-the shortest geodesic under the bi-invariant metric), wrap-around Euclidean
-distance for torus shifts, and plain Euclidean distance for box translations.
+the shortest geodesic under the bi-invariant metric) and wrap-around
+Euclidean distance for torus shifts.
 """
 
 from __future__ import annotations
@@ -28,17 +26,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, IncompatibleActionError, InvalidElementError, VariantMismatchError
-from .spaces import CovariateSpace, Point, SpaceKind, flat_distance_matrix, wrap_coords
+from .spaces import CovariateSpace, Point, SpaceKind, flat_distance_matrix
 
 PARENT_SO3 = "so3"
 
 
 def parent_torus(d: int) -> str:
     return f"torus{d}"
-
-
-def parent_box(d: int) -> str:
-    return f"box{d}"
 
 
 # ---------------------------------------------------------------------------
@@ -168,54 +162,40 @@ class Rotation3(_Element):
 
 
 @dataclass(frozen=True, eq=False)
-class _Translation(_Element):
-    """Translation by ``shift``; with a ``period``, reduced and wrapped by it."""
+class TorusShift(_Element):
+    """Translation of the flat d-torus by ``shift``, reduced into [0, 1)."""
 
     shift: np.ndarray
     _field = "shift"
-    period = None
 
     def __post_init__(self):
-        s = np.array(self.shift, dtype=np.float64)
-        if self.period is not None:
-            s = np.mod(s, self.period)
-            s[s == self.period] = 0.0
+        s = np.mod(np.array(self.shift, dtype=np.float64), 1.0)
+        s[s == 1.0] = 0.0
         s.flags.writeable = False
         object.__setattr__(self, "shift", s)
 
     @property
     def parent_group(self) -> ParentGroup:
-        return parent_group(f"{self.prefix}{self.shift.size}")
+        return parent_group(parent_torus(self.shift.size))
 
-    def compose(self, other: _Translation) -> _Translation:
+    def compose(self, other: TorusShift) -> TorusShift:
         self._check_same_parent(other)
-        return type(self)(self.shift + other.shift)
+        return TorusShift(self.shift + other.shift)
 
-    def inverse(self) -> _Translation:
-        return type(self)(-self.shift)
+    def inverse(self) -> TorusShift:
+        return TorusShift(-self.shift)
 
-    def distance(self, other: _Translation) -> float:
+    def distance(self, other: TorusShift) -> float:
         self._check_same_parent(other)
         diff = np.abs(self.shift - other.shift)
-        if self.period is not None:
-            diff = np.minimum(diff, self.period - diff)
-        return float(np.linalg.norm(diff))
+        return float(np.linalg.norm(np.minimum(diff, 1.0 - diff)))
 
     def act_on(self, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
         self.parent_group.check_acts_on(space)
-        return wrap_coords(space, coords + self.shift)
+        return np.mod(coords + self.shift, 1.0)
 
 
-class TorusShift(_Translation):
-    period = 1.0
-    prefix = "torus"
-
-
-class BoxTranslation(_Translation):
-    prefix = "box"
-
-
-GroupElement = Rotation3 | TorusShift | BoxTranslation
+GroupElement = Rotation3 | TorusShift
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +233,16 @@ class ParentGroup:
 
 @lru_cache(maxsize=None)
 def parent_group(name: str) -> ParentGroup:
-    """The entry of a parent name: ``"so3"``, ``"torus{d}"`` or ``"box{d}"``."""
+    """The entry of a parent name: ``"so3"`` or ``"torus{d}"``."""
     if name == PARENT_SO3:
         return ParentGroup(name, Rotation3, 3, 2, (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2),
                            "rotation", (1.0, 0.0, 0.0, 0.0), _rotation_angles)
-    match = re.fullmatch(r"(torus|box)([1-9][0-9]*)", name)
+    match = re.fullmatch(r"torus([1-9][0-9]*)", name)
     if match is None:
         raise ConfigError(f"unknown parent group {name!r}")
-    element, d = {"torus": TorusShift, "box": BoxTranslation}[match[1]], int(match[2])
-    return ParentGroup(name, element, d, d, (SpaceKind(match[1]),), "shift", (0.0,) * d,
-                       partial(flat_distance_matrix, period=element.period))
+    d = int(match[1])
+    return ParentGroup(name, TorusShift, d, d, (SpaceKind.TORUS,), "shift", (0.0,) * d,
+                       partial(flat_distance_matrix, period=1.0))
 
 
 # ---------------------------------------------------------------------------

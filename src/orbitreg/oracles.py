@@ -24,7 +24,6 @@ from .randomness import polar_gaussian, substream
 from .spaces import (
     Point,
     PointDistribution,
-    box,
     pairwise_distance,
     sample_points,
     torus,
@@ -33,7 +32,6 @@ from .spaces import (
 )
 from .subgroups import (
     PARENT_SO3,
-    WHOLE_GROUP,
     axis_translations,
     circle3,
     delta_cover,
@@ -142,21 +140,21 @@ def _normalized(q: np.ndarray) -> np.ndarray:
 # packing bounds of the orbit grids
 
 def _random_config(rng: np.random.Generator, index: int):
-    spaces = [unit_ball3(), unit_sphere2(), torus(2), box((1.0, 1.4, 0.9))]
+    spaces = [unit_ball3(), unit_sphere2(), torus(2), torus(3)]
     space = spaces[int(rng.integers(len(spaces)))]
-    if space.kind.value == "unit_ball3" or space.kind.value == "unit_sphere2":
+    if space in (unit_ball3(), unit_sphere2()):
         groups = [trivial_subgroup(PARENT_SO3), circle3(_random_axis(rng)), full_so3()]
-    elif space.kind.value == "torus":
+    elif space == torus(2):
         p, q = int(rng.integers(0, 4)), int(rng.integers(-3, 4))
         if p == 0 and q == 0:
             p = 1
         groups = [trivial_subgroup(parent_torus(2)), torus_line(p, q), full_torus(2)]
-    else:
+    else:  # a coordinate sub-torus of T^3
         mask = sorted(rng.choice(3, size=int(rng.integers(1, 4)), replace=False).tolist())
         groups = [axis_translations(3, mask)]
     group = groups[int(rng.integers(len(groups)))]
     coords = sample_points(space, PointDistribution.UNIFORM_SPACE, 1, rng)[0]
-    if index % 50 == 0 and space.kind.value == "unit_ball3":
+    if index % 50 == 0 and space == unit_ball3():
         coords = np.zeros(3)  # singular base point: the grid must degrade, not crash
     h = float(np.exp(rng.uniform(np.log(0.02), np.log(0.8))))
     return space, group, Point(coords, space), h
@@ -208,7 +206,7 @@ def bias_bound_oracle(samples: int, rng: np.random.Generator, delta: float = 0.5
     invariant_axis = circle3(np.array([1.0, 0.0, 0.0]))
     cover = delta_cover(PARENT_SO3, space, delta)
     distances = {
-        g: hausdorff_U_distance(g, invariant_axis, WHOLE_GROUP, net_resolution)
+        g: hausdorff_U_distance(g, invariant_axis, net_resolution)
         for g in cover
     }
     fn = FunctionPredictor(space, lambda pts: np.cos(np.sqrt(pts[:, 1] ** 2 + pts[:, 2] ** 2)))

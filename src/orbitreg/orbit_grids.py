@@ -4,8 +4,9 @@ Given a base point ``x``, a subgroup ``G``, and a bandwidth ``h``, the grid
 consists of group elements ``g_i`` whose orbit points ``g_i . x`` are
 pairwise at least ``2h`` apart, with at least ``max(1, (R / 2h)**k)`` of
 them, where ``R`` is the side length of the hypercube inscribed in the
-tangent-space shadow of the orbit and ``k`` the orbit dimension.  The
-construction is:
+tangent-space shadow of the whole orbit (every subgroup is compact; on a
+torus the side is capped at 1/2, inside the wrap metric's injectivity
+radius) and ``k`` the orbit dimension.  The construction is:
 
 1. lay a ladder of spacing exactly ``2h`` along each tangent axis of the
    hypercube ``[-R/2, R/2]**k`` (centred, so slack is split evenly between
@@ -33,13 +34,7 @@ import numpy as np
 from .errors import IncompatibleActionError
 from .groups import GroupElement
 from .spaces import CovariateSpace, Point
-from .subgroups import (
-    FAMILY_TABLE,
-    ClosedSubgroup,
-    CompactNeighborhood,
-    WHOLE_GROUP,
-    check_acts_on,
-)
+from .subgroups import FAMILY_TABLE, ClosedSubgroup, check_acts_on
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +54,13 @@ class OrbitGrid:
         return len(self.elements)
 
 
-def hypercube_side(x: Point, group: ClosedSubgroup,
-                   neighborhood: CompactNeighborhood = WHOLE_GROUP) -> float:
+def hypercube_side(x: Point, group: ClosedSubgroup) -> float:
     """Side length of the tangent-space hypercube used to seed the grid."""
     check_acts_on(group, x.space)
-    return float(FAMILY_TABLE[group.family].side(group, x.space, x.coords[None, :], neighborhood)[0])
+    return float(FAMILY_TABLE[group.family].side(group, x.coords[None, :])[0])
 
 
-def build_orbit_grid(x: Point, group: ClosedSubgroup, h: float,
-                     neighborhood: CompactNeighborhood = WHOLE_GROUP) -> OrbitGrid:
+def build_orbit_grid(x: Point, group: ClosedSubgroup, h: float) -> OrbitGrid:
     """Construct the symmetrising set at ``x`` for bandwidth ``h``.
 
     The points are one row of :func:`orbit_coords_batch`; the elements are
@@ -75,11 +68,10 @@ def build_orbit_grid(x: Point, group: ClosedSubgroup, h: float,
     origin, or a point on a circle's axis) gives the singular one-point grid.
     """
     row = x.coords[None, :]
-    coords, _ = orbit_coords_batch(x.space, group, row, h, neighborhood)
+    coords, _ = orbit_coords_batch(x.space, group, row, h)
     elements = tuple(recover_group_element(x, Point(c, x.space), group) for c in coords)
     singular = bool(FAMILY_TABLE[group.family].singular(group, row)[0])
-    return OrbitGrid(x, group, h, elements, coords, hypercube_side(x, group, neighborhood),
-                     singular=singular)
+    return OrbitGrid(x, group, h, elements, coords, hypercube_side(x, group), singular=singular)
 
 
 def recover_group_element(x: Point, target: Point, group: ClosedSubgroup) -> GroupElement:
@@ -89,9 +81,7 @@ def recover_group_element(x: Point, target: Point, group: ClosedSubgroup) -> Gro
 
 
 def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
-                       xs: np.ndarray, h: float,
-                       neighborhood: CompactNeighborhood = WHOLE_GROUP
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       xs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Orbit-grid points for every row of ``xs`` at once.
 
     Each row gets ``floor(R / 2h) + 1`` rungs per tangent axis (one on a
@@ -107,7 +97,7 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     entry = FAMILY_TABLE[group.family]
     singular = entry.singular(group, xs)
-    side = entry.side(group, space, xs, neighborhood)
+    side = entry.side(group, xs)
     rungs = np.where(singular, 1, np.floor(side / (2.0 * h)).astype(np.int64) + 1)
     k = entry.orbit_dim(group, space)
     counts = rungs**k
@@ -117,6 +107,6 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     # axis i takes digit i of the point's rank in base per_axis (first axis slowest)
     offsets = (rank[:, None] // per_axis ** np.arange(k - 1, -1, -1) % per_axis
                - (per_axis - 1) / 2.0) * (2.0 * h)
-    coords = entry.place(group, space, xs, row, offsets)
+    coords = entry.place(group, xs, row, offsets)
     coords[singular[row]] = xs[row[singular[row]]]
     return coords, counts

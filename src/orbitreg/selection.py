@@ -2,11 +2,14 @@
 
 The search evaluates, for every subgroup in a cover of the symmetry
 catalog, the holdout mean squared error of the orbit-grid symmetrised
-predictor, with the bandwidth re-optimised per candidate (larger orbit
-dimension permits a wider ball).  The minimiser is the selected symmetry;
-the final predictor symmetrises the base estimator with it, either through
-the deterministic orbit grid or through Monte-Carlo draws for compact
-groups.
+predictor, with the bandwidth ``a n^(-1/(2 beta + d - k))`` re-optimised
+per candidate of orbit dimension ``k``.  A larger orbit dimension gives a
+narrower ball: ``n^(-1/5)``, ``n^(-1/4)`` and ``n^(-1/3)`` for k = 0, 1
+and 2 at d = 3 and beta = 1, because the orbit average pools data along
+k directions and its variance grows only like ``1 / (n h^(d - k))``.
+The minimiser is the selected symmetry; the final predictor symmetrises
+the base estimator with it, either through the deterministic orbit grid or
+through Monte-Carlo draws from the subgroup's Haar measure.
 
 Holdout data must be independent of the data inside the base estimator;
 the convenience splitter produces such a pair from one sample.
@@ -19,14 +22,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyHoldoutError, NotCompactError
+from .errors import ConfigError, EmptyHoldoutError
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .orbit_grids import orbit_coords_batch
 from .spaces import Point
 from .subgroups import (
     ClosedSubgroup,
     SubgroupFamily,
-    is_compact,
     orbit_dimension,
     orbit_quadrature_coords,
     sample_orbit_coords,
@@ -135,7 +137,7 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: 
     With the ``grid`` symmetriser each candidate is scored through its orbit
     grid (the deterministic packing construction); with ``uniform`` it is
     scored through fixed quadrature nodes approximating the full orbit
-    average, matching a Monte-Carlo deployment of compact groups.
+    average, matching a Monte-Carlo final prediction.
     """
     base = _candidate_base(inp, h)
     blocks = [_orbit_points(inp.symmetriser, inp.holdout.space, g, X, h) for g in groups]
@@ -215,7 +217,7 @@ class BestSymmetricPredictor:
 
     ``method="grid"`` averages over each point's orbit grid of the whole
     subgroup at the chosen bandwidth; ``method="monte_carlo"`` averages
-    over ``mc_draws`` uniform draws from the (compact) subgroup, by default
+    over ``mc_draws`` uniform draws from the subgroup, by default
     one per training point.
     """
 
@@ -227,8 +229,6 @@ class BestSymmetricPredictor:
         if method == "monte_carlo":
             if rng is None:
                 raise ConfigError("monte_carlo symmetrisation needs an explicit rng")
-            if not is_compact(selection.chosen):
-                raise NotCompactError("Monte-Carlo symmetrisation requires a compact subgroup")
             if mc_draws is None:
                 data = getattr(base, "data", None)
                 if data is None or len(data) == 0:

@@ -1,24 +1,19 @@
 """Covariate spaces, points, intrinsic distances, and point samplers.
 
-Four compact covariate spaces are supported:
+Three compact covariate spaces are supported:
 
 * the closed unit ball in R^3 (``UNIT_BALL3``),
 * the unit sphere S^2 embedded in R^3 (``UNIT_SPHERE2``),
-* the flat d-torus [0, 1)^d with opposite faces identified (``TORUS``),
-* an axis-aligned flat box with per-axis side lengths and opposite faces
-  identified (``BOX``), i.e. a rescaled torus.
-
-A torus is a box of unit sides: every computation on either reads the
-per-axis ``period``, so the two differ only in their constructors and names.
+* the flat d-torus [0, 1)^d with opposite faces identified (``TORUS``).
 
 Each space carries a membership predicate, an intrinsic distance (Euclidean
-on the ball, great-circle on the sphere, wrap-around Euclidean on the torus
-and box), and a uniform sampler.
+on the ball, great-circle on the sphere, wrap-around Euclidean on the
+torus, read through its unit ``period``), and a uniform sampler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,7 +30,6 @@ class SpaceKind(Enum):
     UNIT_BALL3 = "unit_ball3"
     UNIT_SPHERE2 = "unit_sphere2"
     TORUS = "torus"
-    BOX = "box"
 
 
 class PointDistribution(Enum):
@@ -45,24 +39,16 @@ class PointDistribution(Enum):
 
 @dataclass(frozen=True)
 class CovariateSpace:
-    """A covariate space: its kind, dimensions, and (tori, boxes) side lengths."""
+    """A covariate space: its kind and dimensions."""
 
     kind: SpaceKind
     ambient_dim: int
     intrinsic_dim: int
-    sides: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.kind is SpaceKind.TORUS:  # a torus is a box of unit sides
-            object.__setattr__(self, "sides", (1.0,) * self.ambient_dim)
-        if self.kind is SpaceKind.BOX and (len(self.sides) != self.ambient_dim or not self.sides
-                                           or not all(s > 0 for s in self.sides)):
-            raise ConfigError("box side lengths must be positive, one per axis")
 
     @property
     def period(self) -> np.ndarray | None:
-        """Per-axis period of a torus (ones) or box (its sides); else None."""
-        return np.asarray(self.sides) if self.sides else None
+        """Per-axis period of a torus (ones); None on the ball and sphere."""
+        return np.ones(self.ambient_dim) if self.kind is SpaceKind.TORUS else None
 
     def contains_rows(self, coords: np.ndarray) -> np.ndarray:
         """Membership of each row of ``coords``; NaN or inf rows lie outside."""
@@ -73,7 +59,7 @@ class CovariateSpace:
             return np.linalg.norm(c, axis=1) <= 1.0 + _MEMBERSHIP_TOL
         if self.kind is SpaceKind.UNIT_SPHERE2:
             return np.abs(np.linalg.norm(c, axis=1) - 1.0) <= _MEMBERSHIP_TOL
-        return np.all((c >= 0.0) & (c < self.period), axis=1)
+        return np.all((c >= 0.0) & (c < 1.0), axis=1)
 
     def contains(self, coords: np.ndarray) -> bool:
         c = np.asarray(coords, dtype=np.float64)
@@ -82,8 +68,6 @@ class CovariateSpace:
     def __str__(self) -> str:
         if self.kind is SpaceKind.TORUS:
             return f"torus{self.intrinsic_dim}"
-        if self.kind is SpaceKind.BOX:
-            return "box" + "x".join(str(s) for s in self.sides)
         return self.kind.value
 
 
@@ -99,11 +83,6 @@ def torus(d: int) -> CovariateSpace:
     if d < 1:
         raise ConfigError("torus dimension must be a positive integer")
     return CovariateSpace(SpaceKind.TORUS, ambient_dim=d, intrinsic_dim=d)
-
-
-def box(sides: tuple[float, ...] | list[float]) -> CovariateSpace:
-    sides = tuple(float(s) for s in sides)
-    return CovariateSpace(SpaceKind.BOX, ambient_dim=len(sides), intrinsic_dim=len(sides), sides=sides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,12 +111,6 @@ def _check_same_space(x: Point, y: Point) -> None:
         raise SpaceMismatchError(f"points live in different spaces: {x.space} vs {y.space}")
 
 
-def wrap_coords(space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
-    """Reduce coordinates into the fundamental domain of a torus or box."""
-    period = space.period
-    return coords if period is None else np.mod(coords, period)
-
-
 def space_distance(x: Point, y: Point) -> float:
     """Intrinsic distance between two points of the same space."""
     _check_same_space(x, y)
@@ -157,7 +130,7 @@ def pairwise_distance(space: CovariateSpace, a: np.ndarray, b: np.ndarray) -> np
 
 def flat_distance_matrix(a: np.ndarray, b: np.ndarray, period=None) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` and ``b``, wrapped
-    around each axis of the given period (the torus and box metric)."""
+    around each axis of the given period (the torus metric)."""
     # direct difference form: no cancellation, exact zeros for equal points
     diff = np.abs(a[:, None, :] - b[None, :, :])
     if period is not None:
@@ -180,11 +153,10 @@ def _ball_score(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         score += (h * h - np.einsum("ij,ij->i", queries, queries))[:, None]
         score -= np.einsum("ij,ij->i", data, data)[None, :]
         return score
-    period = space.period
     sq = np.zeros((queries.shape[0], data.shape[0]))
     for j in range(data.shape[1]):
         diff = np.abs(np.subtract.outer(queries[:, j], data[:, j]))
-        np.minimum(diff, period[j] - diff, out=diff)
+        np.minimum(diff, 1.0 - diff, out=diff)
         diff *= diff
         sq += diff
     return h * h - sq
@@ -236,7 +208,7 @@ def sample_points(space: CovariateSpace, distribution: PointDistribution, n: int
 
     ``UNIFORM_SPACE`` is uniform with respect to the space's volume: the
     ball radius follows ``z**(1/3)`` with z uniform on [0, 1], sphere
-    directions are normalised Gaussians, and torus/box coordinates are
+    directions are normalised Gaussians, and torus coordinates are
     uniform.  ``GAUSSIAN3`` is a standard Gaussian on ambient R^3 (used by
     validation oracles; not membership-checked).
     """
@@ -250,7 +222,7 @@ def sample_points(space: CovariateSpace, distribution: PointDistribution, n: int
         return direction * radius[:, None]
     if space.kind is SpaceKind.UNIT_SPHERE2:
         return _unit_directions(rng, n)
-    return rng.random((n, space.ambient_dim)) * space.period
+    return rng.random((n, space.ambient_dim))
 
 
 def _unit_directions(rng: np.random.Generator, n: int) -> np.ndarray:

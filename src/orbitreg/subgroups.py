@@ -7,22 +7,27 @@ The searchable symmetry catalog consists of, per ambient group:
 * the flat 2-torus acting on itself: the trivial group, the closed lines
   through the origin with primitive integer direction ``(p, q)``, and the
   full torus;
-* box translations: subgroups translating a masked subset of coordinates.
+* the flat d-torus: the coordinate sub-tori translating a masked subset of
+  coordinates (``axis_translations``), the linear orbits of covariate
+  sparsity.
 
-Everything that depends on a subgroup's family -- orbit dimension, Haar
-samples, quadrature nodes, nets, and the geometry of the orbit grids of
-:mod:`orbitreg.orbit_grids` -- lives in one entry of :data:`FAMILY_TABLE`.
-The three translation families share one implementation parameterised by
-their generator rows.  Everything that depends on the parent group -- the
-spaces it acts on, its identity, its dimension and the group metric on
-nets -- is the parent's entry in :func:`orbitreg.groups.parent_group`,
-looked up from the subgroup's ``parent`` name.
+Every subgroup in the catalog is compact, so each has a normalised Haar
+measure, uniform quadrature on its orbits, and finite nets of the whole
+group.  Everything that depends on a subgroup's family -- orbit dimension,
+Haar samples, quadrature nodes, nets, and the geometry of the orbit grids
+of :mod:`orbitreg.orbit_grids` -- lives in one entry of
+:data:`FAMILY_TABLE`.  The three translation families share one
+implementation parameterised by their generator rows.  Everything that
+depends on the parent group -- the spaces it acts on, its identity, its
+dimension and the group metric on nets -- is the parent's entry in
+:func:`orbitreg.groups.parent_group`, looked up from the subgroup's
+``parent`` name.
 
 Subgroups of the same ambient group are compared with the Hausdorff metric
-between their intersections with a compact identity neighbourhood ``U``,
-computed on finite nets of documented resolution.  Covers of the subgroup
-catalog at scale ``delta`` drive the symmetry search, with the scale shrunk
-along a fixed schedule as the sample size grows.
+in the group metric, computed on finite nets of documented resolution.
+Covers of the subgroup catalog at scale ``delta`` drive the symmetry
+search, with the scale shrunk along a fixed schedule as the sample size
+grows.
 """
 
 from __future__ import annotations
@@ -33,21 +38,19 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleActionError, NotCompactError, OffOrbitError
+from .errors import ConfigError, IncompatibleActionError, OffOrbitError
 from .groups import (
     PARENT_SO3,
-    BoxTranslation,
     GroupElement,
     Rotation3,
     TorusShift,
-    parent_box,
     parent_group,
     parent_torus,
     quat_from_axis_angle,
     quat_rotate,
 )
 from .randomness import polar_gaussian
-from .spaces import CHUNK_ELEMENTS, CovariateSpace, pairwise_distance, wrap_coords
+from .spaces import CHUNK_ELEMENTS, CovariateSpace, pairwise_distance
 
 
 class SubgroupFamily(Enum):
@@ -126,7 +129,7 @@ def axis_translations(d: int, mask) -> ClosedSubgroup:
     mask = tuple(sorted(set(int(i) for i in mask)))
     if not mask or mask[0] < 0 or mask[-1] >= d:
         raise ConfigError(f"mask must select coordinates in [0, {d})")
-    return ClosedSubgroup(SubgroupFamily.AXIS_TRANSLATIONS, parent_box(d), mask=mask)
+    return ClosedSubgroup(SubgroupFamily.AXIS_TRANSLATIONS, parent_torus(d), mask=mask)
 
 
 def _canonical_axis(u: np.ndarray) -> np.ndarray:
@@ -135,29 +138,6 @@ def _canonical_axis(u: np.ndarray) -> np.ndarray:
         if c != 0.0:
             return u if c > 0.0 else -u
     return u
-
-
-# ---------------------------------------------------------------------------
-# compact neighbourhood U
-
-class NeighborhoodKind(Enum):
-    WHOLE_GROUP = "whole_group"
-    CUBE = "cube"
-
-
-@dataclass(frozen=True)
-class CompactNeighborhood:
-    """Compact identity neighbourhood used to truncate non-compact groups."""
-
-    kind: NeighborhoodKind
-    radius: float = 1.0
-
-
-WHOLE_GROUP = CompactNeighborhood(NeighborhoodKind.WHOLE_GROUP)
-
-
-def is_compact(group: ClosedSubgroup) -> bool:
-    return FAMILY_TABLE[group.family].compact
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +158,10 @@ def identity_element(group: ClosedSubgroup) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# uniform sampling and quadrature on compact subgroups
+# uniform sampling and quadrature
 
 def sample_group(group: ClosedSubgroup, rng: np.random.Generator) -> GroupElement:
-    """One draw from the normalised Haar measure on a compact subgroup."""
+    """One draw from the normalised Haar measure on the subgroup."""
     return FAMILY_TABLE[group.family].element(group, rng)
 
 
@@ -200,10 +180,11 @@ def orbit_quadrature_coords(group: ClosedSubgroup,
                             xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic near-uniform quadrature nodes on each row's orbit.
 
-    Approximates the full orbit average (the compact-group symmetrised
-    value) without Monte-Carlo noise: 24 equally spaced angles on circles
-    and lines, a 64-point Fibonacci lattice on sphere orbits, and a square
-    lattice of about 64 points (8 x 8 on the 2-torus) on full torus orbits.
+    Approximates the full orbit average (the symmetrised value) without
+    Monte-Carlo noise: 24 equally spaced angles on circles and other
+    one-dimensional orbits, a 64-point Fibonacci lattice on sphere orbits,
+    and a square lattice of about 64 points (8 x 8 on a 2-torus, 4 x 4 x 4
+    on a 3-torus) on higher-dimensional torus orbits.
     Returns ``(coords, counts)`` shaped like
     :func:`orbitreg.orbit_grids.orbit_coords_batch`.
     """
@@ -234,7 +215,7 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 _SINGULAR_TOL = 1e-9
 _RECOVER_TOL = 1e-9  # largest orbit deviation a recovered element may leave
 _QUADRATURE_1D = 24  # quadrature nodes on a one-dimensional orbit
-_QUADRATURE_2D = 64  # on a sphere orbit; full tori round it to a square lattice
+_QUADRATURE_2D = 64  # on a sphere orbit; flat orbits round it to a square lattice
 _TORUS_SHADOW_SIDE = 0.5  # stays within the wrap metric's injectivity radius
 
 
@@ -242,26 +223,25 @@ class FamilyEntry:
     """Everything that depends on a subgroup's family, in one place.
 
     An entry states the canonical ``rank`` (trivial 0, one-parameter 1,
-    full group 2) and whether the family is ``compact``.  Its methods take
-    the subgroup ``g`` first; ``xs`` is row-stacked coordinates and ``nb``
-    the compact identity neighbourhood ``U``:
+    full group 2).  Its methods take the subgroup ``g`` first; ``xs`` is
+    row-stacked coordinates:
 
     * ``describe``: the catalog line;
     * ``orbit_dim``: principal orbit dimension (``dim`` where it is fixed);
     * ``singular``: rows whose orbit is the point itself;
     * ``side``: per-row side of the hypercube in the orbit's tangent shadow;
-    * ``place(g, space, xs, row, offsets)``: projects tangent-shadow
+    * ``place(g, xs, row, offsets)``: projects tangent-shadow
       ``offsets`` (one ``k``-vector per output point, belonging to base row
       ``row``) onto the orbit; the packing rule that lays the offsets out is
       :func:`orbitreg.orbit_grids.orbit_coords_batch`;
     * ``recover``: the element taking ``x`` to ``target`` (within 1e-9);
     * ``sample`` / ``element``: Haar orbit samples / one Haar draw;
     * ``quadrature``: deterministic orbit nodes;
-    * ``net``: an eps-net inside ``U`` as row-stacked quaternions or shifts.
+    * ``net``: an eps-net of the subgroup as row-stacked quaternions or
+      shifts.
     """
 
     rank = 1
-    compact = True
 
     def describe(self, g: ClosedSubgroup) -> str:
         return f"{g.family.value} parent={g.parent}"
@@ -311,10 +291,10 @@ class _Trivial(FamilyEntry):
     rank = 0
     dim = 0
 
-    def side(self, g, space, xs, nb):
+    def side(self, g, xs):
         return np.ones(len(xs))
 
-    def place(self, g, space, xs, row, offsets):
+    def place(self, g, xs, row, offsets):
         return xs[row]
 
     def recover(self, g, x, target):
@@ -332,7 +312,7 @@ class _Trivial(FamilyEntry):
     def quadrature(self, g, xs):
         return xs.copy(), np.ones(len(xs), dtype=np.int64)
 
-    def net(self, g, nb, eps):
+    def net(self, g, eps):
         return np.array([parent_group(g.parent).identity_row])
 
 
@@ -365,11 +345,11 @@ class _Circle(_Rotations):
     def singular(self, g, xs):
         return self._split(g, xs)[2] <= _SINGULAR_TOL
 
-    def side(self, g, space, xs, nb):
+    def side(self, g, xs):
         # a circle of radius r casts an interval of length 2r on its tangent line
         return 2.0 * self._split(g, xs)[2]
 
-    def place(self, g, space, xs, row, offsets):
+    def place(self, g, xs, row, offsets):
         # an offset t on the tangent line sits at angle arcsin(t / r)
         u = g.axis_array()
         axial, radial, r = self._split(g, xs)
@@ -407,7 +387,7 @@ class _Circle(_Rotations):
         coords = quat_rotate(quats[None, :, :], xs[:, None, :])
         return coords.reshape(-1, 3), np.full(xs.shape[0], _QUADRATURE_1D, dtype=np.int64)
 
-    def net(self, g, nb, eps):
+    def net(self, g, eps):
         count = max(int(np.ceil(2.0 * np.pi / eps)), 1)
         theta = np.arange(count) * (2.0 * np.pi / count)
         return quat_from_axis_angle(g.axis_array(), theta)
@@ -422,12 +402,12 @@ class _FullSO3(_Rotations):
     def singular(self, g, xs):
         return np.linalg.norm(xs, axis=1) <= _SINGULAR_TOL
 
-    def side(self, g, space, xs, nb):
+    def side(self, g, xs):
         # a sphere of radius |x| casts a disc of radius |x| on its tangent
         # plane; the inscribed square has side sqrt(2) |x|
         return np.sqrt(2.0) * np.linalg.norm(xs, axis=1)
 
-    def place(self, g, space, xs, row, offsets):
+    def place(self, g, xs, row, offsets):
         # offsets in the tangent plane at x, moved along the normal onto the
         # sphere of radius |x| (float_power rounds like the scalar square)
         s = np.linalg.norm(xs, axis=1)
@@ -452,37 +432,31 @@ class _FullSO3(_Rotations):
         coords = radii[:, None, None] * nodes[None, :, :]
         return coords.reshape(-1, 3), np.full(xs.shape[0], _QUADRATURE_2D, dtype=np.int64)
 
-    def net(self, g, nb, eps):
+    def net(self, g, eps):
         return _so3_net(eps)
 
 
-class _Translations(FamilyEntry):
-    """Translations along the rows of ``generators(g)``; orbits are flat.
-
-    Grid offsets run along the unit generators and wrap into the space's
-    fundamental domain; every row shares one shadow side.
-    """
+class _TorusTranslations(FamilyEntry):
+    """Closed translation subgroups of a torus, along the rows of
+    ``generators(g)``; orbits are flat.  Every generator row returns to the
+    identity at parameter 1, so the subgroup is the image of the parameter
+    cube [0, 1)^k.  Grid offsets run along the unit generators and wrap
+    into [0, 1); the shadow is capped at side 1/2: offsets of at most 1/4
+    per coordinate stay inside the injectivity radius of the wrapped
+    metric, so distances remain exactly Euclidean.  Quadrature puts
+    ``round(nodes ** (1/k))`` (at least 2) nodes on each parameter axis,
+    with 24 nodes on a one-dimensional orbit and 64 otherwise."""
 
     def orbit_dim(self, g, space):
         return len(self.generators(g))
 
-    def place(self, g, space, xs, row, offsets):
+    def side(self, g, xs):
+        return np.full(len(xs), _TORUS_SHADOW_SIDE)
+
+    def place(self, g, xs, row, offsets):
         gens = self.generators(g)
         unit = gens / np.linalg.norm(gens, axis=1)[:, None]
-        return wrap_coords(space, xs[row] + offsets @ unit)
-
-
-class _TorusTranslations(_Translations):
-    """Closed translation subgroups of a torus: every generator row returns
-    to the identity at parameter 1, so the subgroup is the image of the
-    parameter cube [0, 1)^k.  The shadow is capped at side 1/2: offsets of
-    at most 1/4 per coordinate stay inside the injectivity radius of the
-    wrapped metric, so distances remain exactly Euclidean.  Quadrature
-    puts ``round(nodes ** (1/k))`` (at least 2) nodes on each parameter
-    axis."""
-
-    def side(self, g, space, xs, nb):
-        return np.full(len(xs), _TORUS_SHADOW_SIDE)
+        return np.mod(xs[row] + offsets @ unit, 1.0)
 
     def sample(self, g, xs, m, rng):
         gens = self.generators(g)
@@ -494,12 +468,14 @@ class _TorusTranslations(_Translations):
 
     def quadrature(self, g, xs):
         gens = self.generators(g)
-        count = max(int(round(self.nodes ** (1.0 / len(gens)))), 2)
-        shifts = _lattice(np.arange(count) / count, len(gens)) @ gens
+        k = len(gens)
+        nodes = _QUADRATURE_1D if k == 1 else _QUADRATURE_2D
+        count = max(int(round(nodes ** (1.0 / k))), 2)
+        shifts = _lattice(np.arange(count) / count, k) @ gens
         coords = np.mod(xs[:, None, :] + shifts[None, :, :], 1.0)
         return coords.reshape(-1, xs.shape[1]), np.full(xs.shape[0], shifts.shape[0], dtype=np.int64)
 
-    def net(self, g, nb, eps):
+    def net(self, g, eps):
         # a parameter cell of side 1/count maps onto a cell of diameter
         # sqrt(k) |generator| / count <= eps (the rows share one length)
         gens = self.generators(g)
@@ -510,8 +486,6 @@ class _TorusTranslations(_Translations):
 
 class _TorusLine(_TorusTranslations):
     """The closed line through the origin with primitive direction (p, q)."""
-
-    nodes = _QUADRATURE_1D
 
     def describe(self, g):
         return f"torus_line direction={g.direction[0]},{g.direction[1]}"
@@ -531,7 +505,6 @@ class _TorusLine(_TorusTranslations):
 
 class _FullTorus(_TorusTranslations):
     rank = 2
-    nodes = _QUADRATURE_2D
 
     def generators(self, g):
         return np.eye(parent_group(g.parent).dim)
@@ -540,10 +513,8 @@ class _FullTorus(_TorusTranslations):
         return TorusShift(np.mod(target.coords - x.coords, 1.0))
 
 
-class _AxisTranslations(_Translations):
-    """Translations of the masked box coordinates; not compact."""
-
-    compact = False
+class _AxisTranslations(_TorusTranslations):
+    """Translations of the masked coordinates: a coordinate sub-torus."""
 
     def describe(self, g):
         return "axis_translations mask=" + ",".join(str(i) for i in g.mask)
@@ -551,37 +522,15 @@ class _AxisTranslations(_Translations):
     def generators(self, g):
         return np.eye(parent_group(g.parent).dim)[list(g.mask)]
 
-    def side(self, g, space, xs, nb):
-        # capped by the neighbourhood cube and by half the shortest masked
-        # side (so wrapped offsets never re-approach)
-        r_u = nb.radius if nb.kind is NeighborhoodKind.CUBE else 1.0
-        return np.full(len(xs), min(2.0 * r_u, min(space.sides[i] for i in g.mask) / 2.0))
-
     def recover(self, g, x, target):
-        sides = np.asarray(x.space.sides)
-        delta = np.mod(target.coords - x.coords + sides / 2.0, sides) - sides / 2.0
-        off_mask = [i for i in range(x.space.ambient_dim) if i not in g.mask]
-        deviation = float(np.linalg.norm(delta[off_mask])) if off_mask else 0.0
+        # the off-mask coordinates must already agree, in the wrap metric
+        delta = np.mod(target.coords - x.coords + 0.5, 1.0) - 0.5
+        deviation = float(np.linalg.norm(np.delete(delta, g.mask)))
         if deviation > _RECOVER_TOL:
             raise OffOrbitError("target moves coordinates outside the translation mask", deviation)
         shift = np.zeros_like(delta)
         shift[list(g.mask)] = delta[list(g.mask)]
-        return BoxTranslation(shift)
-
-    def sample(self, g, *args):
-        raise NotCompactError("axis translation subgroups are not compact; no uniform distribution exists")
-
-    element = sample
-
-    def quadrature(self, g, xs):
-        raise NotCompactError("uniform orbit quadrature requires a compact subgroup")
-
-    def net(self, g, nb, eps):
-        # grid over the masked coordinates of the cube U
-        r = nb.radius if nb.kind is NeighborhoodKind.CUBE else 1.0
-        k = len(g.mask)
-        per_axis = max(int(np.ceil(2.0 * r * np.sqrt(k) / (2.0 * eps))), 1) + 1
-        return _lattice(np.linspace(-r, r, per_axis), k) @ self.generators(g)
+        return TorusShift(shift)
 
 
 FAMILY_TABLE: dict[SubgroupFamily, FamilyEntry] = {
@@ -595,19 +544,18 @@ FAMILY_TABLE: dict[SubgroupFamily, FamilyEntry] = {
 
 
 # ---------------------------------------------------------------------------
-# finite nets of G intersected with U
+# finite nets of subgroups
 
-def subgroup_net(group: ClosedSubgroup, neighborhood: CompactNeighborhood,
-                 eps: float) -> tuple[str, np.ndarray]:
-    """Finite net of ``G`` intersected with ``U``, tagged by element variant.
+def subgroup_net(group: ClosedSubgroup, eps: float) -> tuple[str, np.ndarray]:
+    """Finite net of the subgroup ``G``, tagged by element variant.
 
-    Every element of G within U lies within ``eps`` of a net point in the
-    group metric.  Rotations are returned as (n, 4) unit quaternions,
+    Every element of G lies within ``eps`` of a net point in the group
+    metric.  Rotations are returned as (n, 4) unit quaternions,
     translations as (n, d) shift vectors.
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError("net resolution must be finite and positive")
-    return parent_group(group.parent).tag, FAMILY_TABLE[group.family].net(group, neighborhood, eps)
+    return parent_group(group.parent).tag, FAMILY_TABLE[group.family].net(group, eps)
 
 
 def _so3_net(eps: float) -> np.ndarray:
@@ -672,19 +620,19 @@ def sphere_net(r: float) -> np.ndarray:
 
 
 def hausdorff_U_distance(g: ClosedSubgroup, h: ClosedSubgroup,
-                         neighborhood: CompactNeighborhood = WHOLE_GROUP,
                          net_resolution: float = 0.05) -> float:
-    """Hausdorff distance between G and H inside U, on eps-nets.
+    """Hausdorff distance between G and H in the group metric, on eps-nets.
 
-    The returned value is within ``2 * net_resolution`` of the exact
-    Hausdorff distance between the intersections with U (each point of
+    Every subgroup is compact, so the identity neighbourhood ``U`` of the
+    name is the whole parent group.  The returned value is within
+    ``2 * net_resolution`` of the exact Hausdorff distance (each point of
     either group is within eps of its net).
     """
     if g.parent != h.parent:
         raise IncompatibleActionError(f"subgroups of different parents: {g.parent} vs {h.parent}")
     metric = parent_group(g.parent).net_distance
-    _, net_a = subgroup_net(g, neighborhood, net_resolution)
-    _, net_b = subgroup_net(h, neighborhood, net_resolution)
+    _, net_a = subgroup_net(g, net_resolution)
+    _, net_b = subgroup_net(h, net_resolution)
     return float(max(_sup_inf(metric, net_a, net_b), _sup_inf(metric, net_b, net_a)))
 
 
@@ -703,7 +651,7 @@ def delta_cover(parent: str, space: CovariateSpace, delta: float) -> list[Closed
     """Finite cover of the closed connected subgroups at scale ``delta``.
 
     Every closed connected subgroup of the parent is within ``delta`` of
-    some returned subgroup in the Hausdorff(U) metric.  The cover always
+    some returned subgroup in the Hausdorff metric.  The cover always
     contains the trivial group and the full parent group, so each orbit
     dimension stratum is represented.
     """
@@ -767,15 +715,15 @@ def _torus_line_grid(delta: float) -> list[ClosedSubgroup]:
     return sorted(set(lines), key=lambda g: g.canonical_key())
 
 
-def delta_schedule(n: int, beta: float, d: int, d_max: int,
-                   lipschitz_f: float = 1.0, lipschitz_action: float = 1.0) -> float:
+def delta_schedule(n: int, beta: float, d: int, d_max: int) -> float:
     """Cover scale for sample size ``n``: shrinks so the cover-approximation
-    bias stays below the statistical error of the fastest stratum."""
-    if n < 1 or beta <= 0 or d <= 0 or d_max < 0 or lipschitz_f <= 0 or lipschitz_action <= 0:
+    bias stays below the statistical error of the fastest stratum (for a
+    1-Lipschitz regression function and action)."""
+    if n < 1 or beta <= 0 or d <= 0 or d_max < 0:
         raise ConfigError("delta_schedule inputs must be positive (n >= 1, d_max >= 0)")
     rate = float(n) ** (-2.0 * beta / (2.0 * beta + (d - d_max)))
     exponent = 1.0 / (2.0 * min(beta, 1.0))
-    return (rate / (2.0 * lipschitz_f**2)) ** exponent / lipschitz_action
+    return (rate / 2.0) ** exponent
 
 
 def catalog_lines(cover: list[ClosedSubgroup]) -> list[str]:

@@ -121,6 +121,14 @@ class TestSimulate:
                      "--out", str(tmp_path / "y")])
         assert code == 2
 
+    def test_invalid_n_grid_in_config_reports_location(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario = t2_g1\nn_grid = 24,banana\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "y")])
+        assert code == 2
+        assert "bad.cfg:2: bad value for n_grid" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
+
 
 class TestSelect:
     def test_selects_a_line_for_sparse_torus_sample(self, tmp_path, capsys):

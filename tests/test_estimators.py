@@ -6,7 +6,6 @@ from orbitreg import (
     Dataset,
     FunctionPredictor,
     LocalConstantEstimator,
-    NotCompactError,
     PARENT_SO3,
     Point,
     PointDistribution,
@@ -238,15 +237,14 @@ class TestMonteCarloSymmetrised:
         se = values.std(ddof=1) / np.sqrt(seeds)
         assert abs(values.mean() - dense) <= 3 * se
 
-    def test_non_compact_group_rejected(self):
-        from orbitreg import axis_translations, box
+    def test_sub_torus_average_of_a_function_of_the_other_coordinates_is_exact(self):
+        from orbitreg import axis_translations
 
-        space = box((1.0, 1.0))
-        data = Dataset(space, np.array([[0.5, 0.5]]), np.array([1.0]))
-        est = LocalConstantEstimator(data, 0.3)
-        with pytest.raises(NotCompactError):
-            monte_carlo_symmetrised_predict(est, axis_translations(2, [0]), 10,
-                                            substream(0), Point.of(space, [0.5, 0.5]))
+        t3 = torus(3)
+        f = FunctionPredictor(t3, lambda X: np.sin(2 * np.pi * X[:, 1]))
+        x = Point.of(t3, [0.3, 0.2, 0.9])
+        value = monte_carlo_symmetrised_predict(f, axis_translations(3, [0, 2]), 64, substream(0), x)
+        assert value == pytest.approx(f.predict(x), abs=1e-12)
 
     def test_draw_count_validated(self):
         f = FunctionPredictor(BALL, f2)

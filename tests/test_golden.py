@@ -12,12 +12,9 @@ import pytest
 from orbitreg.bench import SCENARIOS, ScenarioConfig, cover_for, generate_data, run_experiment
 from orbitreg.randomness import substream
 from orbitreg.selection import SelectionInput, global_ems, orbit_coords_batch
-from orbitreg.spaces import box, torus, unit_ball3, unit_sphere2
+from orbitreg.spaces import torus, unit_ball3, unit_sphere2
 from orbitreg.subgroups import (
     PARENT_SO3,
-    WHOLE_GROUP,
-    CompactNeighborhood,
-    NeighborhoodKind,
     axis_translations,
     circle3,
     full_so3,
@@ -67,25 +64,23 @@ def test_chosen_subgroup_matches_pinned_line(scenario):
     assert selection.chosen.describe() == GOLDEN_CHOICE[scenario]
 
 
-# name -> (space, group, base rows, h, neighbourhood, counts, coords); the
-# second row of circle3 and full_so3 is singular and keeps the base point
+# name -> (space, group, base rows, h, counts, coords); the second row of
+# circle3 and full_so3 is singular and keeps the base point
 GOLDEN_GRIDS = {
-    "trivial": (unit_ball3(), trivial_subgroup(PARENT_SO3), [(0.2, -0.1, 0.4)], 0.2, WHOLE_GROUP,
+    "trivial": (unit_ball3(), trivial_subgroup(PARENT_SO3), [(0.2, -0.1, 0.4)], 0.2,
                 [1], [(0.2, -0.1, 0.4)]),
-    "circle3": (unit_ball3(), circle3([0.6, 0.0, 0.8]), [(0.3, 0.0, 0.0), (0.06, 0.0, 0.08)], 0.1,
-                WHOLE_GROUP, [3, 1],
+    "circle3": (unit_ball3(), circle3([0.6, 0.0, 0.8]), [(0.3, 0.0, 0.0), (0.06, 0.0, 0.08)], 0.1, [3, 1],
                 [(0.21413199329137278, -0.2, 0.0644010050314704),
                  (0.3, 0.0, 0.0),
                  (0.21413199329137278, 0.2, 0.0644010050314704),
                  (0.06, 0.0, 0.08)]),
-    "full_so3_ball": (unit_ball3(), full_so3(), [(0.5, -0.2, 0.1), (0.0, 0.0, 0.0)], 0.2,
-                      WHOLE_GROUP, [4, 1],
+    "full_so3_ball": (unit_ball3(), full_so3(), [(0.5, -0.2, 0.1), (0.0, 0.0, 0.0)], 0.2, [4, 1],
                       [(0.536355729740699, 0.0008643003891005696, -0.1110035321922675),
                        (0.38779945919905745, -0.37052637596500315, -0.1110035321922675),
                        (0.46854937937861796, 0.027986840533932966, 0.2822732999078026),
                        (0.3199931088369764, -0.34340383582017076, 0.2822732999078026),
                        (0.0, 0.0, 0.0)]),
-    "full_so3_sphere": (unit_sphere2(), full_so3(), [(0.0, 0.6, 0.8)], 0.3, WHOLE_GROUP, [9],
+    "full_so3_sphere": (unit_sphere2(), full_so3(), [(0.0, 0.6, 0.8)], 0.3, [9],
                         [(-0.6, -0.1625098426722491, 0.7833202097703346),
                          (-0.6, 0.48, 0.6400000000000001),
                          (-0.6, 0.7974901573277509, 0.06332020977033459),
@@ -95,21 +90,23 @@ GOLDEN_GRIDS = {
                          (0.6, -0.1625098426722491, 0.7833202097703346),
                          (0.6, 0.48, 0.6400000000000001),
                          (0.6, 0.7974901573277509, 0.06332020977033459)]),
-    "torus_line": (torus(2), torus_line(2, -1), [(0.95, 0.05)], 0.1, WHOLE_GROUP, [3],
+    "torus_line": (torus(2), torus_line(2, -1), [(0.95, 0.05)], 0.1, [3],
                    [(0.7711145618000168, 0.1394427190999916),
                     (0.95, 0.05),
                     (0.1288854381999831, 0.9605572809000085)]),
-    "full_torus": (torus(2), full_torus(2), [(0.3, 0.999)], 0.2, WHOLE_GROUP, [4],
+    "full_torus": (torus(2), full_torus(2), [(0.3, 0.999)], 0.2, [4],
                    [(0.1, 0.799), (0.1, 0.199), (0.5, 0.799), (0.5, 0.199)]),
-    "axis_translations_cube": (box((1.0, 1.5, 0.8)), axis_translations(3, [0, 2]), [(0.9, 1.4, 0.1)],
-                               0.1, CompactNeighborhood(NeighborhoodKind.CUBE, radius=0.15), [4],
-                               [(0.8, 1.4, 0.0), (0.8, 1.4, 0.2), (0.0, 1.4, 0.0), (0.0, 1.4, 0.2)]),
+    "axis_translations_torus3": (torus(3), axis_translations(3, [0, 2]), [(0.9, 0.4, 0.1)], 0.1, [9],
+                                 [(0.7, 0.4, 0.9), (0.7, 0.4, 0.1), (0.7, 0.4, 0.30000000000000004),
+                                  (0.9, 0.4, 0.9), (0.9, 0.4, 0.1), (0.9, 0.4, 0.30000000000000004),
+                                  (0.10000000000000009, 0.4, 0.9), (0.10000000000000009, 0.4, 0.1),
+                                  (0.10000000000000009, 0.4, 0.30000000000000004)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_GRIDS))
 def test_orbit_grid_matches_pinned_points(name):
-    space, group, xs, h, nb, counts, coords = GOLDEN_GRIDS[name]
-    got_coords, got_counts = orbit_coords_batch(space, group, np.array(xs), h, nb)
+    space, group, xs, h, counts, coords = GOLDEN_GRIDS[name]
+    got_coords, got_counts = orbit_coords_batch(space, group, np.array(xs), h)
     assert got_counts.tolist() == counts
     np.testing.assert_allclose(got_coords, np.array(coords), rtol=0.0, atol=1e-12)

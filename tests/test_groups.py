@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from orbitreg import (
-    BoxTranslation,
     InvalidElementError,
     Point,
     PointDistribution,
@@ -10,7 +9,6 @@ from orbitreg import (
     TorusShift,
     VariantMismatchError,
     act,
-    box,
     compose,
     group_distance,
     inverse,
@@ -54,12 +52,6 @@ class TestAction:
         g = TorusShift(np.array([0.6, 0.9]))
         x = Point.of(torus(2), [0.7, 0.2])
         assert np.allclose(act(g, x).coords, [0.3, 0.1], atol=1e-12)
-
-    def test_box_translation_wraps_at_sides(self):
-        space = box((2.0, 1.0))
-        g = BoxTranslation(np.array([0.5, 0.3]))
-        x = Point.of(space, [1.8, 0.9])
-        assert np.allclose(act(g, x).coords, [0.3, 0.2], atol=1e-12)
 
     def test_incompatible_variant_raises(self):
         with pytest.raises(IncompatibleActionError):
@@ -132,11 +124,6 @@ class TestGroupDistance:
         a = TorusShift(np.array([0.9, 0.0]))
         b = TorusShift(np.array([0.1, 0.0]))
         assert group_distance(a, b) == pytest.approx(0.2, abs=1e-12)
-
-    def test_box_translation_distance_is_euclidean(self):
-        a = BoxTranslation(np.array([1.5, 0.0]))
-        b = BoxTranslation(np.array([0.0, 0.0]))
-        assert group_distance(a, b) == pytest.approx(1.5, abs=1e-12)
 
     def test_metric_axioms_on_random_rotation_triples(self):
         rng = substream(4, "triples")

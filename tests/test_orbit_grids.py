@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitreg import (
-    NotCompactError,
     OffOrbitError,
     PARENT_SO3,
     Point,
     PointDistribution,
     axis_translations,
-    box,
     build_orbit_grid,
     circle3,
     full_so3,
@@ -30,13 +28,7 @@ from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import act, quat_rotation_angle
 from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.spaces import pairwise_distance
-from orbitreg.subgroups import (
-    WHOLE_GROUP,
-    CompactNeighborhood,
-    NeighborhoodKind,
-    SubgroupFamily,
-    sample_orbit_coords,
-)
+from orbitreg.subgroups import sample_orbit_coords
 
 
 def grid_is_well_packed(space, grid, h):
@@ -73,10 +65,11 @@ class TestHypercubeSide:
         assert hypercube_side(x, full_torus(2)) == 0.5
 
     def test_box_side_capped_by_shortest_masked_side(self):
-        space = box((1.0, 3.0, 5.0))
-        x = Point.of(space, [0.5, 1.0, 1.0])
-        assert hypercube_side(x, axis_translations(3, [1, 2])) == 1.5
-        assert hypercube_side(x, axis_translations(3, [2])) == 2.0
+        # masked translations act on the unit-period torus: every masked
+        # side is 1, so the side is capped at half of it
+        x = Point.of(torus(3), [0.5, 0.9, 0.1])
+        assert hypercube_side(x, axis_translations(3, [1, 2])) == 0.5
+        assert hypercube_side(x, axis_translations(3, [2])) == 0.5
 
 
 class TestBuildGrid:
@@ -162,16 +155,16 @@ class TestBuildGrid:
     @pytest.mark.parametrize("seed", range(4))
     def test_packing_bounds_random_configs(self, seed):
         rng = substream(seed, "packmini")
-        spaces = [unit_ball3(), unit_sphere2(), torus(2), box((1.0, 2.0, 0.8))]
+        spaces = [unit_ball3(), unit_sphere2(), torus(2), torus(3)]
         for _ in range(50):
             space = spaces[int(rng.integers(len(spaces)))]
-            if space.kind.value in ("unit_ball3", "unit_sphere2"):
+            if space in (unit_ball3(), unit_sphere2()):
                 groups = [trivial_subgroup(PARENT_SO3),
                           circle3(rng.standard_normal(3) / np.linalg.norm(rng.standard_normal(3)) if False else _axis(rng)),
                           full_so3()]
-            elif space.kind.value == "torus":
+            elif space == torus(2):
                 groups = [trivial_subgroup("torus2"), torus_line(1, int(rng.integers(-3, 4))), full_torus(2)]
-            else:
+            else:  # a coordinate sub-torus of T^3
                 groups = [axis_translations(3, sorted(rng.choice(3, size=2, replace=False).tolist()))]
             group = groups[int(rng.integers(len(groups)))]
             x = Point.of(space, sample_points(space, PointDistribution.UNIFORM_SPACE, 1, rng)[0])
@@ -248,17 +241,25 @@ class TestRecoverElement:
 
     @pytest.mark.parametrize("space, parent, x, seam, off", [
         (torus(2), "torus2", [0.0, 0.5], [1.0 - 1e-12, 0.5], [0.5, 0.5]),
-        (box((2.0, 0.5)), "box2", [0.3, 0.0], [0.3, 0.5 - 1e-12], [1.8, 0.0]),
+        (torus(3), "torus3", [0.3, 0.0, 0.9], [0.3, 1.0 - 1e-12, 0.9], [0.3, 0.0, 0.4]),
     ])
     def test_trivial_recovery_measures_the_wrap_metric(self, space, parent, x, seam, off):
         # x and seam are 1e-12 apart across the wrap seam; off is 0.5 away
-        # in the wrap metric (1.5 in raw coordinates on the box)
         x = Point.of(space, x)
         g = recover_group_element(x, Point.of(space, seam), trivial_subgroup(parent))
         assert np.all(g.shift == 0.0)
         with pytest.raises(OffOrbitError) as excinfo:
             recover_group_element(x, Point.of(space, off), trivial_subgroup(parent))
         assert excinfo.value.deviation == pytest.approx(0.5, abs=1e-12)
+
+    def test_sub_torus_recovery_measures_off_mask_coordinates_in_the_wrap_metric(self):
+        x = Point.of(torus(3), [0.2, 0.0, 0.7])
+        group = axis_translations(3, [0, 2])
+        g = recover_group_element(x, Point.of(torus(3), [0.9, 1.0 - 1e-12, 0.1]), group)
+        assert np.allclose(g.shift, [0.7, 0.0, 0.4], atol=1e-12)
+        with pytest.raises(OffOrbitError) as excinfo:
+            recover_group_element(x, Point.of(torus(3), [0.2, 0.9, 0.7]), group)
+        assert excinfo.value.deviation == pytest.approx(0.1, abs=1e-12)
 
 
 class TestBatchedGrids:
@@ -299,41 +300,40 @@ _BALL_ROWS = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.06, 0.0, 0.08],
                        [0.5, -0.2, 0.1], [-0.1, 0.7, 0.3], [0.0, 0.0, 0.9]])
 _SPHERE_ROWS = np.vstack([_AXIS, -_AXIS, _BALL_ROWS[3:] / np.linalg.norm(_BALL_ROWS[3:], axis=1)[:, None]])
 _TORUS_ROWS = np.array([[0.0, 0.0], [0.3, 0.7], [0.95, 0.05], [0.5, 0.999]])
-_BOX_ROWS = np.array([[0.0, 0.0, 0.0], [0.9, 1.4, 0.1], [0.25, 0.75, 0.4]])
-_CUBE = CompactNeighborhood(NeighborhoodKind.CUBE, radius=0.15)
+_TORUS3_ROWS = np.array([[0.0, 0.0, 0.0], [0.45, 0.7, 0.05], [0.125, 0.375, 0.2]])
 
 
 def _axis_distance(xs):
     return np.linalg.norm(xs - (xs @ _AXIS)[:, None] * _AXIS, axis=1)
 
 
-# (space, group, neighbourhood, rows, per-row side R and singular flag from
-# the geometry, orbit dimension k) -- one line per family and configuration
+# (space, group, rows, per-row side R and singular flag from the geometry,
+# orbit dimension k) -- one line per family and configuration
 PACKING_TABLE = {
-    "trivial": (unit_ball3(), trivial_subgroup(PARENT_SO3), WHOLE_GROUP, _BALL_ROWS,
+    "trivial": (unit_ball3(), trivial_subgroup(PARENT_SO3), _BALL_ROWS,
                 lambda xs: (np.ones(len(xs)), np.zeros(len(xs), bool)), 0),
-    "circle_ball": (unit_ball3(), circle3(_AXIS), WHOLE_GROUP, _BALL_ROWS,
+    "circle_ball": (unit_ball3(), circle3(_AXIS), _BALL_ROWS,
                     lambda xs: (2.0 * _axis_distance(xs), _axis_distance(xs) <= 1e-9), 1),
-    "circle_sphere": (unit_sphere2(), circle3(_AXIS), WHOLE_GROUP, _SPHERE_ROWS,
+    "circle_sphere": (unit_sphere2(), circle3(_AXIS), _SPHERE_ROWS,
                       lambda xs: (2.0 * _axis_distance(xs), _axis_distance(xs) <= 1e-9), 1),
-    "so3_ball": (unit_ball3(), full_so3(), WHOLE_GROUP, _BALL_ROWS,
+    "so3_ball": (unit_ball3(), full_so3(), _BALL_ROWS,
                  lambda xs: (np.sqrt(2.0) * np.linalg.norm(xs, axis=1),
                              np.linalg.norm(xs, axis=1) <= 1e-9), 2),
-    "so3_sphere": (unit_sphere2(), full_so3(), WHOLE_GROUP, _SPHERE_ROWS,
+    "so3_sphere": (unit_sphere2(), full_so3(), _SPHERE_ROWS,
                    lambda xs: (np.sqrt(2.0) * np.linalg.norm(xs, axis=1), np.zeros(len(xs), bool)), 2),
-    "line": (torus(2), torus_line(2, -1), WHOLE_GROUP, _TORUS_ROWS,
+    "line": (torus(2), torus_line(2, -1), _TORUS_ROWS,
              lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 1),
-    "torus2": (torus(2), full_torus(2), WHOLE_GROUP, _TORUS_ROWS,
+    "torus2": (torus(2), full_torus(2), _TORUS_ROWS,
                lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 2),
-    "torus3": (torus(3), full_torus(3), WHOLE_GROUP, _BOX_ROWS * 0.5,
+    "torus3": (torus(3), full_torus(3), _TORUS3_ROWS,
                lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 3),
-    # box sides (1.0, 1.5, 0.8): half the shortest masked side, capped at 2 r_U
-    "box_mask0": (box((1.0, 1.5, 0.8)), axis_translations(3, [0]), WHOLE_GROUP, _BOX_ROWS,
-                  lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 1),
-    "box_mask12": (box((1.0, 1.5, 0.8)), axis_translations(3, [1, 2]), WHOLE_GROUP, _BOX_ROWS,
-                   lambda xs: (np.full(len(xs), 0.4), np.zeros(len(xs), bool)), 2),
-    "box_mask012_cube": (box((1.0, 1.5, 0.8)), axis_translations(3, [0, 1, 2]), _CUBE, _BOX_ROWS,
-                         lambda xs: (np.full(len(xs), 0.3), np.zeros(len(xs), bool)), 3),
+    # coordinate sub-tori of T^3 share the torus side 1/2
+    "torus3_mask0": (torus(3), axis_translations(3, [0]), _TORUS3_ROWS,
+                     lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 1),
+    "torus3_mask12": (torus(3), axis_translations(3, [1, 2]), _TORUS3_ROWS,
+                      lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 2),
+    "torus3_mask012": (torus(3), axis_translations(3, [0, 1, 2]), _TORUS3_ROWS,
+                       lambda xs: (np.full(len(xs), 0.5), np.zeros(len(xs), bool)), 3),
 }
 
 
@@ -343,10 +343,10 @@ class TestPackingRule:
     def test_counts_follow_the_rung_rule(self, case, h):
         """counts = 1 on singular rows, else (floor(R / 2h) + 1) ** k, and
         singular rows keep the base point itself."""
-        space, group, nb, xs, geometry, k = PACKING_TABLE[case]
+        space, group, xs, geometry, k = PACKING_TABLE[case]
         side, singular = geometry(xs)
         assert orbit_dimension(group, space) == k
-        coords, counts = orbit_coords_batch(space, group, xs, h, nb)
+        coords, counts = orbit_coords_batch(space, group, xs, h)
         expected = np.where(singular, 1, (np.floor(side / (2.0 * h)).astype(np.int64) + 1) ** k)
         assert counts.tolist() == expected.tolist()
         assert coords.shape == (int(counts.sum()), space.ambient_dim)
@@ -354,7 +354,7 @@ class TestPackingRule:
         for i in np.flatnonzero(singular):
             assert np.array_equal(coords[starts[i]], xs[i])
         for i, x in enumerate(xs):
-            assert hypercube_side(Point.of(space, x), group, nb) == pytest.approx(side[i], abs=1e-12)
+            assert hypercube_side(Point.of(space, x), group) == pytest.approx(side[i], abs=1e-12)
 
 
 unit_vectors = (st.tuples(*[st.floats(-1.0, 1.0)] * 3)
@@ -367,19 +367,16 @@ unit_vectors = (st.tuples(*[st.floats(-1.0, 1.0)] * 3)
 def orbit_cases(draw):
     """(space, group, base point, h) over all six families, with the fixed
     points of the rotation actions (origin, circle axis) drawn on purpose."""
-    family = draw(st.sampled_from(["trivial", "circle", "so3", "line", "torus", "box"]))
+    family = draw(st.sampled_from(["trivial", "circle", "so3", "line", "torus", "mask"]))
     h = draw(st.floats(0.03, 0.7))
-    if family == "box":
-        sides = draw(st.lists(st.floats(0.3, 3.0), min_size=1, max_size=3))
-        mask = draw(st.lists(st.integers(0, len(sides) - 1), min_size=1, unique=True))
-        x = [draw(st.floats(0.0, s, exclude_max=True)) for s in sides]
-        return box(sides), axis_translations(len(sides), mask), np.array(x), h
-    if family in ("line", "torus"):
+    if family in ("line", "torus", "mask"):
         d = 2 if family == "line" else draw(st.integers(1, 3))
         x = [draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(d)]
         if family == "line":
             p, q = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: v != (0, 0)))
             group = torus_line(p, q)
+        elif family == "mask":
+            group = axis_translations(d, draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True)))
         else:
             group = full_torus(d)
         return torus(d), group, np.array(x), h
@@ -420,12 +417,6 @@ class TestGridProperties:
     def test_quadrature_and_monte_carlo_points_lie_on_the_orbit(self, case, seed):
         space, group, coords, _ = case
         x = Point.of(space, coords)
-        if group.family is SubgroupFamily.AXIS_TRANSLATIONS:
-            with pytest.raises(NotCompactError):
-                orbit_quadrature_coords(group, coords)
-            with pytest.raises(NotCompactError):
-                sample_orbit_coords(group, coords, 4, np.random.default_rng(seed))
-            return
         nodes, counts = orbit_quadrature_coords(group, coords)
         assert counts.tolist() == [len(nodes)]
         assert_on_orbit(x, nodes, group)

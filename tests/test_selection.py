@@ -13,7 +13,6 @@ from orbitreg import (
     PointDistribution,
     SelectionInput,
     SymmetrySelection,
-    WHOLE_GROUP,
     best_symmetric_predict,
     circle3,
     empirical_error,
@@ -207,7 +206,7 @@ class TestSymmetrisedBiasBound:
         eps = 0.05
         invariant = circle3([1.0, 0.0, 0.0])
         cover = delta_cover(PARENT_SO3, BALL, 1.2)
-        distances = {g: hausdorff_U_distance(g, invariant, WHOLE_GROUP, eps) for g in cover}
+        distances = {g: hausdorff_U_distance(g, invariant, eps) for g in cover}
         pred = FunctionPredictor(BALL, f2)
         rng = substream(10, "prop")
         X = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 100, rng)

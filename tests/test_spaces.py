@@ -5,7 +5,6 @@ from orbitreg import (
     Point,
     PointDistribution,
     SpaceMismatchError,
-    box,
     sample_points,
     space_distance,
     substream,
@@ -13,10 +12,9 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
-from orbitreg.errors import ConfigError
-from orbitreg.spaces import CovariateSpace, SpaceKind, neighbor_mask, neighbor_stats, pairwise_distance
+from orbitreg.spaces import neighbor_mask, neighbor_stats, pairwise_distance
 
-ALL_SPACES = [unit_ball3(), unit_sphere2(), torus(2), box((1.0, 1.5, 0.8))]
+ALL_SPACES = [unit_ball3(), unit_sphere2(), torus(2), torus(3)]
 
 
 class TestMembership:
@@ -38,28 +36,10 @@ class TestMembership:
         with pytest.raises(SpaceMismatchError):
             Point.of(torus(2), [1.0, 0.5])
 
-    def test_box_respects_sides(self):
-        space = box((1.0, 2.0))
-        Point.of(space, [0.9, 1.9])
-        with pytest.raises(SpaceMismatchError):
-            Point.of(space, [0.9, 2.1])
-
-    @pytest.mark.parametrize("sides", [(), (1.0,), (1.0, 2.0, 3.0), (1.0, 0.0), (1.0, -2.0),
-                                       (1.0, float("nan"))])
-    def test_box_sides_must_be_positive_one_per_axis(self, sides):
-        with pytest.raises(ConfigError):
-            CovariateSpace(SpaceKind.BOX, 2, 2, sides=sides)
-
-    def test_box_built_directly_matches_the_constructor(self):
-        space = CovariateSpace(SpaceKind.BOX, 2, 2, sides=(1.0, 2.0))
-        assert space == box((1.0, 2.0))
-        assert space.contains(np.array([0.5, 1.5])) and not space.contains(np.array([0.5, 2.5]))
-
     def test_intrinsic_dimensions(self):
         assert unit_ball3().intrinsic_dim == 3
         assert unit_sphere2().intrinsic_dim == 2
         assert torus(4).intrinsic_dim == 4
-        assert box((1.0, 1.0)).intrinsic_dim == 2
 
 
 class TestDistances:
@@ -80,12 +60,6 @@ class TestDistances:
         x = Point.of(t2, [0.95, 0.5])
         y = Point.of(t2, [0.05, 0.5])
         assert space_distance(x, y) == pytest.approx(0.1, abs=1e-12)
-
-    def test_box_wraps_with_side_lengths(self):
-        space = box((2.0, 1.0))
-        x = Point.of(space, [1.9, 0.2])
-        y = Point.of(space, [0.1, 0.2])
-        assert space_distance(x, y) == pytest.approx(0.2, abs=1e-12)
 
     def test_space_mismatch_raises(self):
         with pytest.raises(SpaceMismatchError):

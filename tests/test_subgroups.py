@@ -3,11 +3,9 @@ import pytest
 
 from orbitreg import (
     ConfigError,
-    NotCompactError,
     PARENT_SO3,
     Rotation3,
     axis_translations,
-    box,
     catalog_lines,
     circle3,
     delta_cover,
@@ -26,11 +24,10 @@ from orbitreg import (
     unit_sphere2,
 )
 from orbitreg.errors import IncompatibleActionError
-from orbitreg.groups import quat_rotation_angle
+from orbitreg.groups import parent_group, quat_rotation_angle
 from orbitreg.randomness import polar_gaussian
 from orbitreg.subgroups import (
     SubgroupFamily,
-    WHOLE_GROUP,
     fibonacci_sphere,
     line_angle_degrees,
     orbit_quadrature_coords,
@@ -53,7 +50,7 @@ class TestOrbitDimension:
         assert orbit_dimension(full_so3(), sphere) == 2
         assert orbit_dimension(torus_line(1, 1), t2) == 1
         assert orbit_dimension(full_torus(2), t2) == 2
-        assert orbit_dimension(axis_translations(3, [0, 2]), box((1, 1, 1))) == 2
+        assert orbit_dimension(axis_translations(3, [0, 2]), torus(3)) == 2
 
     def test_incompatible_pairings_raise(self):
         with pytest.raises(IncompatibleActionError):
@@ -133,10 +130,6 @@ class TestSampling:
         se = np.sqrt((hist_a + hist_b) / (n * width) + 1e-12)
         assert np.all(np.abs(hist_a - hist_b) <= 3.5 * se + 0.02)
 
-    def test_non_compact_sampling_raises(self):
-        with pytest.raises(NotCompactError):
-            sample_group(axis_translations(2, [0]), substream(0))
-
     def test_orbit_samples_stay_on_orbit(self):
         rng = substream(0, "orbit")
         from orbitreg.subgroups import sample_orbit_coords
@@ -150,7 +143,7 @@ class TestSampling:
 class TestNets:
     def test_circle_net_radius(self):
         group = circle3([0.0, 1.0, 0.0])
-        kind, net = subgroup_net(group, WHOLE_GROUP, eps=0.1)
+        kind, net = subgroup_net(group, eps=0.1)
         assert kind == "rotation"
         rng = substream(0, "netcheck")
         for _ in range(200):
@@ -160,7 +153,7 @@ class TestNets:
             assert dist.min() <= 0.1
 
     def test_so3_net_radius(self):
-        kind, net = subgroup_net(full_so3(), WHOLE_GROUP, eps=0.35)
+        kind, net = subgroup_net(full_so3(), eps=0.35)
         rng = substream(0, "so3check")
         worst = 0.0
         for _ in range(300):
@@ -179,7 +172,7 @@ class TestNets:
 
     def test_torus_line_net_radius(self):
         group = torus_line(2, 1)
-        kind, net = subgroup_net(group, WHOLE_GROUP, eps=0.05)
+        kind, net = subgroup_net(group, eps=0.05)
         assert kind == "shift"
         rng = substream(0, "linecheck")
         for _ in range(200):
@@ -253,7 +246,7 @@ class TestHausdorff:
         with pytest.raises(ConfigError):
             hausdorff_U_distance(full_so3(), circle3([0, 0, 1.0]), net_resolution=eps)
         with pytest.raises(ConfigError):
-            subgroup_net(full_torus(2), WHOLE_GROUP, eps)
+            subgroup_net(full_torus(2), eps)
 
     def test_parent_mismatch_rejected(self):
         with pytest.raises(IncompatibleActionError):
@@ -341,8 +334,14 @@ class TestDeltaCover:
             delta_cover(parent_torus(2), torus(2), delta)
 
     def test_unsupported_parent(self):
-        with pytest.raises(ConfigError):
-            delta_cover("box3", box((1, 1, 1)), 0.5)
+        with pytest.raises(ConfigError, match="no cover construction"):
+            delta_cover(parent_torus(3), torus(3), 0.5)
+
+    def test_box_parent_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown parent group 'box3'"):
+            parent_group("box3")
+        with pytest.raises(ConfigError, match="unknown parent group 'box3'"):
+            delta_cover("box3", torus(3), 0.5)
 
     def test_catalog_lines_format(self):
         cover = delta_cover(parent_torus(2), torus(2), 0.5)
@@ -357,14 +356,6 @@ class TestDeltaSchedule:
         assert delta_schedule(1, 1.0, 3, 2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert delta_schedule(1000, 1.0, 3, 2) == pytest.approx(
             np.sqrt(1000.0 ** (-2.0 / 3.0) / 2.0), abs=1e-12)
-
-    def test_lipschitz_scaling(self):
-        base = delta_schedule(50, 1.0, 3, 2, lipschitz_f=1.0)
-        doubled = delta_schedule(50, 1.0, 3, 2, lipschitz_f=2.0)
-        assert doubled == pytest.approx(base * 2.0 ** (-1.0 / (2 * min(1.0, 1.0))) / 1.0
-                                        * 2 ** 0.0, rel=1e-12) or True
-        # doubling L multiplies the scale by 2**(-1 / (2 min(beta, 1)))
-        assert doubled / base == pytest.approx(2.0 ** (-1.0), rel=1e-12)
 
     def test_monotone_decreasing_to_zero(self):
         values = [delta_schedule(n, 1.0, 3, 2) for n in (10, 100, 1000, 10_000, 100_000)]
@@ -402,16 +393,13 @@ class TestQuadrature:
         assert np.allclose(coords, [[0.1, 0.2, 0.3]])
 
 
-class TestBoxSubgroupDistances:
+class TestSubTorusDistances:
     def test_nested_axis_translations(self):
-        from orbitreg import CompactNeighborhood, axis_translations
-        from orbitreg.subgroups import NeighborhoodKind
-
-        cube = CompactNeighborhood(NeighborhoodKind.CUBE, radius=1.0)
         line = axis_translations(2, [0])
         plane = axis_translations(2, [0, 1])
         eps = 0.05
-        d = hausdorff_U_distance(line, plane, cube, net_resolution=eps)
-        # the first-axis line is contained in the plane group; the farthest
-        # plane element from it inside the cube sits one unit away
-        assert d == pytest.approx(1.0, abs=2 * eps)
+        d = hausdorff_U_distance(line, plane, net_resolution=eps)
+        # the first-axis circle lies inside the 2-torus; the farthest torus
+        # element from it is the half shift (., 1/2), half a period away
+        assert d == pytest.approx(0.5, abs=2 * eps)
+        assert hausdorff_U_distance(plane, full_torus(2), net_resolution=eps) <= 2 * eps
