@@ -31,11 +31,10 @@ base = og.LocalConstantEstimator(data, h)
 eval_X = og.sample_points(ball, og.PointDistribution.UNIFORM_SPACE, 300, rng)
 plain = base.predict_coords(eval_X)
 
-sym = np.empty(len(eval_X))
-for i, coords in enumerate(eval_X):
-    x = og.Point.of(ball, coords)
-    grid = og.build_orbit_grid(x, og.full_so3(), h)
-    sym[i] = og.partial_symmetrised_predict(base, grid, x)
+# Symmetrising by a fixed subgroup: a selection that names it, with the
+# bandwidth that sizes its orbit grids.
+so3 = og.SymmetrySelection(og.full_so3(), h, {})
+sym = og.BestSymmetricPredictor(base, so3, "grid").predict_coords(eval_X)
 
 target = truth(eval_X)
 print(f"bandwidth h = {h:.3f}")
@@ -45,21 +44,15 @@ print(f"orbit-grid symmetrised risk: {np.mean((sym - target) ** 2):.4f}")
 # For a compact group the Monte-Carlo orbit average over uniform draws
 # approximates the full symmetrisation; with as many draws as data points
 # it keeps the same convergence rate.
-mc = np.empty(len(eval_X))
-for i, coords in enumerate(eval_X):
-    x = og.Point.of(ball, coords)
-    mc[i] = og.monte_carlo_symmetrised_predict(base, og.full_so3(), n, rng, x)
+mc = og.BestSymmetricPredictor(base, so3, "monte_carlo", n, rng).predict_coords(eval_X)
 print(f"Monte-Carlo symmetrised risk: {np.mean((mc - target) ** 2):.4f}")
 
 # Symmetrising with the wrong group injects bias instead.
-wrong = np.empty(len(eval_X))
 def skewed(Xs):
     return Xs[:, 0] + 0.5 * Xs[:, 1]
 data_wrong = og.Dataset(ball, X, skewed(X) + sigma * og.polar_gaussian(rng, n))
 base_wrong = og.LocalConstantEstimator(data_wrong, h)
-for i, coords in enumerate(eval_X):
-    x = og.Point.of(ball, coords)
-    wrong[i] = og.monte_carlo_symmetrised_predict(base_wrong, og.full_so3(), n, rng, x)
+wrong = og.BestSymmetricPredictor(base_wrong, so3, "monte_carlo", n, rng).predict_coords(eval_X)
 print(f"\nnon-invariant target, full symmetrisation risk: "
       f"{np.mean((wrong - skewed(eval_X)) ** 2):.4f} "
       f"(orbit averaging erases the signal)")

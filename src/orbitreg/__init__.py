@@ -20,7 +20,6 @@ from .bench import (
     estimate_risk,
     generate_data,
     run_experiment,
-    scenario_function,
 )
 from .errors import (
     ConfigError,
@@ -37,8 +36,6 @@ from .estimators import (
     FunctionPredictor,
     LocalConstantEstimator,
     bandwidth,
-    lce_predict,
-    partial_symmetrised_predict,
 )
 from .groups import (
     GroupElement,
@@ -73,11 +70,9 @@ from .selection import (
     BestSymmetricPredictor,
     SelectionInput,
     SymmetrySelection,
-    best_symmetric_predict,
     empirical_error,
     global_ems,
     local_ems,
-    monte_carlo_symmetrised_predict,
     split_dataset,
 )
 from .spaces import (

@@ -23,14 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SpaceMismatchError
+from .errors import ConfigError
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .groups import parent_group
 from .randomness import polar_gaussian, substream
 from .selection import BestSymmetricPredictor, SelectionInput, global_ems
 from .spaces import (
     CovariateSpace,
-    Point,
     PointDistribution,
     sample_points,
     torus,
@@ -103,16 +102,6 @@ def register_scenario(scenario_id: str, space: CovariateSpace, parent: str,
     scenario = Scenario(scenario_id, space, parent, fn, maximal_symmetry)
     SCENARIOS[scenario_id] = scenario
     return scenario
-
-
-def scenario_function(scenario_id: str, x: Point) -> float:
-    """Evaluate a catalog regression function at a point of its space."""
-    scenario = SCENARIOS.get(scenario_id)
-    if scenario is None:
-        raise ConfigError(f"unknown scenario {scenario_id!r}; known: {sorted(SCENARIOS)}")
-    if x.space != scenario.space:
-        raise SpaceMismatchError(f"scenario {scenario_id} is defined on {scenario.space}, not {x.space}")
-    return float(scenario.fn(x.coords[None, :])[0])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The base estimator is the local constant (Nadaraya-Watson) estimator with a
 rectangular kernel: the prediction at ``x`` is the mean response over data
 points strictly within distance ``h``, and 0 when that ball is empty.
-:func:`partial_symmetrised_predict` averages base predictions over a built
-orbit grid; the batched symmetrised predictor, by orbit grid or by
-Monte-Carlo draws from a compact subgroup, is
+Predictors are batched: ``predict_coords`` takes row-stacked query
+coordinates (one point is one row) and returns one prediction per row.
+The symmetrised predictor, which averages base predictions over orbit
+grids or over Monte-Carlo draws from a compact subgroup, is
 :class:`orbitreg.selection.BestSymmetricPredictor`.
 """
 
@@ -18,8 +19,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .errors import ConfigError, SpaceMismatchError
-from .orbit_grids import OrbitGrid
-from .spaces import CovariateSpace, Point, neighbor_mask, neighbor_stats
+from .spaces import CovariateSpace, Point, neighbor_stats, query_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +61,9 @@ class Dataset:
 
 
 class Predictor(Protocol):
-    """A fitted point predictor: total on its space, finite everywhere."""
+    """A fitted predictor: one finite prediction per query row of its space."""
 
     space: CovariateSpace
-
-    def predict(self, x: Point) -> float: ...
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray: ...
 
@@ -76,9 +74,6 @@ class FunctionPredictor:
     def __init__(self, space: CovariateSpace, fn: Callable[[np.ndarray], np.ndarray]):
         self.space = space
         self._fn = fn
-
-    def predict(self, x: Point) -> float:
-        return float(self._fn(x.coords[None, :])[0])
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(self._fn(np.atleast_2d(coords)), dtype=np.float64).ravel()
@@ -97,7 +92,8 @@ class LocalConstantEstimator:
     Strictly local: the prediction at ``x`` depends only on responses of
     data points at distance < h, so predictions at points 2h apart use
     disjoint data.  An empty ball predicts 0.  The bandwidth ``h`` must be
-    a finite positive float.
+    a finite positive float; a query row of the wrong width or with a NaN or
+    infinite entry raises :class:`SpaceMismatchError`.
     """
 
     def __init__(self, data: Dataset, h: float):
@@ -108,29 +104,10 @@ class LocalConstantEstimator:
         self.h = h
         self.space = data.space
 
-    def neighbor_indices(self, x: Point) -> np.ndarray:
-        """Indices of the data points inside the open h-ball around x."""
-        return np.flatnonzero(neighbor_mask(self.space, x.coords[None, :], self.data.X, self.h)[0])
-
-    def predict(self, x: Point) -> float:
-        return float(self.predict_coords(x.coords[None, :])[0])
-
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+        coords = query_rows(self.space, coords)
         out = np.zeros(coords.shape[0])
         counts, sums = neighbor_stats(self.space, coords, self.data.X, self.h, self.data.Y)
         nonzero = counts > 0
         out[nonzero] = sums[nonzero] / counts[nonzero]
         return out
-
-
-def lce_predict(data: Dataset, h: float, x: Point) -> float:
-    """One-shot form of :class:`LocalConstantEstimator` prediction."""
-    return LocalConstantEstimator(data, h).predict(x)
-
-
-def partial_symmetrised_predict(base: Predictor, grid: OrbitGrid, x: Point) -> float:
-    """Average the base prediction over the orbit grid built at ``x``."""
-    if grid.base.space != x.space:
-        raise SpaceMismatchError("orbit grid was built for a different space")
-    return float(base.predict_coords(grid.orbit_coords).mean())

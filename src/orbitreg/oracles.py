@@ -218,7 +218,8 @@ def bias_bound_oracle(samples: int, rng: np.random.Generator, delta: float = 0.5
         group = cover[int(pick)]
         x = Point(x_coords, space)
         grid = build_orbit_grid(x, group, float(h))
-        gap = abs(float(fn.predict_coords(grid.orbit_coords).mean()) - fn.predict(x))
+        centre = float(fn.predict_coords(x.coords[None, :])[0])
+        gap = abs(float(fn.predict_coords(grid.orbit_coords).mean()) - centre)
         limit = distances[group] + 2.0 * net_resolution
         worst = max(worst, gap - limit)
     return OracleReport.check("bias_bound", max(worst, 0.0), 0.0, _FLOAT_SLACK)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, EmptyHoldoutError
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .orbit_grids import orbit_coords_batch
-from .spaces import Point
+from .spaces import query_rows
 from .subgroups import (
     ClosedSubgroup,
     SubgroupFamily,
@@ -218,7 +218,10 @@ class BestSymmetricPredictor:
     ``method="grid"`` averages over each point's orbit grid of the whole
     subgroup at the chosen bandwidth; ``method="monte_carlo"`` averages
     over ``mc_draws`` uniform draws from the subgroup, by default
-    one per training point.
+    one per training point.  To symmetrise by a fixed subgroup, pass
+    ``SymmetrySelection(group, h, {})``; ``h`` only sizes the orbit grids.
+    A query row of the wrong width or with a NaN or infinite entry raises
+    :class:`SpaceMismatchError`.
     """
 
     def __init__(self, base: Predictor, selection: SymmetrySelection,
@@ -243,11 +246,8 @@ class BestSymmetricPredictor:
         self.rng = rng
         self.space = base.space
 
-    def predict(self, x: Point) -> float:
-        return float(self.predict_coords(x.coords[None, :])[0])
-
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+        coords = query_rows(self.space, coords)
         group = self.selection.chosen
         if self.method == "grid":
             pts, counts = _orbit_points("grid", self.space, group, coords,
@@ -262,20 +262,6 @@ class BestSymmetricPredictor:
             preds = self.base.predict_coords(pts.reshape(-1, coords.shape[1]))
             out[start : start + chunk] = preds.reshape(len(block), m).mean(axis=1)
         return out
-
-
-def best_symmetric_predict(base: Predictor, selection: SymmetrySelection, x: Point,
-                           method: str = "grid", mc_draws: int | None = None,
-                           rng: np.random.Generator | None = None) -> float:
-    """Predict at ``x`` with the base estimator symmetrised by the selection."""
-    return BestSymmetricPredictor(base, selection, method, mc_draws, rng).predict(x)
-
-
-def monte_carlo_symmetrised_predict(base: Predictor, group: ClosedSubgroup, m: int,
-                                    rng: np.random.Generator, x: Point) -> float:
-    """Average the base prediction over ``m`` uniform draws from the subgroup."""
-    return BestSymmetricPredictor(base, SymmetrySelection(group, float("nan"), {}),
-                                  "monte_carlo", m, rng).predict(x)
 
 
 def split_dataset(full: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

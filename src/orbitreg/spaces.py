@@ -106,6 +106,22 @@ class Point:
         return Point(c, space)
 
 
+def query_rows(space: CovariateSpace, coords) -> np.ndarray:
+    """``coords`` as a 2-D float array of query rows for ``space``.
+
+    Raises :class:`SpaceMismatchError` naming the first row that has the
+    wrong width or a NaN or infinite entry.  Membership is not checked.
+    """
+    rows = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    if rows.ndim != 2 or rows.shape[1] != space.ambient_dim:
+        raise SpaceMismatchError(f"query row 0 has width {rows.shape[-1]}, "
+                                 f"but {space} needs {space.ambient_dim}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise SpaceMismatchError(f"query row {bad[0]} ({rows[bad[0]]}) is not finite")
+    return rows
+
+
 def _check_same_space(x: Point, y: Point) -> None:
     if x.space != y.space:
         raise SpaceMismatchError(f"points live in different spaces: {x.space} vs {y.space}")
@@ -140,9 +156,9 @@ def flat_distance_matrix(a: np.ndarray, b: np.ndarray, period=None) -> np.ndarra
 
 def _ball_score(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
                 h: float) -> np.ndarray:
-    """Positive entries mark strict h-neighbours (h^2 minus squared distance,
-    or cosine margin on the sphere).  Shared by the mask and stats paths so
-    both apply the identical comparison."""
+    """Positive entries mark strict h-neighbours: h^2 minus the squared
+    distance, or the cosine margin on the sphere, so no square root is
+    taken."""
     if space.kind is SpaceKind.UNIT_SPHERE2:
         score = queries @ data.T
         score -= np.cos(min(h, np.pi)) if h <= np.pi else -2.0
@@ -160,17 +176,6 @@ def _ball_score(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         diff *= diff
         sq += diff
     return h * h - sq
-
-
-def neighbor_mask(space: CovariateSpace, queries: np.ndarray, data: np.ndarray, h: float) -> np.ndarray:
-    """Boolean matrix of ``distance < h`` (strict), queries by rows.
-
-    Works in squared distances (dot-product margins on the sphere), so
-    large query batches avoid the square root entirely.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    return _ball_score(space, queries, data, h) > 0.0
 
 
 def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,

@@ -9,7 +9,7 @@ The searchable symmetry catalog consists of, per ambient group:
   full torus;
 * the flat d-torus: the coordinate sub-tori translating a masked subset of
   coordinates (``axis_translations``), the linear orbits of covariate
-  sparsity.
+  sparsity; the mask of all d coordinates gives ``full_torus(d)``.
 
 Every subgroup in the catalog is compact, so each has a normalised Haar
 measure, uniform quadrature on its orbits, and finite nets of the whole
@@ -129,6 +129,8 @@ def axis_translations(d: int, mask) -> ClosedSubgroup:
     mask = tuple(sorted(set(int(i) for i in mask)))
     if not mask or mask[0] < 0 or mask[-1] >= d:
         raise ConfigError(f"mask must select coordinates in [0, {d})")
+    if len(mask) == d:  # the whole torus has one name
+        return full_torus(d)
     return ClosedSubgroup(SubgroupFamily.AXIS_TRANSLATIONS, parent_torus(d), mask=mask)
 
 

@@ -4,15 +4,12 @@ import pytest
 from orbitreg import (
     ConfigError,
     IncompatibleActionError,
-    Point,
     RiskReport,
     RiskRow,
     ScenarioConfig,
-    SpaceMismatchError,
     estimate_risk,
     generate_data,
     run_experiment,
-    scenario_function,
     substream,
     torus,
     unit_ball3,
@@ -28,10 +25,10 @@ TINY = dict(n_grid=(24, 30), trials=2, eval_points=40, seed=5)
 
 class TestScenarioFunctions:
     def test_radial_cosine_at_origin(self):
-        assert scenario_function("so3_f1", Point.of(unit_ball3(), [0, 0, 0])) == 1.0
+        assert SCENARIOS["so3_f1"].fn(np.zeros((1, 3))).tolist() == [1.0]
 
     def test_constant_torus_scenario(self):
-        assert scenario_function("t2_g1", Point.of(torus(2), [0.4, 0.9])) == 1.0
+        assert SCENARIOS["t2_g1"].fn(np.array([[0.4, 0.9]])).tolist() == [1.0]
 
     def test_axis_symmetry_of_f2(self):
         # invariance under rotations about the first axis, checked in bulk
@@ -40,12 +37,6 @@ class TestScenarioFunctions:
         X = sample_points(scen.space, PointDistribution.UNIFORM_SPACE, 10_000, rng)
         rotated = sample_orbit_coords(circle3([1.0, 0.0, 0.0]), X, 1, rng)[:, 0, :]
         assert np.max(np.abs(scen.fn(X) - scen.fn(rotated))) <= 1e-12
-
-    def test_space_mismatch_rejected(self):
-        with pytest.raises(SpaceMismatchError):
-            scenario_function("so3_f1", Point.of(torus(2), [0.1, 0.1]))
-        with pytest.raises(ConfigError):
-            scenario_function("nope", Point.of(unit_ball3(), [0, 0, 0]))
 
 
 class TestGenerateData:

@@ -11,9 +11,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # demos write their outputs into the working directory
+    # demos write their outputs into the working directory; a RuntimeWarning
+    # fails the run, as it fails a test under pyproject's filterwarnings
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orbitreg import (
+    BestSymmetricPredictor,
     ConfigError,
     Dataset,
     FunctionPredictor,
@@ -9,13 +10,12 @@ from orbitreg import (
     PARENT_SO3,
     Point,
     PointDistribution,
+    SpaceMismatchError,
+    SymmetrySelection,
     bandwidth,
     build_orbit_grid,
     circle3,
     full_so3,
-    lce_predict,
-    monte_carlo_symmetrised_predict,
-    partial_symmetrised_predict,
     sample_points,
     substream,
     torus,
@@ -23,8 +23,21 @@ from orbitreg import (
     unit_ball3,
 )
 from orbitreg.groups import quat_from_axis_angle, quat_rotate
+from orbitreg.orbit_grids import orbit_coords_batch
+from orbitreg.spaces import neighbor_stats, pairwise_distance
 
 BALL = unit_ball3()
+ORIGIN = np.zeros((1, 3))
+
+
+def symmetrised(base, group, h=float("nan"), method="grid", m=None, rng=None):
+    """The base predictor symmetrised by a fixed subgroup."""
+    return BestSymmetricPredictor(base, SymmetrySelection(group, h, {}), method, m, rng)
+
+
+def at(pred, x):
+    """The prediction at one point, through a one-row batch."""
+    return pred.predict_coords(x.coords[None, :])[0]
 
 
 def ball_dataset(rng, n, fn, noise_sd=0.0):
@@ -36,25 +49,25 @@ def ball_dataset(rng, n, fn, noise_sd=0.0):
 class TestLocalConstantEstimator:
     def test_empty_ball_returns_default_zero(self):
         data = Dataset.from_pairs(BALL, [(Point.of(BALL, [0.9, 0, 0]), 5.0)])
-        assert lce_predict(data, 0.1, Point.of(BALL, [0, 0, 0])) == 0.0
+        assert LocalConstantEstimator(data, 0.1).predict_coords(ORIGIN).tolist() == [0.0]
 
     def test_single_neighbour_returns_its_value(self):
         data = Dataset.from_pairs(BALL, [([0.05, 0.0, 0.0], 2.5)])
-        assert lce_predict(data, 0.1, Point.of(BALL, [0, 0, 0])) == 2.5
+        assert LocalConstantEstimator(data, 0.1).predict_coords(ORIGIN).tolist() == [2.5]
 
     def test_two_neighbours_average(self):
         data = Dataset.from_pairs(BALL, [([0.05, 0, 0], 1.0), ([0, 0.05, 0], 2.0),
                                          ([0.9, 0, 0], 50.0)])
-        assert lce_predict(data, 0.1, Point.of(BALL, [0, 0, 0])) == 1.5
+        assert LocalConstantEstimator(data, 0.1).predict_coords(ORIGIN).tolist() == [1.5]
 
     def test_boundary_point_excluded(self):
         data = Dataset.from_pairs(BALL, [([0.25, 0.0, 0.0], 9.0)])
-        assert lce_predict(data, 0.25, Point.of(BALL, [0, 0, 0])) == 0.0
+        assert LocalConstantEstimator(data, 0.25).predict_coords(ORIGIN).tolist() == [0.0]
 
     def test_empty_dataset_predicts_default_everywhere(self):
         data = Dataset(BALL, np.zeros((0, 3)), np.zeros(0))
         est = LocalConstantEstimator(data, 0.3)
-        assert est.predict(Point.of(BALL, [0.1, 0.1, 0.1])) == 0.0
+        assert est.predict_coords([[0.1, 0.1, 0.1]]).tolist() == [0.0]
         assert np.all(est.predict_coords(np.zeros((4, 3))) == 0.0)
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.1])
@@ -62,20 +75,23 @@ class TestLocalConstantEstimator:
         data = Dataset.from_pairs(BALL, [([0.05, 0.0, 0.0], 2.5)])
         with pytest.raises(ConfigError):
             LocalConstantEstimator(data, h)
-        with pytest.raises(ConfigError):
-            lce_predict(data, h, Point.of(BALL, [0, 0, 0]))
 
     def test_strict_locality_disjoint_index_sets(self):
+        # shifting the responses in the brute-force h-ball around one point
+        # moves the prediction there by the shift and leaves the prediction
+        # 2h away bit-for-bit unchanged
         rng = substream(0, "local")
         data = ball_dataset(rng, 400, lambda X: np.linalg.norm(X, axis=1))
         h = 0.2
-        est = LocalConstantEstimator(data, h)
-        x = Point.of(BALL, [0.5, 0.0, 0.0])
-        y = Point.of(BALL, [0.5 - 2 * h, 0.0, 0.0])
-        left = set(est.neighbor_indices(x).tolist())
-        right = set(est.neighbor_indices(y).tolist())
-        assert left and right
-        assert left.isdisjoint(right)
+        queries = np.array([[0.5, 0.0, 0.0], [0.5 - 2 * h, 0.0, 0.0]])
+        before = LocalConstantEstimator(data, h).predict_coords(queries)
+        for i in (0, 1):
+            in_ball = pairwise_distance(BALL, queries[i : i + 1], data.X)[0] < h
+            assert in_ball.any()
+            shifted = Dataset(BALL, data.X, data.Y + 1000.0 * in_ball)
+            after = LocalConstantEstimator(shifted, h).predict_coords(queries)
+            assert after[i] == pytest.approx(before[i] + 1000.0, abs=1e-9)
+            assert after[1 - i] == before[1 - i]
 
     def test_noiseless_bias_bounded_by_bandwidth(self):
         # f(x) = |x| is 1-Lipschitz: averaging values within distance h of x
@@ -97,29 +113,44 @@ class TestLocalConstantEstimator:
         est = LocalConstantEstimator(data, 0.3)
         queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 50, rng)
         batch = est.predict_coords(queries)
-        single = [est.predict(Point.of(BALL, q)) for q in queries]
+        single = [est.predict_coords(q[None, :])[0] for q in queries]
         assert np.allclose(batch, single, atol=1e-12)
+
+    @pytest.mark.parametrize("space", [BALL, torus(2)], ids=str)
+    @pytest.mark.parametrize("row", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]])
+    def test_non_finite_query_row_raises(self, space, row):
+        data = Dataset(space, np.full((1, space.ambient_dim), 0.5 / space.ambient_dim), [1.0])
+        queries = np.zeros((2, space.ambient_dim))
+        queries[1, :2] = row
+        with pytest.raises(SpaceMismatchError, match="query row 1 "):
+            LocalConstantEstimator(data, 0.3).predict_coords(queries)
+
+    @pytest.mark.parametrize("space", [BALL, torus(2)], ids=str)
+    def test_query_of_the_wrong_width_raises(self, space):
+        data = Dataset(space, np.full((1, space.ambient_dim), 0.1), [1.0])
+        with pytest.raises(SpaceMismatchError, match="width"):
+            LocalConstantEstimator(data, 0.3).predict_coords(np.zeros((2, space.ambient_dim + 1)))
 
 
 def _counts(est, queries):
-    from orbitreg.spaces import neighbor_stats
-
     return neighbor_stats(est.space, queries, est.data.X, est.h, est.data.Y)
 
 
-class TestCellIndex:
+class TestTorusSeamNeighbours:
     """Neighbour search of the estimator on the torus, across its wrap seam."""
 
-    def test_index_handles_wrap_seam(self):
+    def test_estimator_averages_across_the_wrap_seam(self):
         space = torus(2)
         X = np.array([[0.98, 0.5], [0.02, 0.5], [0.5, 0.5]])
         X = np.vstack([X, substream(0, "pad").random((2000, 2))])
-        data = Dataset(space, X, np.arange(len(X), dtype=float))
-        est = LocalConstantEstimator(data, 0.06)
-        idx = est.neighbor_indices(Point.of(space, [0.999, 0.5]))
-        assert {0, 1}.issubset(set(idx.tolist()))
+        query = np.array([[0.999, 0.5]])
+        seam_pair = np.zeros(len(X))
+        seam_pair[:2] = 1.0
+        counts, in_pair = neighbor_stats(space, query, X, 0.06, seam_pair)
+        assert in_pair.tolist() == [2.0]
+        assert counts.tolist() == [int((pairwise_distance(space, query, X) < 0.06).sum())]
         seam = Dataset(space, X[:3], np.arange(3.0))
-        assert LocalConstantEstimator(seam, 0.06).neighbor_indices(Point.of(space, [0.999, 0.5])).tolist() == [0, 1]
+        assert LocalConstantEstimator(seam, 0.06).predict_coords(query).tolist() == [0.5]
 
 
 class TestBandwidth:
@@ -151,31 +182,28 @@ class TestPartialSymmetrised:
         est = LocalConstantEstimator(data, 0.3)
         x = Point.of(BALL, [0.2, 0.1, 0.0])
         grid = build_orbit_grid(x, trivial_subgroup(PARENT_SO3), est.h)
-        assert partial_symmetrised_predict(est, grid, x) == est.predict(x)
+        assert np.array_equal(grid.orbit_coords, x.coords[None, :])
+        assert at(symmetrised(est, trivial_subgroup(PARENT_SO3), est.h), x) == at(est, x)
 
     def test_constant_predictor_unchanged(self):
         const = FunctionPredictor(BALL, lambda X: np.full(X.shape[0], 3.25))
         x = Point.of(BALL, [0.4, 0.1, 0.2])
-        grid = build_orbit_grid(x, full_so3(), 0.1)
-        assert partial_symmetrised_predict(const, grid, x) == pytest.approx(3.25, abs=1e-12)
+        assert at(symmetrised(const, full_so3(), 0.1), x) == pytest.approx(3.25, abs=1e-12)
 
     def test_invariant_function_reproduced_exactly(self):
         f = FunctionPredictor(BALL, lambda X: np.cos(np.linalg.norm(X, axis=1)))
         x = Point.of(BALL, [0.3, -0.2, 0.5])
-        grid = build_orbit_grid(x, full_so3(), 0.07)
-        assert partial_symmetrised_predict(f, grid, x) == pytest.approx(
+        assert at(symmetrised(f, full_so3(), 0.07), x) == pytest.approx(
             np.cos(np.linalg.norm(x.coords)), abs=1e-12)
 
     def test_sup_norm_contraction(self):
         rng = substream(0, "contract")
         data = ball_dataset(rng, 200, lambda X: X[:, 0] * 3.0, noise_sd=0.3)
         est = LocalConstantEstimator(data, 0.25)
-        worst_sym, worst_base = 0.0, 0.0
-        for coords in sample_points(BALL, PointDistribution.UNIFORM_SPACE, 40, rng):
-            x = Point.of(BALL, coords)
-            grid = build_orbit_grid(x, full_so3(), est.h)
-            worst_sym = max(worst_sym, abs(partial_symmetrised_predict(est, grid, x)))
-            worst_base = max(worst_base, np.abs(est.predict_coords(grid.orbit_coords)).max())
+        X = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 40, rng)
+        worst_sym = np.abs(symmetrised(est, full_so3(), est.h).predict_coords(X)).max()
+        orbit_points, _ = orbit_coords_batch(BALL, full_so3(), X, est.h)
+        worst_base = np.abs(est.predict_coords(orbit_points)).max()
         assert worst_sym <= worst_base + 1e-12
 
 
@@ -189,25 +217,26 @@ class TestMonteCarloSymmetrised:
         data = ball_dataset(rng, 100, lambda X: X[:, 0])
         est = LocalConstantEstimator(data, 0.3)
         x = Point.of(BALL, [0.1, 0.2, 0.3])
-        value = monte_carlo_symmetrised_predict(est, trivial_subgroup(PARENT_SO3), 1,
-                                                substream(1), x)
-        assert value == est.predict(x)
+        value = at(symmetrised(est, trivial_subgroup(PARENT_SO3), method="monte_carlo",
+                               m=1, rng=substream(1)), x)
+        assert value == at(est, x)
 
     def test_invariant_predictor_exact_for_any_seed(self):
         f = FunctionPredictor(BALL, lambda X: np.cos(np.linalg.norm(X, axis=1)))
         x = Point.of(BALL, [0.3, 0.4, -0.1])
         expected = float(np.cos(np.linalg.norm(x.coords)))
         for seed in range(5):
-            value = monte_carlo_symmetrised_predict(f, full_so3(), 64, substream(seed), x)
+            value = at(symmetrised(f, full_so3(), method="monte_carlo", m=64,
+                                   rng=substream(seed)), x)
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_axis_aligned_symmetry_of_f2(self):
         f = FunctionPredictor(BALL, f2)
         x = Point.of(BALL, [0.2, 0.5, 0.1])
         for seed in range(3):
-            value = monte_carlo_symmetrised_predict(f, circle3([1.0, 0.0, 0.0]), 50,
-                                                    substream(seed, "inv"), x)
-            assert value == pytest.approx(f.predict(x), abs=1e-12)
+            value = at(symmetrised(f, circle3([1.0, 0.0, 0.0]), method="monte_carlo", m=50,
+                                   rng=substream(seed, "inv")), x)
+            assert value == pytest.approx(at(f, x), abs=1e-12)
 
     def test_misaligned_axis_shows_the_quadrature_gap(self):
         # dense-quadrature oracle for the orbit average about the z axis
@@ -216,11 +245,11 @@ class TestMonteCarloSymmetrised:
         angles = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
         quats = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angles)
         dense = float(f2(quat_rotate(quats, x.coords[None, :]).reshape(-1, 3)).mean())
-        gap = abs(dense - f.predict(x))
+        gap = abs(dense - at(f, x))
         assert gap > 1e-3  # generic point: a genuine orbit-average gap
-        value = monte_carlo_symmetrised_predict(f, circle3([0.0, 0.0, 1.0]), 4000,
-                                                substream(0, "gap"), x)
-        assert abs(value - f.predict(x)) > gap / 2
+        value = at(symmetrised(f, circle3([0.0, 0.0, 1.0]), method="monte_carlo", m=4000,
+                               rng=substream(0, "gap")), x)
+        assert abs(value - at(f, x)) > gap / 2
 
     def test_monte_carlo_unbiased_against_quadrature(self):
         f = FunctionPredictor(BALL, f2)
@@ -230,8 +259,8 @@ class TestMonteCarloSymmetrised:
         dense = float(f2(quat_rotate(quats, x.coords[None, :]).reshape(-1, 3)).mean())
         m, seeds = 128, 200
         values = np.array([
-            monte_carlo_symmetrised_predict(f, circle3([0.0, 0.0, 1.0]), m,
-                                            substream(s, "mcmean"), x)
+            at(symmetrised(f, circle3([0.0, 0.0, 1.0]), method="monte_carlo", m=m,
+                           rng=substream(s, "mcmean")), x)
             for s in range(seeds)
         ])
         se = values.std(ddof=1) / np.sqrt(seeds)
@@ -243,14 +272,14 @@ class TestMonteCarloSymmetrised:
         t3 = torus(3)
         f = FunctionPredictor(t3, lambda X: np.sin(2 * np.pi * X[:, 1]))
         x = Point.of(t3, [0.3, 0.2, 0.9])
-        value = monte_carlo_symmetrised_predict(f, axis_translations(3, [0, 2]), 64, substream(0), x)
-        assert value == pytest.approx(f.predict(x), abs=1e-12)
+        value = at(symmetrised(f, axis_translations(3, [0, 2]), method="monte_carlo", m=64,
+                               rng=substream(0)), x)
+        assert value == pytest.approx(at(f, x), abs=1e-12)
 
     def test_draw_count_validated(self):
         f = FunctionPredictor(BALL, f2)
         with pytest.raises(ConfigError):
-            monte_carlo_symmetrised_predict(f, full_so3(), 0, substream(0),
-                                            Point.of(BALL, [0.1, 0.0, 0.0]))
+            symmetrised(f, full_so3(), method="monte_carlo", m=0, rng=substream(0))
 
 
 class TestDatasetValidation:

@@ -9,20 +9,22 @@ from orbitreg import (
     FunctionPredictor,
     LocalConstantEstimator,
     PARENT_SO3,
-    Point,
     PointDistribution,
     SelectionInput,
+    SpaceMismatchError,
     SymmetrySelection,
-    best_symmetric_predict,
+    axis_translations,
     circle3,
     empirical_error,
     full_so3,
+    full_torus,
     global_ems,
     hausdorff_U_distance,
     local_ems,
     sample_points,
     split_dataset,
     substream,
+    torus,
     trivial_subgroup,
     unit_ball3,
 )
@@ -90,6 +92,15 @@ class TestGlobalSearch:
                                         base=FunctionPredictor(BALL, f1)))
         assert all(err <= 1e-12 for err in sel.per_group_error.values())
         assert sel.chosen.family is SubgroupFamily.FULL_SO3
+
+    def test_cover_holding_both_names_of_the_full_torus_gives_one_entry(self):
+        t2 = torus(2)
+        X = substream(3, "two-names").random((40, 2))
+        wave = FunctionPredictor(t2, lambda Z: np.sin(2 * np.pi * Z[:, 0]))
+        holdout = Dataset(t2, X, wave.predict_coords(X))
+        cover = [trivial_subgroup("torus2"), axis_translations(2, [0, 1]), full_torus(2)]
+        sel = global_ems(SelectionInput(holdout=holdout, cover=cover, base=wave))
+        assert list(sel.per_group_error) == [trivial_subgroup("torus2"), full_torus(2)]
 
     def test_no_symmetry_recovers_trivial_in_majority_of_seeds(self):
         scen = SCENARIOS["so3_f3"]
@@ -211,13 +222,11 @@ class TestSymmetrisedBiasBound:
         rng = substream(10, "prop")
         X = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 100, rng)
         picks = rng.integers(len(cover), size=100)
-        from orbitreg import build_orbit_grid, partial_symmetrised_predict
-
         for coords, pick in zip(X, picks):
             group = cover[int(pick)]
-            x = Point.of(BALL, coords)
-            grid = build_orbit_grid(x, group, 0.2)
-            gap = abs(partial_symmetrised_predict(pred, grid, x) - pred.predict(x))
+            row = coords[None, :]
+            sym = BestSymmetricPredictor(pred, SymmetrySelection(group, 0.2, {}), "grid")
+            gap = abs(sym.predict_coords(row)[0] - pred.predict_coords(row)[0])
             assert gap <= distances[group] + 2 * eps + 1e-9
 
 
@@ -230,8 +239,8 @@ class TestBestSymmetricPredictor:
         sel = global_ems(SelectionInput(holdout=holdout,
                                         cover=[trivial_subgroup(PARENT_SO3)], fit_data=fit))
         base = LocalConstantEstimator(fit, sel.chosen_bandwidth)
-        x = Point.of(BALL, [0.2, 0.1, 0.3])
-        assert best_symmetric_predict(base, sel, x) == base.predict(x)
+        x = np.array([[0.2, 0.1, 0.3]])
+        assert BestSymmetricPredictor(base, sel).predict_coords(x)[0] == base.predict_coords(x)[0]
 
     def test_full_rotation_selection_on_exact_invariant(self):
         holdout = noiseless_holdout(f1, 40, 12)
@@ -240,10 +249,10 @@ class TestBestSymmetricPredictor:
                                         cover=[trivial_subgroup(PARENT_SO3), full_so3()],
                                         base=base))
         assert sel.chosen.family is SubgroupFamily.FULL_SO3
-        x = Point.of(BALL, [0.5, -0.2, 0.1])
-        mc = best_symmetric_predict(base, sel, x, method="monte_carlo", mc_draws=100,
-                                    rng=substream(12))
-        assert mc == pytest.approx(f1(x.coords[None, :])[0], abs=1e-12)
+        x = np.array([[0.5, -0.2, 0.1]])
+        mc = BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=100,
+                                    rng=substream(12)).predict_coords(x)[0]
+        assert mc == pytest.approx(f1(x)[0], abs=1e-12)
 
     def test_batched_predictor_matches_pointwise(self):
         scen = SCENARIOS["so3_f2"]
@@ -255,8 +264,8 @@ class TestBestSymmetricPredictor:
         queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 20, substream(13, "q"))
         batch = predictor.predict_coords(queries)
         for i in range(20):
-            x = Point.of(BALL, queries[i])
-            assert batch[i] == pytest.approx(best_symmetric_predict(base, sel, x), abs=1e-12)
+            single = predictor.predict_coords(queries[i][None, :])[0]
+            assert batch[i] == pytest.approx(single, abs=1e-12)
 
     def test_monte_carlo_needs_rng(self):
         base = FunctionPredictor(BALL, f1)
@@ -271,6 +280,23 @@ class TestBestSymmetricPredictor:
         sel = SymmetrySelection(full_so3(), 0.3, {})
         with pytest.raises(ConfigError):
             BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=0, rng=substream(0))
+
+    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    @pytest.mark.parametrize("row", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.1, 0.2, -np.inf]])
+    def test_non_finite_query_row_raises(self, method, row):
+        base = LocalConstantEstimator(noiseless_holdout(f1, 50, 15), 0.3)
+        sel = SymmetrySelection(full_so3(), 0.3, {})
+        predictor = BestSymmetricPredictor(base, sel, method, 10, substream(15))
+        with pytest.raises(SpaceMismatchError, match="query row 1 "):
+            predictor.predict_coords(np.array([[0.1, 0.2, 0.3], row]))
+
+    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    def test_query_of_the_wrong_width_raises(self, method):
+        base = LocalConstantEstimator(noiseless_holdout(f1, 50, 16), 0.3)
+        sel = SymmetrySelection(circle3([1.0, 0.0, 0.0]), 0.3, {})
+        predictor = BestSymmetricPredictor(base, sel, method, 10, substream(16))
+        with pytest.raises(SpaceMismatchError, match="width"):
+            predictor.predict_coords(np.zeros((2, 2)))
 
 
 class TestSplitDataset:

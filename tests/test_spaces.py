@@ -12,7 +12,7 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
-from orbitreg.spaces import neighbor_mask, neighbor_stats, pairwise_distance
+from orbitreg.spaces import neighbor_stats, pairwise_distance
 
 ALL_SPACES = [unit_ball3(), unit_sphere2(), torus(2), torus(3)]
 
@@ -111,13 +111,36 @@ class TestSamplers:
             sample_points(torus(2), PointDistribution.GAUSSIAN3, 10, substream(0))
 
 
+def stats_membership(space, queries, data, h):
+    """Membership matrix read back from ``neighbor_stats``: the values are
+    distinct powers of two, so each query's sum names its members."""
+    values = 2.0 ** np.arange(len(data))
+    counts, sums = neighbor_stats(space, queries, data, h, values)
+    members = (sums.astype(np.int64)[:, None] >> np.arange(len(data))) & 1 == 1
+    assert counts.tolist() == members.sum(axis=1).tolist()
+    return members.tolist()
+
+
+def brute_membership(space, queries, data, h):
+    return (pairwise_distance(space, queries, data) < h).tolist()
+
+
 class TestNeighborQueries:
     def test_strict_inequality_at_the_boundary(self):
         space = unit_ball3()
         queries = np.array([[0.0, 0.0, 0.0]])
         data = np.array([[0.25, 0.0, 0.0], [0.2499, 0.0, 0.0]])
-        mask = neighbor_mask(space, queries, data, h=0.25)
-        assert mask.tolist() == [[False, True]]
+        assert stats_membership(space, queries, data, 0.25) == [[False, True]]
+        assert brute_membership(space, queries, data, 0.25) == [[False, True]]
+
+    def test_torus_seam_at_exactly_h_is_out(self):
+        # dyadic coordinates: the wrapped distance from 0.125 to 0.875 is
+        # exactly 0.25 = h, so that point is outside the open ball
+        queries = np.array([[0.125, 0.5], [0.875, 0.5]])
+        data = np.array([[0.875, 0.5], [0.125, 0.5], [0.880, 0.5]])
+        expected = [[False, True, True], [True, False, True]]
+        assert stats_membership(torus(2), queries, data, 0.25) == expected
+        assert brute_membership(torus(2), queries, data, 0.25) == expected
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
     def test_stats_match_brute_force(self, space):
@@ -138,5 +161,13 @@ class TestNeighborQueries:
         # chord 2 sin(0.4/2) < 0.4 but the geodesic distance is exactly 0.4
         data = np.array([[np.cos(0.4), np.sin(0.4), 0.0],
                          [np.cos(0.39), np.sin(0.39), 0.0]])
-        mask = neighbor_mask(sphere, q, data, h=0.4)
-        assert mask.tolist() == [[False, True]]
+        assert stats_membership(sphere, q, data, 0.4) == [[False, True]]
+        # the arcsin form of the brute-force distance rounds the first point
+        # to 1 ulp below 0.4, so it cannot judge that probe; these two
+        # boundaries are exact in both forms
+        right_angle = np.array([[0.0, 1.0, 0.0], [np.cos(1.5), np.sin(1.5), 0.0]])
+        assert stats_membership(sphere, q, right_angle, np.pi / 2) == [[False, True]]
+        assert brute_membership(sphere, q, right_angle, np.pi / 2) == [[False, True]]
+        antipode = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert stats_membership(sphere, q, antipode, np.pi) == [[False, True]]
+        assert brute_membership(sphere, q, antipode, np.pi) == [[False, True]]

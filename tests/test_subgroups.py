@@ -68,6 +68,11 @@ class TestCanonicalForms:
     def test_circle_axes_identify_antipodes(self):
         assert circle3([0, 0, 1]) == circle3([0, 0, -1])
 
+    def test_the_full_mask_is_the_full_torus(self):
+        assert axis_translations(2, [0, 1]) == full_torus(2)
+        assert axis_translations(3, [2, 0, 1, 0]) == full_torus(3)
+        assert axis_translations(3, [0, 2]) != full_torus(3)
+
     @pytest.mark.parametrize("axis", [[float("nan"), 0.0, 0.0], [1.0, float("nan"), 0.0],
                                       [float("inf"), 0.0, 0.0], [0.6, 0.0, 0.0]])
     def test_circle_axis_must_be_a_finite_unit_vector(self, axis):
