@@ -249,10 +249,14 @@ def cover_for(cfg: ScenarioConfig, n: int) -> list[ClosedSubgroup]:
     return delta_cover(scenario.parent, scenario.space, delta)
 
 
-def run_trial(cfg: ScenarioConfig, cover: list[ClosedSubgroup], n: int,
-              trial: int) -> list[RiskRow]:
-    """All risk rows of one (sample size, trial) cell; pure given its inputs."""
-    scenario = SCENARIOS[cfg.scenario]
+def run_trial(cfg: ScenarioConfig, scenario: Scenario, cover: list[ClosedSubgroup],
+              n: int, trial: int) -> list[RiskRow]:
+    """All risk rows of one (sample size, trial) cell; pure given its inputs.
+
+    ``scenario`` is ``cfg``'s catalog entry, passed by value so a worker
+    process needs no catalog of its own: under the ``spawn`` start method a
+    scenario registered at run time exists only in the parent.
+    """
     d = scenario.space.intrinsic_dim
     rng_fit = substream(cfg.seed, cfg.scenario, n, trial, "fit")
     rng_sel = substream(cfg.seed, cfg.scenario, n, trial, "selection")
@@ -293,11 +297,12 @@ def _run_trial_star(args) -> list[RiskRow]:
 
 def run_experiment(cfg: ScenarioConfig) -> RiskReport:
     """Full sweep over the sample-size grid; deterministic in (config, seed)."""
+    scenario = SCENARIOS[cfg.scenario]
     tasks = []
     for n in cfg.n_grid:
         cover = cover_for(cfg, n)
         for trial in range(cfg.trials):
-            tasks.append((cfg, cover, n, trial))
+            tasks.append((cfg, scenario, cover, n, trial))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_trial_star, tasks, chunksize=1))

@@ -9,10 +9,20 @@ Three compact covariate spaces are supported:
 Each space carries a membership predicate, an intrinsic distance (Euclidean
 on the ball, great-circle on the sphere, wrap-around Euclidean on the
 torus, read through its unit ``period``), and a uniform sampler.
+
+:func:`neighbor_stats` is the one neighbour search: per query, the count of
+and the value sum over the data strictly within distance h.  It bins
+queries and data into a uniform grid of cells at least as wide as the
+reach and scores each query only against the data in the 3^d cells around
+its own cell (``[-1, 1]^3`` with clipped indices on the ball and sphere,
+``[0, 1)^d`` with wrapped indices on the torus).  A small cost model picks
+the cells per axis; one cell is the dense all-pairs kernel, taken when
+binning would not pay, for instance on at most ``_QUERY_COST`` data points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -148,10 +158,25 @@ def flat_distance_matrix(a: np.ndarray, b: np.ndarray, period=None) -> np.ndarra
     """Euclidean distances between the rows of ``a`` and ``b``, wrapped
     around each axis of the given period (the torus metric)."""
     # direct difference form: no cancellation, exact zeros for equal points
-    diff = np.abs(a[:, None, :] - b[None, :, :])
+    diff = a[:, None, :] - b[None, :, :]
     if period is not None:
-        diff = np.minimum(diff, period - diff)
+        # the nearest period multiple, so any finite difference wraps
+        diff -= period * np.rint(diff / period)
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+# The neighbour grid.  Costs are in dense pair scores (2.2 ns each on the
+# ball, measured on a 2-core x86-64 host with OpenBLAS).  Binning, sorting
+# and gathering one query took 81 ns there, and one occupied cell's block
+# 15-20 us of fixed work; the constants round these up.
+_MAX_CELLS = 12 ** 3   # grid cells at most (12 per axis in three dimensions); fits int16
+_QUERY_COST = 55       # binning, sorting and gathering one query
+_CELL_COST = 8_000     # setting up the block of one occupied cell
+_CELL_SLACK = 1e-6     # relative margin of the cell side over the reach, for rounding
+_TORUS_BINNABLE = 2.0 ** 20  # torus coordinates beyond this are scored densely
+# volume of the ball, area of the sphere, volume of the torus
+_MEASURE = {SpaceKind.UNIT_BALL3: 4.0 * math.pi / 3.0, SpaceKind.UNIT_SPHERE2: 4.0 * math.pi,
+            SpaceKind.TORUS: 1.0}
 
 
 def _ball_score(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
@@ -171,8 +196,10 @@ def _ball_score(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         return score
     sq = np.zeros((queries.shape[0], data.shape[0]))
     for j in range(data.shape[1]):
-        diff = np.abs(np.subtract.outer(queries[:, j], data[:, j]))
-        np.minimum(diff, 1.0 - diff, out=diff)
+        diff = np.subtract.outer(queries[:, j], data[:, j])
+        # |d - rint(d)| wraps any finite difference; it equals
+        # min(|d|, 1 - |d|) bit for bit when |d| < 1 (Sterbenz)
+        diff -= np.rint(diff)
         diff *= diff
         sq += diff
     return h * h - sq
@@ -182,29 +209,147 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
                    h: float, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-query count of, and value sum over, data in the open h-ball.
 
-    Chunked over query rows so the transient score matrix stays within
-    ``CHUNK_ELEMENTS`` entries; the indicator is formed in place (heaviside
-    of the score) and both the count and the value sum come out of a single
-    matrix product.
+    Queries and data are binned into a uniform grid of ``m`` cells per
+    axis, each at least as wide as the reach (``h``, or the chord on the
+    sphere), and each query is scored only against the data in the 3^d
+    cells around its own.  ``m = 1`` is the dense kernel: every query
+    against all data, in the caller's order.  It is taken when binning
+    would not pay (see :func:`_cells_per_axis`), for example whenever
+    there are at most ``_QUERY_COST`` data points.  Each block is chunked
+    over query rows so the transient score matrix stays within
+    ``CHUNK_ELEMENTS`` entries; the indicator is formed in place
+    (heaviside of the score) and both the count and the value sum come
+    out of a single matrix product.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    q = queries.shape[0]
-    counts = np.zeros(q, dtype=np.int64)
-    sums = np.zeros(q, dtype=np.float64)
-    if data.shape[0] == 0:
+    counts = np.zeros(queries.shape[0], dtype=np.int64)
+    sums = np.zeros(queries.shape[0], dtype=np.float64)
+    if data.shape[0] == 0 or queries.shape[0] == 0:
         return counts, sums
     stacked = np.column_stack([np.asarray(values, dtype=np.float64),
                                np.ones(data.shape[0])])
+    m = _cells_per_axis(space, queries, data.shape[0], h)
+    if m == 1:
+        _block_stats(space, queries, data, h, stacked, counts, sums)
+        return counts, sums
+    qids = _cell_ids(space, queries, m)
+    order = np.argsort(qids, kind="stable")
+    qcount = np.bincount(qids, minlength=m ** space.ambient_dim)
+    occupied = np.flatnonzero(qcount)
+    qend = np.cumsum(qcount[occupied])
+    qstart = qend - qcount[occupied]
+    cand, offsets = _candidates(space, data, m, occupied)
+    sorted_queries = queries[order]
+    cell_counts = np.zeros_like(counts)
+    cell_sums = np.zeros_like(sums)
+    for k in range(occupied.size):
+        block = cand[offsets[k] : offsets[k + 1]]
+        if block.size:
+            a, b = qstart[k], qend[k]
+            _block_stats(space, sorted_queries[a:b], data[block], h, stacked[block],
+                         cell_counts[a:b], cell_sums[a:b])
+    counts[order] = cell_counts
+    sums[order] = cell_sums
+    return counts, sums
+
+
+def _block_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray, h: float,
+                 stacked: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
+    """Counts and value sums of one query block against one data block,
+    written into ``counts`` and ``sums``."""
     rows = max(1, CHUNK_ELEMENTS // data.shape[0])
-    for start in range(0, q, rows):
+    for start in range(0, queries.shape[0], rows):
         score = _ball_score(space, queries[start : start + rows], data, h)
         # overwrite the score with the 0/1 indicator in place
         np.greater(score, 0.0, out=score, casting="unsafe")
         agg = score @ stacked
         sums[start : start + rows] = agg[:, 0]
         counts[start : start + rows] = np.rint(agg[:, 1]).astype(np.int64)
-    return counts, sums
+
+
+def _cells_per_axis(space: CovariateSpace, queries: np.ndarray, n: int, h: float) -> int:
+    """Cells per axis of the neighbour grid; 1 when binning does not pay.
+
+    Costs are counted in dense pair scores per query.  The dense kernel
+    scores all ``n`` data points.  A grid of ``m`` cells scores the data in
+    the 3^k block around the query's cell (the block's share of the space's
+    measure, k its intrinsic dimension), plus ``_QUERY_COST`` to bin, sort
+    and gather the query and ``_CELL_COST`` per occupied cell, shared by
+    the queries.  The cheapest ``m`` wins.
+    """
+    if n <= _QUERY_COST:
+        return 1
+    q, d = queries.shape
+    if space.kind is SpaceKind.TORUS:
+        # far off [0, 1) a query keeps too few fraction bits to bin
+        if np.abs(queries).max() >= _TORUS_BINNABLE:
+            return 1
+        span, reach = 1.0, abs(h)
+    elif space.kind is SpaceKind.UNIT_BALL3:
+        span, reach = 2.0, abs(h)
+    else:
+        # q.x > cos h with |x| = 1 bounds |q - x|^2 by |q|^2 + 1 - 2 cos h,
+        # the squared chord 4 sin^2(h/2) for a query on the sphere; past pi
+        # every point is a neighbour
+        span, reach = 2.0, math.inf
+        if h <= math.pi:
+            reach = math.sqrt(float(np.einsum("ij,ij->i", queries, queries).max())
+                              + 1.0 - 2.0 * math.cos(h))
+    k = space.intrinsic_dim
+    top = int(_MAX_CELLS ** (1.0 / d) + 1e-9)
+    if reach * (1.0 + _CELL_SLACK) * top > span:
+        top = int(span / (reach * (1.0 + _CELL_SLACK)))
+    best, best_cost = 1, float(n)
+    # below 3 cells per axis every cell neighbours every other one (and on
+    # the torus a 2-cell axis would list one neighbour twice)
+    for m in range(3, top + 1):
+        cells = _MEASURE[space.kind] * (m / span) ** k
+        cost = n * min(1.0, 3 ** k / cells) + _QUERY_COST + _CELL_COST * min(q, cells) / q
+        if cost < best_cost:
+            best, best_cost = m, cost
+    return best
+
+
+def _cell_ids(space: CovariateSpace, coords: np.ndarray, m: int) -> np.ndarray:
+    """Row-major grid cell of each row: indices clipped to ``[-1, 1]^3``
+    on the ball and sphere, taken mod ``m`` on the torus.  The ids are
+    int16, for which numpy's stable sort is a radix sort."""
+    if space.kind is SpaceKind.TORUS:
+        axis = np.floor(coords * float(m)) % m
+    else:
+        axis = np.clip(np.floor((coords + 1.0) * (m / 2.0)), 0, m - 1)
+    weights = float(m) ** np.arange(coords.shape[1] - 1, -1, -1)
+    return (axis @ weights).astype(np.int16)
+
+
+def _candidates(space: CovariateSpace, data: np.ndarray, m: int,
+                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Data rows in the 3^d block around each of ``cells``, concatenated,
+    and the offsets of each cell's run."""
+    d = space.ambient_dim
+    dids = _cell_ids(space, data, m)
+    dorder = np.argsort(dids, kind="stable")
+    dcount = np.bincount(dids, minlength=m ** d)
+    dstart = np.cumsum(dcount) - dcount
+    axes = np.stack(np.unravel_index(cells, (m,) * d), axis=1)
+    shifts = np.stack(np.meshgrid(*[[-1, 0, 1]] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    around = axes[:, None, :] + shifts[None, :, :]
+    if space.kind is SpaceKind.TORUS:
+        around %= m
+        valid = np.ones(around.shape[:2], dtype=bool)
+    else:
+        valid = np.all((around >= 0) & (around < m), axis=2)
+        np.clip(around, 0, m - 1, out=around)
+    neighbours = np.ravel_multi_index(tuple(np.moveaxis(around, -1, 0)), (m,) * d)
+    lengths = np.where(valid, dcount[neighbours], 0).ravel()
+    starts = dstart[neighbours].ravel()
+    total = int(lengths.sum())
+    # concatenated ranges [starts[i], starts[i] + lengths[i])
+    run_start = np.cumsum(lengths) - lengths
+    flat = np.arange(total) - np.repeat(run_start - starts, lengths)
+    offsets = np.concatenate([[0], np.cumsum(lengths.reshape(len(cells), -1).sum(axis=1))])
+    return dorder[flat], offsets
 
 
 def sample_points(space: CovariateSpace, distribution: PointDistribution, n: int,

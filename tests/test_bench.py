@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,36 @@ from orbitreg.spaces import PointDistribution, sample_points
 from orbitreg.subgroups import circle3, sample_orbit_coords
 
 TINY = dict(n_grid=(24, 30), trials=2, eval_points=40, seed=5)
+ROOT = Path(__file__).resolve().parents[1]
+
+# Registers a module-level scenario function, then prints the risk rows of a
+# serial run and of a two-worker run under the start method in argv[1].
+CUSTOM_SCENARIO_SCRIPT = """
+import multiprocessing
+import sys
+
+import numpy as np
+
+from orbitreg import PARENT_SO3, ScenarioConfig, run_experiment, unit_ball3
+from orbitreg.bench import register_scenario
+
+
+def custom_ball(X):
+    return np.linalg.norm(X, axis=1) ** 2
+
+
+def rows(workers):
+    cfg = ScenarioConfig(scenario="custom_ball", n_grid=(24, 30), trials=2,
+                         eval_points=40, seed=5, workers=workers)
+    return " ".join(f"{r.n},{r.trial},{r.estimator},{r.risk.hex()}"
+                    for r in run_experiment(cfg).rows)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    register_scenario("custom_ball", unit_ball3(), PARENT_SO3, custom_ball)
+    print(rows(1), rows(2), sep="|", end="")
+"""
 
 
 class TestScenarioFunctions:
@@ -233,6 +268,22 @@ class TestCustomScenario:
             assert len(rep.rows) == 2
         finally:
             SCENARIOS.pop(sid, None)
+
+    @pytest.mark.parametrize("method", ["spawn", "fork"])
+    def test_registered_scenario_runs_in_worker_processes(self, method, tmp_path):
+        # a spawned worker imports orbitreg afresh, so its catalog lacks a
+        # scenario registered in the parent; the rows must not depend on it
+        script = tmp_path / "custom.py"
+        script.write_text(CUSTOM_SCENARIO_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, str(script), method], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        serial, pooled = result.stdout.split("|")
+        assert pooled == serial
+        assert len(serial.split()) == 8
 
     def test_duplicate_and_unsupported_parent_rejected(self):
         from orbitreg.bench import register_scenario

@@ -152,6 +152,18 @@ class TestTorusSeamNeighbours:
         seam = Dataset(space, X[:3], np.arange(3.0))
         assert LocalConstantEstimator(seam, 0.06).predict_coords(query).tolist() == [0.5]
 
+    def test_off_range_queries_wrap(self):
+        # a torus query off [0, 1) is read modulo 1
+        X = [[0.2, 0.5], [0.21, 0.5], [0.99, 0.5], [0.01, 0.5]]
+        est = LocalConstantEstimator(Dataset(torus(2), X, [1.0, 3.0, 4.0, 6.0]), 0.05)
+        queries = [[x1, 0.5] for x1 in (0.2, 1.2, -0.8, 3.2)]
+        seam = np.mod(-1e-17, 1.0)
+        assert seam == 1.0
+        queries += [[seam, 0.5], [0.0, 0.5]]
+        assert est.predict_coords(queries).tolist() == [2.0] * 4 + [5.0] * 2
+        brute = (pairwise_distance(torus(2), queries, X) < 0.05).sum(axis=1)
+        assert brute.tolist() == _counts(est, np.array(queries))[0].tolist() == [2] * 6
+
 
 class TestBandwidth:
     def test_substitution_examples(self):

@@ -1,5 +1,10 @@
+import contextlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 from orbitreg import (
     Point,
@@ -12,7 +17,8 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
-from orbitreg.spaces import neighbor_stats, pairwise_distance
+from orbitreg import spaces
+from orbitreg.spaces import SpaceKind, neighbor_stats, pairwise_distance
 
 ALL_SPACES = [unit_ball3(), unit_sphere2(), torus(2), torus(3)]
 
@@ -171,3 +177,82 @@ class TestNeighborQueries:
         antipode = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert stats_membership(sphere, q, antipode, np.pi) == [[False, True]]
         assert brute_membership(sphere, q, antipode, np.pi) == [[False, True]]
+
+
+def _dyadic_probes(space, rng, k):
+    """``k`` points on the 1/16 lattice, where squared distances are exact."""
+    if space.kind is SpaceKind.TORUS:
+        return rng.integers(0, 16, (k, space.ambient_dim)) / 16.0
+    pts = rng.integers(-16, 17, (4 * k, 3)) / 16.0
+    return pts[np.einsum("ij,ij->i", pts, pts) <= 1.0][:k]
+
+
+def _queries(space, rng, count, spread):
+    """Queries of the space, with the ball's scaled up to ``spread`` (so some
+    lie outside it) and the torus's shifted by whole periods off [0, 1)."""
+    pts = sample_points(space, PointDistribution.UNIFORM_SPACE, count, rng)
+    if space.kind is SpaceKind.UNIT_BALL3:
+        return pts * spread
+    if space.kind is SpaceKind.TORUS:
+        pts = pts + rng.integers(-3, 4, pts.shape) * (rng.random(pts.shape) < 0.3)
+        # a query exactly on the seam: the wrap of a tiny negative coordinate
+        pts[0, 0] = np.mod(-1e-17, 1.0)
+    return pts
+
+
+class TestNeighborStatsProperty:
+    """Differential property test of the neighbour kernel against brute force.
+
+    ``cells`` zeroes the binning costs, so the kernel takes the finest grid
+    its reach allows even on small inputs; otherwise the cost model picks,
+    which on these sizes is mostly the dense ``m = 1``.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=st.sampled_from(ALL_SPACES), n=st.integers(0, 1500),
+           h=st.one_of(st.floats(0.02, 1.2), st.sampled_from([0.125, 0.25, 0.5])),
+           cells=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_counts_exact_and_sums_close(self, space, n, h, cells, seed):
+        rng = np.random.default_rng(seed)
+        sphere = space.kind is SpaceKind.UNIT_SPHERE2
+        probes = 0 if sphere else n // 10
+        data = np.vstack([sample_points(space, PointDistribution.UNIFORM_SPACE, n - probes, rng),
+                          _dyadic_probes(space, rng, probes)])
+        queries = np.vstack([_queries(space, rng, 150, 1.6),
+                             _dyadic_probes(space, rng, 0 if sphere else 50)])
+        values = rng.normal(size=len(data))
+        binning = (mock.patch.multiple(spaces, _QUERY_COST=0, _CELL_COST=0) if cells
+                   else contextlib.nullcontext())
+        with binning:
+            note(f"cells per axis: {spaces._cells_per_axis(space, queries, len(data), h)}")
+            counts, sums = neighbor_stats(space, queries, data, h, values)
+        dist = pairwise_distance(space, queries, data)
+        # the arcsin form of the sphere's brute-force distance may round an
+        # exact-h pair 1 ulp low, so pairs that close to h are not judged
+        tol = 1e-12 if sphere else 0.0
+        inside, unsure = dist < h - tol, np.abs(dist - h) <= tol
+        assert np.all(counts >= inside.sum(axis=1))
+        assert np.all(counts <= (inside | unsure).sum(axis=1))
+        for i in np.flatnonzero(~unsure.any(axis=1)):
+            member = values[inside[i]]
+            assert counts[i] == member.size
+            assert abs(sums[i] - math.fsum(member)) <= 1e-12 * np.abs(member).sum()
+
+    def test_far_off_torus_queries_match_brute_force(self):
+        # 2^53 - x rounds away x's fraction, so the float distance is not
+        # the distance to 2^53 mod 1 = 0 that a grid cell would be read from
+        data = substream(4, "far").random((2000, 2))
+        queries = np.array([[2.0**53, 0.5], [2.0**40 + 0.3, 0.5], [-2.0**45, 0.2], [0.3, 0.5]])
+        with mock.patch.multiple(spaces, _QUERY_COST=0, _CELL_COST=0):
+            counts, _ = neighbor_stats(torus(2), queries, data, 0.1, np.ones(2000))
+        brute = (pairwise_distance(torus(2), queries, data) < 0.1).sum(axis=1)
+        assert counts.tolist() == brute.tolist()
+
+    @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
+    def test_cost_model_bins_many_queries_against_much_data(self, space):
+        # the property test reaches the grid mostly through zeroed costs;
+        # at benchmark sizes the real cost model bins too
+        queries = sample_points(space, PointDistribution.UNIFORM_SPACE, 400_000, substream(2))
+        assert spaces._cells_per_axis(space, queries, 1000, 0.15) > 1
+        assert spaces._cells_per_axis(space, queries[:200], 1000, 0.15) == 1
+        assert spaces._cells_per_axis(space, queries, 50, 0.15) == 1
