@@ -229,11 +229,11 @@ def estimate_risk(pred: Predictor, truth_fn: Callable[[np.ndarray], np.ndarray],
 
 
 # Cover scales for the reproduction runs.  The rotation catalog tolerates a
-# coarse axis grid (axis mismatch enters the risk only quadratically through
-# the orbit average), and a coarse grid keeps the argmin from overfitting the
-# holdout noise across hundreds of near-duplicate candidates.  The torus
-# scale must stay at or below 1/sqrt(2) so the diagonal lines survive the
-# length cutoff.
+# coarse axis cover (axis mismatch enters the risk only quadratically through
+# the orbit average), and a coarse cover, 34 axis circles at delta = 1,
+# keeps the argmin from overfitting the holdout noise across many
+# near-duplicate candidates.  The torus scale must stay at or below
+# 1/sqrt(2) so the diagonal lines survive the length cutoff.
 _BENCH_DELTA = {PARENT_SO3: 1.0, parent_torus(2): 0.5}
 
 

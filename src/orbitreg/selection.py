@@ -35,6 +35,11 @@ from .subgroups import (
 )
 
 _TIE_TOL = 1e-12
+# orbit points scored per prediction pass of the search (48 MB per copy at
+# three coordinates).  It lies above the largest bandwidth class of every
+# benchmark workload (about 0.8 million points, the shrinking-delta cover at
+# n = 50), so those classes are never split and their numbers do not move.
+CHUNK_ROWS = 2_000_000
 _FALLBACK_ERROR = 1.0  # every candidate's error when the region holds no holdout point
 
 
@@ -132,19 +137,38 @@ def _orbit_means(preds: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: float,
                           X: np.ndarray, Y: np.ndarray) -> dict[ClosedSubgroup, float]:
-    """Errors for all candidates sharing one bandwidth, via one prediction pass.
+    """Errors for all candidates sharing one bandwidth, one prediction pass
+    per chunk.
 
     With the ``grid`` symmetriser each candidate is scored through its orbit
     grid (the deterministic packing construction); with ``uniform`` it is
     scored through fixed quadrature nodes approximating the full orbit
-    average, matching a Monte-Carlo final prediction.
+    average, matching a Monte-Carlo final prediction.  Candidates are
+    scored in consecutive chunks whose orbit points stay within
+    ``CHUNK_ROWS`` rows; a candidate with more points forms a chunk alone.
     """
     base = _candidate_base(inp, h)
-    blocks = [_orbit_points(inp.symmetriser, inp.holdout.space, g, X, h) for g in groups]
-    preds = base.predict_coords(np.vstack([coords for coords, _ in blocks]))
-    sym = _orbit_means(preds, np.concatenate([counts for _, counts in blocks]))
-    residual = sym.reshape(len(groups), -1) - Y
-    return dict(zip(groups, np.mean(residual * residual, axis=1).tolist()))
+    errors: dict[ClosedSubgroup, float] = {}
+    chunk: list[tuple[ClosedSubgroup, tuple[np.ndarray, np.ndarray]]] = []
+    rows = 0
+    for group in groups:
+        block = _orbit_points(inp.symmetriser, inp.holdout.space, group, X, h)
+        if chunk and rows + len(block[0]) > CHUNK_ROWS:
+            errors.update(_chunk_errors(base, chunk, Y))
+            chunk, rows = [], 0
+        chunk.append((group, block))
+        rows += len(block[0])
+    errors.update(_chunk_errors(base, chunk, Y))
+    return errors
+
+
+def _chunk_errors(base: Predictor, chunk: list, Y: np.ndarray) -> dict[ClosedSubgroup, float]:
+    """Holdout errors of the candidates in ``chunk``, given as
+    ``(group, (coords, counts))`` pairs, through one prediction pass."""
+    preds = base.predict_coords(np.vstack([coords for _, (coords, _) in chunk]))
+    sym = _orbit_means(preds, np.concatenate([counts for _, (_, counts) in chunk]))
+    residual = sym.reshape(len(chunk), -1) - Y
+    return dict(zip([group for group, _ in chunk], np.mean(residual * residual, axis=1).tolist()))
 
 
 def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgroup:

@@ -120,7 +120,12 @@ def query_rows(space: CovariateSpace, coords) -> np.ndarray:
     """``coords`` as a 2-D float array of query rows for ``space``.
 
     Raises :class:`SpaceMismatchError` naming the first row that has the
-    wrong width or a NaN or infinite entry.  Membership is not checked.
+    wrong width or a NaN or infinite entry, or, on the sphere, whose norm
+    is off 1 by more than the membership tolerance: the neighbour kernel
+    thresholds ``q.x > cos h``, which is the geodesic ball only for ``q``
+    on the sphere.  Ball and torus membership is not checked (a ball query
+    outside the ball and a torus query off [0, 1) have well-defined
+    neighbours).
     """
     rows = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     if rows.ndim != 2 or rows.shape[1] != space.ambient_dim:
@@ -129,6 +134,12 @@ def query_rows(space: CovariateSpace, coords) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise SpaceMismatchError(f"query row {bad[0]} ({rows[bad[0]]}) is not finite")
+    if space.kind is SpaceKind.UNIT_SPHERE2:
+        bad = np.flatnonzero(~space.contains_rows(rows))
+        if bad.size:
+            raise SpaceMismatchError(f"query row {bad[0]} ({rows[bad[0]]}) has norm "
+                                     f"{float(np.linalg.norm(rows[bad[0]]))!r}, not 1: "
+                                     f"it does not lie on {space}")
     return rows
 
 

@@ -593,8 +593,16 @@ def _so3_net(eps: float) -> np.ndarray:
 def sphere_net(r: float) -> np.ndarray:
     """Deterministic net of the unit 2-sphere with angular radius <= r.
 
-    Latitude bands of height r*sqrt(2) with longitude spacing widened by
-    1/sin(theta); the diagonal-path bound gives a covering radius of r.
+    The sphere is cut into latitude bands of height at most r*sqrt(2).
+    Each band gets equally spaced points on its middle parallel, at a
+    longitude spacing of at most r*sqrt(2) / S, where S is the largest
+    sin(theta) in the band; the two poles are added.  A point of a band is
+    at most r/sqrt(2) in latitude and r/sqrt(2) / S in longitude from its
+    nearest band point, and the straight path between them in
+    (theta, phi) has length at most sqrt((r/sqrt(2))^2 + (S r/sqrt(2) / S)^2)
+    = r, so every point lies within angle r of the net.  Band point counts
+    follow the area element sin(theta), so the net stays near-uniform
+    instead of crowding the poles.
     """
     r = min(max(r, 1e-9), np.pi)
     s_theta = r * np.sqrt(2.0)
@@ -656,42 +664,34 @@ def delta_cover(parent: str, space: CovariateSpace, delta: float) -> list[Closed
     some returned subgroup in the Hausdorff metric.  The cover always
     contains the trivial group and the full parent group, so each orbit
     dimension stratum is represented.
+
+    On ``so3`` the circles are the rotations about the axes of
+    ``sphere_net(delta / 2)``.  Circles whose axes are psi apart lie within
+    Hausdorff distance 2 psi, and the net has a point within delta / 2 of
+    every unit vector, so every circle is within delta of a cover circle.
+    The axes u and -u name the same circle, so each net point is put in
+    canonical sign and an antipodal pair of net points is kept once.  On
+    ``torus2`` the lines are those of :func:`_torus_line_grid`.
     """
     if not 0.0 < delta < math.inf:
         raise ConfigError("delta must be finite and positive")
     parent_group(parent).check_acts_on(space)
     if parent == PARENT_SO3:
-        return [trivial_subgroup(parent)] + _circle_axis_grid(delta) + [full_so3()]
+        return [trivial_subgroup(parent)] + _circle_axis_cover(delta) + [full_so3()]
     if parent == parent_torus(2):
         return [trivial_subgroup(parent)] + _torus_line_grid(delta) + [full_torus(2)]
     raise ConfigError(f"no cover construction for parent group {parent!r}")
 
 
-def _circle_axis_grid(delta: float) -> list[ClosedSubgroup]:
-    """Axes from a spherical-coordinate grid of step delta/pi.
-
-    Two circles with axes at angle psi are at Hausdorff distance at most
-    2 * psi, so an axis grid of angular resolution delta/2 suffices; the
-    delta/pi step is finer than that everywhere on the sphere.
-    """
-    step = delta / np.pi
-    thetas = np.arange(0.0, np.pi + 1e-12, step)
-    phi_count = max(int(np.ceil(2.0 * np.pi / step)), 1)
-    phis = np.arange(phi_count) * step
+def _circle_axis_cover(delta: float) -> list[ClosedSubgroup]:
+    """The circles about the axes of ``sphere_net(delta / 2)``, one per
+    antipodal pair, in canonical order (see :func:`delta_cover`)."""
     seen: dict[tuple, ClosedSubgroup] = {}
-    for theta in thetas:
-        for phi in phis:
-            u = np.array([
-                np.sin(theta) * np.cos(phi),
-                np.sin(theta) * np.sin(phi),
-                np.cos(theta),
-            ])
-            u = _canonical_axis(u / np.linalg.norm(u))
-            key = tuple(np.round(u, 9))
-            if key not in seen:
-                seen[key] = circle3(u)
-            if theta == 0.0:
-                break  # all phi collapse to the pole
+    for u in sphere_net(delta / 2.0):
+        u = _canonical_axis(u / np.linalg.norm(u))
+        key = tuple(np.round(u, 9))
+        if key not in seen:
+            seen[key] = circle3(u)
     return [seen[k] for k in sorted(seen)]
 
 

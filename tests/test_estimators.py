@@ -21,6 +21,7 @@ from orbitreg import (
     torus,
     trivial_subgroup,
     unit_ball3,
+    unit_sphere2,
 )
 from orbitreg.groups import quat_from_axis_angle, quat_rotate
 from orbitreg.orbit_grids import orbit_coords_batch
@@ -124,6 +125,18 @@ class TestLocalConstantEstimator:
         queries[1, :2] = row
         with pytest.raises(SpaceMismatchError, match="query row 1 "):
             LocalConstantEstimator(data, 0.3).predict_coords(queries)
+
+    def test_off_sphere_query_row_raises(self):
+        # q.x > cos h is the geodesic ball only for q on the sphere
+        data = Dataset(unit_sphere2(), [[1.0, 0.0, 0.0]], [1.0])
+        queries = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        with pytest.raises(SpaceMismatchError, match="query row 1 .*norm 2.0"):
+            LocalConstantEstimator(data, 0.5).predict_coords(queries)
+
+    def test_sphere_query_within_the_membership_tolerance_is_accepted(self):
+        data = Dataset(unit_sphere2(), [[1.0, 0.0, 0.0]], [1.0])
+        queries = np.array([[1.0 + 5e-13, 0.0, 0.0], [0.0, 1.0 - 5e-13, 0.0]])
+        assert LocalConstantEstimator(data, 0.5).predict_coords(queries).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("space", [BALL, torus(2)], ids=str)
     def test_query_of_the_wrong_width_raises(self, space):

@@ -26,10 +26,10 @@ from orbitreg.subgroups import (
 # (scenario, final_method) -> risks in row order: trial 0 baseline,
 # trial 0 best_symmetric, trial 1 baseline, trial 1 best_symmetric.
 GOLDEN_RISKS = {
-    ("so3_f1", "monte_carlo"): (0.09445052132171838, 0.05755793296635878,
-                                0.049063953238607017, 0.030594189419237514),
-    ("so3_f1", "grid"): (0.09445052132171838, 0.1016760785563363,
-                         0.049063953238607017, 0.08124014532599488),
+    ("so3_f1", "monte_carlo"): (0.09445052132171838, 0.04025120733009852,
+                                0.049063953238607017, 0.055696621533534475),
+    ("so3_f1", "grid"): (0.09445052132171838, 0.106360101777814,
+                         0.049063953238607017, 0.10825796917820543),
     ("t2_g3", "monte_carlo"): (0.31906045324773563, 0.19187094990345677,
                                0.29064079204108506, 0.19855052863345343),
     ("t2_g3", "grid"): (0.31906045324773563, 0.2583089163062379,
@@ -37,7 +37,7 @@ GOLDEN_RISKS = {
 }
 
 GOLDEN_CHOICE = {
-    "so3_f1": "circle3 axis=0.955232245783,0.0396708523252,-0.293185231708",
+    "so3_f1": "circle3 axis=0.809016994375,0,-0.587785252292",
     "t2_g3": "torus_line direction=1,1",
 }
 

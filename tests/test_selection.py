@@ -27,7 +27,9 @@ from orbitreg import (
     torus,
     trivial_subgroup,
     unit_ball3,
+    unit_sphere2,
 )
+from orbitreg import selection
 from orbitreg.bench import SCENARIOS, generate_data
 from orbitreg.subgroups import SubgroupFamily, delta_cover
 
@@ -145,6 +147,33 @@ class TestGlobalSearch:
         a = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit))
         b = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit))
         assert a.chosen == b.chosen and a.per_group_error == b.per_group_error
+
+
+class TestChunkedSearch:
+    @pytest.mark.parametrize("symmetriser", ["grid", "uniform"])
+    @pytest.mark.parametrize("budget", [1, 500, 3_000])
+    def test_small_chunks_give_identical_errors(self, symmetriser, budget, monkeypatch):
+        # n = 50 keeps the neighbour search on its dense path.  Responses on
+        # the 1/8 lattice make every neighbour sum exact, so the BLAS
+        # product may add them in any order at any batch size; what is
+        # left to differ is the chunking itself
+        scen = SCENARIOS["so3_f2"]
+        fit, holdout = (generate_data(scen, 50, 0.5, substream(6, "chunk", part))
+                        for part in ("f", "h"))
+        fit, holdout = (Dataset(BALL, d.X, np.round(8.0 * d.Y) / 8.0) for d in (fit, holdout))
+        inp = SelectionInput(holdout=holdout, cover=delta_cover(PARENT_SO3, BALL, 0.5),
+                             fit_data=fit, symmetriser=symmetriser)
+        whole = global_ems(inp)
+        passes = []
+        chunk_errors = selection._chunk_errors
+        monkeypatch.setattr(selection, "CHUNK_ROWS", budget)
+        monkeypatch.setattr(selection, "_chunk_errors",
+                            lambda *args: passes.append(len(args[1])) or chunk_errors(*args))
+        chunked = global_ems(inp)
+        assert len(passes) > len(set(whole.bandwidth_by_group.values()))  # a class was split
+        assert sum(passes) == len(whole.per_group_error)
+        assert list(chunked.per_group_error.items()) == list(whole.per_group_error.items())
+        assert chunked.chosen == whole.chosen
 
 
 class TestLocalSearch:
@@ -289,6 +318,15 @@ class TestBestSymmetricPredictor:
         predictor = BestSymmetricPredictor(base, sel, method, 10, substream(15))
         with pytest.raises(SpaceMismatchError, match="query row 1 "):
             predictor.predict_coords(np.array([[0.1, 0.2, 0.3], row]))
+
+    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    def test_off_sphere_query_row_raises(self, method):
+        sphere = unit_sphere2()
+        base = LocalConstantEstimator(Dataset(sphere, [[0.0, 0.0, 1.0]], [1.0]), 0.3)
+        predictor = BestSymmetricPredictor(base, SymmetrySelection(full_so3(), 0.3, {}),
+                                           method, 10, substream(17))
+        with pytest.raises(SpaceMismatchError, match="query row 1 "):
+            predictor.predict_coords(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]]))
 
     @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
     def test_query_of_the_wrong_width_raises(self, method):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbitreg import (
     ConfigError,
@@ -302,6 +303,37 @@ class TestDeltaCover:
             nearest = circles[int(np.argmax(np.abs(axes @ u)))]
             d = hausdorff_U_distance(circle3(u), nearest, net_resolution=eps)
             assert d <= delta + 2 * eps
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5, delta_schedule(30, 1.0, 3, 2)])
+    @settings(max_examples=40, deadline=None)
+    @given(raw=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3))
+    @example(raw=(0.0, 0.0, 1.0))
+    @example(raw=(0.0, 0.0, -1.0))
+    @example(raw=(1.0, 0.0, 0.0))
+    @example(raw=(0.0, -1.0, 1e-3))
+    def test_so3_cover_within_delta_of_every_circle(self, delta, raw):
+        # the Hausdorff metric on nets is the oracle; the nearest axis
+        # (up to sign) picks the cover circle to compare with
+        eps = 0.05
+        u = np.asarray(raw) / np.linalg.norm(raw)
+        circles = [g for g in delta_cover(PARENT_SO3, unit_ball3(), delta)
+                   if g.family is SubgroupFamily.CIRCLE3]
+        nearest = circles[int(np.argmax(np.abs(np.array([g.axis for g in circles]) @ u)))]
+        assert hausdorff_U_distance(circle3(u), nearest, net_resolution=eps) <= delta + 2 * eps
+
+    def test_so3_cover_sizes_are_pinned(self):
+        # trivial + axis circles + full group at the benchmark scale and the
+        # schedule's scales at n = 30 and 50
+        deltas = (1.0, delta_schedule(30, 1.0, 3, 2), delta_schedule(50, 1.0, 3, 2))
+        assert [len(delta_cover(PARENT_SO3, unit_ball3(), d)) for d in deltas] == [36, 393, 667]
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 0.2])
+    def test_so3_cover_names_each_circle_once(self, delta):
+        axes = np.array([g.axis for g in delta_cover(PARENT_SO3, unit_ball3(), delta)
+                         if g.family is SubgroupFamily.CIRCLE3])
+        gram = np.abs(axes @ axes.T)
+        np.fill_diagonal(gram, 0.0)
+        assert gram.max() < 1.0 - 1e-9  # no axis repeats, with either sign
 
     def test_torus_cover_at_half(self):
         cover = delta_cover(parent_torus(2), torus(2), 0.5)
