@@ -32,8 +32,15 @@ from .errors import ConfigError, SpaceMismatchError
 from .randomness import polar_gaussian
 
 _MEMBERSHIP_TOL = 1e-12
-# entries of the transient score or distance matrix built per chunk
-CHUNK_ELEMENTS = 4_000_000
+# entries of the transient score or distance matrix built per chunk.  At
+# 512 KB a chunk and its temporaries stay in one core's L2 cache, and its
+# two products (65,536 x 3 and x 2 multiply-adds) are too small for
+# OpenBLAS to split over threads, so the kernel runs on the calling thread.
+# 32 MB chunks went through OpenBLAS's thread team: on a 2-core x86-64 host
+# (OpenBLAS 0.3.31) they ran 10-30 % slower for up to 65 % more CPU, their
+# call times swung with any other load on the machine, and under a process
+# pool each worker's team fought the other worker for the cores.
+CHUNK_ELEMENTS = 65_536
 
 
 class SpaceKind(Enum):
