@@ -1,0 +1,109 @@
+"""SHA-256 of every artifact of a fixed set of CLI runs, to show two
+checkouts give the same numbers.
+
+    python3 scripts/same_numbers.py [--base DIR]
+
+The runs are ``simulate`` on ``so3_f1`` and ``t2_g3`` (``--n-grid 50,150
+--trials 2 --seed 11``) once for each selector x final-method pair,
+``simulate so3_f2 --schedule-delta --n-grid 30,50``, ``select --show-cover``
+on fixed 300-row CSV samples of the ball and the 2-torus, and ``validate
+--quick``.  An artifact is a file a run writes or its standard output.
+Each line of output is ``<sha256>  <artifact>``.  With ``--base DIR`` the
+same runs are made with the package of the checkout ``DIR``, the artifacts
+that differ are listed, and the script exits 1 if any do.  The CSV samples
+are drawn here, with numpy only, so both checkouts read the same bytes.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SIMULATE = ("--n-grid", "50,150", "--trials", "2", "--seed", "11")
+PAIRS = [(selector, final) for selector in ("grid", "uniform") for final in ("grid", "monte_carlo")]
+
+
+def write_samples(directory: Path) -> dict[str, Path]:
+    """300-row samples: f2 on the unit ball, g3 on the 2-torus, noise sd 0.5."""
+    rng = np.random.default_rng(20261019)
+    ball = rng.uniform(-1.0, 1.0, size=(2000, 3))
+    ball = ball[np.linalg.norm(ball, axis=1) <= 1.0][:300]
+    flat = rng.random((300, 2))
+    samples = {
+        "unit_ball3": (ball, np.cos(np.hypot(ball[:, 1], ball[:, 2]))),
+        "torus2": (flat, np.cos(2.0 * np.pi * (flat[:, 0] - flat[:, 1]))),
+    }
+    paths = {}
+    for space, (X, f) in samples.items():
+        Y = f + 0.5 * rng.standard_normal(len(X))
+        header = ",".join([f"x{i + 1}" for i in range(X.shape[1])] + ["y"])
+        lines = [header] + [",".join(repr(float(v)) for v in row) for row in np.column_stack([X, Y])]
+        paths[space] = directory / f"{space}.csv"
+        paths[space].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+def runs(samples: dict[str, Path]) -> list[tuple[str, list[str], str | None]]:
+    """(name, CLI arguments, config file text) of every run."""
+    out = []
+    for scenario in ("so3_f1", "t2_g3"):
+        for selector, final in PAIRS:
+            config = f"selector = {selector}\nfinal_method = {final}\n"
+            out.append((f"simulate-{scenario}-{selector}-{final}",
+                        ["simulate", "--scenario", scenario, *SIMULATE], config))
+    out.append(("simulate-so3_f2-schedule",
+                ["simulate", "--scenario", "so3_f2", "--schedule-delta", "--n-grid", "30,50"], None))
+    for space, path in samples.items():
+        out.append((f"select-{space}",
+                    ["select", "--input", str(path), "--space", space, "--show-cover"], None))
+    out.append(("validate-quick", ["validate", "--quick"], None))
+    return out
+
+
+def digests(checkout: Path, samples: dict[str, Path]) -> dict[str, str]:
+    """Artifact name -> SHA-256 for every run, made with ``checkout``'s package."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    found = {}
+    for name, args, config in runs(samples):
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            if config is not None:
+                (work / "run.cfg").write_text(config, encoding="utf-8")
+                args = [*args, "--config", "run.cfg"]
+            proc = subprocess.run([sys.executable, "-m", "orbitreg", *args], cwd=work, env=env,
+                                  capture_output=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"{name} failed in {checkout}:\n{proc.stderr.decode()[-2000:]}")
+            found[f"{name}/stdout"] = hashlib.sha256(proc.stdout).hexdigest()
+            for path in sorted(p for p in work.rglob("*") if p.is_file() and p.name != "run.cfg"):
+                found[f"{name}/{path.relative_to(work)}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return found
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, help="a second checkout to compare against")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        samples = write_samples(Path(tmp))
+        mine = digests(ROOT, samples)
+        for name, digest in mine.items():
+            print(f"{digest}  {name}")
+        if args.base is None:
+            return 0
+        base = digests(args.base.resolve(), samples)
+    differ = sorted(name for name in mine.keys() | base.keys() if mine.get(name) != base.get(name))
+    print(f"{len(differ)} of {len(mine.keys() | base.keys())} artifacts differ from {args.base}")
+    for name in differ:
+        print(f"differs: {name}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

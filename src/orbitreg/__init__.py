@@ -72,7 +72,6 @@ from .selection import (
     SymmetrySelection,
     empirical_error,
     global_ems,
-    local_ems,
     split_dataset,
 )
 from .spaces import (

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .groups import parent_group
 from .randomness import polar_gaussian, substream
@@ -130,12 +130,10 @@ class ScenarioConfig:
             raise ConfigError("noise_sd: must be finite and nonnegative")
         if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid: must be a nonempty strictly ascending list of sample sizes")
-        if any(n < 2 for n in self.n_grid):
-            raise ConfigError("n_grid: sample sizes must be at least 2")
-        if self.trials < 1:
-            raise ConfigError("trials: must be at least 1")
-        if self.eval_points < 1:
-            raise ConfigError("eval_points: must be at least 1")
+        for n in self.n_grid:
+            check_count(n, 2, "n_grid: sample sizes must be integers of at least 2")
+        check_count(self.trials, 1, "trials: must be an integer of at least 1")
+        check_count(self.eval_points, 1, "eval_points: must be an integer of at least 1")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError("beta: must lie in (0, 1] (degree-0 local estimator)")
         if not 0.0 < self.a < math.inf:
@@ -148,8 +146,7 @@ class ScenarioConfig:
             raise ConfigError("selector: must be 'grid' or 'uniform'")
         if self.final_method not in ("grid", "monte_carlo"):
             raise ConfigError("final_method: must be 'grid' or 'monte_carlo'")
-        if self.workers < 1:
-            raise ConfigError("workers: must be at least 1")
+        check_count(self.workers, 1, "workers: must be an integer of at least 1")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library, and the check of integer counts."""
+
+import numbers
 
 
 class OrbitregError(Exception):
@@ -38,3 +40,10 @@ class EmptyHoldoutError(OrbitregError):
 
 class ConfigError(OrbitregError):
     """A configuration value is missing, malformed, or out of range."""
+
+
+def check_count(value, minimum: int, message: str) -> None:
+    """Raise ``ConfigError(message)`` unless ``value`` is an integer of at
+    least ``minimum``; numpy integers count, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(message)

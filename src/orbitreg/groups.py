@@ -6,10 +6,10 @@ Two element variants cover the transformation catalog:
   with the sign convention w >= 0 (q and -q describe the same rotation);
 * ``TorusShift`` -- a translation of the flat d-torus, reduced into [0, 1).
 
-Each variant carries its own product, inverse, distance and action.
-Everything that depends on the parent group is one :class:`ParentGroup`
-entry, parsed once from the names ``"so3"`` and ``"torus{d}"`` by
-:func:`parent_group`.
+Each variant carries its own product, inverse and distance; an element
+acts through its parent's batched action.  Everything that depends on the
+parent group is one :class:`ParentGroup` entry, parsed once from the names
+``"so3"`` and ``"torus{d}"`` by :func:`parent_group`.
 
 The group metric is the minimal rotation angle for rotations (the length of
 the shortest geodesic under the bi-invariant metric) and wrap-around
@@ -70,6 +70,14 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of 3-vector rows (broadcasting), bit for bit ``np.cross``:
+    the same products and differences, without its per-call axis set-up."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate row vectors ``v`` by quaternion(s) ``q`` (broadcasting rows)."""
     q = np.asarray(q, dtype=np.float64)
@@ -77,8 +85,8 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = q[..., :1]
     u = q[..., 1:]
     # v' = v + 2 w (u x v) + 2 u x (u x v)
-    uv = np.cross(u, v)
-    return v + 2.0 * w * uv + 2.0 * np.cross(u, uv)
+    uv = cross(u, v)
+    return v + 2.0 * w * uv + 2.0 * cross(u, uv)
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
@@ -107,7 +115,8 @@ def quat_rotation_angle(q: np.ndarray) -> np.ndarray:
 # element variants
 
 class _Element:
-    """Equality, hashing and the same-parent check of a one-array element."""
+    """Equality, hashing, the same-parent check and the action of a
+    one-array element; the action is the parent's batched ``act_rows``."""
 
     _field: str
 
@@ -123,6 +132,11 @@ class _Element:
         mine, theirs = self.parent_group.name, other.parent_group.name
         if mine != theirs:
             raise VariantMismatchError(f"elements of different parents: {mine} vs {theirs}")
+
+    def act_on(self, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
+        parent = self.parent_group
+        parent.check_acts_on(space)
+        return parent.act_rows(getattr(self, self._field), coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +170,6 @@ class Rotation3(_Element):
         return float(quat_rotation_angle(quat_multiply(quat_conjugate(self.quaternion),
                                                        other.quaternion)))
 
-    def act_on(self, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
-        self.parent_group.check_acts_on(space)
-        return quat_rotate(self.quaternion, coords)
-
 
 @dataclass(frozen=True, eq=False)
 class TorusShift(_Element):
@@ -190,10 +200,6 @@ class TorusShift(_Element):
         diff = np.abs(self.shift - other.shift)
         return float(np.linalg.norm(np.minimum(diff, 1.0 - diff)))
 
-    def act_on(self, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
-        self.parent_group.check_acts_on(space)
-        return np.mod(coords + self.shift, 1.0)
-
 
 GroupElement = Rotation3 | TorusShift
 
@@ -206,12 +212,20 @@ def _rotation_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * np.arccos(np.clip(dots, -1.0, 1.0))
 
 
+def _shift_rows(shifts: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    return np.mod(coords + shifts, 1.0)
+
+
 @dataclass(frozen=True)
 class ParentGroup:
     """Everything that depends on the parent group: its ``name`` (the key of
     ``ClosedSubgroup.parent``), element variant, the dimension and ``kinds``
     of the spaces it acts on, the principal orbit dimension of the whole
-    group, and the tag, identity row and batched metric of its nets."""
+    group, the tag, identity row and batched metric of its nets, and its
+    one batched action ``act_rows(elements, coords)``: element rows
+    (quaternions or shifts) applied to coordinate rows, broadcasting the
+    leading axes of both.  Every orbit point set -- an element's action,
+    Haar orbit samples, quadrature nodes -- goes through ``act_rows``."""
 
     name: str
     element: type
@@ -221,6 +235,7 @@ class ParentGroup:
     tag: str
     identity_row: tuple[float, ...]
     net_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    act_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def check_acts_on(self, space: CovariateSpace) -> None:
         """The one rule for the spaces a parent acts on."""
@@ -236,13 +251,13 @@ def parent_group(name: str) -> ParentGroup:
     """The entry of a parent name: ``"so3"`` or ``"torus{d}"``."""
     if name == PARENT_SO3:
         return ParentGroup(name, Rotation3, 3, 2, (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2),
-                           "rotation", (1.0, 0.0, 0.0, 0.0), _rotation_angles)
+                           "rotation", (1.0, 0.0, 0.0, 0.0), _rotation_angles, quat_rotate)
     match = re.fullmatch(r"torus([1-9][0-9]*)", name)
     if match is None:
         raise ConfigError(f"unknown parent group {name!r}")
     d = int(match[1])
     return ParentGroup(name, TorusShift, d, d, (SpaceKind.TORUS,), "shift", (0.0,) * d,
-                       partial(flat_distance_matrix, period=1.0))
+                       partial(flat_distance_matrix, period=1.0), _shift_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ the convenience splitter produces such a pair from one sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyHoldoutError
+from .errors import ConfigError, EmptyHoldoutError, check_count
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .orbit_grids import orbit_coords_batch
 from .spaces import query_rows
@@ -35,10 +35,11 @@ from .subgroups import (
 )
 
 _TIE_TOL = 1e-12
-# orbit points scored per prediction pass of the search (48 MB per copy at
-# three coordinates).  It lies above the largest bandwidth class of every
-# benchmark workload (about 0.8 million points, the shrinking-delta cover at
-# n = 50), so those classes are never split and their numbers do not move.
+# orbit points per prediction pass (48 MB per copy at three coordinates).
+# It lies above the largest bandwidth class of every benchmark workload
+# (about 0.8 million points, the shrinking-delta cover at n = 50) and above
+# every Monte-Carlo final prediction there (at most 200 x 300 points), so
+# those passes are never split and their numbers do not move.
 CHUNK_ROWS = 2_000_000
 _FALLBACK_ERROR = 1.0  # every candidate's error when the region holds no holdout point
 
@@ -135,40 +136,52 @@ def _orbit_means(preds: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(preds, np.cumsum(counts) - counts) / counts
 
 
+_Block = tuple[np.ndarray, np.ndarray]  # (coords, counts), as orbit_coords_batch returns
+
+
+def _orbit_averages(base: Predictor, blocks: Iterable[_Block]) -> Iterator[np.ndarray]:
+    """The orbit average of the base predictor for each ``(coords, counts)``
+    block, in order: one mean per base row of the block.
+
+    Consecutive blocks share one prediction pass while their orbit points
+    stay within ``CHUNK_ROWS``; a block with more points runs alone.
+    Blocks are drawn lazily: a generator of blocks holds one pass's points
+    and the next block at most.
+    """
+    pending: list[_Block] = []
+    points = 0
+    for block in blocks:
+        if pending and points + len(block[0]) > CHUNK_ROWS:
+            yield from _predict_pass(base, pending)
+            pending, points = [], 0
+        pending.append(block)
+        points += len(block[0])
+    if pending:
+        yield from _predict_pass(base, pending)
+
+
+def _predict_pass(base: Predictor, blocks: list[_Block]) -> list[np.ndarray]:
+    """The orbit means of ``blocks`` through one prediction pass."""
+    preds = base.predict_coords(np.vstack([coords for coords, _ in blocks]))
+    means = _orbit_means(preds, np.concatenate([counts for _, counts in blocks]))
+    return np.split(means, np.cumsum([len(counts) for _, counts in blocks])[:-1])
+
+
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: float,
                           X: np.ndarray, Y: np.ndarray) -> dict[ClosedSubgroup, float]:
-    """Errors for all candidates sharing one bandwidth, one prediction pass
-    per chunk.
+    """Errors for all candidates sharing one bandwidth.
 
     With the ``grid`` symmetriser each candidate is scored through its orbit
     grid (the deterministic packing construction); with ``uniform`` it is
     scored through fixed quadrature nodes approximating the full orbit
-    average, matching a Monte-Carlo final prediction.  Candidates are
-    scored in consecutive chunks whose orbit points stay within
-    ``CHUNK_ROWS`` rows; a candidate with more points forms a chunk alone.
+    average, matching a Monte-Carlo final prediction.
     """
-    base = _candidate_base(inp, h)
-    errors: dict[ClosedSubgroup, float] = {}
-    chunk: list[tuple[ClosedSubgroup, tuple[np.ndarray, np.ndarray]]] = []
-    rows = 0
-    for group in groups:
-        block = _orbit_points(inp.symmetriser, inp.holdout.space, group, X, h)
-        if chunk and rows + len(block[0]) > CHUNK_ROWS:
-            errors.update(_chunk_errors(base, chunk, Y))
-            chunk, rows = [], 0
-        chunk.append((group, block))
-        rows += len(block[0])
-    errors.update(_chunk_errors(base, chunk, Y))
+    blocks = (_orbit_points(inp.symmetriser, inp.holdout.space, group, X, h) for group in groups)
+    errors = {}
+    for group, sym in zip(groups, _orbit_averages(_candidate_base(inp, h), blocks)):
+        residual = sym - Y
+        errors[group] = float(np.mean(residual * residual))
     return errors
-
-
-def _chunk_errors(base: Predictor, chunk: list, Y: np.ndarray) -> dict[ClosedSubgroup, float]:
-    """Holdout errors of the candidates in ``chunk``, given as
-    ``(group, (coords, counts))`` pairs, through one prediction pass."""
-    preds = base.predict_coords(np.vstack([coords for _, (coords, _) in chunk]))
-    sym = _orbit_means(preds, np.concatenate([counts for _, (_, counts) in chunk]))
-    residual = sym.reshape(len(chunk), -1) - Y
-    return dict(zip([group for group, _ in chunk], np.mean(residual * residual, axis=1).tolist()))
 
 
 def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgroup:
@@ -179,25 +192,21 @@ def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgr
 
 
 def global_ems(inp: SelectionInput) -> SymmetrySelection:
-    """Error Minimising Symmetry over the whole holdout sample."""
-    if inp.region is not None:
-        return local_ems(inp)
-    if len(inp.holdout) == 0:
-        raise EmptyHoldoutError("the symmetry search needs a nonempty holdout sample")
-    return _run_search(inp, np.ones(len(inp.holdout), dtype=bool))
+    """Error Minimising Symmetry over the holdout sample, or over the part of
+    it inside ``inp.region``.
 
-
-def local_ems(inp: SelectionInput) -> SymmetrySelection:
-    """Error Minimising Symmetry restricted to a region of the space.
-
-    Points exactly on the region boundary count as inside (membership
-    predicates are expected to use closed comparisons).  When no holdout
-    point lies in the region the search cannot be run; the trivial group is
-    returned with error 1.0 for every candidate.  The predicate must return
-    one entry per holdout row.
+    Without a region an empty holdout sample raises
+    :class:`EmptyHoldoutError`.  With a region, points exactly on its
+    boundary count as inside (membership predicates are expected to use
+    closed comparisons), and the predicate must return one entry per
+    holdout row.  When no holdout point lies in the region the search
+    cannot be run; the trivial group is returned with error 1.0 for every
+    candidate.
     """
     if inp.region is None:
-        raise ConfigError("local_ems requires a region membership predicate")
+        if len(inp.holdout) == 0:
+            raise EmptyHoldoutError("the symmetry search needs a nonempty holdout sample")
+        return _run_search(inp, np.ones(len(inp.holdout), dtype=bool))
     mask = np.asarray(inp.region(inp.holdout.X), dtype=bool) if len(inp.holdout) else np.zeros(0, bool)
     if mask.shape != (len(inp.holdout),):
         raise ConfigError(f"region returned shape {mask.shape} for {len(inp.holdout)} holdout rows")
@@ -261,8 +270,7 @@ class BestSymmetricPredictor:
                 if data is None or len(data) == 0:
                     raise ConfigError("mc_draws must be given when the base has no training set")
                 mc_draws = len(data)
-            if mc_draws < 1:
-                raise ConfigError("the number of Monte-Carlo draws must be at least 1")
+            check_count(mc_draws, 1, "the number of Monte-Carlo draws must be an integer of at least 1")
         self.base = base
         self.selection = selection
         self.method = method
@@ -272,20 +280,21 @@ class BestSymmetricPredictor:
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = query_rows(self.space, coords)
-        group = self.selection.chosen
         if self.method == "grid":
-            pts, counts = _orbit_points("grid", self.space, group, coords,
-                                        self.selection.chosen_bandwidth)
-            return _orbit_means(self.base.predict_coords(pts), counts)
-        m = self.mc_draws
-        out = np.empty(coords.shape[0])
-        chunk = max(1, int(200_000 / m))
-        for start in range(0, coords.shape[0], chunk):
-            block = coords[start : start + chunk]
-            pts = sample_orbit_coords(group, block, m, self.rng)
-            preds = self.base.predict_coords(pts.reshape(-1, coords.shape[1]))
-            out[start : start + chunk] = preds.reshape(len(block), m).mean(axis=1)
-        return out
+            pts, counts = orbit_coords_batch(self.space, self.selection.chosen, coords,
+                                             self.selection.chosen_bandwidth)
+            # one block per query row, so passes split the queries between rows
+            blocks = zip(np.split(pts, np.cumsum(counts)[:-1]), counts[:, None])
+        else:
+            step = max(1, CHUNK_ROWS // self.mc_draws)
+            blocks = (self._draws(coords[start : start + step])
+                      for start in range(0, coords.shape[0], step))
+        means = list(_orbit_averages(self.base, blocks))
+        return np.concatenate(means) if means else np.zeros(0)  # no query rows, no blocks
+
+    def _draws(self, rows: np.ndarray) -> _Block:
+        pts = sample_orbit_coords(self.selection.chosen, rows, self.mc_draws, self.rng)
+        return pts.reshape(-1, rows.shape[1]), np.full(len(rows), self.mc_draws)
 
 
 def split_dataset(full: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

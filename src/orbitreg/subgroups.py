@@ -14,14 +14,17 @@ The searchable symmetry catalog consists of, per ambient group:
 Every subgroup in the catalog is compact, so each has a normalised Haar
 measure, uniform quadrature on its orbits, and finite nets of the whole
 group.  Everything that depends on a subgroup's family -- orbit dimension,
-Haar samples, quadrature nodes, nets, and the geometry of the orbit grids
+Haar draws, quadrature nodes, nets, and the geometry of the orbit grids
 of :mod:`orbitreg.orbit_grids` -- lives in one entry of
-:data:`FAMILY_TABLE`.  The three translation families share one
-implementation parameterised by their generator rows.  Everything that
-depends on the parent group -- the spaces it acts on, its identity, its
-dimension and the group metric on nets -- is the parent's entry in
-:func:`orbitreg.groups.parent_group`, looked up from the subgroup's
-``parent`` name.
+:data:`FAMILY_TABLE`.  An entry gives Haar draws and quadrature nodes as
+element rows (quaternions or shifts); orbit samples, single draws and
+quadrature points are those rows applied through the parent's one batched
+action.  The three translation families share one implementation
+parameterised by their generator rows.  Everything that depends on the
+parent group -- the spaces it acts on, its identity, its dimension, its
+batched action ``act_rows`` and the group metric on nets -- is the
+parent's entry in :func:`orbitreg.groups.parent_group`, looked up from the
+subgroup's ``parent`` name.
 
 Subgroups of the same ambient group are compared with the Hausdorff metric
 in the group metric, computed on finite nets of documented resolution.
@@ -44,10 +47,10 @@ from .groups import (
     GroupElement,
     Rotation3,
     TorusShift,
+    cross,
     parent_group,
     parent_torus,
     quat_from_axis_angle,
-    quat_rotate,
 )
 from .randomness import polar_gaussian
 from .spaces import CHUNK_ELEMENTS, CovariateSpace, pairwise_distance
@@ -164,7 +167,7 @@ def identity_element(group: ClosedSubgroup) -> GroupElement:
 
 def sample_group(group: ClosedSubgroup, rng: np.random.Generator) -> GroupElement:
     """One draw from the normalised Haar measure on the subgroup."""
-    return FAMILY_TABLE[group.family].element(group, rng)
+    return parent_group(group.parent).element(FAMILY_TABLE[group.family].haar(group, rng, ()))
 
 
 def sample_orbit_coords(group: ClosedSubgroup, x_coords: np.ndarray, m: int,
@@ -175,7 +178,8 @@ def sample_orbit_coords(group: ClosedSubgroup, x_coords: np.ndarray, m: int,
     across rows, matching a Monte-Carlo orbit average evaluated pointwise.
     """
     xs = np.atleast_2d(np.asarray(x_coords, dtype=np.float64))
-    return FAMILY_TABLE[group.family].sample(group, xs, m, rng)
+    elements = FAMILY_TABLE[group.family].haar(group, rng, (xs.shape[0], m))
+    return parent_group(group.parent).act_rows(elements, xs[:, None, :])
 
 
 def orbit_quadrature_coords(group: ClosedSubgroup,
@@ -192,13 +196,6 @@ def orbit_quadrature_coords(group: ClosedSubgroup,
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     return FAMILY_TABLE[group.family].quadrature(group, xs)
-
-
-def _uniform_quaternions(rng: np.random.Generator, m: int) -> np.ndarray:
-    q = polar_gaussian(rng, 4 * m).reshape(m, 4)
-    norms = np.linalg.norm(q, axis=1)
-    norms[norms == 0.0] = 1.0
-    return q / norms[:, None]
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -237,10 +234,19 @@ class FamilyEntry:
       ``row``) onto the orbit; the packing rule that lays the offsets out is
       :func:`orbitreg.orbit_grids.orbit_coords_batch`;
     * ``recover``: the element taking ``x`` to ``target`` (within 1e-9);
-    * ``sample`` / ``element``: Haar orbit samples / one Haar draw;
-    * ``quadrature``: deterministic orbit nodes;
-    * ``net``: an eps-net of the subgroup as row-stacked quaternions or
-      shifts.
+    * ``haar(g, rng, shape)``: Haar draws as element rows (quaternions or
+      shifts) of shape ``shape + (row width,)``;
+    * ``nodes(g)``: the fixed quadrature elements as element rows (the
+      circle and translation entries take an optional node ``count``,
+      which their nets reuse);
+    * ``quadrature``: deterministic orbit nodes, by default the parent's
+      ``act_rows`` applied with every node to every row of ``xs`` (the
+      full rotation group overrides it with a Fibonacci lattice);
+    * ``net``: an eps-net of the subgroup as element rows.
+
+    Orbit samples, single Haar draws, quadrature points and translation
+    grids apply element rows through the parent's ``act_rows``, so no
+    entry writes the parent's action itself.
     """
 
     rank = 1
@@ -253,6 +259,11 @@ class FamilyEntry:
 
     def singular(self, g: ClosedSubgroup, xs: np.ndarray) -> np.ndarray:
         return np.zeros(len(xs), dtype=bool)
+
+    def quadrature(self, g: ClosedSubgroup, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nodes = self.nodes(g)
+        coords = parent_group(g.parent).act_rows(nodes[None, :, :], xs[:, None, :])
+        return coords.reshape(-1, xs.shape[1]), np.full(xs.shape[0], len(nodes), dtype=np.int64)
 
 
 def _lattice(values: np.ndarray, k: int) -> np.ndarray:
@@ -269,13 +280,13 @@ def _tangent_frame(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = np.eye(3)[k] - unit * unit[np.arange(len(unit)), k][:, None]
     # the matmul form of the norm rounds like a one-row dot product
     e1 /= np.sqrt(e1[:, None, :] @ e1[:, :, None])[:, 0]
-    return e1, np.cross(unit, e1)
+    return e1, cross(unit, e1)
 
 
 def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
     """Minimal-angle rotation taking ``source`` to ``target`` (equal norms)."""
-    cross = np.cross(source, target)
-    norm_cross = float(np.linalg.norm(cross))
+    normal = cross(source, target)
+    norm_cross = float(np.linalg.norm(normal))
     dot = float(source @ target)
     if norm_cross <= 1e-14 * max(float(source @ source), 1e-300):
         if dot >= 0.0:
@@ -286,7 +297,7 @@ def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
         axis = _tangent_frame(unit[None, :])[0][0]
         return Rotation3(quat_from_axis_angle(axis, np.pi))
     angle = float(np.arctan2(norm_cross, dot))
-    return Rotation3(quat_from_axis_angle(cross / norm_cross, angle))
+    return Rotation3(quat_from_axis_angle(normal / norm_cross, angle))
 
 
 class _Trivial(FamilyEntry):
@@ -305,30 +316,18 @@ class _Trivial(FamilyEntry):
             raise OffOrbitError("target is not the base point of the trivial orbit", deviation)
         return identity_element(g)
 
-    def sample(self, g, xs, m, rng):
-        return np.repeat(xs[:, None, :], m, axis=1)
+    def haar(self, g, rng, shape):
+        identity = parent_group(g.parent).identity_row
+        return np.broadcast_to(identity, shape + (len(identity),))
 
-    def element(self, g, rng):
-        return identity_element(g)
-
-    def quadrature(self, g, xs):
-        return xs.copy(), np.ones(len(xs), dtype=np.int64)
-
-    def net(self, g, eps):
+    def nodes(self, g):
         return np.array([parent_group(g.parent).identity_row])
 
-
-class _Rotations(FamilyEntry):
-    """Rotation subgroups; ``haar(g, rng, shape)`` draws unit quaternions."""
-
-    def sample(self, g, xs, m, rng):
-        return quat_rotate(self.haar(g, rng, (xs.shape[0], m)), xs[:, None, :])
-
-    def element(self, g, rng):
-        return Rotation3(self.haar(g, rng, ()))
+    def net(self, g, eps):
+        return self.nodes(g)
 
 
-class _Circle(_Rotations):
+class _Circle(FamilyEntry):
     """Rotations about one axis; orbits are circles around the axis."""
 
     dim = 1
@@ -358,7 +357,7 @@ class _Circle(_Rotations):
         safe_r = np.where(r <= _SINGULAR_TOL, 1.0, r)
         angles = np.arcsin(np.clip(offsets[:, 0] / safe_r[row], -1.0, 1.0))
         e1 = radial / safe_r[:, None]
-        e2 = np.cross(np.broadcast_to(u, e1.shape), e1)
+        e2 = cross(u, e1)
         r_rep = r[row]
         return (axial[row, None] * u
                 + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
@@ -376,26 +375,22 @@ class _Circle(_Rotations):
         if r == 0.0:  # any r > 0 needs the angle: the orbit is 2r across, maybe > tol
             return identity_element(g)
         e1 = rad_x / r
-        e2 = np.cross(u, e1)
+        e2 = cross(u, e1)
         angle = float(np.arctan2(rad_t @ e2, rad_t @ e1))
         return Rotation3(quat_from_axis_angle(u, angle))
 
     def haar(self, g, rng, shape):
         return quat_from_axis_angle(g.axis_array(), rng.random(shape) * 2.0 * np.pi)
 
-    def quadrature(self, g, xs):
-        theta = np.arange(_QUADRATURE_1D) * (2.0 * np.pi / _QUADRATURE_1D)
-        quats = quat_from_axis_angle(g.axis_array(), theta)
-        coords = quat_rotate(quats[None, :, :], xs[:, None, :])
-        return coords.reshape(-1, 3), np.full(xs.shape[0], _QUADRATURE_1D, dtype=np.int64)
-
-    def net(self, g, eps):
-        count = max(int(np.ceil(2.0 * np.pi / eps)), 1)
+    def nodes(self, g, count=_QUADRATURE_1D):
         theta = np.arange(count) * (2.0 * np.pi / count)
         return quat_from_axis_angle(g.axis_array(), theta)
 
+    def net(self, g, eps):
+        return self.nodes(g, max(int(np.ceil(2.0 * np.pi / eps)), 1))
 
-class _FullSO3(_Rotations):
+
+class _FullSO3(FamilyEntry):
     """All rotations; orbits are spheres about the origin."""
 
     rank = 2
@@ -426,7 +421,11 @@ class _FullSO3(_Rotations):
         return _minimal_rotation(x.coords, target.coords)
 
     def haar(self, g, rng, shape):
-        return _uniform_quaternions(rng, math.prod(shape)).reshape(shape + (4,))
+        # normalised Gaussian 4-vectors are uniform on the 3-sphere
+        q = polar_gaussian(rng, 4 * math.prod(shape)).reshape(shape + (4,))
+        norms = np.linalg.norm(q, axis=-1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        return q / norms
 
     def quadrature(self, g, xs):
         nodes = fibonacci_sphere(_QUADRATURE_2D)
@@ -458,32 +457,25 @@ class _TorusTranslations(FamilyEntry):
     def place(self, g, xs, row, offsets):
         gens = self.generators(g)
         unit = gens / np.linalg.norm(gens, axis=1)[:, None]
-        return np.mod(xs[row] + offsets @ unit, 1.0)
+        return parent_group(g.parent).act_rows(offsets @ unit, xs[row])
 
-    def sample(self, g, xs, m, rng):
+    def haar(self, g, rng, shape):
         gens = self.generators(g)
-        return np.mod(xs[:, None, :] + rng.random((xs.shape[0], m, len(gens))) @ gens, 1.0)
+        return rng.random(shape + (len(gens),)) @ gens
 
-    def element(self, g, rng):
-        gens = self.generators(g)
-        return TorusShift(rng.random(len(gens)) @ gens)
-
-    def quadrature(self, g, xs):
+    def nodes(self, g, count=None):
         gens = self.generators(g)
         k = len(gens)
-        nodes = _QUADRATURE_1D if k == 1 else _QUADRATURE_2D
-        count = max(int(round(nodes ** (1.0 / k))), 2)
-        shifts = _lattice(np.arange(count) / count, k) @ gens
-        coords = np.mod(xs[:, None, :] + shifts[None, :, :], 1.0)
-        return coords.reshape(-1, xs.shape[1]), np.full(xs.shape[0], shifts.shape[0], dtype=np.int64)
+        if count is None:
+            count = max(int(round((_QUADRATURE_1D if k == 1 else _QUADRATURE_2D) ** (1.0 / k))), 2)
+        return _lattice(np.arange(count) / count, k) @ gens
 
     def net(self, g, eps):
         # a parameter cell of side 1/count maps onto a cell of diameter
         # sqrt(k) |generator| / count <= eps (the rows share one length)
         gens = self.generators(g)
-        k = len(gens)
-        count = max(int(np.ceil(np.sqrt(k) * float(np.linalg.norm(gens[0])) / eps)), 1)
-        return np.mod(_lattice(np.arange(count) / count, k) @ gens, 1.0)
+        count = max(int(np.ceil(np.sqrt(len(gens)) * float(np.linalg.norm(gens[0])) / eps)), 1)
+        return np.mod(self.nodes(g, count), 1.0)
 
 
 class _TorusLine(_TorusTranslations):

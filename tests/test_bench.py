@@ -163,6 +163,19 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="scenario"):
             ScenarioConfig(scenario="bogus")
 
+    @pytest.mark.parametrize("field, value", [("trials", 1.5), ("trials", True),
+                                              ("eval_points", 20.5), ("workers", 1.5),
+                                              ("workers", True), ("n_grid", (30.0, 50))])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field}:"):
+            ScenarioConfig(scenario="so3_f1", **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ScenarioConfig(scenario="t2_g2", n_grid=(np.int64(24), np.int32(30)),
+                             trials=np.int64(2), eval_points=np.int64(40), seed=5,
+                             workers=np.int64(1))
+        assert run_experiment(cfg).rows == run_experiment(ScenarioConfig(scenario="t2_g2", **TINY)).rows
+
     @pytest.mark.parametrize("field", ["a", "delta", "noise_sd"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_scales_rejected(self, field, value):

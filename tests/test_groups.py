@@ -22,6 +22,7 @@ from orbitreg import (
 )
 from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import (
+    cross,
     quat_canonical,
     quat_multiply,
     quat_conjugate,
@@ -79,6 +80,18 @@ class TestAction:
             g, h = TorusShift(rng.random(2)), TorusShift(rng.random(2))
             x = Point.of(torus(2), rng.random(2))
             assert np.linalg.norm(act(g, act(h, x)).coords - act(compose(g, h), x).coords) <= 1e-10
+
+
+class TestCross:
+    @pytest.mark.parametrize("shapes", [((1000, 3), (1000, 3)), ((1, 24, 3), (40, 1, 3)),
+                                        ((3,), (50, 3)), ((3,), (3,))])
+    def test_equals_numpy_cross_bit_for_bit(self, shapes):
+        rng = substream(3, "cross")
+        a, b = (polar_gaussian(rng, int(np.prod(s))).reshape(s) for s in shapes)
+        expected = np.cross(a, b)
+        got = cross(a, b)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 class TestComposeInverse:

@@ -20,7 +20,6 @@ from orbitreg import (
     full_torus,
     global_ems,
     hausdorff_U_distance,
-    local_ems,
     sample_points,
     split_dataset,
     substream,
@@ -165,10 +164,10 @@ class TestChunkedSearch:
                              fit_data=fit, symmetriser=symmetriser)
         whole = global_ems(inp)
         passes = []
-        chunk_errors = selection._chunk_errors
+        predict_pass = selection._predict_pass
         monkeypatch.setattr(selection, "CHUNK_ROWS", budget)
-        monkeypatch.setattr(selection, "_chunk_errors",
-                            lambda *args: passes.append(len(args[1])) or chunk_errors(*args))
+        monkeypatch.setattr(selection, "_predict_pass",
+                            lambda *args: passes.append(len(args[1])) or predict_pass(*args))
         chunked = global_ems(inp)
         assert len(passes) > len(set(whole.bandwidth_by_group.values()))  # a class was split
         assert sum(passes) == len(whole.per_group_error)
@@ -176,12 +175,42 @@ class TestChunkedSearch:
         assert chunked.chosen == whole.chosen
 
 
+class TestChunkedPrediction:
+    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    @pytest.mark.parametrize("budget", [1, 500, 3_000])
+    def test_small_chunks_give_identical_predictions(self, method, budget, monkeypatch):
+        # circle3 draws its angles with rng.random, so slicing the queries
+        # does not move the draws; responses on the 1/8 lattice at n = 55
+        # make every neighbour sum exact whatever the batch (see above)
+        scen = SCENARIOS["so3_f2"]
+        fit = generate_data(scen, 55, 0.5, substream(6, "chunk-final"))
+        fit = Dataset(BALL, fit.X, np.round(8.0 * fit.Y) / 8.0)
+        base = LocalConstantEstimator(fit, 0.3)
+        fixed = SymmetrySelection(circle3([0.6, 0.0, 0.8]), 0.05, {})
+        queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 400, substream(6, "q"))
+
+        def predict():
+            return BestSymmetricPredictor(base, fixed, method,
+                                          rng=substream(6, "mc")).predict_coords(queries)
+
+        whole = predict()
+        passes = []
+        predict_pass = selection._predict_pass
+        monkeypatch.setattr(selection, "CHUNK_ROWS", budget)
+        monkeypatch.setattr(selection, "_predict_pass", lambda base, blocks: passes.append(
+            sum(len(counts) for _, counts in blocks)) or predict_pass(base, blocks))
+        chunked = predict()
+        assert len(passes) > 1  # the queries were split between passes
+        assert sum(passes) == len(queries)
+        assert np.array_equal(chunked, whole)
+
+
 class TestLocalSearch:
     def test_empty_region_falls_back_to_trivial(self):
         holdout = noiseless_holdout(f1, 25, 6)
-        sel = local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                       base=FunctionPredictor(BALL, f1),
-                                       region=lambda X: np.zeros(X.shape[0], dtype=bool)))
+        sel = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
+                                        base=FunctionPredictor(BALL, f1),
+                                        region=lambda X: np.zeros(X.shape[0], dtype=bool)))
         assert sel.used_fallback
         assert sel.chosen.family is SubgroupFamily.TRIVIAL
         assert all(err == 1.0 for err in sel.per_group_error.values())
@@ -190,8 +219,8 @@ class TestLocalSearch:
         scen = SCENARIOS["so3_f2"]
         fit = generate_data(scen, 150, 0.5, substream(7, "wf"))
         holdout = generate_data(scen, 150, 0.5, substream(7, "wh"))
-        whole = local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit,
-                                         region=lambda X: np.ones(X.shape[0], dtype=bool)))
+        whole = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit,
+                                          region=lambda X: np.ones(X.shape[0], dtype=bool)))
         full = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit))
         assert whole.chosen == full.chosen
         assert whole.per_group_error == full.per_group_error
@@ -201,8 +230,8 @@ class TestLocalSearch:
         fit = generate_data(scen, 150, 0.5, substream(8, "hf"))
         holdout = generate_data(scen, 150, 0.5, substream(8, "hh"))
         region = lambda X: X[:, 0] >= 0.0  # closed membership on the boundary
-        sel = local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                       fit_data=fit, region=region))
+        sel = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
+                                        fit_data=fit, region=region))
         mask = holdout.X[:, 0] >= 0.0
         masked = Dataset(BALL, holdout.X[mask], holdout.Y[mask])
         again = global_ems(SelectionInput(holdout=masked, cover=SMALL_COVER, fit_data=fit))
@@ -218,8 +247,8 @@ class TestLocalSearch:
                    lambda X: rng.random(X.shape[0]) < 0.5,
                    lambda X: X[:, 2] <= -2.0]
         for region in regions:
-            sel = local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                           base=FunctionPredictor(BALL, f1), region=region))
+            sel = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
+                                            base=FunctionPredictor(BALL, f1), region=region))
             assert sel.chosen is not None
 
     @pytest.mark.parametrize("region", [lambda X: np.ones(X.shape[0] - 1, dtype=bool),
@@ -228,14 +257,8 @@ class TestLocalSearch:
     def test_region_must_mark_each_holdout_row(self, region):
         holdout = noiseless_holdout(f1, 12, 11)
         with pytest.raises(ConfigError, match="region"):
-            local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                     base=FunctionPredictor(BALL, f1), region=region))
-
-    def test_requires_region(self):
-        holdout = noiseless_holdout(f1, 10, 10)
-        with pytest.raises(ConfigError):
-            local_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                     base=FunctionPredictor(BALL, f1)))
+            global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
+                                      base=FunctionPredictor(BALL, f1), region=region))
 
 
 class TestSymmetrisedBiasBound:
@@ -309,6 +332,21 @@ class TestBestSymmetricPredictor:
         sel = SymmetrySelection(full_so3(), 0.3, {})
         with pytest.raises(ConfigError):
             BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=0, rng=substream(0))
+
+    @pytest.mark.parametrize("draws", [2.5, True, 3.0])
+    def test_monte_carlo_draws_must_be_an_integer(self, draws):
+        base = FunctionPredictor(BALL, f1)
+        sel = SymmetrySelection(full_so3(), 0.3, {})
+        with pytest.raises(ConfigError, match="integer"):
+            BestSymmetricPredictor(base, sel, "monte_carlo", draws, substream(0))
+
+    def test_monte_carlo_draws_may_be_a_numpy_integer(self):
+        base = FunctionPredictor(BALL, f1)
+        sel = SymmetrySelection(full_so3(), 0.3, {})
+        x = np.array([[0.5, -0.2, 0.1]])
+        preds = [BestSymmetricPredictor(base, sel, "monte_carlo", m, substream(0)).predict_coords(x)
+                 for m in (7, np.int64(7))]
+        assert preds[0] == preds[1]
 
     @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
     @pytest.mark.parametrize("row", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.1, 0.2, -np.inf]])
