@@ -251,7 +251,8 @@ class BestSymmetricPredictor:
     ``method="grid"`` averages over each point's orbit grid of the whole
     subgroup at the chosen bandwidth; ``method="monte_carlo"`` averages
     over ``mc_draws`` uniform draws from the subgroup, by default
-    one per training point.  To symmetrise by a fixed subgroup, pass
+    one per training point (one for the trivial subgroup, whose
+    orbit is the point itself).  To symmetrise by a fixed subgroup, pass
     ``SymmetrySelection(group, h, {})``; ``h`` only sizes the orbit grids.
     A query row of the wrong width or with a NaN or infinite entry raises
     :class:`SpaceMismatchError`.
@@ -286,15 +287,18 @@ class BestSymmetricPredictor:
             # one block per query row, so passes split the queries between rows
             blocks = zip(np.split(pts, np.cumsum(counts)[:-1]), counts[:, None])
         else:
-            step = max(1, CHUNK_ROWS // self.mc_draws)
-            blocks = (self._draws(coords[start : start + step])
+            # the trivial orbit is the point itself: one draw is the average
+            # (its draws are identity rows and consume no randomness)
+            draws = 1 if self.selection.chosen.family is SubgroupFamily.TRIVIAL else self.mc_draws
+            step = max(1, CHUNK_ROWS // draws)
+            blocks = (self._draws(coords[start : start + step], draws)
                       for start in range(0, coords.shape[0], step))
         means = list(_orbit_averages(self.base, blocks))
         return np.concatenate(means) if means else np.zeros(0)  # no query rows, no blocks
 
-    def _draws(self, rows: np.ndarray) -> _Block:
-        pts = sample_orbit_coords(self.selection.chosen, rows, self.mc_draws, self.rng)
-        return pts.reshape(-1, rows.shape[1]), np.full(len(rows), self.mc_draws)
+    def _draws(self, rows: np.ndarray, draws: int) -> _Block:
+        pts = sample_orbit_coords(self.selection.chosen, rows, draws, self.rng)
+        return pts.reshape(-1, rows.shape[1]), np.full(len(rows), draws)
 
 
 def split_dataset(full: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

@@ -32,13 +32,19 @@ from .errors import ConfigError, SpaceMismatchError
 from .randomness import polar_gaussian
 
 _MEMBERSHIP_TOL = 1e-12
-# entries of the transient score or distance matrix built per chunk.  At
-# 512 KB a chunk and its temporaries stay in one core's L2 cache, and its
-# two products (65,536 x 3 and x 2 multiply-adds) are too small for
-# OpenBLAS to split over threads, so the kernel runs on the calling thread.
-# 32 MB chunks went through OpenBLAS's thread team: on a 2-core x86-64 host
-# (OpenBLAS 0.3.31) they ran 10-30 % slower for up to 65 % more CPU, their
-# call times swung with any other load on the machine, and under a process
+# entries of the score matrix of one chunk of query rows (one row when the
+# data alone are wider).  neighbor_stats allocates that scratch once per
+# call (the torus adds two rows for its differences and their rounding),
+# and every chunk writes into it: fresh 512 KB temporaries per chunk were
+# handed back to the OS by glibc and faulted in again, 445 minor faults
+# and 1.2 ms per torus chunk against 0.34 ms in reused buffers.  At 512 KB
+# a chunk stays in one core's L2 cache, and its two BLAS products (the
+# ball's and sphere's 65,536 x 3 score, and the indicator times
+# [values, 1], x 2 multiply-adds) are too small for OpenBLAS to split over
+# threads, so the kernel runs on the calling thread.  32 MB chunks went
+# through OpenBLAS's thread team: on a 2-core x86-64 host (OpenBLAS
+# 0.3.31) they ran 10-30 % slower for up to 65 % more CPU, their call
+# times swung with any other load on the machine, and under a process
 # pool each worker's team fought the other worker for the cores.
 CHUNK_ELEMENTS = 65_536
 
@@ -198,29 +204,32 @@ _MEASURE = {SpaceKind.UNIT_BALL3: 4.0 * math.pi / 3.0, SpaceKind.UNIT_SPHERE2: 4
 
 
 def _ball_score(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
-                h: float) -> np.ndarray:
+                h: float, scratch: list[np.ndarray]) -> np.ndarray:
     """Positive entries mark strict h-neighbours: h^2 minus the squared
     distance, or the cosine margin on the sphere, so no square root is
-    taken."""
+    taken.  The score is written into ``scratch[0]``; the torus also uses
+    ``scratch[1]`` and ``scratch[2]`` for the difference and its rounding."""
+    score = scratch[0]
     if space.kind is SpaceKind.UNIT_SPHERE2:
-        score = queries @ data.T
+        np.matmul(queries, data.T, out=score)
         score -= np.cos(min(h, np.pi)) if h <= np.pi else -2.0
         return score
     if space.kind is SpaceKind.UNIT_BALL3:
         # score = h^2 - |q - x|^2, assembled as 2 q.x + (h^2 - |q|^2) - |x|^2
-        score = queries @ (data.T * 2.0)
+        np.matmul(queries, data.T * 2.0, out=score)
         score += (h * h - np.einsum("ij,ij->i", queries, queries))[:, None]
         score -= np.einsum("ij,ij->i", data, data)[None, :]
         return score
-    sq = np.zeros((queries.shape[0], data.shape[0]))
+    diff, rounded = scratch[1], scratch[2]
+    score.fill(0.0)
     for j in range(data.shape[1]):
-        diff = np.subtract.outer(queries[:, j], data[:, j])
+        np.subtract.outer(queries[:, j], data[:, j], out=diff)
         # |d - rint(d)| wraps any finite difference; it equals
         # min(|d|, 1 - |d|) bit for bit when |d| < 1 (Sterbenz)
-        diff -= np.rint(diff)
+        diff -= np.rint(diff, out=rounded)
         diff *= diff
-        sq += diff
-    return h * h - sq
+        score += diff
+    return np.subtract(h * h, score, out=score)
 
 
 def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
@@ -234,10 +243,13 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
     against all data, in the caller's order.  It is taken when binning
     would not pay (see :func:`_cells_per_axis`), for example whenever
     there are at most ``_QUERY_COST`` data points.  Each block is chunked
-    over query rows so the transient score matrix stays within
-    ``CHUNK_ELEMENTS`` entries; the indicator is formed in place
-    (heaviside of the score) and both the count and the value sum come
-    out of a single matrix product.
+    over query rows so a chunk's score matrix stays within
+    ``CHUNK_ELEMENTS`` entries (one query row when the block is wider),
+    written into scratch allocated once per call.  The indicator is formed
+    in place (heaviside of the score) and both the count and the value sum
+    come out of a single matrix product.  Only the two chunk products (the
+    ball's and sphere's scores, and the indicator times ``[values, 1]``)
+    use BLAS; the torus scores and the cell ids are elementwise.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -247,9 +259,12 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         return counts, sums
     stacked = np.column_stack([np.asarray(values, dtype=np.float64),
                                np.ones(data.shape[0])])
+    # a chunk is one query row when the data alone are wider than CHUNK_ELEMENTS
+    scratch = np.empty((3 if space.kind is SpaceKind.TORUS else 1,
+                        max(CHUNK_ELEMENTS, data.shape[0])))
     m = _cells_per_axis(space, queries, data.shape[0], h)
     if m == 1:
-        _block_stats(space, queries, data, h, stacked, counts, sums)
+        _block_stats(space, queries, data, h, stacked, counts, sums, scratch)
         return counts, sums
     qids = _cell_ids(space, queries, m)
     order = np.argsort(qids, kind="stable")
@@ -266,19 +281,25 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         if block.size:
             a, b = qstart[k], qend[k]
             _block_stats(space, sorted_queries[a:b], data[block], h, stacked[block],
-                         cell_counts[a:b], cell_sums[a:b])
+                         cell_counts[a:b], cell_sums[a:b], scratch)
     counts[order] = cell_counts
     sums[order] = cell_sums
     return counts, sums
 
 
 def _block_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray, h: float,
-                 stacked: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
+                 stacked: np.ndarray, counts: np.ndarray, sums: np.ndarray,
+                 scratch: np.ndarray) -> None:
     """Counts and value sums of one query block against one data block,
-    written into ``counts`` and ``sums``."""
-    rows = max(1, CHUNK_ELEMENTS // data.shape[0])
+    written into ``counts`` and ``sums``; the scores of each chunk of query
+    rows are written into views of ``scratch``."""
+    width = data.shape[0]
+    rows = max(1, CHUNK_ELEMENTS // width)
     for start in range(0, queries.shape[0], rows):
-        score = _ball_score(space, queries[start : start + rows], data, h)
+        chunk = queries[start : start + rows]
+        views = [line[: chunk.shape[0] * width].reshape(chunk.shape[0], width)
+                 for line in scratch]
+        score = _ball_score(space, chunk, data, h, views)
         # overwrite the score with the 0/1 indicator in place
         np.greater(score, 0.0, out=score, casting="unsafe")
         agg = score @ stacked
@@ -332,13 +353,18 @@ def _cells_per_axis(space: CovariateSpace, queries: np.ndarray, n: int, h: float
 def _cell_ids(space: CovariateSpace, coords: np.ndarray, m: int) -> np.ndarray:
     """Row-major grid cell of each row: indices clipped to ``[-1, 1]^3``
     on the ball and sphere, taken mod ``m`` on the torus.  The ids are
-    int16, for which numpy's stable sort is a radix sort."""
+    int16, for which numpy's stable sort is a radix sort.  They are summed
+    elementwise (Horner), not as a matrix-vector product, which OpenBLAS
+    would hand to its thread team from about 150,000 rows."""
     if space.kind is SpaceKind.TORUS:
         axis = np.floor(coords * float(m)) % m
     else:
         axis = np.clip(np.floor((coords + 1.0) * (m / 2.0)), 0, m - 1)
-    weights = float(m) ** np.arange(coords.shape[1] - 1, -1, -1)
-    return (axis @ weights).astype(np.int16)
+    ids = axis[:, 0].copy()
+    for j in range(1, coords.shape[1]):
+        ids *= m
+        ids += axis[:, j]
+    return ids.astype(np.int16)
 
 
 def _candidates(space: CovariateSpace, data: np.ndarray, m: int,

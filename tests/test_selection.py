@@ -319,6 +319,26 @@ class TestBestSymmetricPredictor:
             single = predictor.predict_coords(queries[i][None, :])[0]
             assert batch[i] == pytest.approx(single, abs=1e-12)
 
+    @pytest.mark.parametrize("scenario", ["so3_f3", "t2_g3"])
+    def test_monte_carlo_trivial_choice_is_the_base_prediction(self, scenario, monkeypatch):
+        # the trivial orbit is the query itself: one draw per row, no
+        # randomness consumed, and the base's own numbers bit for bit
+        spec = SCENARIOS[scenario]
+        fit = generate_data(spec, 300, 0.5, substream(18, scenario, "fit"))
+        base = LocalConstantEstimator(fit, 0.3)
+        queries = sample_points(fit.space, PointDistribution.UNIFORM_SPACE, 200,
+                                substream(18, scenario, "q"))
+        trivial = SymmetrySelection(trivial_subgroup(spec.parent), 0.3, {})
+        rng = substream(18, "mc")
+        points = []
+        predict_pass = selection._predict_pass
+        monkeypatch.setattr(selection, "_predict_pass", lambda base, blocks: points.append(
+            sum(len(coords) for coords, _ in blocks)) or predict_pass(base, blocks))
+        preds = BestSymmetricPredictor(base, trivial, "monte_carlo", rng=rng).predict_coords(queries)
+        assert np.array_equal(preds, base.predict_coords(queries))
+        assert points == [len(queries)]
+        assert rng.random() == substream(18, "mc").random()
+
     def test_monte_carlo_needs_rng(self):
         base = FunctionPredictor(BALL, f1)
         holdout = noiseless_holdout(f1, 10, 14)

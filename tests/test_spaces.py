@@ -256,3 +256,91 @@ class TestNeighborStatsProperty:
         assert spaces._cells_per_axis(space, queries, 1000, 0.15) > 1
         assert spaces._cells_per_axis(space, queries[:200], 1000, 0.15) == 1
         assert spaces._cells_per_axis(space, queries, 50, 0.15) == 1
+
+
+class TestChunkShapes:
+    """Counts through every chunk shape of the kernel against brute force.
+
+    A patched ``CHUNK_ELEMENTS`` of 1 or 7 makes every block wider than a
+    chunk (one query row per chunk); at 100, the 23 data points give
+    chunks of 4 rows, so the 41 queries end in a ragged chunk of one.  The
+    cell path (binning costs zeroed) scores blocks of different widths in
+    one call, all through the same scratch.
+    """
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("space", [unit_ball3(), unit_sphere2(), torus(2)], ids=str)
+    @pytest.mark.parametrize("n", [23, 150])
+    @pytest.mark.parametrize("cells", [False, True], ids=["dense", "cells"])
+    def test_counts_match_brute_force(self, chunk, space, n, cells, monkeypatch):
+        rng = substream(8, "chunks", str(space), n)
+        data = sample_points(space, PointDistribution.UNIFORM_SPACE, n, rng)
+        queries = sample_points(space, PointDistribution.UNIFORM_SPACE, 41, rng)
+        values = np.round(8.0 * rng.normal(size=n)) / 8.0  # exact sums in any order
+        monkeypatch.setattr(spaces, "CHUNK_ELEMENTS", chunk)
+        if cells:
+            monkeypatch.setattr(spaces, "_QUERY_COST", 0)
+            monkeypatch.setattr(spaces, "_CELL_COST", 0)
+        widths = []
+        block_stats = spaces._block_stats
+        monkeypatch.setattr(spaces, "_block_stats", lambda space, q, d, *rest: widths.append(
+            len(d)) or block_stats(space, q, d, *rest))
+        counts, sums = neighbor_stats(space, queries, data, 0.2, values)
+        brute = pairwise_distance(space, queries, data) < 0.2
+        assert counts.tolist() == brute.sum(axis=1).tolist()
+        assert sums.tolist() == (brute @ values).tolist()
+        if cells:
+            assert len(set(widths)) > 1
+        else:
+            assert widths == [n]
+            assert n > chunk or 41 % (chunk // n) != 0
+
+    def test_torus_data_wider_than_a_chunk(self):
+        # 70,000 data points at h = 0.4 stay on the dense path (a 2-cell
+        # axis cannot bin), so each chunk is one query row of 70,000 scores
+        rng = substream(8, "wide")
+        data = rng.random((70_000, 2))
+        queries = np.vstack([rng.random((4, 2)), [[np.mod(-1e-17, 1.0), 0.5]]])
+        assert spaces._cells_per_axis(torus(2), queries, len(data), 0.4) == 1
+        assert len(data) > spaces.CHUNK_ELEMENTS
+        counts, sums = neighbor_stats(torus(2), queries, data, 0.4, np.ones(len(data)))
+        brute = (pairwise_distance(torus(2), queries, data) < 0.4).sum(axis=1)
+        assert counts.tolist() == brute.tolist()
+        assert sums.tolist() == brute.tolist()
+
+
+class TestCellIds:
+    """Grid cells against an int64 reference, ``(a0 * m + a1) * m + a2``."""
+
+    @staticmethod
+    def _reference(space, coords, m):
+        ids = np.zeros(len(coords), dtype=np.int64)
+        for j in range(coords.shape[1]):
+            if space.kind is SpaceKind.TORUS:
+                axis = [math.floor(x * float(m)) % m for x in coords[:, j]]
+            else:
+                axis = [min(max(math.floor((x + 1.0) * (m / 2.0)), 0), m - 1)
+                        for x in coords[:, j]]
+            ids = ids * m + np.array(axis, dtype=np.int64)
+        return ids
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    @pytest.mark.parametrize("space", [unit_ball3(), torus(2), torus(3)], ids=str)
+    def test_ids_match_reference(self, space, m):
+        d = space.ambient_dim
+        rng = substream(9, "ids", str(space), m)
+        if space.kind is SpaceKind.TORUS:
+            # cell edges k / m, the seam (1.0 and just below it, -0.0, a
+            # negative coordinate) and whole periods off [0, 1)
+            edges = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.mod(-1e-17, 1.0),
+                              -0.25, 2.75, *(np.arange(m) / m)])
+            coords = np.vstack([rng.random((200, d)), rng.choice(edges, (200, d))])
+        else:
+            # the clip edges -1 and 1, points beyond them, and cell edges
+            edges = np.array([-1.0, 1.0, -1.6, 1.6, np.nextafter(1.0, 2.0),
+                              np.nextafter(-1.0, -2.0), *(-1.0 + 2.0 * np.arange(m) / m)])
+            coords = np.vstack([rng.uniform(-1.0, 1.0, (200, d)), rng.choice(edges, (200, d))])
+        ids = spaces._cell_ids(space, coords, m)
+        assert ids.dtype == np.int16
+        assert ids.tolist() == self._reference(space, coords, m).tolist()
+        assert ids.min() >= 0 and ids.max() < m ** d
