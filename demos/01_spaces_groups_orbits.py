@@ -21,10 +21,10 @@ print("quarter turn:", x.coords, "->", og.act(g, x).coords)
 
 # Group structure: composition, inverses, and the rotation-angle metric.
 h = og.rotation_about([0.0, 1.0, 0.0], 0.8)
-gh = og.compose(g, h)
-print("angle of g:", og.group_distance(og.rotation_identity(), g))
+gh = g.compose(h)
+print("angle of g:", og.rotation_identity().distance(g))
 print("g composed with its inverse is the identity:",
-      og.group_distance(og.compose(g, og.inverse(g)), og.rotation_identity()))
+      g.compose(g.inverse()).distance(og.rotation_identity()))
 
 # Actions are isometries: distances between points are preserved.
 y = og.Point.of(ball, [0.1, -0.4, 0.2])

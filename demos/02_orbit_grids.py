@@ -42,8 +42,7 @@ print("              grid point:", np.round(grid.orbit_coords[5], 6))
 # Recovering an element that maps x to a chosen orbit point.
 target = og.Point.of(ball, grid.orbit_coords[-1])
 g = og.recover_group_element(x, target, og.full_so3())
-print("recovered rotation angle:",
-      og.group_distance(og.rotation_identity(), g))
+print("recovered rotation angle:", og.rotation_identity().distance(g))
 
 # Singular base points degrade gracefully: the origin is fixed by every
 # rotation, so its grid is the identity alone.

@@ -42,10 +42,6 @@ from .groups import (
     Rotation3,
     TorusShift,
     act,
-    compose,
-    group_distance,
-    identity_like,
-    inverse,
     rotation_about,
     rotation_identity,
 )

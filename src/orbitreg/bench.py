@@ -274,8 +274,7 @@ def run_trial(cfg: ScenarioConfig, scenario: Scenario, cover: list[ClosedSubgrou
                                           a=cfg.a, beta=cfg.beta,
                                           symmetriser=cfg.selector))
     base_best = LocalConstantEstimator(fit, selection.chosen_bandwidth)
-    best = BestSymmetricPredictor(base_best, selection, method=cfg.final_method,
-                                  mc_draws=len(fit), rng=rng_mc)
+    best = BestSymmetricPredictor(base_best, selection, method=cfg.final_method, rng=rng_mc)
 
     eval_X = sample_points(scenario.space, PointDistribution.UNIFORM_SPACE,
                            cfg.eval_points, rng_eval)

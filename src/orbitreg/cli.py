@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
+import typing
 
 import numpy as np
 
@@ -41,23 +43,13 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-_CONFIG_KEYS = {
-    "scenario": str,
-    "noise_sd": float,
-    "n_grid": _parse_n_grid,
-    "trials": int,
-    "eval_points": int,
-    "beta": float,
-    "a": float,
-    "delta": float,
-    "use_schedule": _parse_bool,
-    "seed": int,
-    "split": _parse_bool,
-    "selector": str,
-    "final_method": str,
-    "workers": int,
-    "out": str,
-}
+# a config file sets any field of ScenarioConfig, read by the parser of its
+# annotation (an annotation missing here fails at import), plus ``out``
+_PARSERS = {str: str, int: int, float: float, float | None: float, bool: _parse_bool,
+            tuple[int, ...]: _parse_n_grid}
+_HINTS = typing.get_type_hints(ScenarioConfig)
+_CONFIG_KEYS = {f.name: _PARSERS[_HINTS[f.name]] for f in dataclasses.fields(ScenarioConfig)}
+_CONFIG_KEYS["out"] = str
 
 
 def main(argv: list[str] | None = None) -> int:

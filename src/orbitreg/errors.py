@@ -1,4 +1,4 @@
-"""Exception types raised across the library, and the check of integer counts."""
+"""Exception types raised across the library, and the check of integer arguments."""
 
 import numbers
 
@@ -42,8 +42,14 @@ class ConfigError(OrbitregError):
     """A configuration value is missing, malformed, or out of range."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: numpy integers count, bools and
+    floats do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(value, minimum: int, message: str) -> None:
-    """Raise ``ConfigError(message)`` unless ``value`` is an integer of at
-    least ``minimum``; numpy integers count, bools and floats do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    """Raise ``ConfigError(message)`` unless ``value`` is an integer (see
+    :func:`is_integer`) of at least ``minimum``."""
+    if not is_integer(value) or value < minimum:
         raise ConfigError(message)

@@ -3,13 +3,17 @@
 Two element variants cover the transformation catalog:
 
 * ``Rotation3`` -- a 3D rotation stored as a unit quaternion (w, x, y, z)
-  with the sign convention w >= 0 (q and -q describe the same rotation);
+  whose first nonzero component is positive (q and -q describe the same
+  rotation);
 * ``TorusShift`` -- a translation of the flat d-torus, reduced into [0, 1).
 
-Each variant carries its own product, inverse and distance; an element
-acts through its parent's batched action.  Everything that depends on the
-parent group is one :class:`ParentGroup` entry, parsed once from the names
-``"so3"`` and ``"torus{d}"`` by :func:`parent_group`.
+Everything that depends on the parent group is one :class:`ParentGroup`
+entry, parsed once from the names ``"so3"`` and ``"torus{d}"`` by
+:func:`parent_group`: the canonical form, product, inverse and metric of
+element rows, and the batched action.  The element methods (``compose``,
+``inverse``, ``distance``, ``act_on``) are written once, through those
+rules; a row of the wrong shape or with a NaN or infinite entry is
+rejected when the element is made.
 
 The group metric is the minimal rotation angle for rotations (the length of
 the shortest geodesic under the bi-invariant metric) and wrap-around
@@ -115,60 +119,70 @@ def quat_rotation_angle(q: np.ndarray) -> np.ndarray:
 # element variants
 
 class _Element:
-    """Equality, hashing, the same-parent check and the action of a
-    one-array element; the action is the parent's batched ``act_rows``."""
+    """A group element stored as one row (a quaternion or a shift) in its
+    parent's canonical form.  Products, inverses, the group metric and the
+    action are the parent's row rules, so a variant only names its field
+    and its parent."""
 
     _field: str
+
+    @property
+    def _row(self) -> np.ndarray:
+        return getattr(self, self._field)
+
+    def __post_init__(self):
+        row = np.array(self._row, dtype=np.float64)
+        # a shift's length names its torus, so the parent is found only
+        # once the row is known to be one nonempty row
+        if row.ndim != 1 or row.size == 0:
+            raise InvalidElementError(f"an element is one nonempty row, got shape {row.shape}")
+        object.__setattr__(self, self._field, row)
+        object.__setattr__(self, self._field, self.parent_group.canonical(row))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return np.array_equal(getattr(self, self._field), getattr(other, self._field))
+        return np.array_equal(self._row, other._row)
 
     def __hash__(self):
-        return hash((type(self).__name__, getattr(self, self._field).tobytes()))
+        return hash((type(self).__name__, self._row.tobytes()))
 
-    def _check_same_parent(self, other: GroupElement) -> None:
-        mine, theirs = self.parent_group.name, other.parent_group.name
-        if mine != theirs:
-            raise VariantMismatchError(f"elements of different parents: {mine} vs {theirs}")
+    def _shared_parent(self, other: GroupElement) -> ParentGroup:
+        mine, theirs = self.parent_group, other.parent_group
+        if mine.name != theirs.name:
+            raise VariantMismatchError(f"elements of different parents: {mine.name} vs {theirs.name}")
+        return mine
+
+    def compose(self, other: GroupElement) -> GroupElement:
+        """Group product ``self * other`` (first apply ``other``, then ``self``)."""
+        parent = self._shared_parent(other)
+        return parent.element(parent.product(self._row, other._row))
+
+    def inverse(self) -> GroupElement:
+        parent = self.parent_group
+        return parent.element(parent.invert(self._row))
+
+    def distance(self, other: GroupElement) -> float:
+        """Geodesic distance to ``other`` in the group metric."""
+        return self._shared_parent(other).distance(self._row, other._row)
 
     def act_on(self, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
+        """Apply the element to row-stacked coordinates of ``space``."""
         parent = self.parent_group
         parent.check_acts_on(space)
-        return parent.act_rows(getattr(self, self._field), coords)
+        return parent.act_rows(self._row, coords)
 
 
 @dataclass(frozen=True, eq=False)
 class Rotation3(_Element):
+    """A rotation of R^3 as a unit quaternion (w, x, y, z)."""
+
     quaternion: np.ndarray
     _field = "quaternion"
-
-    def __post_init__(self):
-        q = np.array(self.quaternion, dtype=np.float64)
-        if q.shape != (4,):
-            raise InvalidElementError(f"quaternion must have 4 components, got shape {q.shape}")
-        if abs(np.linalg.norm(q) - 1.0) > 1e-9:
-            raise InvalidElementError(f"quaternion must be unit norm, got |q| = {np.linalg.norm(q)!r}")
-        q = quat_canonical(q / np.linalg.norm(q))
-        q.flags.writeable = False
-        object.__setattr__(self, "quaternion", q)
 
     @property
     def parent_group(self) -> ParentGroup:
         return parent_group(PARENT_SO3)
-
-    def compose(self, other: Rotation3) -> Rotation3:
-        self._check_same_parent(other)
-        return Rotation3(quat_multiply(self.quaternion, other.quaternion))
-
-    def inverse(self) -> Rotation3:
-        return Rotation3(quat_conjugate(self.quaternion))
-
-    def distance(self, other: Rotation3) -> float:
-        self._check_same_parent(other)
-        return float(quat_rotation_angle(quat_multiply(quat_conjugate(self.quaternion),
-                                                       other.quaternion)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,27 +192,9 @@ class TorusShift(_Element):
     shift: np.ndarray
     _field = "shift"
 
-    def __post_init__(self):
-        s = np.mod(np.array(self.shift, dtype=np.float64), 1.0)
-        s[s == 1.0] = 0.0
-        s.flags.writeable = False
-        object.__setattr__(self, "shift", s)
-
     @property
     def parent_group(self) -> ParentGroup:
         return parent_group(parent_torus(self.shift.size))
-
-    def compose(self, other: TorusShift) -> TorusShift:
-        self._check_same_parent(other)
-        return TorusShift(self.shift + other.shift)
-
-    def inverse(self) -> TorusShift:
-        return TorusShift(-self.shift)
-
-    def distance(self, other: TorusShift) -> float:
-        self._check_same_parent(other)
-        diff = np.abs(self.shift - other.shift)
-        return float(np.linalg.norm(np.minimum(diff, 1.0 - diff)))
 
 
 GroupElement = Rotation3 | TorusShift
@@ -208,12 +204,40 @@ GroupElement = Rotation3 | TorusShift
 # parent groups
 
 def _rotation_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The nets' all-pairs metric keeps the cheap form 2 arccos|a.b| instead
+    # of the parent's element `distance`.  On a 2-core x86 machine 65,536
+    # pairs took 0.65 ms here, against 5.4 ms through quat_rotation_angle
+    # (atan2) and 6.7 ms in the exact chord form, and with the chord form
+    # `validate --quick` took 10 s instead of 1.7 s.  The element metric
+    # stays exact: this form puts a rotation up to 6e-8 from itself.
     dots = np.abs(np.asarray(a) @ np.asarray(b).T)
     return 2.0 * np.arccos(np.clip(dots, -1.0, 1.0))
 
 
+def _unit_quaternion(q: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(q)
+    if abs(norm - 1.0) > 1e-9:
+        raise InvalidElementError(f"quaternion must be unit norm, got |q| = {norm!r}")
+    return quat_canonical(q / norm)
+
+
+def _rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(quat_rotation_angle(quat_multiply(quat_conjugate(a), b)))
+
+
 def _shift_rows(shifts: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.mod(coords + shifts, 1.0)
+
+
+def _wrapped_shift(s: np.ndarray) -> np.ndarray:
+    s = np.mod(s, 1.0)
+    s[s == 1.0] = 0.0  # np.mod rounds a tiny negative shift up to 1.0
+    return s
+
+
+def _shift_distance(a: np.ndarray, b: np.ndarray) -> float:
+    diff = np.abs(a - b)
+    return float(np.linalg.norm(np.minimum(diff, 1.0 - diff)))
 
 
 @dataclass(frozen=True)
@@ -221,11 +245,15 @@ class ParentGroup:
     """Everything that depends on the parent group: its ``name`` (the key of
     ``ClosedSubgroup.parent``), element variant, the dimension and ``kinds``
     of the spaces it acts on, the principal orbit dimension of the whole
-    group, the tag, identity row and batched metric of its nets, and its
-    one batched action ``act_rows(elements, coords)``: element rows
-    (quaternions or shifts) applied to coordinate rows, broadcasting the
-    leading axes of both.  Every orbit point set -- an element's action,
-    Haar orbit samples, quadrature nodes -- goes through ``act_rows``."""
+    group, the tag, identity row and batched metric of its nets, its one
+    batched action ``act_rows(elements, coords)`` (element rows --
+    quaternions or shifts -- applied to coordinate rows, broadcasting the
+    leading axes of both), and the rules of single element rows:
+    ``reduce`` (the canonical form of a checked row: a unit quaternion
+    with its first nonzero component positive, or a shift wrapped into
+    [0, 1)), ``product``, ``invert`` and the group metric ``distance``.
+    Every orbit point set -- an element's action, Haar orbit samples,
+    quadrature nodes -- goes through ``act_rows``."""
 
     name: str
     element: type
@@ -236,11 +264,28 @@ class ParentGroup:
     identity_row: tuple[float, ...]
     net_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     act_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    reduce: Callable[[np.ndarray], np.ndarray]
+    product: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    invert: Callable[[np.ndarray], np.ndarray]
+    distance: Callable[[np.ndarray, np.ndarray], float]
 
     def check_acts_on(self, space: CovariateSpace) -> None:
         """The one rule for the spaces a parent acts on."""
         if space.kind not in self.kinds or space.ambient_dim != self.dim:
             raise IncompatibleActionError(f"{self.name} does not act on {space}")
+
+    def canonical(self, row) -> np.ndarray:
+        """The canonical form of an element row, read-only; a row of the
+        wrong shape or with a NaN or infinite entry raises
+        :class:`InvalidElementError`."""
+        row = np.asarray(row, dtype=np.float64)
+        width = len(self.identity_row)
+        if row.shape != (width,) or not np.isfinite(row).all():
+            raise InvalidElementError(f"{self.name} elements are rows of {width} finite numbers, "
+                                      f"got {row!r}")
+        row = self.reduce(row)
+        row.flags.writeable = False
+        return row
 
     def identity(self) -> GroupElement:
         return self.element(np.array(self.identity_row))
@@ -251,57 +296,35 @@ def parent_group(name: str) -> ParentGroup:
     """The entry of a parent name: ``"so3"`` or ``"torus{d}"``."""
     if name == PARENT_SO3:
         return ParentGroup(name, Rotation3, 3, 2, (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2),
-                           "rotation", (1.0, 0.0, 0.0, 0.0), _rotation_angles, quat_rotate)
+                           "rotation", (1.0, 0.0, 0.0, 0.0), _rotation_angles, quat_rotate,
+                           _unit_quaternion, quat_multiply, quat_conjugate, _rotation_distance)
     match = re.fullmatch(r"torus([1-9][0-9]*)", name)
     if match is None:
         raise ConfigError(f"unknown parent group {name!r}")
     d = int(match[1])
     return ParentGroup(name, TorusShift, d, d, (SpaceKind.TORUS,), "shift", (0.0,) * d,
-                       partial(flat_distance_matrix, period=1.0), _shift_rows)
+                       partial(flat_distance_matrix, period=1.0), _shift_rows,
+                       _wrapped_shift, np.add, np.negative, _shift_distance)
 
 
 # ---------------------------------------------------------------------------
-# constructors and group operations
+# constructors and the action on points
 
 def rotation_identity() -> Rotation3:
     return parent_group(PARENT_SO3).identity()
 
 
 def rotation_about(axis, angle: float) -> Rotation3:
+    """The rotation by ``angle`` about ``axis`` (a finite nonzero 3-vector)."""
     axis = np.asarray(axis, dtype=np.float64)
+    angle = float(angle)
     norm = np.linalg.norm(axis)
-    if norm == 0.0:
-        raise InvalidElementError("rotation axis must be nonzero")
-    return Rotation3(quat_from_axis_angle(axis / norm, float(angle)))
-
-
-def torus_identity(d: int) -> TorusShift:
-    return parent_group(parent_torus(d)).identity()
-
-
-def identity_like(g: GroupElement) -> GroupElement:
-    return g.parent_group.identity()
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Group product g * h (first apply h, then g)."""
-    return g.compose(h)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
-def group_distance(g: GroupElement, h: GroupElement) -> float:
-    """Geodesic distance between two elements of the same parent group."""
-    return g.distance(h)
+    if axis.shape != (3,) or not 0.0 < norm < np.inf or not np.isfinite(angle):
+        raise InvalidElementError("rotation_about needs a finite nonzero 3-vector axis "
+                                  "and a finite angle")
+    return Rotation3(quat_from_axis_angle(axis / norm, angle))
 
 
 def act(g: GroupElement, x: Point) -> Point:
     """Apply a group element to a point of a compatible space."""
-    return Point(act_on_coords(g, x.space, x.coords[None, :])[0], x.space)
-
-
-def act_on_coords(g: GroupElement, space: CovariateSpace, coords: np.ndarray) -> np.ndarray:
-    """Apply ``g`` to row-stacked coordinates (batched form of :func:`act`)."""
-    return g.act_on(space, np.asarray(coords, dtype=np.float64))
+    return Point(g.act_on(x.space, x.coords[None, :])[0], x.space)

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleActionError
-from .groups import GroupElement
+from .groups import GroupElement, parent_group
 from .spaces import CovariateSpace, Point
-from .subgroups import FAMILY_TABLE, ClosedSubgroup, check_acts_on
+from .subgroups import FAMILY_TABLE, ClosedSubgroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +56,7 @@ class OrbitGrid:
 
 def hypercube_side(x: Point, group: ClosedSubgroup) -> float:
     """Side length of the tangent-space hypercube used to seed the grid."""
-    check_acts_on(group, x.space)
+    parent_group(group.parent).check_acts_on(x.space)
     return float(FAMILY_TABLE[group.family].side(group, x.coords[None, :])[0])
 
 
@@ -76,7 +76,7 @@ def build_orbit_grid(x: Point, group: ClosedSubgroup, h: float) -> OrbitGrid:
 
 def recover_group_element(x: Point, target: Point, group: ClosedSubgroup) -> GroupElement:
     """Find ``g`` in the subgroup with ``g . x = target`` (within 1e-9)."""
-    check_acts_on(group, x.space)
+    parent_group(group.parent).check_acts_on(x.space)
     return FAMILY_TABLE[group.family].recover(group, x, target)
 
 
@@ -93,7 +93,7 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     """
     if not 0.0 < h < math.inf:
         raise IncompatibleActionError(f"bandwidth must be finite and positive, got {h}")
-    check_acts_on(group, space)
+    parent_group(group.parent).check_acts_on(space)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     entry = FAMILY_TABLE[group.family]
     singular = entry.singular(group, xs)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyHoldoutError, check_count
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
+from .groups import parent_group
 from .orbit_grids import orbit_coords_batch
 from .spaces import query_rows
 from .subgroups import (
@@ -254,8 +255,9 @@ class BestSymmetricPredictor:
     one per training point (one for the trivial subgroup, whose
     orbit is the point itself).  To symmetrise by a fixed subgroup, pass
     ``SymmetrySelection(group, h, {})``; ``h`` only sizes the orbit grids.
-    A query row of the wrong width or with a NaN or infinite entry raises
-    :class:`SpaceMismatchError`.
+    A subgroup whose parent does not act on the base's space raises
+    :class:`IncompatibleActionError`; a query row of the wrong width or
+    with a NaN or infinite entry raises :class:`SpaceMismatchError`.
     """
 
     def __init__(self, base: Predictor, selection: SymmetrySelection,
@@ -263,6 +265,7 @@ class BestSymmetricPredictor:
                  rng: np.random.Generator | None = None):
         if method not in ("grid", "monte_carlo"):
             raise ConfigError(f"unknown symmetrisation method {method!r}")
+        parent_group(selection.chosen.parent).check_acts_on(base.space)
         if method == "monte_carlo":
             if rng is None:
                 raise ConfigError("monte_carlo symmetrisation needs an explicit rng")

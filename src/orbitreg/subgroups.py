@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleActionError, OffOrbitError
+from .errors import ConfigError, IncompatibleActionError, OffOrbitError, check_count, is_integer
 from .groups import (
     PARENT_SO3,
     GroupElement,
@@ -115,8 +115,8 @@ def full_so3() -> ClosedSubgroup:
 
 
 def torus_line(p: int, q: int) -> ClosedSubgroup:
-    if p == 0 and q == 0:
-        raise ConfigError("torus line direction must be nonzero")
+    if not (is_integer(p) and is_integer(q)) or p == 0 and q == 0:
+        raise ConfigError("torus line direction must be a nonzero pair of integers")
     g = math.gcd(abs(p), abs(q))
     p, q = p // g, q // g
     if p < 0 or (p == 0 and q < 0):
@@ -125,10 +125,15 @@ def torus_line(p: int, q: int) -> ClosedSubgroup:
 
 
 def full_torus(d: int) -> ClosedSubgroup:
+    check_count(d, 1, "torus dimension must be an integer of at least 1")
     return ClosedSubgroup(SubgroupFamily.FULL_TORUS, parent_torus(d))
 
 
 def axis_translations(d: int, mask) -> ClosedSubgroup:
+    check_count(d, 1, "torus dimension must be an integer of at least 1")
+    mask = tuple(mask)
+    if not all(is_integer(i) for i in mask):
+        raise ConfigError("mask entries must be integer coordinate indices")
     mask = tuple(sorted(set(int(i) for i in mask)))
     if not mask or mask[0] < 0 or mask[-1] >= d:
         raise ConfigError(f"mask must select coordinates in [0, {d})")
@@ -138,7 +143,10 @@ def axis_translations(d: int, mask) -> ClosedSubgroup:
 
 
 def _canonical_axis(u: np.ndarray) -> np.ndarray:
-    # u and -u generate the same circle of rotations.
+    # u and -u generate the same circle of rotations.  This loop repeats
+    # the sign rule of groups.quat_canonical for one 3-vector: through that
+    # vectorised form, building the two shrinking-delta covers (393 and 667
+    # circles) took 63 ms instead of 14 ms on a 2-core x86 machine.
     for c in u:
         if c != 0.0:
             return u if c > 0.0 else -u
@@ -146,20 +154,12 @@ def _canonical_axis(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parents and orbit dimension
-
-def check_acts_on(group: ClosedSubgroup, space: CovariateSpace) -> None:
-    parent_group(group.parent).check_acts_on(space)
-
+# orbit dimension
 
 def orbit_dimension(group: ClosedSubgroup, space: CovariateSpace) -> int:
     """Dimension of a principle orbit of the subgroup's action on the space."""
-    check_acts_on(group, space)
+    parent_group(group.parent).check_acts_on(space)
     return FAMILY_TABLE[group.family].orbit_dim(group, space)
-
-
-def identity_element(group: ClosedSubgroup) -> GroupElement:
-    return parent_group(group.parent).identity()
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,7 @@ class _Trivial(FamilyEntry):
         deviation = float(pairwise_distance(x.space, x.coords, target.coords)[0, 0])
         if deviation > _RECOVER_TOL:
             raise OffOrbitError("target is not the base point of the trivial orbit", deviation)
-        return identity_element(g)
+        return parent_group(g.parent).identity()
 
     def haar(self, g, rng, shape):
         identity = parent_group(g.parent).identity_row
@@ -373,7 +373,7 @@ class _Circle(FamilyEntry):
         if deviation > _RECOVER_TOL:
             raise OffOrbitError("target does not lie on the rotation circle", deviation)
         if r == 0.0:  # any r > 0 needs the angle: the orbit is 2r across, maybe > tol
-            return identity_element(g)
+            return parent_group(g.parent).identity()
         e1 = rad_x / r
         e2 = cross(u, e1)
         angle = float(np.arctan2(rad_t @ e2, rad_t @ e1))
@@ -713,8 +713,11 @@ def delta_schedule(n: int, beta: float, d: int, d_max: int) -> float:
     """Cover scale for sample size ``n``: shrinks so the cover-approximation
     bias stays below the statistical error of the fastest stratum (for a
     1-Lipschitz regression function and action)."""
-    if n < 1 or beta <= 0 or d <= 0 or d_max < 0:
-        raise ConfigError("delta_schedule inputs must be positive (n >= 1, d_max >= 0)")
+    check_count(n, 1, "delta_schedule: n must be an integer of at least 1")
+    check_count(d, 1, "delta_schedule: d must be an integer of at least 1")
+    check_count(d_max, 0, "delta_schedule: d_max must be an integer of at least 0")
+    if not 0.0 < beta < math.inf:
+        raise ConfigError("delta_schedule: beta must be finite and positive")
     rate = float(n) ** (-2.0 * beta / (2.0 * beta + (d - d_max)))
     exponent = 1.0 / (2.0 * min(beta, 1.0))
     return (rate / 2.0) ** exponent

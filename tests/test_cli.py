@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from orbitreg import cli
+from orbitreg.bench import ScenarioConfig
 from orbitreg.cli import main
 from orbitreg.randomness import substream
 
@@ -43,6 +47,28 @@ class TestSimulate:
         rows = (out / "rows.csv").read_text().splitlines()
         # one trial per n, two estimators
         assert len(rows) == 1 + 2 * 2
+
+    def test_config_file_sets_every_field(self, tmp_path, monkeypatch):
+        values = {"scenario": "t2_g3", "noise_sd": 0.25, "n_grid": (20, 40), "trials": 3,
+                  "eval_points": 7, "beta": 0.5, "a": 2.0, "delta": 0.75, "use_schedule": False,
+                  "seed": 5, "split": False, "selector": "grid", "final_method": "grid",
+                  "workers": 2}
+        assert set(values) == {f.name for f in dataclasses.fields(ScenarioConfig)}
+        text = {tuple: lambda v: ",".join(map(str, v)), bool: lambda v: "yes" if v else "no"}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {text.get(type(v), str)(v)}\n" for key, v in values.items()),
+                       encoding="utf-8")
+
+        class Reached(Exception):
+            pass
+
+        def capture(config):
+            raise Reached(config)
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        with pytest.raises(Reached) as reached:
+            main(["simulate", "--config", str(cfg)])
+        assert reached.value.args[0] == ScenarioConfig(**values)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["simulate", "--scenario", "t2_g1", "--n-grid", "24",

@@ -9,9 +9,6 @@ from orbitreg import (
     TorusShift,
     VariantMismatchError,
     act,
-    compose,
-    group_distance,
-    inverse,
     rotation_about,
     rotation_identity,
     sample_points,
@@ -23,11 +20,11 @@ from orbitreg import (
 from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import (
     cross,
+    parent_group,
     quat_canonical,
     quat_multiply,
     quat_conjugate,
     quat_rotation_angle,
-    torus_identity,
 )
 from orbitreg.randomness import polar_gaussian
 
@@ -71,7 +68,7 @@ class TestAction:
             g, h = Rotation3(g_quat), Rotation3(h_quat)
             x = Point.of(unit_ball3(), coords)
             via_two = act(g, act(h, x))
-            via_product = act(compose(g, h), x)
+            via_product = act(g.compose(h), x)
             assert np.linalg.norm(via_two.coords - via_product.coords) <= 1e-10
 
     def test_torus_action_compatibility(self):
@@ -79,7 +76,7 @@ class TestAction:
         for _ in range(50):
             g, h = TorusShift(rng.random(2)), TorusShift(rng.random(2))
             x = Point.of(torus(2), rng.random(2))
-            assert np.linalg.norm(act(g, act(h, x)).coords - act(compose(g, h), x).coords) <= 1e-10
+            assert np.linalg.norm(act(g, act(h, x)).coords - act(g.compose(h), x).coords) <= 1e-10
 
 
 class TestCross:
@@ -97,46 +94,46 @@ class TestCross:
 class TestComposeInverse:
     def test_compose_with_identity(self):
         g = rotation_about([0.0, 1.0, 0.0], 0.7)
-        assert compose(g, rotation_identity()) == g
-        assert compose(rotation_identity(), g) == g
+        assert g.compose(rotation_identity()) == g
+        assert rotation_identity().compose(g) == g
 
     def test_torus_inverse_is_mod_one_negation(self):
-        assert np.allclose(inverse(TorusShift(np.array([0.3]))).shift, [0.7], atol=1e-12)
+        assert np.allclose(TorusShift(np.array([0.3])).inverse().shift, [0.7], atol=1e-12)
 
     def test_same_axis_rotations_add_angles(self):
         u = np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
-        g = compose(rotation_about(u, 0.4), rotation_about(u, 0.5))
-        assert group_distance(g, rotation_about(u, 0.9)) <= 1e-12
+        g = rotation_about(u, 0.4).compose(rotation_about(u, 0.5))
+        assert g.distance(rotation_about(u, 0.9)) <= 1e-12
 
     def test_inverse_cancels(self):
         rng = substream(3, "inv")
         for q in random_rotations(rng, 20):
             g = Rotation3(q)
-            assert group_distance(compose(g, inverse(g)), rotation_identity()) <= 1e-12
+            assert g.compose(g.inverse()).distance(rotation_identity()) <= 1e-12
         for _ in range(20):
             g = TorusShift(rng.random(3))
-            assert np.allclose(compose(g, inverse(g)).shift, 0.0, atol=1e-12)
+            assert np.allclose(g.compose(g.inverse()).shift, 0.0, atol=1e-12)
 
     def test_variant_mismatch(self):
         with pytest.raises(VariantMismatchError):
-            compose(rotation_identity(), TorusShift(np.array([0.1])))
+            rotation_identity().compose(TorusShift(np.array([0.1])))
         with pytest.raises(VariantMismatchError):
-            group_distance(TorusShift(np.array([0.1])), TorusShift(np.array([0.1, 0.2])))
+            TorusShift(np.array([0.1])).distance(TorusShift(np.array([0.1, 0.2])))
 
 
 class TestGroupDistance:
     def test_quarter_turn_distance(self):
-        assert group_distance(rotation_identity(),
-                              rotation_about([0, 0, 1], np.pi / 2)) == pytest.approx(np.pi / 2, abs=1e-12)
+        assert rotation_identity().distance(
+            rotation_about([0, 0, 1], np.pi / 2)) == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_self_distance_zero(self):
         g = rotation_about([0, 1, 0], 1.1)
-        assert group_distance(g, g) == 0.0
+        assert g.distance(g) == 0.0
 
     def test_torus_distance_wraps(self):
         a = TorusShift(np.array([0.9, 0.0]))
         b = TorusShift(np.array([0.1, 0.0]))
-        assert group_distance(a, b) == pytest.approx(0.2, abs=1e-12)
+        assert a.distance(b) == pytest.approx(0.2, abs=1e-12)
 
     def test_metric_axioms_on_random_rotation_triples(self):
         rng = substream(4, "triples")
@@ -219,7 +216,71 @@ class TestIsometryAndLipschitz:
         assert np.max(moved[keep] / dg[keep]) <= 1.0 + 1e-9
 
     def test_identity_like_matches_variant(self):
-        from orbitreg import identity_like
+        assert TorusShift(np.array([0.2, 0.3])).parent_group.identity() == TorusShift(np.zeros(2))
+        assert parent_group("torus2").identity() == TorusShift(np.zeros(2))
+        assert rotation_about([0, 0, 1], 0.3).parent_group.identity() == rotation_identity()
 
-        assert identity_like(TorusShift(np.array([0.2, 0.3]))) == torus_identity(2)
-        assert identity_like(rotation_about([0, 0, 1], 0.3)) == rotation_identity()
+
+class TestElementInputs:
+    @pytest.mark.parametrize("make", [
+        lambda: Rotation3([np.nan, 0.0, 0.0, 0.0]),
+        lambda: Rotation3([1.0, 0.0, 0.0]),
+        lambda: rotation_about([0.0, 0.0, 1.0], np.nan),
+        lambda: rotation_about([np.inf, 0.0, 0.0], 1.0),
+        lambda: TorusShift([np.nan, 0.2]),
+        lambda: TorusShift([np.inf, 0.2]),
+        lambda: TorusShift(np.zeros((2, 2))),
+        lambda: TorusShift([]),
+    ], ids=["rotation_nan", "rotation_three_components", "rotation_about_nan_angle",
+            "rotation_about_inf_axis", "shift_nan", "shift_inf", "shift_matrix", "shift_empty"])
+    def test_bad_element_rejected(self, make):
+        with pytest.raises(InvalidElementError):
+            make()
+
+    def test_parent_rejects_row_of_another_width(self):
+        with pytest.raises(InvalidElementError):
+            parent_group("torus2").canonical([0.1, 0.2, 0.3])
+
+
+class TestElementOperationsBitIdentical:
+    """compose, inverse and distance against the per-variant formulas,
+    written out here, compared with ``==``."""
+
+    PAIRS = 1000
+
+    @staticmethod
+    def _rotation_row(q):
+        q = np.array(q, dtype=np.float64)
+        return quat_canonical(q / np.linalg.norm(q))
+
+    @staticmethod
+    def _shift_row(s):
+        s = np.mod(np.array(s, dtype=np.float64), 1.0)
+        s[s == 1.0] = 0.0
+        return s
+
+    def test_rotations(self):
+        rng = substream(6, "bits-so3")
+        qs = random_rotations(rng, 2 * self.PAIRS)
+        qs[::7, 0] = 0.0  # rows whose sign is fixed by a later component
+        qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+        for qa, qb in zip(qs[: self.PAIRS], qs[self.PAIRS :]):
+            g, h = Rotation3(qa), Rotation3(qb)
+            a, b = self._rotation_row(qa), self._rotation_row(qb)
+            assert np.array_equal(g.quaternion, a) and np.array_equal(h.quaternion, b)
+            assert np.array_equal(g.compose(h).quaternion, self._rotation_row(quat_multiply(a, b)))
+            assert np.array_equal(g.inverse().quaternion, self._rotation_row(quat_conjugate(a)))
+            assert g.distance(h) == float(quat_rotation_angle(quat_multiply(quat_conjugate(a), b)))
+
+    def test_torus_shifts(self):
+        rng = substream(6, "bits-torus")
+        rows = rng.uniform(-2.0, 2.0, (2 * self.PAIRS, 3))
+        rows[::9, 1] = -1e-18  # np.mod rounds these up to 1.0, which maps to 0
+        for sa, sb in zip(rows[: self.PAIRS], rows[self.PAIRS :]):
+            g, h = TorusShift(sa), TorusShift(sb)
+            a, b = self._shift_row(sa), self._shift_row(sb)
+            assert np.array_equal(g.shift, a) and np.array_equal(h.shift, b)
+            assert np.array_equal(g.compose(h).shift, self._shift_row(a + b))
+            assert np.array_equal(g.inverse().shift, self._shift_row(-a))
+            diff = np.abs(a - b)
+            assert g.distance(h) == float(np.linalg.norm(np.minimum(diff, 1.0 - diff)))

@@ -7,6 +7,7 @@ from orbitreg import (
     Dataset,
     EmptyHoldoutError,
     FunctionPredictor,
+    IncompatibleActionError,
     LocalConstantEstimator,
     PARENT_SO3,
     PointDistribution,
@@ -385,6 +386,13 @@ class TestBestSymmetricPredictor:
                                            method, 10, substream(17))
         with pytest.raises(SpaceMismatchError, match="query row 1 "):
             predictor.predict_coords(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]]))
+
+    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    def test_subgroup_must_act_on_the_base_space(self, method):
+        base = LocalConstantEstimator(noiseless_holdout(f1, 50, 19), 0.3)
+        sel = SymmetrySelection(full_torus(3), 0.5, {})
+        with pytest.raises(IncompatibleActionError):
+            BestSymmetricPredictor(base, sel, method, 10, substream(19))
 
     @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
     def test_query_of_the_wrong_width_raises(self, method):

@@ -80,6 +80,23 @@ class TestCanonicalForms:
         with pytest.raises(ConfigError):
             circle3(axis)
 
+    @pytest.mark.parametrize("make", [
+        lambda: axis_translations(3, [0, 1.5]),
+        lambda: axis_translations(3, [True]),
+        lambda: torus_line(0.5, 1),
+        lambda: full_torus(0),
+        lambda: full_torus(-1),
+        lambda: delta_schedule(10, float("nan"), 3, 2),
+    ], ids=["mask_float", "mask_bool", "line_float", "torus_zero", "torus_negative",
+            "schedule_nan_beta"])
+    def test_integer_arguments_are_checked(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+    def test_numpy_integers_count(self):
+        assert axis_translations(np.int64(3), np.array([0, 2])) == axis_translations(3, [0, 2])
+        assert torus_line(np.int64(2), np.int64(2)) == torus_line(1, 1)
+
     def test_line_angles(self):
         assert line_angle_degrees(torus_line(1, 0)) == 0.0
         assert line_angle_degrees(torus_line(1, 1)) == 45.0
