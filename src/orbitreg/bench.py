@@ -17,7 +17,6 @@ identical reports.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -300,6 +299,12 @@ def run_experiment(cfg: ScenarioConfig) -> RiskReport:
         for trial in range(cfg.trials):
             tasks.append((cfg, scenario, cover, n, trial))
     if cfg.workers > 1:
+        # imported here, so importing the package does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the largest trials first, so the last one to start is a short one;
+        # the rows are sorted below, so the report does not depend on it
+        tasks.sort(key=lambda task: task[3], reverse=True)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_trial_star, tasks, chunksize=1))
     else:

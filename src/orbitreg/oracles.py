@@ -12,7 +12,6 @@ assertions use a 1e-9 float slack and report their worst violation excess
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,6 +292,9 @@ def run_all_oracles(seed: int = 20260801, quick: bool = False) -> list[OracleRep
     def run_one(item):
         name, fn = item
         return fn(substream(seed, "oracle", name))
+
+    # imported here, so importing the package does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         reports = list(pool.map(run_one, jobs.items()))

@@ -15,9 +15,12 @@ and the value sum over the data strictly within distance h.  It bins
 queries and data into a uniform grid of cells at least as wide as the
 reach and scores each query only against the data in the 3^d cells around
 its own cell (``[-1, 1]^3`` with clipped indices on the ball and sphere,
-``[0, 1)^d`` with wrapped indices on the torus).  A small cost model picks
-the cells per axis; one cell is the dense all-pairs kernel, taken when
-binning would not pay, for instance on at most ``_QUERY_COST`` data points.
+``[0, 1)^d`` with wrapped indices on the torus).  On the torus each row is
+moved by the whole periods its cell implies and each neighbour cell by the
+period it was wrapped across, so a block is scored as flat Euclidean space,
+like the ball.  A small cost model picks the cells per axis; one cell is
+the dense all-pairs kernel, taken when binning would not pay, for instance
+on at most ``_QUERY_COST`` data points.
 """
 
 from __future__ import annotations
@@ -34,18 +37,19 @@ from .randomness import polar_gaussian
 _MEMBERSHIP_TOL = 1e-12
 # entries of the score matrix of one chunk of query rows (one row when the
 # data alone are wider).  neighbor_stats allocates that scratch once per
-# call (the torus adds two rows for its differences and their rounding),
-# and every chunk writes into it: fresh 512 KB temporaries per chunk were
-# handed back to the OS by glibc and faulted in again, 445 minor faults
-# and 1.2 ms per torus chunk against 0.34 ms in reused buffers.  At 512 KB
-# a chunk stays in one core's L2 cache, and its two BLAS products (the
-# ball's and sphere's 65,536 x 3 score, and the indicator times
-# [values, 1], x 2 multiply-adds) are too small for OpenBLAS to split over
-# threads, so the kernel runs on the calling thread.  32 MB chunks went
-# through OpenBLAS's thread team: on a 2-core x86-64 host (OpenBLAS
-# 0.3.31) they ran 10-30 % slower for up to 65 % more CPU, their call
-# times swung with any other load on the machine, and under a process
-# pool each worker's team fought the other worker for the cores.
+# call (the torus's dense kernel adds two rows for its differences and
+# their rounding), and every chunk writes into it: fresh 512 KB
+# temporaries per chunk were handed back to the OS by glibc and faulted in
+# again, 445 minor faults and 1.2 ms per torus chunk against 0.34 ms in
+# reused buffers.  At 512 KB a chunk stays in one core's L2 cache, and its
+# two BLAS products (the 65,536 x d score of the ball, the sphere or the
+# unwrapped torus, and the indicator times [values, 1], x 2 multiply-adds)
+# are too small for OpenBLAS to split over threads, so the kernel runs on
+# the calling thread.  32 MB chunks went through OpenBLAS's thread team:
+# on a 2-core x86-64 host (OpenBLAS 0.3.31) they ran 10-30 % slower for up
+# to 65 % more CPU, their call times swung with any other load on the
+# machine, and under a process pool each worker's team fought the other
+# worker for the cores.
 CHUNK_ELEMENTS = 65_536
 
 
@@ -203,18 +207,21 @@ _MEASURE = {SpaceKind.UNIT_BALL3: 4.0 * math.pi / 3.0, SpaceKind.UNIT_SPHERE2: 4
             SpaceKind.TORUS: 1.0}
 
 
-def _ball_score(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
+def _ball_score(metric: SpaceKind, queries: np.ndarray, data: np.ndarray,
                 h: float, scratch: list[np.ndarray]) -> np.ndarray:
     """Positive entries mark strict h-neighbours: h^2 minus the squared
     distance, or the cosine margin on the sphere, so no square root is
-    taken.  The score is written into ``scratch[0]``; the torus also uses
+    taken.  ``metric`` is the space kind whose distance is scored; the
+    unwrapped blocks of the torus's cell path are scored as ``UNIT_BALL3``
+    (flat Euclidean, any dimension).  The score is written into
+    ``scratch[0]``; the torus's wrapped dense kernel also uses
     ``scratch[1]`` and ``scratch[2]`` for the difference and its rounding."""
     score = scratch[0]
-    if space.kind is SpaceKind.UNIT_SPHERE2:
+    if metric is SpaceKind.UNIT_SPHERE2:
         np.matmul(queries, data.T, out=score)
         score -= np.cos(min(h, np.pi)) if h <= np.pi else -2.0
         return score
-    if space.kind is SpaceKind.UNIT_BALL3:
+    if metric is SpaceKind.UNIT_BALL3:
         # score = h^2 - |q - x|^2, assembled as 2 q.x + (h^2 - |q|^2) - |x|^2
         np.matmul(queries, data.T * 2.0, out=score)
         score += (h * h - np.einsum("ij,ij->i", queries, queries))[:, None]
@@ -247,9 +254,17 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
     ``CHUNK_ELEMENTS`` entries (one query row when the block is wider),
     written into scratch allocated once per call.  The indicator is formed
     in place (heaviside of the score) and both the count and the value sum
-    come out of a single matrix product.  Only the two chunk products (the
-    ball's and sphere's scores, and the indicator times ``[values, 1]``)
-    use BLAS; the torus scores and the cell ids are elementwise.
+    come out of a single matrix product.
+
+    On the torus the grid path unwraps: each query and data row is moved by
+    the whole periods that its own cell axis ``floor(x m)`` implies, and
+    each candidate by the period its neighbour cell was wrapped across.
+    With cells at least h wide and ``m >= 3``, a pair within reach then has
+    its nearest image in the block, which is scored with the ball's
+    product form.  Only the dense kernel wraps differences with ``rint``.
+    The chunk products (the ball's, sphere's and unwrapped torus's scores,
+    and the indicator times ``[values, 1]``) use BLAS; the cell ids are
+    elementwise.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -259,47 +274,56 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         return counts, sums
     stacked = np.column_stack([np.asarray(values, dtype=np.float64),
                                np.ones(data.shape[0])])
-    # a chunk is one query row when the data alone are wider than CHUNK_ELEMENTS
-    scratch = np.empty((3 if space.kind is SpaceKind.TORUS else 1,
-                        max(CHUNK_ELEMENTS, data.shape[0])))
     m = _cells_per_axis(space, queries, data.shape[0], h)
+    wrapped = m == 1 and space.kind is SpaceKind.TORUS
+    # a chunk is one query row when the data alone are wider than CHUNK_ELEMENTS
+    scratch = np.empty((3 if wrapped else 1, max(CHUNK_ELEMENTS, data.shape[0])))
     if m == 1:
-        _block_stats(space, queries, data, h, stacked, counts, sums, scratch)
+        _block_stats(space.kind, queries, data, h, stacked, counts, sums, scratch)
         return counts, sums
-    qids = _cell_ids(space, queries, m)
+    qids, unwrapped = _cell_ids(space, queries, m)
     order = np.argsort(qids, kind="stable")
+    sorted_queries = unwrapped[order]
+    del unwrapped  # the torus's moved copy is not kept through the block loop
     qcount = np.bincount(qids, minlength=m ** space.ambient_dim)
     occupied = np.flatnonzero(qcount)
     qend = np.cumsum(qcount[occupied])
     qstart = qend - qcount[occupied]
-    cand, offsets = _candidates(space, data, m, occupied)
-    sorted_queries = queries[order]
+    dids, data = _cell_ids(space, data, m)
+    cand, shift, offsets = _candidates(space, dids, m, occupied)
+    # unwrapped torus blocks are flat: the ball's Euclidean score
+    metric = SpaceKind.UNIT_BALL3 if space.kind is SpaceKind.TORUS else space.kind
     cell_counts = np.zeros_like(counts)
     cell_sums = np.zeros_like(sums)
     for k in range(occupied.size):
-        block = cand[offsets[k] : offsets[k + 1]]
-        if block.size:
+        lo, hi = offsets[k], offsets[k + 1]
+        if hi > lo:
+            block = cand[lo:hi]
+            near = data[block]
+            if shift is not None:
+                near += shift[lo:hi]
             a, b = qstart[k], qend[k]
-            _block_stats(space, sorted_queries[a:b], data[block], h, stacked[block],
+            _block_stats(metric, sorted_queries[a:b], near, h, stacked[block],
                          cell_counts[a:b], cell_sums[a:b], scratch)
     counts[order] = cell_counts
     sums[order] = cell_sums
     return counts, sums
 
 
-def _block_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray, h: float,
+def _block_stats(metric: SpaceKind, queries: np.ndarray, data: np.ndarray, h: float,
                  stacked: np.ndarray, counts: np.ndarray, sums: np.ndarray,
                  scratch: np.ndarray) -> None:
     """Counts and value sums of one query block against one data block,
-    written into ``counts`` and ``sums``; the scores of each chunk of query
-    rows are written into views of ``scratch``."""
+    scored in ``metric`` (see :func:`_ball_score`) and written into
+    ``counts`` and ``sums``; the scores of each chunk of query rows are
+    written into views of ``scratch``."""
     width = data.shape[0]
     rows = max(1, CHUNK_ELEMENTS // width)
     for start in range(0, queries.shape[0], rows):
         chunk = queries[start : start + rows]
         views = [line[: chunk.shape[0] * width].reshape(chunk.shape[0], width)
                  for line in scratch]
-        score = _ball_score(space, chunk, data, h, views)
+        score = _ball_score(metric, chunk, data, h, views)
         # overwrite the score with the 0/1 indicator in place
         np.greater(score, 0.0, out=score, casting="unsafe")
         agg = score @ stacked
@@ -350,29 +374,40 @@ def _cells_per_axis(space: CovariateSpace, queries: np.ndarray, n: int, h: float
     return best
 
 
-def _cell_ids(space: CovariateSpace, coords: np.ndarray, m: int) -> np.ndarray:
-    """Row-major grid cell of each row: indices clipped to ``[-1, 1]^3``
-    on the ball and sphere, taken mod ``m`` on the torus.  The ids are
-    int16, for which numpy's stable sort is a radix sort.  They are summed
+def _cell_ids(space: CovariateSpace, coords: np.ndarray,
+              m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major grid cell of each row, and the rows as the cell path scores
+    them.  Indices are clipped to ``[-1, 1]^3`` on the ball and sphere,
+    whose rows are returned as they are.  On the torus the axis
+    ``floor(x m)`` is reduced by its whole periods ``floor(axis / m)``
+    (with the moved rows, a fifth of the time of the float ``%`` on
+    60,000 x 2 rows), and each row is moved by the same periods, so the
+    seam agrees with the binning.  The ids are int16,
+    for which numpy's stable sort is a radix sort.  They are summed
     elementwise (Horner), not as a matrix-vector product, which OpenBLAS
     would hand to its thread team from about 150,000 rows."""
     if space.kind is SpaceKind.TORUS:
-        axis = np.floor(coords * float(m)) % m
+        axis = coords * float(m)
+        np.floor(axis, out=axis)
+        period = np.floor(axis / m)
+        axis -= period * m
+        coords = coords - period
     else:
         axis = np.clip(np.floor((coords + 1.0) * (m / 2.0)), 0, m - 1)
     ids = axis[:, 0].copy()
     for j in range(1, coords.shape[1]):
         ids *= m
         ids += axis[:, j]
-    return ids.astype(np.int16)
+    return ids.astype(np.int16), coords
 
 
-def _candidates(space: CovariateSpace, data: np.ndarray, m: int,
-                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Data rows in the 3^d block around each of ``cells``, concatenated,
-    and the offsets of each cell's run."""
+def _candidates(space: CovariateSpace, dids: np.ndarray, m: int,
+                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Data rows (of cell ids ``dids``) in the 3^d block around each of
+    ``cells``, concatenated; on the torus, the whole periods to add to each
+    candidate for the neighbour cell it was listed from (None on the ball
+    and sphere); and the offsets of each cell's run."""
     d = space.ambient_dim
-    dids = _cell_ids(space, data, m)
     dorder = np.argsort(dids, kind="stable")
     dcount = np.bincount(dids, minlength=m ** d)
     dstart = np.cumsum(dcount) - dcount
@@ -380,7 +415,8 @@ def _candidates(space: CovariateSpace, data: np.ndarray, m: int,
     shifts = np.stack(np.meshgrid(*[[-1, 0, 1]] * d, indexing="ij"), axis=-1).reshape(-1, d)
     around = axes[:, None, :] + shifts[None, :, :]
     if space.kind is SpaceKind.TORUS:
-        around %= m
+        wraps = np.floor_divide(around, m)
+        around -= wraps * m
         valid = np.ones(around.shape[:2], dtype=bool)
     else:
         valid = np.all((around >= 0) & (around < m), axis=2)
@@ -393,7 +429,10 @@ def _candidates(space: CovariateSpace, data: np.ndarray, m: int,
     run_start = np.cumsum(lengths) - lengths
     flat = np.arange(total) - np.repeat(run_start - starts, lengths)
     offsets = np.concatenate([[0], np.cumsum(lengths.reshape(len(cells), -1).sum(axis=1))])
-    return dorder[flat], offsets
+    shift = None
+    if space.kind is SpaceKind.TORUS:
+        shift = np.repeat(wraps.reshape(-1, d).astype(np.float64), lengths, axis=0)
+    return dorder[flat], shift, offsets
 
 
 def sample_points(space: CovariateSpace, distribution: PointDistribution, n: int,

@@ -716,6 +716,9 @@ def delta_schedule(n: int, beta: float, d: int, d_max: int) -> float:
     check_count(n, 1, "delta_schedule: n must be an integer of at least 1")
     check_count(d, 1, "delta_schedule: d must be an integer of at least 1")
     check_count(d_max, 0, "delta_schedule: d_max must be an integer of at least 0")
+    if d_max > d:
+        # a principal orbit is at most as large as the space
+        raise ConfigError(f"delta_schedule: d_max ({d_max}) must not exceed d ({d})")
     if not 0.0 < beta < math.inf:
         raise ConfigError("delta_schedule: beta must be finite and positive")
     rate = float(n) ** (-2.0 * beta / (2.0 * beta + (d - d_max)))

@@ -148,6 +148,24 @@ class TestRunExperiment:
         parallel = run_experiment(ScenarioConfig(scenario="t2_g3", workers=2, **TINY))
         assert serial.rows == parallel.rows
 
+    def test_pool_gets_largest_trials_first(self, monkeypatch):
+        import concurrent.futures
+
+        pool_class = concurrent.futures.ProcessPoolExecutor
+        order = []
+
+        class RecordingPool(pool_class):
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                order.extend((task[3], task[4]) for task in tasks)
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        grid = dict(TINY, n_grid=(30, 50, 75))
+        parallel = run_experiment(ScenarioConfig(scenario="t2_g3", workers=2, **grid))
+        assert order == [(75, 0), (75, 1), (50, 0), (50, 1), (30, 0), (30, 1)]
+        assert parallel.rows == run_experiment(ScenarioConfig(scenario="t2_g3", **grid)).rows
+
     def test_no_split_reuses_one_sample(self):
         cfg = ScenarioConfig(scenario="t2_g2", split=False, **TINY)
         rep = run_experiment(cfg)

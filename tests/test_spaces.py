@@ -258,6 +258,93 @@ class TestNeighborStatsProperty:
         assert spaces._cells_per_axis(space, queries, 50, 0.15) == 1
 
 
+# for m cells per axis, a dyadic reach of at most 1/m
+_UNWRAP_REACH = {3: 0.25, 5: 0.1875, 6: 0.15625, 7: 0.125}
+
+
+class TestUnwrappedTorus:
+    """The torus's cell path, which scores unwrapped rows with the ball's form.
+
+    Each case forces ``m`` cells per axis (any ``m`` whose cells are at
+    least h wide, including 3, where every cell neighbours every other and
+    the cost model never bins).  Coordinates lie on the 1/64 lattice and
+    values on the 1/8 lattice, so the ball's form and the sums are exact:
+    counts must equal brute force and sums the dense kernel's, bit for bit.
+    """
+
+    @staticmethod
+    def _check(queries, data, h, m):
+        d = queries.shape[1]
+        assert m >= 3 and m * h * (1.0 + spaces._CELL_SLACK) <= 1.0
+        rng = substream(10, "unwrap", m, len(data))
+        values = np.round(8.0 * rng.normal(size=len(data))) / 8.0
+        results = {}
+        for cells in (m, 1):
+            calls = []
+            block_stats = spaces._block_stats
+            with mock.patch.multiple(spaces, _cells_per_axis=lambda *args: cells,
+                                     _block_stats=lambda *args: calls.append(args[0])
+                                     or block_stats(*args)):
+                results[cells] = neighbor_stats(torus(d), queries, data, h, values)
+            # the cell path scores flat blocks, the dense kernel wraps
+            assert set(calls) == {SpaceKind.UNIT_BALL3 if cells > 1 else SpaceKind.TORUS}
+        (counts, sums), (_, dense_sums) = results[m], results[1]
+        brute = pairwise_distance(torus(d), queries, data) < h
+        assert counts.tolist() == brute.sum(axis=1).tolist()
+        assert sums.tolist() == dense_sums.tolist()
+
+    @pytest.mark.parametrize("m", [3, 5, 6, 7])
+    def test_pairs_exactly_h_apart_across_the_seam(self, m):
+        h = _UNWRAP_REACH[m]
+        eps = 1.0 / 64.0
+        queries, data = [], []
+        for q0 in (0.0, eps, 1.0 / 16.0, 1.0 - eps, 1.0 - 1.0 / 16.0):
+            for axis in (0, 1):
+                q = np.array([0.5, 0.5])
+                q[axis] = q0
+                queries.append(q)
+                for t in (-h, -h + eps, h - eps, h):
+                    x = q.copy()
+                    x[axis] = (q0 + t) % 1.0
+                    data.append(x)
+        # the 3-4-5 pair (3/32, 4/32) is 5/32 apart, across both seams
+        queries.append([1.0 / 64.0, 1.0 / 32.0])
+        data.append([1.0 - 5.0 / 64.0, 1.0 - 3.0 / 32.0])
+        queries, data = np.array(queries), np.array(data)
+        assert (pairwise_distance(torus(2), queries, data) == h).any()
+        self._check(queries, data, h, m)
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_shifted_by_whole_periods(self, d, m):
+        rng = substream(10, "periods", d, m)
+        queries = rng.integers(0, 64, (300, d)) / 64.0
+        data = rng.integers(0, 64, (200, d)) / 64.0
+        queries += rng.choice([-3, -1, 0, 1, 3], queries.shape)
+        data += rng.choice([-3, -1, 0, 1, 3], data.shape)
+        self._check(queries, data, _UNWRAP_REACH[m], m)
+
+    @pytest.mark.parametrize("m", [3, 5, 6, 7])
+    def test_row_just_below_one(self, m):
+        # the largest double below 1: x m lands next to m (for these m the
+        # double just below it), so the row sits at the seam edge of the
+        # last cell, 2^-53 from the rows at 0 across the seam; its cell and
+        # its period come from the same floor(x m)
+        top = 1.0 - 2.0**-53
+        lattice = np.array([0.0, 1.0 / 64.0, 0.5, 1.0 - 1.0 / 64.0])
+        rows = np.array([[a, b] for a in [top, *lattice] for b in [top, *lattice]])
+        self._check(rows, rows, _UNWRAP_REACH[m], m)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_three_cells_all_neighbours(self, d):
+        # at m = 3 every cell is in every other cell's 3^d block, through
+        # wraps of -1, 0 and +1 periods
+        rng = substream(10, "three", d)
+        queries = rng.integers(0, 64, (400, d)) / 64.0
+        data = rng.integers(0, 64, (300, d)) / 64.0
+        self._check(queries, data, 0.25, 3)
+
+
 class TestChunkShapes:
     """Counts through every chunk shape of the kernel against brute force.
 
@@ -340,7 +427,15 @@ class TestCellIds:
             edges = np.array([-1.0, 1.0, -1.6, 1.6, np.nextafter(1.0, 2.0),
                               np.nextafter(-1.0, -2.0), *(-1.0 + 2.0 * np.arange(m) / m)])
             coords = np.vstack([rng.uniform(-1.0, 1.0, (200, d)), rng.choice(edges, (200, d))])
-        ids = spaces._cell_ids(space, coords, m)
+        ids, rows = spaces._cell_ids(space, coords, m)
         assert ids.dtype == np.int16
         assert ids.tolist() == self._reference(space, coords, m).tolist()
         assert ids.min() >= 0 and ids.max() < m ** d
+        if space.kind is SpaceKind.TORUS:
+            # each row moves by the whole periods its cell axis implies
+            periods = coords - rows
+            assert np.array_equal(periods, np.round(periods))
+            for x, p in zip(coords.ravel(), periods.ravel()):
+                assert 0 <= math.floor(x * float(m)) - m * int(p) < m
+        else:
+            assert rows is coords

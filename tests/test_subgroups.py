@@ -422,6 +422,14 @@ class TestDeltaSchedule:
         with pytest.raises(ConfigError):
             delta_schedule(10, -1.0, 3, 2)
 
+    def test_orbit_larger_than_space_rejected(self):
+        # 2 beta + d - d_max is 0 here, and negative (a scale growing with n) below
+        with pytest.raises(ConfigError, match="d_max"):
+            delta_schedule(10, 1.0, 1, 3)
+        with pytest.raises(ConfigError, match="d_max"):
+            delta_schedule(10, 1.0, 1, 5)
+        assert delta_schedule(10, 1.0, 3, 3) == pytest.approx(np.sqrt(0.05), abs=1e-12)
+
 
 class TestQuadrature:
     def test_fibonacci_sphere_is_unit_norm_and_spread(self):
