@@ -18,7 +18,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import ConfigError, SpaceMismatchError
+from .errors import ConfigError, SpaceMismatchError, check_count
 from .spaces import CovariateSpace, Point, neighbor_stats, query_rows
 
 
@@ -81,8 +81,10 @@ class FunctionPredictor:
 
 def bandwidth(a: float, n: int, beta: float, d: int, d_group: int) -> float:
     """Rate-optimal bandwidth a * n**(-1 / (2 beta + d - d_group))."""
-    if not 0.0 < a < math.inf or n < 1 or 2.0 * beta + d - d_group <= 0.0:
-        raise ConfigError("bandwidth requires a finite a > 0, n >= 1 and 2*beta + d - d_group > 0")
+    check_count(n, 1, "bandwidth: n must be an integer of at least 1")
+    # a NaN beta fails every comparison, so finiteness is checked apart
+    if not 0.0 < a < math.inf or not math.isfinite(beta) or 2.0 * beta + d - d_group <= 0.0:
+        raise ConfigError("bandwidth requires a finite a > 0 and beta, 2*beta + d - d_group > 0")
     return a * float(n) ** (-1.0 / (2.0 * beta + d - d_group))
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, IncompatibleActionError, InvalidElementError, VariantMismatchError
-from .spaces import CovariateSpace, Point, SpaceKind, flat_distance_matrix
+from .spaces import CovariateSpace, Point, SpaceKind, flat_distance_matrix, wrap_rows
 
 PARENT_SO3 = "so3"
 
@@ -226,13 +226,13 @@ def _rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _shift_rows(shifts: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    return np.mod(coords + shifts, 1.0)
+    return wrap_rows(np.add(coords, shifts))
 
 
-def _wrapped_shift(s: np.ndarray) -> np.ndarray:
-    s = np.mod(s, 1.0)
-    s[s == 1.0] = 0.0  # np.mod rounds a tiny negative shift up to 1.0
-    return s
+def _canonical_shift(s: np.ndarray) -> np.ndarray:
+    # + 0.0 gives a new row and turns -0.0 (the negated identity) into 0.0,
+    # so equal shifts hash alike
+    return wrap_rows(s) + 0.0
 
 
 def _shift_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -250,8 +250,10 @@ class ParentGroup:
     quaternions or shifts -- applied to coordinate rows, broadcasting the
     leading axes of both), and the rules of single element rows:
     ``reduce`` (the canonical form of a checked row: a unit quaternion
-    with its first nonzero component positive, or a shift wrapped into
+    with its first nonzero component positive, or a shift reduced into
     [0, 1)), ``product``, ``invert`` and the group metric ``distance``.
+    Shift rows -- translated points and canonical shifts -- are reduced by
+    :func:`orbitreg.spaces.wrap_rows`, so they never come out as 1.0.
     Every orbit point set -- an element's action, Haar orbit samples,
     quadrature nodes -- goes through ``act_rows``."""
 
@@ -303,8 +305,8 @@ def parent_group(name: str) -> ParentGroup:
         raise ConfigError(f"unknown parent group {name!r}")
     d = int(match[1])
     return ParentGroup(name, TorusShift, d, d, (SpaceKind.TORUS,), "shift", (0.0,) * d,
-                       partial(flat_distance_matrix, period=1.0), _shift_rows,
-                       _wrapped_shift, np.add, np.negative, _shift_distance)
+                       partial(flat_distance_matrix, wrap=True), _shift_rows,
+                       _canonical_shift, np.add, np.negative, _shift_distance)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .groups import (
     quat_from_axis_angle,
 )
 from .randomness import polar_gaussian
-from .spaces import CHUNK_ELEMENTS, CovariateSpace, pairwise_distance
+from .spaces import CHUNK_ELEMENTS, CovariateSpace, pairwise_distance, wrap_rows
 
 
 class SubgroupFamily(Enum):
@@ -475,7 +475,7 @@ class _TorusTranslations(FamilyEntry):
         # sqrt(k) |generator| / count <= eps (the rows share one length)
         gens = self.generators(g)
         count = max(int(np.ceil(np.sqrt(len(gens)) * float(np.linalg.norm(gens[0])) / eps)), 1)
-        return np.mod(self.nodes(g, count), 1.0)
+        return wrap_rows(self.nodes(g, count))
 
 
 class _TorusLine(_TorusTranslations):
@@ -488,13 +488,13 @@ class _TorusLine(_TorusTranslations):
         return g.direction_array()[None, :]
 
     def recover(self, g, x, target):
-        delta = np.mod(target.coords - x.coords, 1.0)
+        shift = TorusShift(target.coords - x.coords)
         p, q = g.direction
-        residue = float(q * delta[0] - p * delta[1])
+        residue = float(q * shift.shift[0] - p * shift.shift[1])
         deviation = abs(residue - round(residue)) / float(np.hypot(p, q))
         if deviation > _RECOVER_TOL:
             raise OffOrbitError("target does not lie on the line orbit", deviation)
-        return TorusShift(delta)
+        return shift
 
 
 class _FullTorus(_TorusTranslations):
@@ -504,7 +504,7 @@ class _FullTorus(_TorusTranslations):
         return np.eye(parent_group(g.parent).dim)
 
     def recover(self, g, x, target):
-        return TorusShift(np.mod(target.coords - x.coords, 1.0))
+        return TorusShift(target.coords - x.coords)
 
 
 class _AxisTranslations(_TorusTranslations):
@@ -518,7 +518,9 @@ class _AxisTranslations(_TorusTranslations):
 
     def recover(self, g, x, target):
         # the off-mask coordinates must already agree, in the wrap metric
-        delta = np.mod(target.coords - x.coords + 0.5, 1.0) - 0.5
+        # centred in [-1/2, 1/2); the direct wrap of the difference would
+        # move 6 % of recovered shifts by an ulp
+        delta = wrap_rows(target.coords - x.coords + 0.5) - 0.5
         deviation = float(np.linalg.norm(np.delete(delta, g.mask)))
         if deviation > _RECOVER_TOL:
             raise OffOrbitError("target moves coordinates outside the translation mask", deviation)
@@ -663,7 +665,10 @@ def delta_cover(parent: str, space: CovariateSpace, delta: float) -> list[Closed
     every unit vector, so every circle is within delta of a cover circle.
     The axes u and -u name the same circle, so each net point is put in
     canonical sign and an antipodal pair of net points is kept once.  On
-    ``torus2`` the lines are those of :func:`_torus_line_grid`.
+    ``torus2`` the lines are those of :func:`_torus_line_grid`.  A delta
+    whose cover would enumerate more than ``_MAX_COVER_CANDIDATES`` net
+    points or direction pairs (counted in closed form from delta) raises
+    :class:`ConfigError` before anything is built.
     """
     if not 0.0 < delta < math.inf:
         raise ConfigError("delta must be finite and positive")
@@ -675,9 +680,27 @@ def delta_cover(parent: str, space: CovariateSpace, delta: float) -> list[Closed
     raise ConfigError(f"no cover construction for parent group {parent!r}")
 
 
+# The most candidates a cover may enumerate: the net points of the axis
+# cover, the (p, q) pairs of the line grid.  The shrinking-delta schedule's
+# largest cover, 6,982 circles at n = 3000, enumerates at most 16,700 net
+# points, in 0.2 s on a 2-core x86-64 host; a million keeps every schedule
+# and benchmark cover and refuses at once a delta whose cover would take
+# minutes, or overflow as at delta = 1e-300.
+_MAX_COVER_CANDIDATES = 1_000_000
+
+
+def _check_cover_size(delta: float, candidates: float) -> None:
+    if candidates > _MAX_COVER_CANDIDATES:
+        raise ConfigError(f"delta = {delta!r} is too fine to build a cover for")
+
+
 def _circle_axis_cover(delta: float) -> list[ClosedSubgroup]:
     """The circles about the axes of ``sphere_net(delta / 2)``, one per
     antipodal pair, in canonical order (see :func:`delta_cover`)."""
+    # the net's bands, and points per band, number at most pi / s + 1 and
+    # 2 pi / s + 1, where s = delta / sqrt(2) is its band height
+    s = delta / math.sqrt(2.0)
+    _check_cover_size(delta, (math.pi / s + 1.0) * (2.0 * math.pi / s + 1.0))
     seen: dict[tuple, ClosedSubgroup] = {}
     for u in sphere_net(delta / 2.0):
         u = _canonical_axis(u / np.linalg.norm(u))
@@ -695,6 +718,7 @@ def _torus_line_grid(delta: float) -> list[ClosedSubgroup]:
     torus and can be dropped; the remaining low-denominator directions are
     kept exactly.
     """
+    _check_cover_size(delta, (1.0 / delta + 1.0) * (2.0 / delta + 1.0))
     bound_sq = (1.0 / delta) ** 2
     lines = []
     limit = int(np.floor(1.0 / delta))

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +197,26 @@ class TestSelect:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "chosen:" not in captured.out
+
+    @pytest.mark.parametrize("space, delta", [("torus2", "1e-300"), ("unit_ball3", "5e-11")])
+    def test_delta_too_fine_for_a_cover_is_a_config_error(self, tmp_path, space, delta):
+        # in a fresh interpreter, so a traceback would show on stderr;
+        # unchecked, the torus line grid's bound overflows at 1e-300 and the
+        # ball's axis net at 5e-11 has about 2e9 bands
+        csv_path = tmp_path / "sample.csv"
+        if space == "torus2":
+            write_line_sample_csv(csv_path, n=60)
+        else:
+            csv_path.write_text("x1,x2,x3,y\n0.1,0.2,0.3,1.0\n0.3,0.2,0.1,2.0\n",
+                                encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "orbitreg", "select", "--input",
+                               str(csv_path), "--space", space, "--delta", delta],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert "is too fine" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_wrong_header_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -199,6 +199,17 @@ class TestBandwidth:
         with pytest.raises(ConfigError):
             bandwidth(a, 10, 1.0, 3, 0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ConfigError):
+            bandwidth(1.0, 10, beta, 3, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, True])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ConfigError):
+            bandwidth(1.0, n, 1.0, 3, 0)
+        assert bandwidth(1.0, np.int64(10), 1.0, 3, 0) == bandwidth(1.0, 10, 1.0, 3, 0)
+
 
 class TestPartialSymmetrised:
     def test_trivial_grid_returns_base_prediction(self):

@@ -168,6 +168,12 @@ class TestCanonicalisation:
         q = quat_canonical(np.array([0.0, -1.0, 0.0, 0.0]))
         assert q[1] == 1.0
 
+    def test_negated_identity_shift_hashes_as_the_identity(self):
+        # -0.0 is already in [0, 1), so the reduction alone would keep it
+        e = parent_group("torus3").identity()
+        assert e.inverse() == e and hash(e.inverse()) == hash(e)
+        assert len({e, e.inverse(), TorusShift(np.array([-0.0, 0.0, -0.0]))}) == 1
+
 
 class TestIsometryAndLipschitz:
     def test_rotations_are_isometries(self):

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from orbitreg import (
+    ConfigError,
+    Dataset,
+    LocalConstantEstimator,
     Point,
     PointDistribution,
     SpaceMismatchError,
@@ -24,6 +27,11 @@ ALL_SPACES = [unit_ball3(), unit_sphere2(), torus(2), torus(3)]
 
 
 class TestMembership:
+    @pytest.mark.parametrize("d", [2.5, 2.0, True, 0, -1], ids=repr)
+    def test_torus_dimension_must_be_a_positive_integer(self, d):
+        with pytest.raises(ConfigError):
+            torus(d)
+
     def test_ball_accepts_interior_and_boundary(self):
         Point.of(unit_ball3(), [0.3, -0.2, 0.1])
         Point.of(unit_ball3(), [1.0, 0.0, 0.0])
@@ -238,15 +246,42 @@ class TestNeighborStatsProperty:
             assert counts[i] == member.size
             assert abs(sums[i] - math.fsum(member)) <= 1e-12 * np.abs(member).sum()
 
+    @staticmethod
+    def _reduced_brute_counts(queries, data, h):
+        """Torus neighbour counts of the queries reduced with ``np.mod``
+        (exact on these rows), by the wrap metric written out here."""
+        diff = np.abs(np.mod(queries, 1.0)[:, None, :] - data[None, :, :])
+        return (np.sqrt((np.minimum(diff, 1.0 - diff) ** 2).sum(axis=2)) < h).sum(axis=1)
+
     def test_far_off_torus_queries_match_brute_force(self):
-        # 2^53 - x rounds away x's fraction, so the float distance is not
-        # the distance to 2^53 mod 1 = 0 that a grid cell would be read from
+        # 2^53 - x rounds away x's fraction, so a query that is not reduced
+        # first is measured from the wrong place; dense kernel and grid
         data = substream(4, "far").random((2000, 2))
         queries = np.array([[2.0**53, 0.5], [2.0**40 + 0.3, 0.5], [-2.0**45, 0.2], [0.3, 0.5]])
-        with mock.patch.multiple(spaces, _QUERY_COST=0, _CELL_COST=0):
-            counts, _ = neighbor_stats(torus(2), queries, data, 0.1, np.ones(2000))
-        brute = (pairwise_distance(torus(2), queries, data) < 0.1).sum(axis=1)
-        assert counts.tolist() == brute.tolist()
+        brute = self._reduced_brute_counts(queries, data, 0.1).tolist()
+        assert np.array_equal(pairwise_distance(torus(2), queries, data),
+                              pairwise_distance(torus(2), np.mod(queries, 1.0), data))
+        for binning in (contextlib.nullcontext(),
+                        mock.patch.multiple(spaces, _QUERY_COST=0, _CELL_COST=0)):
+            with binning:
+                counts, _ = neighbor_stats(torus(2), queries, data, 0.1, np.ones(2000))
+            assert counts.tolist() == brute
+
+    def test_far_off_torus_queries_predict_as_their_reductions(self):
+        # at 2^40 a coordinate keeps 12 fraction bits, so np.mod is exact;
+        # these queries go through the cost model's own grid
+        rng = substream(4, "far-many")
+        data = Dataset(torus(2), rng.random((3000, 2)), rng.normal(size=3000))
+        far = 2.0**40 + rng.random((3000, 2))
+        reduced = np.mod(far, 1.0)
+        counts, sums = neighbor_stats(torus(2), far, data.X, 0.1, data.Y)
+        reduced_counts, reduced_sums = neighbor_stats(torus(2), reduced, data.X, 0.1, data.Y)
+        assert counts.tolist() == reduced_counts.tolist()
+        assert sums.tolist() == reduced_sums.tolist()
+        assert counts.tolist() == self._reduced_brute_counts(far, data.X, 0.1).tolist()
+        estimator = LocalConstantEstimator(data, 0.1)
+        assert (estimator.predict_coords(far).tolist()
+                == estimator.predict_coords(reduced).tolist())
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
     def test_cost_model_bins_many_queries_against_much_data(self, space):
@@ -404,7 +439,7 @@ class TestCellIds:
         ids = np.zeros(len(coords), dtype=np.int64)
         for j in range(coords.shape[1]):
             if space.kind is SpaceKind.TORUS:
-                axis = [math.floor(x * float(m)) % m for x in coords[:, j]]
+                axis = [min(math.floor(x * float(m)), m - 1) for x in coords[:, j]]
             else:
                 axis = [min(max(math.floor((x + 1.0) * (m / 2.0)), 0), m - 1)
                         for x in coords[:, j]]
@@ -417,25 +452,42 @@ class TestCellIds:
         d = space.ambient_dim
         rng = substream(9, "ids", str(space), m)
         if space.kind is SpaceKind.TORUS:
-            # cell edges k / m, the seam (1.0 and just below it, -0.0, a
-            # negative coordinate) and whole periods off [0, 1)
-            edges = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.mod(-1e-17, 1.0),
-                              -0.25, 2.75, *(np.arange(m) / m)])
+            # rows reduced into [0, 1), as neighbor_stats passes them: cell
+            # edges k / m, the seam (0.0, -0.0, the largest doubles below
+            # 1.0) and the reduction of a tiny negative coordinate
+            edges = np.array([0.0, -0.0, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52,
+                              spaces.wrap_rows(np.array([-1e-17]))[0], *(np.arange(m) / m)])
             coords = np.vstack([rng.random((200, d)), rng.choice(edges, (200, d))])
+            assert space.contains_rows(coords).all()
         else:
             # the clip edges -1 and 1, points beyond them, and cell edges
             edges = np.array([-1.0, 1.0, -1.6, 1.6, np.nextafter(1.0, 2.0),
                               np.nextafter(-1.0, -2.0), *(-1.0 + 2.0 * np.arange(m) / m)])
             coords = np.vstack([rng.uniform(-1.0, 1.0, (200, d)), rng.choice(edges, (200, d))])
-        ids, rows = spaces._cell_ids(space, coords, m)
+        ids = spaces._cell_ids(space, coords, m)
         assert ids.dtype == np.int16
         assert ids.tolist() == self._reference(space, coords, m).tolist()
         assert ids.min() >= 0 and ids.max() < m ** d
-        if space.kind is SpaceKind.TORUS:
-            # each row moves by the whole periods its cell axis implies
-            periods = coords - rows
-            assert np.array_equal(periods, np.round(periods))
-            for x, p in zip(coords.ravel(), periods.ravel()):
-                assert 0 <= math.floor(x * float(m)) - m * int(p) < m
-        else:
-            assert rows is coords
+
+
+class TestWrapRows:
+    """The torus's one coordinate reduction against ``np.mod``."""
+
+    def test_matches_mod_except_at_one(self):
+        rng = substream(9, "wrap")
+        tiny = np.array([-1e-17, -2.0**-60, -5e-324, -0.0, 0.0, 2.0**-60])
+        rows = np.concatenate([rng.uniform(-3.0, 3.0, 4000), tiny, -tiny + 1.0,
+                               2.0**60 * rng.uniform(-1.0, 1.0, 100), [2.0**60, -(2.0**60)],
+                               2.0**40 + rng.random(100), -(2.0**45) + rng.random(100)])
+        rows = rows.reshape(-1, 2)
+        wrapped = spaces.wrap_rows(rows)
+        expected = np.mod(rows, 1.0)
+        expected[expected == 1.0] = 0.0
+        assert np.array_equal(wrapped, expected)
+        assert wrapped.min() >= 0.0 and wrapped.max() < 1.0
+
+    def test_reduced_rows_come_back_as_they_are(self):
+        rows = substream(9, "wrap-in").random((50, 3))
+        rows[0] = [0.0, -0.0, np.nextafter(1.0, 0.0)]
+        assert spaces.wrap_rows(rows) is rows
+        assert spaces.wrap_rows(np.empty((0, 2))).shape == (0, 2)

@@ -26,12 +26,15 @@ from orbitreg import (
 )
 from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import parent_group, quat_rotation_angle
+from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.randomness import polar_gaussian
 from orbitreg.subgroups import (
+    FAMILY_TABLE,
     SubgroupFamily,
     fibonacci_sphere,
     line_angle_degrees,
     orbit_quadrature_coords,
+    sample_orbit_coords,
     sphere_net,
     subgroup_net,
 )
@@ -340,9 +343,11 @@ class TestDeltaCover:
 
     def test_so3_cover_sizes_are_pinned(self):
         # trivial + axis circles + full group at the benchmark scale and the
-        # schedule's scales at n = 30 and 50
-        deltas = (1.0, delta_schedule(30, 1.0, 3, 2), delta_schedule(50, 1.0, 3, 2))
-        assert [len(delta_cover(PARENT_SO3, unit_ball3(), d)) for d in deltas] == [36, 393, 667]
+        # schedule's scales at n = 30 and 50, and at n = 3000, the largest
+        # cover the size limit must let through
+        deltas = (1.0, *(delta_schedule(n, 1.0, 3, 2) for n in (30, 50, 3000)))
+        assert ([len(delta_cover(PARENT_SO3, unit_ball3(), d)) for d in deltas]
+                == [36, 393, 667, 6982])
 
     @pytest.mark.parametrize("delta", [1.0, 0.5, 0.2])
     def test_so3_cover_names_each_circle_once(self, delta):
@@ -386,6 +391,14 @@ class TestDeltaCover:
             delta_cover(PARENT_SO3, unit_ball3(), delta)
         with pytest.raises(ConfigError):
             delta_cover(parent_torus(2), torus(2), delta)
+
+    @pytest.mark.parametrize("delta", [1e-300, 5e-324, 1e-10, 5e-11, 1e-3])
+    def test_delta_too_fine_for_a_cover_rejected(self, delta):
+        # checked in closed form before the net or the line grid is built
+        with pytest.raises(ConfigError, match="too fine"):
+            delta_cover(parent_torus(2), torus(2), delta)
+        with pytest.raises(ConfigError, match="too fine"):
+            delta_cover(PARENT_SO3, unit_ball3(), delta)
 
     def test_unsupported_parent(self):
         with pytest.raises(ConfigError, match="no cover construction"):
@@ -465,3 +478,41 @@ class TestSubTorusDistances:
         # element from it is the half shift (., 1/2), half a period away
         assert d == pytest.approx(0.5, abs=2 * eps)
         assert hausdorff_U_distance(plane, full_torus(2), net_resolution=eps) <= 2 * eps
+
+
+# torus lines (one with a negative direction entry), full tori and masked
+# sub-tori of T^3
+_TORUS_GROUPS = [torus_line(1, 0), torus_line(1, 1), torus_line(1, -1), torus_line(2, -3),
+                 full_torus(2), full_torus(3), axis_translations(3, [0]),
+                 axis_translations(3, [1, 2])]
+
+
+class TestTorusOrbitsStayInTheSpace:
+    """Every torus orbit point lies in its space (``contains_rows``), also
+    from rows on the seam and elements a hair below the identity."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(group=st.sampled_from(_TORUS_GROUPS), h=st.floats(0.01, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_orbit_points_lie_in_the_space(self, group, h, seed):
+        parent = parent_group(group.parent)
+        space = torus(parent.dim)
+        rng = np.random.default_rng(seed)
+        seam = [0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53]
+        xs = np.vstack([rng.random((12, parent.dim)), rng.choice(seam, (12, parent.dim))])
+        # element rows of the subgroup, some with parameter -2^-60: on a
+        # coordinate at 0 the shift lands a hair below 0, which np.mod
+        # rounds up to 1.0
+        gens = FAMILY_TABLE[group.family].generators(group)
+        params = rng.random((len(xs), len(gens)))
+        params[rng.random(params.shape) < 0.5] = -(2.0**-60)
+        orbits = {
+            "act_rows": parent.act_rows(params @ gens, xs),
+            "sample_orbit_coords": sample_orbit_coords(group, xs, 8, rng),
+            "orbit_coords_batch": orbit_coords_batch(space, group, xs, h)[0],
+            "orbit_quadrature_coords": orbit_quadrature_coords(group, xs)[0],
+        }
+        for name, coords in orbits.items():
+            rows = coords.reshape(-1, parent.dim)
+            outside = rows[~space.contains_rows(rows)]
+            assert outside.size == 0, f"{name} leaves {space}: {outside[:3]}"
