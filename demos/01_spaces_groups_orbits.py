@@ -10,14 +10,16 @@ orbits those actions trace out.
 import numpy as np
 
 import orbitreg as og
+from orbitreg.spaces import pairwise_distance
 
 # The unit ball in R^3 with the rotation group acting on it.
 ball = og.unit_ball3()
-x = og.Point.of(ball, [0.6, 0.0, 0.3])
+x = np.array([0.6, 0.0, 0.3])
 
 # A quarter turn about the z axis moves x along its horizontal circle.
 g = og.rotation_about([0.0, 0.0, 1.0], np.pi / 2)
-print("quarter turn:", x.coords, "->", og.act(g, x).coords)
+# Points are rows of a named space; an element acts on row-stacked points.
+print("quarter turn:", x, "->", g.act_on(ball, x[None, :])[0])
 
 # Group structure: composition, inverses, and the rotation-angle metric.
 h = og.rotation_about([0.0, 1.0, 0.0], 0.8)
@@ -27,15 +29,17 @@ print("g composed with its inverse is the identity:",
       g.compose(g.inverse()).distance(og.rotation_identity()))
 
 # Actions are isometries: distances between points are preserved.
-y = og.Point.of(ball, [0.1, -0.4, 0.2])
+xy = np.array([x, [0.1, -0.4, 0.2]])
+moved = gh.act_on(ball, xy)
 print("distance before/after rotating both points:",
-      og.space_distance(x, y), og.space_distance(og.act(gh, x), og.act(gh, y)))
+      pairwise_distance(ball, xy[:1], xy[1:])[0, 0],
+      pairwise_distance(ball, moved[:1], moved[1:])[0, 0])
 
 # The torus wraps: shifting past 1 re-enters from 0.
 t2 = og.torus(2)
 shift = og.TorusShift(np.array([0.6, 0.9]))
-p = og.Point.of(t2, [0.7, 0.2])
-print("torus shift with wrap:", p.coords, "->", og.act(shift, p).coords)
+p = np.array([[0.7, 0.2]])
+print("torus shift with wrap:", p[0], "->", shift.act_on(t2, p)[0])
 
 # Uniform sampling: points from the spaces, elements from compact groups.
 rng = og.substream(0, "demo-01")

@@ -7,11 +7,13 @@ The runs are ``simulate`` on ``so3_f1`` and ``t2_g3`` (``--n-grid 50,150
 --trials 2 --seed 11``) once for each selector x final-method pair,
 ``simulate so3_f2 --schedule-delta --n-grid 30,50``, ``select --show-cover``
 on fixed 300-row CSV samples of the ball and the 2-torus, and ``validate
---quick``.  An artifact is a file a run writes or its standard output.
-Each line of output is ``<sha256>  <artifact>``.  With ``--base DIR`` the
-same runs are made with the package of the checkout ``DIR``, the artifacts
-that differ are listed, and the script exits 1 if any do.  The CSV samples
-are drawn here, with numpy only, so both checkouts read the same bytes.
+--quick``; then every ``demos/*.py`` of the checkout, each in a fresh
+temporary directory.  An artifact is a file a CLI run writes or the
+standard output of a CLI run or a demo.  Each line of output is
+``<sha256>  <artifact>``.  With ``--base DIR`` the same runs are made with
+the package and the demos of the checkout ``DIR``, the artifacts that
+differ are listed, and the script exits 1 if any do.  The CSV samples are
+drawn here, with numpy only, so both checkouts read the same bytes.
 """
 
 import argparse
@@ -67,8 +69,16 @@ def runs(samples: dict[str, Path]) -> list[tuple[str, list[str], str | None]]:
 
 
 def digests(checkout: Path, samples: dict[str, Path]) -> dict[str, str]:
-    """Artifact name -> SHA-256 for every run, made with ``checkout``'s package."""
+    """Artifact name -> SHA-256 for every run, made with ``checkout``'s
+    package and demos."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+
+    def run(name: str, command: list[str], work: Path) -> bytes:
+        proc = subprocess.run([sys.executable, *command], cwd=work, env=env, capture_output=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"{name} failed in {checkout}:\n{proc.stderr.decode()[-2000:]}")
+        return proc.stdout
+
     found = {}
     for name, args, config in runs(samples):
         with tempfile.TemporaryDirectory() as work:
@@ -76,13 +86,14 @@ def digests(checkout: Path, samples: dict[str, Path]) -> dict[str, str]:
             if config is not None:
                 (work / "run.cfg").write_text(config, encoding="utf-8")
                 args = [*args, "--config", "run.cfg"]
-            proc = subprocess.run([sys.executable, "-m", "orbitreg", *args], cwd=work, env=env,
-                                  capture_output=True)
-            if proc.returncode != 0:
-                raise SystemExit(f"{name} failed in {checkout}:\n{proc.stderr.decode()[-2000:]}")
-            found[f"{name}/stdout"] = hashlib.sha256(proc.stdout).hexdigest()
+            stdout = run(name, ["-m", "orbitreg", *args], work)
+            found[f"{name}/stdout"] = hashlib.sha256(stdout).hexdigest()
             for path in sorted(p for p in work.rglob("*") if p.is_file() and p.name != "run.cfg"):
                 found[f"{name}/{path.relative_to(work)}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for demo in sorted((checkout / "demos").glob("*.py")):
+        with tempfile.TemporaryDirectory() as work:
+            stdout = run(demo.name, [str(demo)], Path(work))
+            found[f"demo-{demo.stem}/stdout"] = hashlib.sha256(stdout).hexdigest()
     return found
 
 

@@ -41,7 +41,6 @@ from .groups import (
     GroupElement,
     Rotation3,
     TorusShift,
-    act,
     rotation_about,
     rotation_identity,
 )
@@ -72,11 +71,9 @@ from .selection import (
 )
 from .spaces import (
     CovariateSpace,
-    Point,
     PointDistribution,
     SpaceKind,
     sample_points,
-    space_distance,
     torus,
     unit_ball3,
     unit_sphere2,

@@ -180,7 +180,7 @@ def _read_sample_csv(path: str, space) -> Dataset:
                 raise ConfigError(f"{path}:{lineno}: non-numeric value") from exc
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{path}:{lineno}: non-finite value")
-            if not space.contains(np.asarray(values[:-1])):
+            if not space.contains_rows(values[:-1])[0]:
                 raise ConfigError(f"{path}:{lineno}: point {values[:-1]} does not lie in {space}")
             rows.append(values)
     if not rows:

@@ -18,8 +18,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import ConfigError, SpaceMismatchError, check_count
-from .spaces import CovariateSpace, Point, neighbor_stats, query_rows
+from .errors import ConfigError, check_count
+from .spaces import CovariateSpace, member_rows, neighbor_stats, query_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,20 +38,11 @@ class Dataset:
         bad = np.flatnonzero(~np.isfinite(Y))
         if bad.size:
             raise ConfigError(f"response {bad[0]} is not finite: {Y[bad[0]]}")
-        bad = np.flatnonzero(~self.space.contains_rows(X))
-        if bad.size:
-            raise SpaceMismatchError(f"row {bad[0]} ({X[bad[0]]}) does not lie in {self.space}")
+        member_rows(self.space, X)
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-
-    @staticmethod
-    def from_pairs(space: CovariateSpace, pairs) -> "Dataset":
-        pairs = list(pairs)
-        xs = [x.coords if isinstance(x, Point) else x for x, _ in pairs]
-        X = np.array(xs, dtype=np.float64) if xs else np.zeros((0, space.ambient_dim))
-        return Dataset(space, X, np.array([y for _, y in pairs], dtype=np.float64))
 
     def __len__(self) -> int:
         return self.X.shape[0]

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, IncompatibleActionError, InvalidElementError, VariantMismatchError
-from .spaces import CovariateSpace, Point, SpaceKind, flat_distance_matrix, wrap_rows
+from .spaces import CovariateSpace, SpaceKind, flat_distance_matrix, wrap_rows
 
 PARENT_SO3 = "so3"
 
@@ -218,7 +218,9 @@ def _unit_quaternion(q: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(q)
     if abs(norm - 1.0) > 1e-9:
         raise InvalidElementError(f"quaternion must be unit norm, got |q| = {norm!r}")
-    return quat_canonical(q / norm)
+    # + 0.0 turns -0.0 (as in the identity's inverse) into 0.0, so equal
+    # rotations hash alike
+    return quat_canonical(q / norm) + 0.0
 
 
 def _rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -310,7 +312,7 @@ def parent_group(name: str) -> ParentGroup:
 
 
 # ---------------------------------------------------------------------------
-# constructors and the action on points
+# constructors
 
 def rotation_identity() -> Rotation3:
     return parent_group(PARENT_SO3).identity()
@@ -325,8 +327,3 @@ def rotation_about(axis, angle: float) -> Rotation3:
         raise InvalidElementError("rotation_about needs a finite nonzero 3-vector axis "
                                   "and a finite angle")
     return Rotation3(quat_from_axis_angle(axis / norm, angle))
-
-
-def act(g: GroupElement, x: Point) -> Point:
-    """Apply a group element to a point of a compatible space."""
-    return Point(g.act_on(x.space, x.coords[None, :])[0], x.space)

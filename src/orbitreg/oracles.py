@@ -21,7 +21,6 @@ from .groups import quat_multiply, quat_conjugate, quat_rotate, quat_rotation_an
 from .orbit_grids import build_orbit_grid
 from .randomness import polar_gaussian, substream
 from .spaces import (
-    Point,
     PointDistribution,
     pairwise_distance,
     sample_points,
@@ -156,7 +155,7 @@ def _random_config(rng: np.random.Generator, index: int):
     if index % 50 == 0 and space == unit_ball3():
         coords = np.zeros(3)  # singular base point: the grid must degrade, not crash
     h = float(np.exp(rng.uniform(np.log(0.02), np.log(0.8))))
-    return space, group, Point(coords, space), h
+    return space, group, coords, h
 
 
 def _random_axis(rng: np.random.Generator) -> np.ndarray:
@@ -175,7 +174,7 @@ def packing_oracle(configs: int, rng: np.random.Generator) -> OracleReport:
     worst = 0.0
     for index in range(configs):
         space, group, x, h = _random_config(rng, index)
-        grid = build_orbit_grid(x, group, h)
+        grid = build_orbit_grid(space, group, x, h)
         k = orbit_dimension(group, space)
         required = max(1.0, (grid.hypercube_side / (2.0 * h)) ** k)
         worst = max(worst, required - grid.m)
@@ -213,11 +212,10 @@ def bias_bound_oracle(samples: int, rng: np.random.Generator, delta: float = 0.5
     X = sample_points(space, PointDistribution.UNIFORM_SPACE, samples, rng)
     picks = rng.integers(len(cover), size=samples)
     hs = np.exp(rng.uniform(np.log(0.05), np.log(0.4), size=samples))
-    for x_coords, pick, h in zip(X, picks, hs):
+    for x, pick, h in zip(X, picks, hs):
         group = cover[int(pick)]
-        x = Point(x_coords, space)
-        grid = build_orbit_grid(x, group, float(h))
-        centre = float(fn.predict_coords(x.coords[None, :])[0])
+        grid = build_orbit_grid(space, group, x, float(h))
+        centre = float(fn.predict_coords(x[None, :])[0])
         gap = abs(float(fn.predict_coords(grid.orbit_coords).mean()) - centre)
         limit = distances[group] + 2.0 * net_resolution
         worst = max(worst, gap - limit)

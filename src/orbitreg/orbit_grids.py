@@ -20,8 +20,16 @@ Steps 1 and 2 run batched over many base points in
 :func:`orbit_coords_batch`, the one home of the rung count and the ladder;
 the family's entry of :data:`orbitreg.subgroups.FAMILY_TABLE` supplies only
 the geometry (``side``, ``singular``, the orbit dimension, and the
-projection ``place``).  A single grid is one row of that batch.  Everything
-here is deterministic; identical inputs give identical grids.
+projection ``place``).  A single grid is one row of that batch.
+
+Every entry takes ``(space, group, rows...)`` in that order, points as
+rows of the named space.  The single-grid entries :func:`build_orbit_grid`,
+:func:`recover_group_element` and :func:`hypercube_side` check each row
+they are given with :func:`orbitreg.spaces.member_rows`: a row of the
+wrong width, with a NaN or infinite entry, or outside the space raises
+:class:`orbitreg.errors.SpaceMismatchError`.  :func:`orbit_coords_batch`
+takes rows the caller has already checked.  Everything here is
+deterministic; identical inputs give identical grids.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 
 from .errors import IncompatibleActionError
 from .groups import GroupElement, parent_group
-from .spaces import CovariateSpace, Point
+from .spaces import CovariateSpace, member_rows
 from .subgroups import FAMILY_TABLE, ClosedSubgroup
 
 
@@ -41,7 +49,8 @@ from .subgroups import FAMILY_TABLE, ClosedSubgroup
 class OrbitGrid:
     """A symmetrising set: elements, their orbit points, and packing data."""
 
-    base: Point
+    space: CovariateSpace
+    base: np.ndarray                  # (ambient_dim,), the base point's row
     group: ClosedSubgroup
     bandwidth: float
     elements: tuple[GroupElement, ...]
@@ -54,30 +63,42 @@ class OrbitGrid:
         return len(self.elements)
 
 
-def hypercube_side(x: Point, group: ClosedSubgroup) -> float:
-    """Side length of the tangent-space hypercube used to seed the grid."""
-    parent_group(group.parent).check_acts_on(x.space)
-    return float(FAMILY_TABLE[group.family].side(group, x.coords[None, :])[0])
+def _point(space: CovariateSpace, x) -> np.ndarray:
+    """``x`` as one row, a copy, that must lie in ``space`` (:func:`member_rows`)."""
+    return member_rows(space, np.array(x, dtype=np.float64).reshape(1, -1))[0]
 
 
-def build_orbit_grid(x: Point, group: ClosedSubgroup, h: float) -> OrbitGrid:
-    """Construct the symmetrising set at ``x`` for bandwidth ``h``.
+def hypercube_side(space: CovariateSpace, group: ClosedSubgroup, x) -> float:
+    """Side length of the tangent-space hypercube used to seed the grid at
+    the row ``x`` of ``space``."""
+    parent_group(group.parent).check_acts_on(space)
+    return float(FAMILY_TABLE[group.family].side(group, _point(space, x)[None, :])[0])
+
+
+def build_orbit_grid(space: CovariateSpace, group: ClosedSubgroup, x, h: float) -> OrbitGrid:
+    """Construct the symmetrising set at the row ``x`` of ``space`` for
+    bandwidth ``h``.
 
     The points are one row of :func:`orbit_coords_batch`; the elements are
     recovered from them.  A base point on the fixed set of the action (the
     origin, or a point on a circle's axis) gives the singular one-point grid.
     """
-    row = x.coords[None, :]
-    coords, _ = orbit_coords_batch(x.space, group, row, h)
-    elements = tuple(recover_group_element(x, Point(c, x.space), group) for c in coords)
-    singular = bool(FAMILY_TABLE[group.family].singular(group, row)[0])
-    return OrbitGrid(x, group, h, elements, coords, hypercube_side(x, group), singular=singular)
+    x = _point(space, x)
+    row = x[None, :]
+    coords, _ = orbit_coords_batch(space, group, row, h)
+    entry = FAMILY_TABLE[group.family]
+    elements = tuple(entry.recover(group, space, x, c) for c in coords)
+    return OrbitGrid(space, x, group, h, elements, coords, float(entry.side(group, row)[0]),
+                     singular=bool(entry.singular(group, row)[0]))
 
 
-def recover_group_element(x: Point, target: Point, group: ClosedSubgroup) -> GroupElement:
-    """Find ``g`` in the subgroup with ``g . x = target`` (within 1e-9)."""
-    parent_group(group.parent).check_acts_on(x.space)
-    return FAMILY_TABLE[group.family].recover(group, x, target)
+def recover_group_element(space: CovariateSpace, group: ClosedSubgroup, x,
+                          target) -> GroupElement:
+    """Find ``g`` in the subgroup with ``g . x = target`` (within 1e-9) for
+    rows ``x`` and ``target`` of ``space``."""
+    parent_group(group.parent).check_acts_on(space)
+    return FAMILY_TABLE[group.family].recover(group, space, _point(space, x),
+                                              _point(space, target))
 
 
 def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,

@@ -1,4 +1,4 @@
-"""Covariate spaces, points, intrinsic distances, and point samplers.
+"""Covariate spaces, their rows, intrinsic distances, and point samplers.
 
 Three compact covariate spaces are supported:
 
@@ -6,13 +6,21 @@ Three compact covariate spaces are supported:
 * the unit sphere S^2 embedded in R^3 (``UNIT_SPHERE2``),
 * the flat d-torus [0, 1)^d with opposite faces identified (``TORUS``).
 
-Each space carries a membership predicate, an intrinsic distance (Euclidean
-on the ball, great-circle on the sphere, wrap-around Euclidean on the
-torus), and a uniform sampler.  :func:`wrap_rows` is the torus's one
-coordinate reduction: every torus row is reduced into [0, 1) where it
-enters -- the distances, the neighbour search, and the parent group's
-action and canonical shifts in :mod:`orbitreg.groups` -- so a row off
-[0, 1), however far, is treated exactly as its reduction.
+Points are always passed as rows of one named space: a point is one row,
+a set of points a row-stacked array, and a function that takes points
+takes the space too.  Each space carries a batched membership predicate
+(``contains_rows``), an intrinsic distance (Euclidean on the ball,
+great-circle on the sphere, wrap-around Euclidean on the torus), and a
+uniform sampler.  Rows from callers are checked by one of two rules:
+:func:`member_rows`, the membership rule for rows that must lie in the
+space (data sets, orbit grid base points and targets), and
+:func:`query_rows`, the narrower rule for prediction queries.
+
+:func:`wrap_rows` is the torus's one coordinate reduction: every torus
+row is reduced into [0, 1) where it enters -- the distances, the
+neighbour search, and the parent group's action and canonical shifts in
+:mod:`orbitreg.groups` -- so a row off [0, 1), however far, is treated
+exactly as its reduction.
 
 :func:`neighbor_stats` is the one neighbour search: per query, the count of
 and the value sum over the data strictly within distance h.  It bins
@@ -87,10 +95,6 @@ class CovariateSpace:
             return np.abs(np.linalg.norm(c, axis=1) - 1.0) <= _MEMBERSHIP_TOL
         return np.all((c >= 0.0) & (c < 1.0), axis=1)
 
-    def contains(self, coords: np.ndarray) -> bool:
-        c = np.asarray(coords, dtype=np.float64)
-        return c.shape == (self.ambient_dim,) and bool(self.contains_rows(c)[0])
-
     def __str__(self) -> str:
         if self.kind is SpaceKind.TORUS:
             return f"torus{self.intrinsic_dim}"
@@ -110,25 +114,20 @@ def torus(d: int) -> CovariateSpace:
     return CovariateSpace(SpaceKind.TORUS, ambient_dim=d, intrinsic_dim=d)
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A point of a covariate space; coordinates are ambient and read-only."""
+def member_rows(space: CovariateSpace, coords) -> np.ndarray:
+    """``coords`` as a 2-D float array of rows that lie in ``space``.
 
-    coords: np.ndarray
-    space: CovariateSpace
-
-    def __post_init__(self):
-        c = np.array(self.coords, dtype=np.float64)
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-    @staticmethod
-    def of(space: CovariateSpace, coords) -> "Point":
-        """The point with these coordinates, which must lie in ``space``."""
-        c = np.asarray(coords, dtype=np.float64)
-        if not space.contains(c):
-            raise SpaceMismatchError(f"coordinates {c} do not lie in {space}")
-        return Point(c, space)
+    The one membership rule for rows that must lie in the space (a
+    dataset's covariates, the base point and target of an orbit grid):
+    the first row that has the wrong width, a NaN or infinite entry, or
+    lies outside the space (see :meth:`CovariateSpace.contains_rows`)
+    raises :class:`SpaceMismatchError` naming it.
+    """
+    rows = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    bad = np.flatnonzero(~space.contains_rows(rows))
+    if bad.size:
+        raise SpaceMismatchError(f"row {bad[0]} ({rows[bad[0]]}) does not lie in {space}")
+    return rows
 
 
 def query_rows(space: CovariateSpace, coords) -> np.ndarray:
@@ -156,17 +155,6 @@ def query_rows(space: CovariateSpace, coords) -> np.ndarray:
                                      f"{float(np.linalg.norm(rows[bad[0]]))!r}, not 1: "
                                      f"it does not lie on {space}")
     return rows
-
-
-def _check_same_space(x: Point, y: Point) -> None:
-    if x.space != y.space:
-        raise SpaceMismatchError(f"points live in different spaces: {x.space} vs {y.space}")
-
-
-def space_distance(x: Point, y: Point) -> float:
-    """Intrinsic distance between two points of the same space."""
-    _check_same_space(x, y)
-    return float(pairwise_distance(x.space, x.coords[None, :], y.coords[None, :])[0, 0])
 
 
 def pairwise_distance(space: CovariateSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -444,8 +432,10 @@ def sample_points(space: CovariateSpace, distribution: PointDistribution, n: int
     ball radius follows ``z**(1/3)`` with z uniform on [0, 1], sphere
     directions are normalised Gaussians, and torus coordinates are
     uniform.  ``GAUSSIAN3`` is a standard Gaussian on ambient R^3 (used by
-    validation oracles; not membership-checked).
+    validation oracles; not membership-checked).  A count ``n`` that is not
+    an integer of at least 0 raises :class:`ConfigError`.
     """
+    check_count(n, 0, "sample_points: n must be an integer of at least 0")
     if distribution is PointDistribution.GAUSSIAN3:
         if space.ambient_dim != 3:
             raise SpaceMismatchError("gaussian3 sampling requires an ambient dimension of 3")

@@ -233,7 +233,8 @@ class FamilyEntry:
       ``offsets`` (one ``k``-vector per output point, belonging to base row
       ``row``) onto the orbit; the packing rule that lays the offsets out is
       :func:`orbitreg.orbit_grids.orbit_coords_batch`;
-    * ``recover``: the element taking ``x`` to ``target`` (within 1e-9);
+    * ``recover(g, space, x, target)``: the element taking the row ``x`` to
+      the row ``target`` of ``space`` (within 1e-9);
     * ``haar(g, rng, shape)``: Haar draws as element rows (quaternions or
       shifts) of shape ``shape + (row width,)``;
     * ``nodes(g)``: the fixed quadrature elements as element rows (the
@@ -310,8 +311,8 @@ class _Trivial(FamilyEntry):
     def place(self, g, xs, row, offsets):
         return xs[row]
 
-    def recover(self, g, x, target):
-        deviation = float(pairwise_distance(x.space, x.coords, target.coords)[0, 0])
+    def recover(self, g, space, x, target):
+        deviation = float(pairwise_distance(space, x, target)[0, 0])
         if deviation > _RECOVER_TOL:
             raise OffOrbitError("target is not the base point of the trivial orbit", deviation)
         return parent_group(g.parent).identity()
@@ -363,11 +364,11 @@ class _Circle(FamilyEntry):
                 + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
                 + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
 
-    def recover(self, g, x, target):
+    def recover(self, g, space, x, target):
         u = g.axis_array()
-        ax_x, ax_t = float(x.coords @ u), float(target.coords @ u)
-        rad_x = x.coords - ax_x * u
-        rad_t = target.coords - ax_t * u
+        ax_x, ax_t = float(x @ u), float(target @ u)
+        rad_x = x - ax_x * u
+        rad_t = target - ax_t * u
         r = float(np.linalg.norm(rad_x))
         deviation = float(np.hypot(ax_t - ax_x, np.linalg.norm(rad_t) - r))
         if deviation > _RECOVER_TOL:
@@ -414,11 +415,11 @@ class _FullSO3(FamilyEntry):
         normal = np.sqrt(np.maximum(np.float_power(s[row], 2) - a1**2 - a2**2, 0.0))
         return a1[:, None] * e1[row] + a2[:, None] * e2[row] + normal[:, None] * unit[row]
 
-    def recover(self, g, x, target):
-        deviation = abs(float(np.linalg.norm(target.coords)) - float(np.linalg.norm(x.coords)))
+    def recover(self, g, space, x, target):
+        deviation = abs(float(np.linalg.norm(target)) - float(np.linalg.norm(x)))
         if deviation > _RECOVER_TOL:
             raise OffOrbitError("target does not lie on the rotation sphere", deviation)
-        return _minimal_rotation(x.coords, target.coords)
+        return _minimal_rotation(x, target)
 
     def haar(self, g, rng, shape):
         # normalised Gaussian 4-vectors are uniform on the 3-sphere
@@ -487,8 +488,8 @@ class _TorusLine(_TorusTranslations):
     def generators(self, g):
         return g.direction_array()[None, :]
 
-    def recover(self, g, x, target):
-        shift = TorusShift(target.coords - x.coords)
+    def recover(self, g, space, x, target):
+        shift = TorusShift(target - x)
         p, q = g.direction
         residue = float(q * shift.shift[0] - p * shift.shift[1])
         deviation = abs(residue - round(residue)) / float(np.hypot(p, q))
@@ -503,8 +504,8 @@ class _FullTorus(_TorusTranslations):
     def generators(self, g):
         return np.eye(parent_group(g.parent).dim)
 
-    def recover(self, g, x, target):
-        return TorusShift(target.coords - x.coords)
+    def recover(self, g, space, x, target):
+        return TorusShift(target - x)
 
 
 class _AxisTranslations(_TorusTranslations):
@@ -516,11 +517,11 @@ class _AxisTranslations(_TorusTranslations):
     def generators(self, g):
         return np.eye(parent_group(g.parent).dim)[list(g.mask)]
 
-    def recover(self, g, x, target):
+    def recover(self, g, space, x, target):
         # the off-mask coordinates must already agree, in the wrap metric
         # centred in [-1/2, 1/2); the direct wrap of the difference would
         # move 6 % of recovered shifts by an ulp
-        delta = wrap_rows(target.coords - x.coords + 0.5) - 0.5
+        delta = wrap_rows(target - x + 0.5) - 0.5
         deviation = float(np.linalg.norm(np.delete(delta, g.mask)))
         if deviation > _RECOVER_TOL:
             raise OffOrbitError("target moves coordinates outside the translation mask", deviation)

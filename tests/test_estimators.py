@@ -8,7 +8,6 @@ from orbitreg import (
     FunctionPredictor,
     LocalConstantEstimator,
     PARENT_SO3,
-    Point,
     PointDistribution,
     SpaceMismatchError,
     SymmetrySelection,
@@ -37,8 +36,13 @@ def symmetrised(base, group, h=float("nan"), method="grid", m=None, rng=None):
 
 
 def at(pred, x):
-    """The prediction at one point, through a one-row batch."""
-    return pred.predict_coords(x.coords[None, :])[0]
+    """The prediction at the row ``x``, through a one-row batch."""
+    return pred.predict_coords(np.asarray(x)[None, :])[0]
+
+
+def one_point(X, y):
+    """A data set of one row ``X`` with response ``y``."""
+    return Dataset(BALL, [X], [y])
 
 
 def ball_dataset(rng, n, fn, noise_sd=0.0):
@@ -49,20 +53,19 @@ def ball_dataset(rng, n, fn, noise_sd=0.0):
 
 class TestLocalConstantEstimator:
     def test_empty_ball_returns_default_zero(self):
-        data = Dataset.from_pairs(BALL, [(Point.of(BALL, [0.9, 0, 0]), 5.0)])
+        data = one_point([0.9, 0, 0], 5.0)
         assert LocalConstantEstimator(data, 0.1).predict_coords(ORIGIN).tolist() == [0.0]
 
     def test_single_neighbour_returns_its_value(self):
-        data = Dataset.from_pairs(BALL, [([0.05, 0.0, 0.0], 2.5)])
+        data = one_point([0.05, 0.0, 0.0], 2.5)
         assert LocalConstantEstimator(data, 0.1).predict_coords(ORIGIN).tolist() == [2.5]
 
     def test_two_neighbours_average(self):
-        data = Dataset.from_pairs(BALL, [([0.05, 0, 0], 1.0), ([0, 0.05, 0], 2.0),
-                                         ([0.9, 0, 0], 50.0)])
+        data = Dataset(BALL, [[0.05, 0, 0], [0, 0.05, 0], [0.9, 0, 0]], [1.0, 2.0, 50.0])
         assert LocalConstantEstimator(data, 0.1).predict_coords(ORIGIN).tolist() == [1.5]
 
     def test_boundary_point_excluded(self):
-        data = Dataset.from_pairs(BALL, [([0.25, 0.0, 0.0], 9.0)])
+        data = one_point([0.25, 0.0, 0.0], 9.0)
         assert LocalConstantEstimator(data, 0.25).predict_coords(ORIGIN).tolist() == [0.0]
 
     def test_empty_dataset_predicts_default_everywhere(self):
@@ -73,7 +76,7 @@ class TestLocalConstantEstimator:
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.1])
     def test_bandwidth_must_be_finite_and_positive(self, h):
-        data = Dataset.from_pairs(BALL, [([0.05, 0.0, 0.0], 2.5)])
+        data = one_point([0.05, 0.0, 0.0], 2.5)
         with pytest.raises(ConfigError):
             LocalConstantEstimator(data, h)
 
@@ -216,21 +219,21 @@ class TestPartialSymmetrised:
         rng = substream(0, "triv")
         data = ball_dataset(rng, 100, lambda X: X[:, 0])
         est = LocalConstantEstimator(data, 0.3)
-        x = Point.of(BALL, [0.2, 0.1, 0.0])
-        grid = build_orbit_grid(x, trivial_subgroup(PARENT_SO3), est.h)
-        assert np.array_equal(grid.orbit_coords, x.coords[None, :])
+        x = np.array([0.2, 0.1, 0.0])
+        grid = build_orbit_grid(BALL, trivial_subgroup(PARENT_SO3), x, est.h)
+        assert np.array_equal(grid.orbit_coords, x[None, :])
         assert at(symmetrised(est, trivial_subgroup(PARENT_SO3), est.h), x) == at(est, x)
 
     def test_constant_predictor_unchanged(self):
         const = FunctionPredictor(BALL, lambda X: np.full(X.shape[0], 3.25))
-        x = Point.of(BALL, [0.4, 0.1, 0.2])
+        x = np.array([0.4, 0.1, 0.2])
         assert at(symmetrised(const, full_so3(), 0.1), x) == pytest.approx(3.25, abs=1e-12)
 
     def test_invariant_function_reproduced_exactly(self):
         f = FunctionPredictor(BALL, lambda X: np.cos(np.linalg.norm(X, axis=1)))
-        x = Point.of(BALL, [0.3, -0.2, 0.5])
+        x = np.array([0.3, -0.2, 0.5])
         assert at(symmetrised(f, full_so3(), 0.07), x) == pytest.approx(
-            np.cos(np.linalg.norm(x.coords)), abs=1e-12)
+            np.cos(np.linalg.norm(x)), abs=1e-12)
 
     def test_sup_norm_contraction(self):
         rng = substream(0, "contract")
@@ -252,15 +255,15 @@ class TestMonteCarloSymmetrised:
         rng = substream(0, "mc1")
         data = ball_dataset(rng, 100, lambda X: X[:, 0])
         est = LocalConstantEstimator(data, 0.3)
-        x = Point.of(BALL, [0.1, 0.2, 0.3])
+        x = np.array([0.1, 0.2, 0.3])
         value = at(symmetrised(est, trivial_subgroup(PARENT_SO3), method="monte_carlo",
                                m=1, rng=substream(1)), x)
         assert value == at(est, x)
 
     def test_invariant_predictor_exact_for_any_seed(self):
         f = FunctionPredictor(BALL, lambda X: np.cos(np.linalg.norm(X, axis=1)))
-        x = Point.of(BALL, [0.3, 0.4, -0.1])
-        expected = float(np.cos(np.linalg.norm(x.coords)))
+        x = np.array([0.3, 0.4, -0.1])
+        expected = float(np.cos(np.linalg.norm(x)))
         for seed in range(5):
             value = at(symmetrised(f, full_so3(), method="monte_carlo", m=64,
                                    rng=substream(seed)), x)
@@ -268,7 +271,7 @@ class TestMonteCarloSymmetrised:
 
     def test_axis_aligned_symmetry_of_f2(self):
         f = FunctionPredictor(BALL, f2)
-        x = Point.of(BALL, [0.2, 0.5, 0.1])
+        x = np.array([0.2, 0.5, 0.1])
         for seed in range(3):
             value = at(symmetrised(f, circle3([1.0, 0.0, 0.0]), method="monte_carlo", m=50,
                                    rng=substream(seed, "inv")), x)
@@ -277,10 +280,10 @@ class TestMonteCarloSymmetrised:
     def test_misaligned_axis_shows_the_quadrature_gap(self):
         # dense-quadrature oracle for the orbit average about the z axis
         f = FunctionPredictor(BALL, f2)
-        x = Point.of(BALL, [0.2, 0.5, 0.1])
+        x = np.array([0.2, 0.5, 0.1])
         angles = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
         quats = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angles)
-        dense = float(f2(quat_rotate(quats, x.coords[None, :]).reshape(-1, 3)).mean())
+        dense = float(f2(quat_rotate(quats, x[None, :]).reshape(-1, 3)).mean())
         gap = abs(dense - at(f, x))
         assert gap > 1e-3  # generic point: a genuine orbit-average gap
         value = at(symmetrised(f, circle3([0.0, 0.0, 1.0]), method="monte_carlo", m=4000,
@@ -289,10 +292,10 @@ class TestMonteCarloSymmetrised:
 
     def test_monte_carlo_unbiased_against_quadrature(self):
         f = FunctionPredictor(BALL, f2)
-        x = Point.of(BALL, [0.2, 0.5, 0.1])
+        x = np.array([0.2, 0.5, 0.1])
         angles = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
         quats = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angles)
-        dense = float(f2(quat_rotate(quats, x.coords[None, :]).reshape(-1, 3)).mean())
+        dense = float(f2(quat_rotate(quats, x[None, :]).reshape(-1, 3)).mean())
         m, seeds = 128, 200
         values = np.array([
             at(symmetrised(f, circle3([0.0, 0.0, 1.0]), method="monte_carlo", m=m,
@@ -307,7 +310,7 @@ class TestMonteCarloSymmetrised:
 
         t3 = torus(3)
         f = FunctionPredictor(t3, lambda X: np.sin(2 * np.pi * X[:, 1]))
-        x = Point.of(t3, [0.3, 0.2, 0.9])
+        x = np.array([0.3, 0.2, 0.9])
         value = at(symmetrised(f, axis_translations(3, [0, 2]), method="monte_carlo", m=64,
                                rng=substream(0)), x)
         assert value == pytest.approx(at(f, x), abs=1e-12)
@@ -329,11 +332,9 @@ class TestDatasetValidation:
         with pytest.raises(SpaceMismatchError):
             Dataset(BALL, np.zeros((3, 2)), np.zeros(3))
 
-    def test_from_pairs_validates_membership(self):
-        from orbitreg import SpaceMismatchError
-
-        with pytest.raises(SpaceMismatchError):
-            Dataset.from_pairs(BALL, [([2.0, 0.0, 0.0], 1.0)])
+    def test_ball_row_outside_the_ball_rejected(self):
+        with pytest.raises(SpaceMismatchError, match=r"^row 1 \(\[2\. 0\. 0\.\]\) does not lie in unit_ball3$"):
+            Dataset(BALL, [[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]], [1.0, 1.0])
 
     def test_non_finite_response_rejected(self):
         with pytest.raises(ConfigError, match="response 1 is not finite"):

@@ -3,16 +3,13 @@ import pytest
 
 from orbitreg import (
     InvalidElementError,
-    Point,
     PointDistribution,
     Rotation3,
     TorusShift,
     VariantMismatchError,
-    act,
     rotation_about,
     rotation_identity,
     sample_points,
-    space_distance,
     substream,
     torus,
     unit_ball3,
@@ -27,6 +24,10 @@ from orbitreg.groups import (
     quat_rotation_angle,
 )
 from orbitreg.randomness import polar_gaussian
+from orbitreg.spaces import pairwise_distance
+
+BALL = unit_ball3()
+T2 = torus(2)
 
 
 def random_rotations(rng, n):
@@ -37,25 +38,22 @@ def random_rotations(rng, n):
 class TestAction:
     def test_identity_fixes_everything(self):
         rng = substream(1, "id")
-        for coords in sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, 5, rng):
-            x = Point.of(unit_ball3(), coords)
-            assert np.allclose(act(rotation_identity(), x).coords, x.coords, atol=0)
+        X = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 5, rng)
+        assert np.allclose(rotation_identity().act_on(BALL, X), X, atol=0)
 
     def test_half_turn_about_z_flips_x_axis(self):
         g = rotation_about([0.0, 0.0, 1.0], np.pi)
-        x = Point.of(unit_ball3(), [1.0, 0.0, 0.0])
-        assert np.allclose(act(g, x).coords, [-1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(g.act_on(BALL, [[1.0, 0.0, 0.0]]), [[-1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_torus_shift_wraps_mod_one(self):
         g = TorusShift(np.array([0.6, 0.9]))
-        x = Point.of(torus(2), [0.7, 0.2])
-        assert np.allclose(act(g, x).coords, [0.3, 0.1], atol=1e-12)
+        assert np.allclose(g.act_on(T2, [[0.7, 0.2]]), [[0.3, 0.1]], atol=1e-12)
 
     def test_incompatible_variant_raises(self):
         with pytest.raises(IncompatibleActionError):
-            act(rotation_identity(), Point.of(torus(2), [0.1, 0.1]))
+            rotation_identity().act_on(T2, [[0.1, 0.1]])
         with pytest.raises(IncompatibleActionError):
-            act(TorusShift(np.array([0.1, 0.2, 0.3])), Point.of(torus(2), [0.1, 0.1]))
+            TorusShift(np.array([0.1, 0.2, 0.3])).act_on(T2, [[0.1, 0.1]])
 
     def test_non_unit_quaternion_rejected(self):
         with pytest.raises(InvalidElementError):
@@ -63,20 +61,19 @@ class TestAction:
 
     def test_action_compatibility_axiom(self):
         rng = substream(2, "axiom")
-        pts = sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, 50, rng)
-        for g_quat, h_quat, coords in zip(random_rotations(rng, 50), random_rotations(rng, 50), pts):
+        pts = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 50, rng)
+        for g_quat, h_quat, x in zip(random_rotations(rng, 50), random_rotations(rng, 50), pts):
             g, h = Rotation3(g_quat), Rotation3(h_quat)
-            x = Point.of(unit_ball3(), coords)
-            via_two = act(g, act(h, x))
-            via_product = act(g.compose(h), x)
-            assert np.linalg.norm(via_two.coords - via_product.coords) <= 1e-10
+            via_two = g.act_on(BALL, h.act_on(BALL, x[None, :]))
+            via_product = g.compose(h).act_on(BALL, x[None, :])
+            assert np.linalg.norm(via_two - via_product) <= 1e-10
 
     def test_torus_action_compatibility(self):
         rng = substream(2, "taxiom")
         for _ in range(50):
             g, h = TorusShift(rng.random(2)), TorusShift(rng.random(2))
-            x = Point.of(torus(2), rng.random(2))
-            assert np.linalg.norm(act(g, act(h, x)).coords - act(g.compose(h), x).coords) <= 1e-10
+            x = rng.random((1, 2))
+            assert np.linalg.norm(g.act_on(T2, h.act_on(T2, x)) - g.compose(h).act_on(T2, x)) <= 1e-10
 
 
 class TestCross:
@@ -168,6 +165,26 @@ class TestCanonicalisation:
         q = quat_canonical(np.array([0.0, -1.0, 0.0, 0.0]))
         assert q[1] == 1.0
 
+    def test_negated_identity_rotation_hashes_as_the_identity(self):
+        # the inverse negates the vector part of [1, 0, 0, 0] into -0.0
+        e = rotation_identity()
+        assert e.inverse() == e and hash(e.inverse()) == hash(e)
+        assert len({e, e.inverse(), Rotation3(np.array([1.0, -0.0, 0.0, -0.0]))}) == 1
+        assert not np.signbit(e.inverse().quaternion).any()
+
+    @pytest.mark.parametrize("element", [rotation_about([0.0, 0.0, 1.0], 0.7),
+                                         rotation_about([1.0, -2.0, 0.5], 2.9),
+                                         TorusShift(np.array([0.25, 0.0, 0.5]))],
+                             ids=["rotation_z", "rotation", "shift"])
+    def test_equal_elements_hash_alike(self, element):
+        # every zero component, negated in turn, names the same element
+        row = element._row
+        twins = [type(element)(np.where(np.arange(row.size) == i, -row, row))
+                 for i in np.flatnonzero(row == 0.0)]
+        twins.append(element.inverse().inverse())
+        for twin in twins:
+            assert twin == element and hash(twin) == hash(element)
+
     def test_negated_identity_shift_hashes_as_the_identity(self):
         # -0.0 is already in [0, 1), so the reduction alone would keep it
         e = parent_group("torus3").identity()
@@ -178,23 +195,21 @@ class TestCanonicalisation:
 class TestIsometryAndLipschitz:
     def test_rotations_are_isometries(self):
         rng = substream(5, "iso")
-        pts = sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, 40, rng)
+        pts = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 40, rng)
+        before = pairwise_distance(BALL, pts[0::2], pts[1::2]).diagonal()
         for q in random_rotations(rng, 20):
-            g = Rotation3(q)
-            for i in range(0, 40, 2):
-                x = Point.of(unit_ball3(), pts[i])
-                y = Point.of(unit_ball3(), pts[i + 1])
-                before = space_distance(x, y)
-                after = space_distance(act(g, x), act(g, y))
-                assert abs(before - after) <= 1e-10
+            moved = Rotation3(q).act_on(BALL, pts)
+            after = pairwise_distance(BALL, moved[0::2], moved[1::2]).diagonal()
+            assert np.abs(before - after).max() <= 1e-10
 
     def test_torus_shifts_are_isometries(self):
         rng = substream(5, "tiso")
         for _ in range(50):
             g = TorusShift(rng.random(2))
-            x = Point.of(torus(2), rng.random(2))
-            y = Point.of(torus(2), rng.random(2))
-            assert abs(space_distance(act(g, x), act(g, y)) - space_distance(x, y)) <= 1e-10
+            xy = rng.random((2, 2))
+            moved = g.act_on(T2, xy)
+            before = pairwise_distance(T2, xy[:1], xy[1:])[0, 0]
+            assert abs(pairwise_distance(T2, moved[:1], moved[1:])[0, 0] - before) <= 1e-10
 
     def test_rotation_action_is_one_lipschitz_on_the_ball(self):
         rng = substream(5, "lip")

@@ -52,9 +52,9 @@ class TestPacking:
         assert rep.passed and rep.observed <= 1e-9
 
     def test_oversized_bandwidth_accepted_by_the_max_clause(self):
-        from orbitreg import Point, build_orbit_grid, full_so3, unit_ball3
+        from orbitreg import build_orbit_grid, full_so3, unit_ball3
 
-        grid = build_orbit_grid(Point.of(unit_ball3(), [0.4, 0, 0]), full_so3(), h=2.0)
+        grid = build_orbit_grid(unit_ball3(), full_so3(), [0.4, 0, 0], h=2.0)
         assert grid.m == 1
         assert max(1.0, (grid.hypercube_side / 4.0) ** 2) == 1.0
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from orbitreg import (
     OffOrbitError,
     PARENT_SO3,
-    Point,
     PointDistribution,
+    SpaceMismatchError,
     axis_translations,
     build_orbit_grid,
     circle3,
@@ -25,10 +25,17 @@ from orbitreg import (
     unit_sphere2,
 )
 from orbitreg.errors import IncompatibleActionError
-from orbitreg.groups import act, quat_rotation_angle
+from orbitreg.groups import quat_rotation_angle
 from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.spaces import pairwise_distance
 from orbitreg.subgroups import sample_orbit_coords
+
+BALL = unit_ball3()
+
+
+def moved(space, g, x):
+    """The element ``g`` applied to the row ``x`` of ``space``."""
+    return g.act_on(space, np.asarray(x)[None, :])[0]
 
 
 def grid_is_well_packed(space, grid, h):
@@ -47,43 +54,41 @@ def grid_is_well_packed(space, grid, h):
 
 class TestHypercubeSide:
     def test_trivial_is_one(self):
-        x = Point.of(unit_ball3(), [0.3, 0.3, 0.1])
-        assert hypercube_side(x, trivial_subgroup(PARENT_SO3)) == 1.0
+        assert hypercube_side(BALL, trivial_subgroup(PARENT_SO3), [0.3, 0.3, 0.1]) == 1.0
 
     def test_sphere_orbit_side(self):
-        x = Point.of(unit_ball3(), [0.5, 0.0, 0.0])
-        assert hypercube_side(x, full_so3()) == pytest.approx(np.sqrt(2) * 0.5, abs=1e-12)
+        side = hypercube_side(BALL, full_so3(), [0.5, 0.0, 0.0])
+        assert side == pytest.approx(np.sqrt(2) * 0.5, abs=1e-12)
 
     def test_circle_orbit_side_is_twice_axis_distance(self):
         c = 0.7
-        x = Point.of(unit_ball3(), np.array([0.6 * np.cos(1.1), 0.6 * np.sin(1.1), 0.8]) * c)
-        assert hypercube_side(x, circle3([0.0, 0.0, 1.0])) == pytest.approx(1.2 * c, abs=1e-12)
+        x = np.array([0.6 * np.cos(1.1), 0.6 * np.sin(1.1), 0.8]) * c
+        assert hypercube_side(BALL, circle3([0.0, 0.0, 1.0]), x) == pytest.approx(1.2 * c, abs=1e-12)
 
     def test_torus_sides_stay_within_wrap_injectivity(self):
-        x = Point.of(torus(2), [0.3, 0.7])
-        assert hypercube_side(x, torus_line(1, 1)) == 0.5
-        assert hypercube_side(x, full_torus(2)) == 0.5
+        x = [0.3, 0.7]
+        assert hypercube_side(torus(2), torus_line(1, 1), x) == 0.5
+        assert hypercube_side(torus(2), full_torus(2), x) == 0.5
 
     def test_masked_sub_torus_side_is_half_the_period(self):
         # masked translations act on the unit-period torus: every masked
         # side is 1, so the side is capped at half of it
-        x = Point.of(torus(3), [0.5, 0.9, 0.1])
-        assert hypercube_side(x, axis_translations(3, [1, 2])) == 0.5
-        assert hypercube_side(x, axis_translations(3, [2])) == 0.5
+        x = [0.5, 0.9, 0.1]
+        assert hypercube_side(torus(3), axis_translations(3, [1, 2]), x) == 0.5
+        assert hypercube_side(torus(3), axis_translations(3, [2]), x) == 0.5
 
 
 class TestBuildGrid:
     def test_trivial_group_gives_identity_singleton(self):
-        x = Point.of(unit_ball3(), [0.2, -0.1, 0.4])
-        grid = build_orbit_grid(x, trivial_subgroup(PARENT_SO3), 0.3)
+        x = np.array([0.2, -0.1, 0.4])
+        grid = build_orbit_grid(BALL, trivial_subgroup(PARENT_SO3), x, 0.3)
         assert grid.m == 1
-        assert np.allclose(act(grid.elements[0], x).coords, x.coords)
+        assert np.allclose(moved(BALL, grid.elements[0], x), x)
 
     def test_equator_circle_count_and_spacing(self):
         sphere = unit_sphere2()
-        x = Point.of(sphere, [1.0, 0.0, 0.0])
         h = 0.1
-        grid = build_orbit_grid(x, circle3([0.0, 0.0, 1.0]), h)
+        grid = build_orbit_grid(sphere, circle3([0.0, 0.0, 1.0]), [1.0, 0.0, 0.0], h)
         assert grid.m >= 10  # side 2 over spacing 0.2
         chords = np.linalg.norm(grid.orbit_coords[:, None, :] - grid.orbit_coords[None, :, :], axis=2)
         np.fill_diagonal(chords, np.inf)
@@ -93,64 +98,61 @@ class TestBuildGrid:
         assert len(np.unique(np.round(angles, 9))) == grid.m
 
     def test_full_rotation_grid_on_unit_sphere_point(self):
-        x = Point.of(unit_ball3(), [0.0, 0.0, 1.0])
         h = 0.1
-        grid = build_orbit_grid(x, full_so3(), h)
+        grid = build_orbit_grid(BALL, full_so3(), [0.0, 0.0, 1.0], h)
         assert grid.m >= (np.sqrt(2.0) / 0.2) ** 2
         assert grid_is_well_packed(unit_ball3(), grid, h)
         assert np.allclose(np.linalg.norm(grid.orbit_coords, axis=1), 1.0, atol=1e-12)
 
     def test_elements_reproduce_orbit_points(self):
         rng = substream(0, "elems")
-        x = Point.of(unit_ball3(), sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, 1, rng)[0])
+        x = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 1, rng)[0]
         for group in (circle3([0.0, 1.0, 0.0]), full_so3()):
-            grid = build_orbit_grid(x, group, 0.15)
+            grid = build_orbit_grid(BALL, group, x, 0.15)
             for g, target in zip(grid.elements, grid.orbit_coords):
-                assert np.linalg.norm(act(g, x).coords - target) <= 1e-9
+                assert np.linalg.norm(moved(BALL, g, x) - target) <= 1e-9
 
     def test_torus_elements_reproduce_orbit_points(self):
         # compare in the wrap metric: raw coordinates may sit on either side
         # of the seam
         space = torus(2)
-        x = Point.of(space, [0.15, 0.85])
+        x = [0.15, 0.85]
         for group in (torus_line(1, 2), full_torus(2)):
-            grid = build_orbit_grid(x, group, 0.05)
-            acted = np.array([act(g, x).coords for g in grid.elements])
+            grid = build_orbit_grid(space, group, x, 0.05)
+            acted = np.array([moved(space, g, x) for g in grid.elements])
             dist = pairwise_distance(space, acted, grid.orbit_coords)
             assert np.diag(dist).max() <= 1e-12
 
     def test_determinism(self):
-        x = Point.of(unit_ball3(), [0.4, 0.1, -0.2])
-        a = build_orbit_grid(x, full_so3(), 0.07)
-        b = build_orbit_grid(x, full_so3(), 0.07)
+        x = [0.4, 0.1, -0.2]
+        a = build_orbit_grid(BALL, full_so3(), x, 0.07)
+        b = build_orbit_grid(BALL, full_so3(), x, 0.07)
         assert a.m == b.m
         assert np.array_equal(a.orbit_coords, b.orbit_coords)
 
     def test_halving_bandwidth_never_reduces_count(self):
         rng = substream(0, "mono")
-        x = Point.of(unit_ball3(), sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, 1, rng)[0])
+        x = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 1, rng)[0]
         for group in (circle3([0, 0, 1.0]), full_so3()):
             h = 0.4
-            prev = build_orbit_grid(x, group, h).m
+            prev = build_orbit_grid(BALL, group, x, h).m
             for _ in range(4):
                 h /= 2.0
-                cur = build_orbit_grid(x, group, h).m
+                cur = build_orbit_grid(BALL, group, x, h).m
                 assert cur >= prev
                 prev = cur
 
     def test_singular_base_point_degrades_to_identity(self):
-        origin = Point.of(unit_ball3(), [0.0, 0.0, 0.0])
-        grid = build_orbit_grid(origin, full_so3(), 0.1)
+        grid = build_orbit_grid(BALL, full_so3(), [0.0, 0.0, 0.0], 0.1)
         assert grid.m == 1 and grid.singular
-        on_axis = Point.of(unit_ball3(), [0.0, 0.0, 0.5])
-        grid = build_orbit_grid(on_axis, circle3([0.0, 0.0, 1.0]), 0.1)
+        grid = build_orbit_grid(BALL, circle3([0.0, 0.0, 1.0]), [0.0, 0.0, 0.5], 0.1)
         assert grid.m == 1 and grid.singular
 
     def test_large_bandwidth_gives_single_point(self):
-        x = Point.of(unit_ball3(), [0.5, 0.0, 0.0])
-        grid = build_orbit_grid(x, full_so3(), h=1.0)  # h >= side/2
+        x = [0.5, 0.0, 0.0]
+        grid = build_orbit_grid(BALL, full_so3(), x, h=1.0)  # h >= side/2
         assert grid.m == 1 and not grid.singular
-        assert np.allclose(grid.orbit_coords[0], x.coords, atol=1e-12)
+        assert np.allclose(grid.orbit_coords[0], x, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_packing_bounds_random_configs(self, seed):
@@ -165,9 +167,9 @@ class TestBuildGrid:
             else:  # a coordinate sub-torus of T^3
                 groups = [axis_translations(3, sorted(rng.choice(3, size=2, replace=False).tolist()))]
             group = groups[int(rng.integers(len(groups)))]
-            x = Point.of(space, sample_points(space, PointDistribution.UNIFORM_SPACE, 1, rng)[0])
+            x = sample_points(space, PointDistribution.UNIFORM_SPACE, 1, rng)[0]
             h = float(np.exp(rng.uniform(np.log(0.03), np.log(0.7))))
-            grid = build_orbit_grid(x, group, h)
+            grid = build_orbit_grid(space, group, x, h)
             assert grid_is_well_packed(space, grid, h)
 
 
@@ -178,64 +180,54 @@ def _axis(rng):
 
 class TestRecoverElement:
     def test_identity_for_same_point(self):
-        x = Point.of(unit_ball3(), [0.3, 0.2, 0.1])
-        g = recover_group_element(x, x, full_so3())
+        x = [0.3, 0.2, 0.1]
+        g = recover_group_element(BALL, full_so3(), x, x)
         assert quat_rotation_angle(g.quaternion) <= 1e-12
 
     def test_quarter_turn_recovery(self):
-        x = Point.of(unit_ball3(), [1.0, 0.0, 0.0])
-        target = Point.of(unit_ball3(), [0.0, 1.0, 0.0])
-        g = recover_group_element(x, target, full_so3())
-        assert np.allclose(act(g, x).coords, target.coords, atol=1e-12)
+        x, target = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+        g = recover_group_element(BALL, full_so3(), x, target)
+        assert np.allclose(moved(BALL, g, x), target, atol=1e-12)
         assert quat_rotation_angle(g.quaternion) == pytest.approx(np.pi / 2, abs=1e-12)
         # axis is +z
         assert np.allclose(g.quaternion[1:], [0.0, 0.0, np.sin(np.pi / 4)], atol=1e-12)
 
     def test_torus_recovery_is_mod_one_difference(self):
-        x = Point.of(torus(2), [0.2, 0.2])
-        target = Point.of(torus(2), [0.9, 0.5])
-        g = recover_group_element(x, target, full_torus(2))
+        g = recover_group_element(torus(2), full_torus(2), [0.2, 0.2], [0.9, 0.5])
         assert np.allclose(g.shift, [0.7, 0.3], atol=1e-12)
 
     def test_circle_recovery(self):
-        x = Point.of(unit_ball3(), [0.5, 0.0, 0.3])
-        group = circle3([0.0, 0.0, 1.0])
-        target = Point.of(unit_ball3(), [0.0, 0.5, 0.3])
-        g = recover_group_element(x, target, group)
-        assert np.allclose(act(g, x).coords, target.coords, atol=1e-12)
+        x, target = [0.5, 0.0, 0.3], [0.0, 0.5, 0.3]
+        g = recover_group_element(BALL, circle3([0.0, 0.0, 1.0]), x, target)
+        assert np.allclose(moved(BALL, g, x), target, atol=1e-12)
 
     def test_off_orbit_reports_deviation(self):
-        x = Point.of(unit_ball3(), [0.5, 0.0, 0.0])
-        target = Point.of(unit_ball3(), [0.8, 0.0, 0.0])
         with pytest.raises(OffOrbitError) as excinfo:
-            recover_group_element(x, target, full_so3())
+            recover_group_element(BALL, full_so3(), [0.5, 0.0, 0.0], [0.8, 0.0, 0.0])
         assert excinfo.value.deviation == pytest.approx(0.3, abs=1e-12)
 
     def test_line_recovery_and_rejection(self):
-        x = Point.of(torus(2), [0.1, 0.1])
-        on_line = Point.of(torus(2), [0.4, 0.4])
-        g = recover_group_element(x, on_line, torus_line(1, 1))
+        x = [0.1, 0.1]
+        g = recover_group_element(torus(2), torus_line(1, 1), x, [0.4, 0.4])
         assert np.allclose(g.shift, [0.3, 0.3], atol=1e-12)
-        off_line = Point.of(torus(2), [0.4, 0.6])
         with pytest.raises(OffOrbitError):
-            recover_group_element(x, off_line, torus_line(1, 1))
+            recover_group_element(torus(2), torus_line(1, 1), x, [0.4, 0.6])
 
     def test_antipodal_recovery_still_maps(self):
-        x = Point.of(unit_ball3(), [0.5, 0.0, 0.0])
-        target = Point.of(unit_ball3(), [-0.5, 0.0, 0.0])
-        g = recover_group_element(x, target, full_so3())
-        assert np.allclose(act(g, x).coords, target.coords, atol=1e-12)
+        x, target = [0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]
+        g = recover_group_element(BALL, full_so3(), x, target)
+        assert np.allclose(moved(BALL, g, x), target, atol=1e-12)
 
     @pytest.mark.parametrize("r", [1e-300, 5e-10, 1e-9])
     @pytest.mark.parametrize("group", [circle3([0.0, 0.0, 1.0]), full_so3()])
     def test_tiny_orbits_recover_every_quadrature_node(self, group, r):
         """An orbit of radius r <= 1e-9 is still up to 2r across, so the
         recovered element must turn x onto the node, not stay the identity."""
-        x = Point.of(unit_ball3(), [0.0, r, 0.0])
-        nodes, _ = orbit_quadrature_coords(group, x.coords)
+        x = np.array([0.0, r, 0.0])
+        nodes, _ = orbit_quadrature_coords(group, x)
         for c in nodes:
-            g = recover_group_element(x, Point(c, x.space), group)
-            assert pairwise_distance(x.space, act(g, x).coords, c)[0, 0] <= 1e-12
+            g = recover_group_element(BALL, group, x, c)
+            assert pairwise_distance(BALL, moved(BALL, g, x), c)[0, 0] <= 1e-12
 
     @pytest.mark.parametrize("space, parent, x, seam, off", [
         (torus(2), "torus2", [0.0, 0.5], [1.0 - 1e-12, 0.5], [0.5, 0.5]),
@@ -243,21 +235,75 @@ class TestRecoverElement:
     ])
     def test_trivial_recovery_measures_the_wrap_metric(self, space, parent, x, seam, off):
         # x and seam are 1e-12 apart across the wrap seam; off is 0.5 away
-        x = Point.of(space, x)
-        g = recover_group_element(x, Point.of(space, seam), trivial_subgroup(parent))
+        g = recover_group_element(space, trivial_subgroup(parent), x, seam)
         assert np.all(g.shift == 0.0)
         with pytest.raises(OffOrbitError) as excinfo:
-            recover_group_element(x, Point.of(space, off), trivial_subgroup(parent))
+            recover_group_element(space, trivial_subgroup(parent), x, off)
         assert excinfo.value.deviation == pytest.approx(0.5, abs=1e-12)
 
     def test_sub_torus_recovery_measures_off_mask_coordinates_in_the_wrap_metric(self):
-        x = Point.of(torus(3), [0.2, 0.0, 0.7])
+        x = [0.2, 0.0, 0.7]
         group = axis_translations(3, [0, 2])
-        g = recover_group_element(x, Point.of(torus(3), [0.9, 1.0 - 1e-12, 0.1]), group)
+        g = recover_group_element(torus(3), group, x, [0.9, 1.0 - 1e-12, 0.1])
         assert np.allclose(g.shift, [0.7, 0.0, 0.4], atol=1e-12)
         with pytest.raises(OffOrbitError) as excinfo:
-            recover_group_element(x, Point.of(torus(3), [0.2, 0.9, 0.7]), group)
+            recover_group_element(torus(3), group, x, [0.2, 0.9, 0.7])
         assert excinfo.value.deviation == pytest.approx(0.1, abs=1e-12)
+
+
+# (space, group, a row of the space, rows that are not: the wrong width, a
+# NaN entry, an infinite entry, outside the space)
+ROW_CASES = {
+    "ball": (BALL, full_so3(), [0.5, 0.0, 0.0],
+             [[0.5, 0.0], [np.nan, 0.0, 0.0], [0.5, np.inf, 0.0], [5.0, 0.0, 0.0]]),
+    "torus": (torus(2), full_torus(2), [0.2, 0.3],
+              [[0.2, 0.3, 0.4], [0.2, np.nan], [-np.inf, 0.3], [1.0, 0.3]]),
+}
+BAD_ROWS = ["width", "nan", "inf", "outside"]
+
+
+class TestEntriesCheckTheirRows:
+    @pytest.mark.parametrize("bad", range(4), ids=BAD_ROWS)
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_build_orbit_grid_rejects_the_row(self, case, bad):
+        space, group, _, rows = ROW_CASES[case]
+        with pytest.raises(SpaceMismatchError, match=f"does not lie in {space}"):
+            build_orbit_grid(space, group, rows[bad], 0.1)
+
+    @pytest.mark.parametrize("bad", range(4), ids=BAD_ROWS)
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_hypercube_side_rejects_the_row(self, case, bad):
+        space, group, _, rows = ROW_CASES[case]
+        with pytest.raises(SpaceMismatchError, match=f"does not lie in {space}"):
+            hypercube_side(space, group, rows[bad])
+
+    @pytest.mark.parametrize("bad", range(4), ids=BAD_ROWS)
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_recover_group_element_rejects_the_base_and_the_target(self, case, bad):
+        space, group, good, rows = ROW_CASES[case]
+        for x, target in ((rows[bad], good), (good, rows[bad])):
+            with pytest.raises(SpaceMismatchError, match=f"does not lie in {space}"):
+                recover_group_element(space, group, x, target)
+
+    def test_a_base_outside_the_ball_builds_no_grid(self):
+        # |x| = 5 once gave a 17-point grid on a circle outside the ball
+        with pytest.raises(SpaceMismatchError):
+            build_orbit_grid(BALL, circle3([0.0, 0.0, 1.0]), [5.0, 0.0, 0.0], 0.3)
+
+    def test_rows_of_two_tori_are_a_library_error(self):
+        # a torus(2) base and a torus(3) target once met in numpy broadcasting
+        with pytest.raises(SpaceMismatchError):
+            recover_group_element(torus(2), full_torus(2), [0.1, 0.2], [0.1, 0.2, 0.3])
+
+    def test_an_entry_takes_one_row(self):
+        with pytest.raises(SpaceMismatchError):
+            build_orbit_grid(BALL, full_so3(), [[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]], 0.1)
+
+    def test_the_grid_keeps_a_copy_of_its_base_row(self):
+        x = np.array([0.4, 0.1, -0.2])
+        grid = build_orbit_grid(BALL, full_so3(), x, 0.3)
+        x[0] = 0.0
+        assert grid.space == BALL and grid.base.tolist() == [0.4, 0.1, -0.2]
 
 
 class TestBatchedGrids:
@@ -277,7 +323,7 @@ class TestBatchedGrids:
         coords, counts = orbit_coords_batch(space, group, xs, h)
         offset = 0
         for i in range(7):
-            grid = build_orbit_grid(Point.of(space, xs[i]), group, h)
+            grid = build_orbit_grid(space, group, xs[i], h)
             assert counts[i] == grid.m
             block = coords[offset : offset + grid.m]
             offset += grid.m
@@ -290,7 +336,7 @@ class TestBatchedGrids:
             with pytest.raises(IncompatibleActionError):
                 orbit_coords_batch(unit_ball3(), group, xs, h)
             with pytest.raises(IncompatibleActionError):
-                build_orbit_grid(Point.of(unit_ball3(), xs[0]), group, h)
+                build_orbit_grid(BALL, group, xs[0], h)
 
 
 _AXIS = np.array([0.6, 0.0, 0.8])
@@ -352,7 +398,7 @@ class TestPackingRule:
         for i in np.flatnonzero(singular):
             assert np.array_equal(coords[starts[i]], xs[i])
         for i, x in enumerate(xs):
-            assert hypercube_side(Point.of(space, x), group) == pytest.approx(side[i], abs=1e-12)
+            assert hypercube_side(space, group, x) == pytest.approx(side[i], abs=1e-12)
 
 
 unit_vectors = (st.tuples(*[st.floats(-1.0, 1.0)] * 3)
@@ -389,35 +435,35 @@ def orbit_cases(draw):
     return space, group, radius * direction, h
 
 
-def assert_on_orbit(x, coords, group):
-    """Every row of ``coords`` is reached from ``x`` by a recovered element."""
+def assert_on_orbit(space, group, x, coords):
+    """Every row of ``coords`` is reached from the row ``x`` of ``space``
+    by a recovered element."""
     for c in coords:
-        g = recover_group_element(x, Point(c, x.space), group)
-        assert pairwise_distance(x.space, act(g, x).coords, c)[0, 0] <= 1e-9
+        g = recover_group_element(space, group, x, c)
+        assert pairwise_distance(space, moved(space, g, x), c)[0, 0] <= 1e-9
 
 
 class TestGridProperties:
     @settings(max_examples=200, deadline=None)
     @given(orbit_cases())
     def test_grid_points_lie_on_the_orbit_and_are_packed(self, case):
-        space, group, coords, h = case
-        x = Point.of(space, coords)
-        grid = build_orbit_grid(x, group, h)
-        assert_on_orbit(x, grid.orbit_coords, group)
-        acted = np.array([act(g, x).coords for g in grid.elements])
+        space, group, x, h = case
+        grid = build_orbit_grid(space, group, x, h)
+        assert grid.space == space and np.array_equal(grid.base, x)
+        assert_on_orbit(space, group, x, grid.orbit_coords)
+        acted = np.array([moved(space, g, x) for g in grid.elements])
         assert np.diag(pairwise_distance(space, acted, grid.orbit_coords)).max() <= 1e-9
         assert grid_is_well_packed(space, grid, h)
         if grid.singular:
-            assert grid.m == 1 and np.array_equal(grid.orbit_coords[0], x.coords)
+            assert grid.m == 1 and np.array_equal(grid.orbit_coords[0], x)
 
     @settings(max_examples=100, deadline=None)
     @given(orbit_cases(), st.integers(0, 2**32 - 1))
     def test_quadrature_and_monte_carlo_points_lie_on_the_orbit(self, case, seed):
-        space, group, coords, _ = case
-        x = Point.of(space, coords)
-        nodes, counts = orbit_quadrature_coords(group, coords)
+        space, group, x, _ = case
+        nodes, counts = orbit_quadrature_coords(group, x)
         assert counts.tolist() == [len(nodes)]
-        assert_on_orbit(x, nodes, group)
-        draws = sample_orbit_coords(group, coords, 16, np.random.default_rng(seed))
+        assert_on_orbit(space, group, x, nodes)
+        draws = sample_orbit_coords(group, x, 16, np.random.default_rng(seed))
         assert draws.shape == (1, 16, space.ambient_dim)
-        assert_on_orbit(x, draws[0], group)
+        assert_on_orbit(space, group, x, draws[0])

@@ -9,17 +9,17 @@ EXPORTED = [
     "BASELINE", "BEST_SYMMETRIC", "BestSymmetricPredictor", "ClosedSubgroup", "ConfigError",
     "CovariateSpace", "Dataset", "EmptyHoldoutError", "FunctionPredictor", "GroupElement",
     "IncompatibleActionError", "InvalidElementError", "LocalConstantEstimator", "OffOrbitError",
-    "OracleReport", "OrbitGrid", "OrbitregError", "PARENT_SO3", "Point", "PointDistribution",
+    "OracleReport", "OrbitGrid", "OrbitregError", "PARENT_SO3", "PointDistribution",
     "RiskReport", "RiskRow", "Rotation3", "SCENARIOS", "Scenario", "ScenarioConfig",
     "SelectionInput", "SpaceKind", "SpaceMismatchError", "SubgroupFamily", "SymmetrySelection",
-    "TorusShift", "VariantMismatchError", "act", "aggregates_csv", "axis_translations",
+    "TorusShift", "VariantMismatchError", "aggregates_csv", "axis_translations",
     "bandwidth", "bias_bound_oracle", "build_orbit_grid", "catalog_lines", "circle3",
     "delta_cover", "delta_schedule", "emit_report", "empirical_error", "estimate_risk",
     "full_so3", "full_torus", "generate_data", "global_ems", "hausdorff_U_distance",
     "hypercube_side", "inverse_moment_oracle", "lipschitz_oracle", "orbit_dimension",
     "orbit_quadrature_coords", "packing_oracle", "parent_torus", "polar_gaussian",
     "recover_group_element", "rotation_about", "rotation_identity", "rows_csv",
-    "run_all_oracles", "run_experiment", "sample_group", "sample_points", "space_distance",
+    "run_all_oracles", "run_experiment", "sample_group", "sample_points",
     "split_dataset", "substream", "tail_bound_oracle", "torus", "torus_line", "trivial_subgroup",
     "unit_ball3", "unit_sphere2",
 ]
@@ -29,4 +29,4 @@ def test_exported_names():
     exported = sorted(name for name, value in vars(orbitreg).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == sorted(EXPORTED)
-    assert len(EXPORTED) == 76
+    assert len(EXPORTED) == 73

@@ -10,18 +10,16 @@ from orbitreg import (
     ConfigError,
     Dataset,
     LocalConstantEstimator,
-    Point,
     PointDistribution,
     SpaceMismatchError,
     sample_points,
-    space_distance,
     substream,
     torus,
     unit_ball3,
     unit_sphere2,
 )
 from orbitreg import spaces
-from orbitreg.spaces import SpaceKind, neighbor_stats, pairwise_distance
+from orbitreg.spaces import SpaceKind, member_rows, neighbor_stats, pairwise_distance
 
 ALL_SPACES = [unit_ball3(), unit_sphere2(), torus(2), torus(3)]
 
@@ -33,22 +31,38 @@ class TestMembership:
             torus(d)
 
     def test_ball_accepts_interior_and_boundary(self):
-        Point.of(unit_ball3(), [0.3, -0.2, 0.1])
-        Point.of(unit_ball3(), [1.0, 0.0, 0.0])
+        rows = [[0.3, -0.2, 0.1], [1.0, 0.0, 0.0]]
+        assert member_rows(unit_ball3(), rows).tolist() == rows
 
     def test_ball_rejects_outside(self):
         with pytest.raises(SpaceMismatchError):
-            Point.of(unit_ball3(), [1.1, 0.0, 0.0])
+            member_rows(unit_ball3(), [1.1, 0.0, 0.0])
 
     def test_sphere_requires_unit_norm(self):
-        Point.of(unit_sphere2(), [0.0, 0.0, 1.0])
+        member_rows(unit_sphere2(), [0.0, 0.0, 1.0])
         with pytest.raises(SpaceMismatchError):
-            Point.of(unit_sphere2(), [0.0, 0.0, 0.99])
+            member_rows(unit_sphere2(), [0.0, 0.0, 0.99])
 
     def test_torus_coordinates_in_unit_interval(self):
-        Point.of(torus(2), [0.0, 0.999])
+        member_rows(torus(2), [0.0, 0.999])
         with pytest.raises(SpaceMismatchError):
-            Point.of(torus(2), [1.0, 0.5])
+            member_rows(torus(2), [1.0, 0.5])
+
+    @pytest.mark.parametrize("space, rows, first", [
+        (unit_ball3(), [[0.1, 0.0, 0.0], [0.2, 0.0, 0.0], [5.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], 2),
+        (unit_ball3(), [[0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]], 1),
+        (unit_sphere2(), [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 + 1e-9]], 1),
+        (torus(2), [[0.5, 0.5], [0.5, np.nan], [1.0, 0.5]], 1),
+        (torus(2), [[0.5, 0.5, 0.5]], 0),
+    ], ids=["ball_outside", "ball_inf", "sphere_off", "torus_nan", "torus_width"])
+    def test_first_row_outside_is_named(self, space, rows, first):
+        with pytest.raises(SpaceMismatchError, match=f"^row {first} .* does not lie in {space}$"):
+            member_rows(space, rows)
+
+    def test_member_rows_are_two_dimensional_float_rows(self):
+        rows = member_rows(torus(3), [0, 0, 0])
+        assert rows.shape == (1, 3) and rows.dtype == np.float64
+        assert member_rows(torus(3), np.zeros((0, 3))).shape == (0, 3)
 
     def test_intrinsic_dimensions(self):
         assert unit_ball3().intrinsic_dim == 3
@@ -59,25 +73,16 @@ class TestMembership:
 class TestDistances:
     def test_zero_distance_to_self(self):
         for space in ALL_SPACES:
-            x = Point.of(space, sample_points(space, PointDistribution.UNIFORM_SPACE, 1,
-                                              substream(0, str(space)))[0])
-            assert space_distance(x, x) == 0.0
+            x = sample_points(space, PointDistribution.UNIFORM_SPACE, 1, substream(0, str(space)))
+            assert pairwise_distance(space, x, x)[0, 0] == 0.0
 
     def test_sphere_quarter_great_circle(self):
-        sphere = unit_sphere2()
-        x = Point.of(sphere, [1.0, 0.0, 0.0])
-        y = Point.of(sphere, [0.0, 1.0, 0.0])
-        assert space_distance(x, y) == pytest.approx(np.pi / 2, abs=1e-12)
+        d = pairwise_distance(unit_sphere2(), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])[0, 0]
+        assert d == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_torus_wraps_across_the_seam(self):
-        t2 = torus(2)
-        x = Point.of(t2, [0.95, 0.5])
-        y = Point.of(t2, [0.05, 0.5])
-        assert space_distance(x, y) == pytest.approx(0.1, abs=1e-12)
-
-    def test_space_mismatch_raises(self):
-        with pytest.raises(SpaceMismatchError):
-            space_distance(Point.of(unit_ball3(), [0, 0, 0]), Point.of(torus(3), [0, 0, 0]))
+        d = pairwise_distance(torus(2), [0.95, 0.5], [0.05, 0.5])[0, 0]
+        assert d == pytest.approx(0.1, abs=1e-12)
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
     def test_metric_axioms_sampled(self, space):
@@ -123,6 +128,17 @@ class TestSamplers:
     def test_gaussian3_rejected_off_r3(self):
         with pytest.raises(SpaceMismatchError):
             sample_points(torus(2), PointDistribution.GAUSSIAN3, 10, substream(0))
+
+    @pytest.mark.parametrize("n", [2.5, True, -1], ids=repr)
+    @pytest.mark.parametrize("distribution", list(PointDistribution), ids=str)
+    def test_count_must_be_a_non_negative_integer(self, distribution, n):
+        with pytest.raises(ConfigError, match="sample_points: n"):
+            sample_points(unit_ball3(), distribution, n, substream(0))
+
+    @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
+    def test_zero_count_gives_an_empty_array(self, space):
+        X = sample_points(space, PointDistribution.UNIFORM_SPACE, 0, substream(0))
+        assert X.shape == (0, space.ambient_dim)
 
 
 def stats_membership(space, queries, data, h):
