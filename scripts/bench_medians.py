@@ -5,7 +5,9 @@ records the median of each result metric over the seeds, the risk-row
 digest of every run and the environment record.  With ``--base DIR`` the
 same runs are made in a second checkout (for example the parent commit),
 alternating which checkout goes first, and the file also gives the
-change/base ratio of each median.
+change/base ratio of each median and, per workload, ``digests_equal``:
+whether the two checkouts wrote the same risk rows for every seed.  Each
+seed whose digests differ is printed.
 
     python3 scripts/bench_medians.py cells --base ../parent-checkout
 
@@ -105,6 +107,15 @@ def main() -> None:
             w: {m: record["checkouts"]["change"]["workloads"][w]["medians"][m]
                 / record["checkouts"]["base"]["workloads"][w]["medians"][m] for m in METRICS}
             for w in args.workloads}
+        record["digests_equal"] = {}
+        for w in args.workloads:
+            differ = [change["seed"] for change, base in zip(runs["change"][w], runs["base"][w])
+                      if change.get("digest") is None or change.get("digest") != base.get("digest")]
+            for seed in differ:
+                print(f"risk-row digests differ: {w} seed {seed}")
+            record["digests_equal"][w] = not differ
+        print("digests equal: " + ", ".join(f"{w} {equal}"
+                                            for w, equal in record["digests_equal"].items()))
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")

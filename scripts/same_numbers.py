@@ -4,16 +4,16 @@ checkouts give the same numbers.
     python3 scripts/same_numbers.py [--base DIR]
 
 The runs are ``simulate`` on ``so3_f1`` and ``t2_g3`` (``--n-grid 50,150
---trials 2 --seed 11``) once for each selector x final-method pair,
-``simulate so3_f2 --schedule-delta --n-grid 30,50``, ``select --show-cover``
-on fixed 300-row CSV samples of the ball and the 2-torus, and ``validate
---quick``; then every ``demos/*.py`` of the checkout, each in a fresh
-temporary directory.  An artifact is a file a CLI run writes or the
-standard output of a CLI run or a demo.  Each line of output is
-``<sha256>  <artifact>``.  With ``--base DIR`` the same runs are made with
-the package and the demos of the checkout ``DIR``, the artifacts that
-differ are listed, and the script exits 1 if any do.  The CSV samples are
-drawn here, with numpy only, so both checkouts read the same bytes.
+--trials 2 --seed 11``), ``simulate so3_f2 --schedule-delta --n-grid
+30,50``, ``select --show-cover`` on fixed 300-row CSV samples of the ball
+and the 2-torus, and ``validate --quick``; then every ``demos/*.py`` of
+the checkout, each in a fresh temporary directory: 21 artifacts.  An
+artifact is a file a CLI run writes or the standard output of a CLI run
+or a demo.  Each line of output is ``<sha256>  <artifact>``.  With
+``--base DIR`` the same runs are made with the package and the demos of
+the checkout ``DIR``, the artifacts that differ are listed, and the
+script exits 1 if any do.  The CSV samples are drawn here, with numpy
+only, so both checkouts read the same bytes.
 """
 
 import argparse
@@ -28,7 +28,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIMULATE = ("--n-grid", "50,150", "--trials", "2", "--seed", "11")
-PAIRS = [(selector, final) for selector in ("grid", "uniform") for final in ("grid", "monte_carlo")]
 
 
 def write_samples(directory: Path) -> dict[str, Path]:
@@ -51,20 +50,17 @@ def write_samples(directory: Path) -> dict[str, Path]:
     return paths
 
 
-def runs(samples: dict[str, Path]) -> list[tuple[str, list[str], str | None]]:
-    """(name, CLI arguments, config file text) of every run."""
+def runs(samples: dict[str, Path]) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every run."""
     out = []
     for scenario in ("so3_f1", "t2_g3"):
-        for selector, final in PAIRS:
-            config = f"selector = {selector}\nfinal_method = {final}\n"
-            out.append((f"simulate-{scenario}-{selector}-{final}",
-                        ["simulate", "--scenario", scenario, *SIMULATE], config))
+        out.append((f"simulate-{scenario}", ["simulate", "--scenario", scenario, *SIMULATE]))
     out.append(("simulate-so3_f2-schedule",
-                ["simulate", "--scenario", "so3_f2", "--schedule-delta", "--n-grid", "30,50"], None))
+                ["simulate", "--scenario", "so3_f2", "--schedule-delta", "--n-grid", "30,50"]))
     for space, path in samples.items():
         out.append((f"select-{space}",
-                    ["select", "--input", str(path), "--space", space, "--show-cover"], None))
-    out.append(("validate-quick", ["validate", "--quick"], None))
+                    ["select", "--input", str(path), "--space", space, "--show-cover"]))
+    out.append(("validate-quick", ["validate", "--quick"]))
     return out
 
 
@@ -80,15 +76,12 @@ def digests(checkout: Path, samples: dict[str, Path]) -> dict[str, str]:
         return proc.stdout
 
     found = {}
-    for name, args, config in runs(samples):
+    for name, args in runs(samples):
         with tempfile.TemporaryDirectory() as work:
             work = Path(work)
-            if config is not None:
-                (work / "run.cfg").write_text(config, encoding="utf-8")
-                args = [*args, "--config", "run.cfg"]
             stdout = run(name, ["-m", "orbitreg", *args], work)
             found[f"{name}/stdout"] = hashlib.sha256(stdout).hexdigest()
-            for path in sorted(p for p in work.rglob("*") if p.is_file() and p.name != "run.cfg"):
+            for path in sorted(p for p in work.rglob("*") if p.is_file()):
                 found[f"{name}/{path.relative_to(work)}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     for demo in sorted((checkout / "demos").glob("*.py")):
         with tempfile.TemporaryDirectory() as work:

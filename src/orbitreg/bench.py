@@ -3,9 +3,10 @@
 For each sample size and trial, two independent copies of the data are
 drawn; one fits the base estimator, the other drives the symmetry search.
 The baseline local-constant estimator uses the union of both copies at the
-dimension-d bandwidth, while the selected-symmetry estimator symmetrises a
-base fit at the chosen group's bandwidth (Monte-Carlo over the group by
-default, with as many draws as base training points).  Risks are estimated
+dimension-d bandwidth.  The selected-symmetry estimator scores each
+candidate subgroup with fixed quadrature nodes over the whole orbit, then
+symmetrises a base fit at the chosen group's bandwidth by Monte-Carlo over
+the group, with as many draws as base training points.  Risks are estimated
 on fresh uniform points and summarised per sample size with Wald intervals
 and log-log slopes.
 
@@ -105,7 +106,8 @@ def register_scenario(scenario_id: str, space: CovariateSpace, parent: str,
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One benchmark run: a scenario plus all simulation knobs."""
+    """One benchmark run: a scenario, its sample sizes, trials and seed,
+    the bandwidth and cover settings, and the worker count."""
 
     scenario: str
     noise_sd: float = 0.5
@@ -118,8 +120,6 @@ class ScenarioConfig:
     use_schedule: bool = False
     seed: int = 20260801
     split: bool = True
-    selector: str = "uniform"
-    final_method: str = "monte_carlo"
     workers: int = 1
 
     def __post_init__(self):
@@ -141,10 +141,6 @@ class ScenarioConfig:
             raise ConfigError("delta: must be finite and positive when given")
         if self.delta is not None and self.use_schedule:
             raise ConfigError("delta: give a fixed value or use_schedule, not both")
-        if self.selector not in ("grid", "uniform"):
-            raise ConfigError("selector: must be 'grid' or 'uniform'")
-        if self.final_method not in ("grid", "monte_carlo"):
-            raise ConfigError("final_method: must be 'grid' or 'monte_carlo'")
         check_count(self.workers, 1, "workers: must be an integer of at least 1")
 
 
@@ -271,9 +267,9 @@ def run_trial(cfg: ScenarioConfig, scenario: Scenario, cover: list[ClosedSubgrou
     baseline = LocalConstantEstimator(union, bandwidth(cfg.a, len(union), cfg.beta, d, 0))
     selection = global_ems(SelectionInput(holdout=holdout, cover=cover, fit_data=fit,
                                           a=cfg.a, beta=cfg.beta,
-                                          symmetriser=cfg.selector))
+                                          symmetriser="uniform"))
     base_best = LocalConstantEstimator(fit, selection.chosen_bandwidth)
-    best = BestSymmetricPredictor(base_best, selection, method=cfg.final_method, rng=rng_mc)
+    best = BestSymmetricPredictor(base_best, selection, method="monte_carlo", rng=rng_mc)
 
     eval_X = sample_points(scenario.space, PointDistribution.UNIFORM_SPACE,
                            cfg.eval_points, rng_eval)

@@ -31,8 +31,9 @@ class Dataset:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
-        Y = np.asarray(self.Y, dtype=np.float64).ravel()
+        # copies, so freezing them below leaves the caller's arrays writable
+        X = np.atleast_2d(np.array(self.X, dtype=np.float64))
+        Y = np.array(self.Y, dtype=np.float64).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ConfigError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries")
         bad = np.flatnonzero(~np.isfinite(Y))

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyHoldoutError, check_count
+from .errors import ConfigError, EmptyHoldoutError, SpaceMismatchError, check_count
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .groups import parent_group
 from .orbit_grids import orbit_coords_batch
@@ -53,9 +53,10 @@ class SelectionInput:
     ``fit_data`` each candidate gets its own local-constant base estimator
     at that candidate's bandwidth; a fixed ``base`` is used verbatim for
     every candidate (the orbit grids still use per-candidate bandwidths).
-    The bandwidths use the size of ``fit_data`` (of ``holdout`` with a
-    fixed ``base``).  Orbit grids span the whole subgroup, and an empty
-    ``region`` reports error 1.0 for every candidate.
+    Either one must lie in ``holdout``'s space.  The bandwidths use the
+    size of ``fit_data`` (of ``holdout`` with a fixed ``base``).  Orbit
+    grids span the whole subgroup, and an empty ``region`` reports error
+    1.0 for every candidate.
     """
 
     holdout: Dataset
@@ -70,6 +71,10 @@ class SelectionInput:
     def __post_init__(self):
         if (self.fit_data is None) == (self.base is None):
             raise ConfigError("provide exactly one of fit_data and base")
+        name, given = ("fit_data", self.fit_data) if self.base is None else ("base", self.base)
+        if given.space != self.holdout.space:
+            raise SpaceMismatchError(f"{name} lies in {given.space}, "
+                                     f"but holdout lies in {self.holdout.space}")
         if not self.cover:
             raise ConfigError("the cover must be nonempty")
         if not any(g.family is SubgroupFamily.TRIVIAL for g in self.cover):

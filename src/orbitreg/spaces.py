@@ -119,11 +119,14 @@ def member_rows(space: CovariateSpace, coords) -> np.ndarray:
 
     The one membership rule for rows that must lie in the space (a
     dataset's covariates, the base point and target of an orbit grid):
-    the first row that has the wrong width, a NaN or infinite entry, or
-    lies outside the space (see :meth:`CovariateSpace.contains_rows`)
-    raises :class:`SpaceMismatchError` naming it.
+    an array of more than two axes, or the first row that has the wrong
+    width, a NaN or infinite entry, or lies outside the space (see
+    :meth:`CovariateSpace.contains_rows`), raises
+    :class:`SpaceMismatchError` naming it.
     """
     rows = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    if rows.ndim != 2:
+        raise SpaceMismatchError(f"rows of shape {rows.shape} are not a 2-D array of rows of {space}")
     bad = np.flatnonzero(~space.contains_rows(rows))
     if bad.size:
         raise SpaceMismatchError(f"row {bad[0]} ({rows[bad[0]]}) does not lie in {space}")

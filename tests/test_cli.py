@@ -55,8 +55,7 @@ class TestSimulate:
     def test_config_file_sets_every_field(self, tmp_path, monkeypatch):
         values = {"scenario": "t2_g3", "noise_sd": 0.25, "n_grid": (20, 40), "trials": 3,
                   "eval_points": 7, "beta": 0.5, "a": 2.0, "delta": 0.75, "use_schedule": False,
-                  "seed": 5, "split": False, "selector": "grid", "final_method": "grid",
-                  "workers": 2}
+                  "seed": 5, "split": False, "workers": 2}
         assert set(values) == {f.name for f in dataclasses.fields(ScenarioConfig)}
         text = {tuple: lambda v: ",".join(map(str, v)), bool: lambda v: "yes" if v else "no"}
         cfg = tmp_path / "all.cfg"
@@ -73,6 +72,16 @@ class TestSimulate:
         with pytest.raises(Reached) as reached:
             main(["simulate", "--config", str(cfg)])
         assert reached.value.args[0] == ScenarioConfig(**values)
+
+    @pytest.mark.parametrize("line", ["selector = grid", "final_method = monte_carlo"])
+    def test_removed_estimator_keys_are_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"scenario = t2_g1\n{line}\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "old.cfg:2: unknown key" in err and line.split()[0] in err
+        assert not (tmp_path / "x").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["simulate", "--scenario", "t2_g1", "--n-grid", "24",

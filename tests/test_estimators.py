@@ -336,6 +336,19 @@ class TestDatasetValidation:
         with pytest.raises(SpaceMismatchError, match=r"^row 1 \(\[2\. 0\. 0\.\]\) does not lie in unit_ball3$"):
             Dataset(BALL, [[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]], [1.0, 1.0])
 
+    def test_three_axis_covariates_rejected(self):
+        with pytest.raises(SpaceMismatchError, match=r"shape \(2, 3, 3\)"):
+            Dataset(BALL, np.zeros((2, 3, 3)), np.zeros(2))
+
+    def test_frozen_copies_leave_the_callers_arrays_writable(self):
+        X, Y = np.full((2, 2), 0.5), np.zeros(2)
+        data = Dataset(torus(2), X, Y)
+        assert X.flags.writeable and Y.flags.writeable
+        assert not data.X.flags.writeable and not data.Y.flags.writeable
+        assert np.array_equal(data.X, X) and np.array_equal(data.Y, Y)
+        X[0, 0] = 0.25
+        assert data.X[0, 0] == 0.5
+
     def test_non_finite_response_rejected(self):
         with pytest.raises(ConfigError, match="response 1 is not finite"):
             Dataset(torus(2), np.array([[0.2, 0.3], [0.5, 0.2]]), np.array([1.0, np.inf]))

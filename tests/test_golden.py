@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 from orbitreg.bench import SCENARIOS, ScenarioConfig, cover_for, generate_data, run_experiment
+from orbitreg.estimators import LocalConstantEstimator
 from orbitreg.randomness import substream
-from orbitreg.selection import SelectionInput, global_ems, orbit_coords_batch
-from orbitreg.spaces import torus, unit_ball3, unit_sphere2
+from orbitreg.selection import (
+    BestSymmetricPredictor,
+    SelectionInput,
+    global_ems,
+    orbit_coords_batch,
+)
+from orbitreg.spaces import PointDistribution, sample_points, torus, unit_ball3, unit_sphere2
 from orbitreg.subgroups import (
     PARENT_SO3,
     axis_translations,
@@ -23,17 +29,20 @@ from orbitreg.subgroups import (
     trivial_subgroup,
 )
 
-# (scenario, final_method) -> risks in row order: trial 0 baseline,
-# trial 0 best_symmetric, trial 1 baseline, trial 1 best_symmetric.
+# scenario -> risks in row order: trial 0 baseline, trial 0
+# best_symmetric, trial 1 baseline, trial 1 best_symmetric.
 GOLDEN_RISKS = {
-    ("so3_f1", "monte_carlo"): (0.09445052132171838, 0.04025120733009852,
-                                0.049063953238607017, 0.055696621533534475),
-    ("so3_f1", "grid"): (0.09445052132171838, 0.106360101777814,
-                         0.049063953238607017, 0.10825796917820543),
-    ("t2_g3", "monte_carlo"): (0.31906045324773563, 0.19187094990345677,
-                               0.29064079204108506, 0.19855052863345343),
-    ("t2_g3", "grid"): (0.31906045324773563, 0.2583089163062379,
-                        0.29064079204108506, 0.2531673673137967),
+    "so3_f1": (0.09445052132171838, 0.04025120733009852,
+               0.049063953238607017, 0.055696621533534475),
+    "t2_g3": (0.31906045324773563, 0.19187094990345677,
+              0.29064079204108506, 0.19855052863345343),
+}
+
+# scenario -> best_symmetric risks of trials 0 and 1 when the same search
+# is followed by the orbit-grid final prediction instead of Monte-Carlo.
+GOLDEN_GRID_FINAL_RISKS = {
+    "so3_f1": (0.106360101777814, 0.10825796917820543),
+    "t2_g3": (0.2583089163062379, 0.2531673673137967),
 }
 
 GOLDEN_CHOICE = {
@@ -42,15 +51,35 @@ GOLDEN_CHOICE = {
 }
 
 
-@pytest.mark.parametrize("scenario, final_method", sorted(GOLDEN_RISKS))
-def test_risks_match_pinned_values(scenario, final_method):
-    report = run_experiment(ScenarioConfig(scenario=scenario, n_grid=(50,), trials=2, seed=11,
-                                           final_method=final_method))
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_RISKS))
+def test_risks_match_pinned_values(scenario):
+    report = run_experiment(ScenarioConfig(scenario=scenario, n_grid=(50,), trials=2, seed=11))
     assert [(r.n, r.trial, r.estimator) for r in report.rows] == [
         (50, 0, "baseline"), (50, 0, "best_symmetric"),
         (50, 1, "baseline"), (50, 1, "best_symmetric")]
     risks = [r.risk for r in report.rows]
-    assert risks == pytest.approx(GOLDEN_RISKS[(scenario, final_method)], rel=1e-9, abs=0.0)
+    assert risks == pytest.approx(GOLDEN_RISKS[scenario], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_GRID_FINAL_RISKS))
+def test_grid_final_risks_match_pinned_values(scenario):
+    """The trials of ``test_risks_match_pinned_values``, rebuilt step by
+    step with the orbit-grid final prediction."""
+    cfg = ScenarioConfig(scenario=scenario, n_grid=(50,), trials=2, seed=11)
+    spec = SCENARIOS[scenario]
+    risks = []
+    for trial in range(2):
+        fit, holdout = (generate_data(spec, 50, cfg.noise_sd,
+                                      substream(11, scenario, 50, trial, stream))
+                        for stream in ("fit", "selection"))
+        selection = global_ems(SelectionInput(holdout=holdout, cover=cover_for(cfg, 50),
+                                              fit_data=fit, symmetriser="uniform"))
+        best = BestSymmetricPredictor(LocalConstantEstimator(fit, selection.chosen_bandwidth),
+                                      selection, method="grid")
+        eval_X = sample_points(spec.space, PointDistribution.UNIFORM_SPACE, cfg.eval_points,
+                               substream(11, scenario, 50, trial, "eval"))
+        risks.append(float(np.mean((best.predict_coords(eval_X) - spec.fn(eval_X)) ** 2)))
+    assert risks == pytest.approx(GOLDEN_GRID_FINAL_RISKS[scenario], rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN_CHOICE))

@@ -122,6 +122,16 @@ class TestGlobalSearch:
             SelectionInput(holdout=holdout, cover=[full_so3()],
                            base=FunctionPredictor(BALL, f1))
 
+    @pytest.mark.parametrize("given", ["fit_data", "base"])
+    def test_fit_data_or_base_must_share_the_holdout_space(self, given):
+        sphere = unit_sphere2()
+        X = sample_points(sphere, PointDistribution.UNIFORM_SPACE, 40, substream(6, "sphere"))
+        holdout = Dataset(sphere, X, X[:, 0])
+        other = {"fit_data": noiseless_holdout(f1, 40, 6), "base": FunctionPredictor(BALL, f1)}
+        with pytest.raises(SpaceMismatchError,
+                           match=f"^{given} lies in unit_ball3, but holdout lies in unit_sphere2$"):
+            SelectionInput(holdout=holdout, cover=SMALL_COVER, **{given: other[given]})
+
     def test_empty_holdout_raises(self):
         empty = Dataset(BALL, np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(EmptyHoldoutError):

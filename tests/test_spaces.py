@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -58,6 +59,14 @@ class TestMembership:
     def test_first_row_outside_is_named(self, space, rows, first):
         with pytest.raises(SpaceMismatchError, match=f"^row {first} .* does not lie in {space}$"):
             member_rows(space, rows)
+
+    @pytest.mark.parametrize("space, shape", [(torus(2), (4, 2, 5)), (unit_ball3(), (2, 3, 3))],
+                             ids=["torus", "ball"])
+    def test_arrays_of_more_than_two_axes_are_refused(self, space, shape):
+        # every row of the array would pass the membership test on its own
+        shape_text = re.escape(str(shape))
+        with pytest.raises(SpaceMismatchError, match=f"^rows of shape {shape_text} are not a 2-D"):
+            member_rows(space, np.zeros(shape))
 
     def test_member_rows_are_two_dimensional_float_rows(self):
         rows = member_rows(torus(3), [0, 0, 0])
