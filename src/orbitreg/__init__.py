@@ -17,7 +17,6 @@ from .bench import (
     SCENARIOS,
     Scenario,
     ScenarioConfig,
-    estimate_risk,
     generate_data,
     run_experiment,
 )

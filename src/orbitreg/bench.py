@@ -6,9 +6,11 @@ The baseline local-constant estimator uses the union of both copies at the
 dimension-d bandwidth.  The selected-symmetry estimator scores each
 candidate subgroup with fixed quadrature nodes over the whole orbit, then
 symmetrises a base fit at the chosen group's bandwidth by Monte-Carlo over
-the group, with as many draws as base training points.  Risks are estimated
-on fresh uniform points and summarised per sample size with Wald intervals
-and log-log slopes.
+the group, with as many draws as base training points.  Each risk is the
+:func:`~orbitreg.selection.empirical_error` of an estimator on a noiseless
+``Dataset`` of fresh uniform points, so holdout errors and risks share one
+mean squared error rule; risks are summarised per sample size with Wald
+intervals and log-log slopes.
 
 Reproducibility: every trial derives its random streams from
 ``(seed, scenario, n, trial)``, so parallel and serial schedules produce
@@ -24,10 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, check_count
-from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
+from .estimators import Dataset, LocalConstantEstimator, bandwidth
 from .groups import parent_group
 from .randomness import polar_gaussian, substream
-from .selection import BestSymmetricPredictor, SelectionInput, global_ems
+from .selection import BestSymmetricPredictor, SelectionInput, empirical_error, global_ems
 from .spaces import (
     CovariateSpace,
     PointDistribution,
@@ -158,7 +160,6 @@ class RiskReport:
     """Per-trial risks plus Wald aggregates and log-log slopes."""
 
     rows: list[RiskRow]
-    config: ScenarioConfig | None = None
     aggregates: dict[tuple[str, int, str], tuple[float, float]] = field(default_factory=dict)
     slopes: dict[tuple[str, str], float] = field(default_factory=dict)
 
@@ -208,16 +209,6 @@ def generate_data(scenario: Scenario, n: int, noise_sd: float,
     X = sample_points(scenario.space, PointDistribution.UNIFORM_SPACE, n, rng)
     noise = noise_sd * polar_gaussian(rng, n) if noise_sd > 0 else np.zeros(n)
     return Dataset(scenario.space, X, scenario.fn(X) + noise)
-
-
-def estimate_risk(pred: Predictor, truth_fn: Callable[[np.ndarray], np.ndarray], k: int,
-                  rng: np.random.Generator, space: CovariateSpace) -> float:
-    """Mean squared deviation from the truth over ``k`` fresh uniform points."""
-    if k < 1:
-        raise ConfigError("risk estimation needs at least one evaluation point")
-    X = sample_points(space, PointDistribution.UNIFORM_SPACE, k, rng)
-    diff = pred.predict_coords(X) - truth_fn(X)
-    return float(np.mean(diff * diff))
 
 
 # Cover scales for the reproduction runs.  The rotation catalog tolerates a
@@ -273,12 +264,10 @@ def run_trial(cfg: ScenarioConfig, scenario: Scenario, cover: list[ClosedSubgrou
 
     eval_X = sample_points(scenario.space, PointDistribution.UNIFORM_SPACE,
                            cfg.eval_points, rng_eval)
-    truth = scenario.fn(eval_X)
-    risk_baseline = float(np.mean((baseline.predict_coords(eval_X) - truth) ** 2))
-    risk_best = float(np.mean((best.predict_coords(eval_X) - truth) ** 2))
+    truth = Dataset(scenario.space, eval_X, scenario.fn(eval_X))
     return [
-        RiskRow(cfg.scenario, n, trial, BASELINE, risk_baseline),
-        RiskRow(cfg.scenario, n, trial, BEST_SYMMETRIC, risk_best),
+        RiskRow(cfg.scenario, n, trial, BASELINE, empirical_error(baseline, truth)),
+        RiskRow(cfg.scenario, n, trial, BEST_SYMMETRIC, empirical_error(best, truth)),
     ]
 
 
@@ -307,4 +296,4 @@ def run_experiment(cfg: ScenarioConfig) -> RiskReport:
         results = [run_trial(*task) for task in tasks]
     rows = [row for batch in results for row in batch]
     rows.sort(key=lambda r: (r.scenario, r.n, r.trial, r.estimator))
-    return RiskReport(rows, config=cfg)
+    return RiskReport(rows)

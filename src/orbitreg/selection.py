@@ -9,7 +9,11 @@ and 2 at d = 3 and beta = 1, because the orbit average pools data along
 k directions and its variance grows only like ``1 / (n h^(d - k))``.
 The minimiser is the selected symmetry; the final predictor symmetrises
 the base estimator with it, either through the deterministic orbit grid or
-through Monte-Carlo draws from the subgroup's Haar measure.
+through Monte-Carlo draws from the subgroup's Haar measure.  The search
+scores the whole holdout sample: to search over part of it, filter the
+holdout ``Dataset`` first.  The search's holdout errors and
+:func:`empirical_error`, which also scores the benchmark's risks, share
+one mean squared error rule.
 
 Holdout data must be independent of the data inside the base estimator;
 the convenience splitter produces such a pair from one sample.
@@ -17,8 +21,9 @@ the convenience splitter produces such a pair from one sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +47,6 @@ _TIE_TOL = 1e-12
 # every Monte-Carlo final prediction there (at most 200 x 300 points), so
 # those passes are never split and their numbers do not move.
 CHUNK_ROWS = 2_000_000
-_FALLBACK_ERROR = 1.0  # every candidate's error when the region holds no holdout point
 
 
 @dataclass
@@ -54,9 +58,12 @@ class SelectionInput:
     at that candidate's bandwidth; a fixed ``base`` is used verbatim for
     every candidate (the orbit grids still use per-candidate bandwidths).
     Either one must lie in ``holdout``'s space.  The bandwidths use the
-    size of ``fit_data`` (of ``holdout`` with a fixed ``base``).  Orbit
-    grids span the whole subgroup, and an empty ``region`` reports error
-    1.0 for every candidate.
+    size of ``fit_data`` (of ``holdout`` with a fixed ``base``), and
+    orbit grids span the whole subgroup.  Inputs are checked here: a
+    bandwidth constant ``a`` that is not finite and positive, or a cover
+    entry that is not a :class:`ClosedSubgroup`, raises
+    :class:`ConfigError`; a cover subgroup whose parent does not act on
+    ``holdout``'s space raises :class:`IncompatibleActionError`.
     """
 
     holdout: Dataset
@@ -65,7 +72,6 @@ class SelectionInput:
     base: Predictor | None = None
     a: float = 1.0
     beta: float = 1.0
-    region: Callable[[np.ndarray], np.ndarray] | None = None
     symmetriser: str = "grid"
 
     def __post_init__(self):
@@ -77,8 +83,15 @@ class SelectionInput:
                                      f"but holdout lies in {self.holdout.space}")
         if not self.cover:
             raise ConfigError("the cover must be nonempty")
+        stray = next((g for g in self.cover if not isinstance(g, ClosedSubgroup)), None)
+        if stray is not None:
+            raise ConfigError(f"cover entry {stray!r} is not a ClosedSubgroup")
+        for parent in {g.parent for g in self.cover}:
+            parent_group(parent).check_acts_on(self.holdout.space)
         if not any(g.family is SubgroupFamily.TRIVIAL for g in self.cover):
             raise ConfigError("the cover must contain the trivial subgroup")
+        if not 0.0 < self.a < math.inf:
+            raise ConfigError(f"bandwidth requires a finite a > 0, got a = {self.a!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError("beta must lie in (0, 1] (degree-0 local estimator)")
         if self.symmetriser not in ("grid", "uniform"):
@@ -95,14 +108,10 @@ class SymmetrySelection:
     chosen: ClosedSubgroup
     chosen_bandwidth: float
     per_group_error: dict[ClosedSubgroup, float]
-    used_fallback: bool = False
     bandwidth_by_group: dict[ClosedSubgroup, float] = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [f"chosen: {self.chosen.describe()}"]
-        if self.used_fallback:
-            lines.append("note: holdout region was empty; fell back to the trivial group")
-        lines.append("per-group holdout error:")
+        lines = [f"chosen: {self.chosen.describe()}", "per-group holdout error:"]
         for group, err in self.per_group_error.items():
             lines.append(f"  {err:.6e}  {group.describe()}")
         return "\n".join(lines)
@@ -112,7 +121,11 @@ def empirical_error(pred: Predictor, holdout: Dataset) -> float:
     """Mean squared residual of a predictor over a holdout sample."""
     if len(holdout) == 0:
         raise EmptyHoldoutError("cannot estimate error on an empty holdout set")
-    residual = pred.predict_coords(holdout.X) - holdout.Y
+    return _mean_squared_error(pred.predict_coords(holdout.X), holdout.Y)
+
+
+def _mean_squared_error(predicted: np.ndarray, truth: np.ndarray) -> float:
+    residual = predicted - truth
     return float(np.mean(residual * residual))
 
 
@@ -173,8 +186,8 @@ def _predict_pass(base: Predictor, blocks: list[_Block]) -> list[np.ndarray]:
     return np.split(means, np.cumsum([len(counts) for _, counts in blocks])[:-1])
 
 
-def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: float,
-                          X: np.ndarray, Y: np.ndarray) -> dict[ClosedSubgroup, float]:
+def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
+                          h: float) -> dict[ClosedSubgroup, float]:
     """Errors for all candidates sharing one bandwidth.
 
     With the ``grid`` symmetriser each candidate is scored through its orbit
@@ -182,12 +195,11 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup], h: 
     scored through fixed quadrature nodes approximating the full orbit
     average, matching a Monte-Carlo final prediction.
     """
-    blocks = (_orbit_points(inp.symmetriser, inp.holdout.space, group, X, h) for group in groups)
-    errors = {}
-    for group, sym in zip(groups, _orbit_averages(_candidate_base(inp, h), blocks)):
-        residual = sym - Y
-        errors[group] = float(np.mean(residual * residual))
-    return errors
+    holdout = inp.holdout
+    blocks = (_orbit_points(inp.symmetriser, holdout.space, group, holdout.X, h)
+              for group in groups)
+    averages = _orbit_averages(_candidate_base(inp, h), blocks)
+    return {group: _mean_squared_error(sym, holdout.Y) for group, sym in zip(groups, averages)}
 
 
 def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgroup:
@@ -198,32 +210,23 @@ def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgr
 
 
 def global_ems(inp: SelectionInput) -> SymmetrySelection:
-    """Error Minimising Symmetry over the holdout sample, or over the part of
-    it inside ``inp.region``.
+    """Error Minimising Symmetry over the holdout sample.
 
-    Without a region an empty holdout sample raises
-    :class:`EmptyHoldoutError`.  With a region, points exactly on its
-    boundary count as inside (membership predicates are expected to use
-    closed comparisons), and the predicate must return one entry per
-    holdout row.  When no holdout point lies in the region the search
-    cannot be run; the trivial group is returned with error 1.0 for every
-    candidate.
+    An empty holdout sample raises :class:`EmptyHoldoutError`.
     """
-    if inp.region is None:
-        if len(inp.holdout) == 0:
-            raise EmptyHoldoutError("the symmetry search needs a nonempty holdout sample")
-        return _run_search(inp, np.ones(len(inp.holdout), dtype=bool))
-    mask = np.asarray(inp.region(inp.holdout.X), dtype=bool) if len(inp.holdout) else np.zeros(0, bool)
-    if mask.shape != (len(inp.holdout),):
-        raise ConfigError(f"region returned shape {mask.shape} for {len(inp.holdout)} holdout rows")
-    if mask.sum() == 0:
-        cover = _canonical_cover(inp.cover)
-        trivial = next(g for g in cover if g.family is SubgroupFamily.TRIVIAL)
-        errors = {g: _FALLBACK_ERROR for g in cover}
-        bw = {g: _candidate_bandwidth(inp, g) for g in cover}
-        return SymmetrySelection(trivial, bw[trivial], errors, used_fallback=True,
-                                 bandwidth_by_group=bw)
-    return _run_search(inp, mask)
+    if len(inp.holdout) == 0:
+        raise EmptyHoldoutError("the symmetry search needs a nonempty holdout sample")
+    cover = _canonical_cover(inp.cover)
+    bw = {group: _candidate_bandwidth(inp, group) for group in cover}
+    by_bandwidth: dict[float, list[ClosedSubgroup]] = {}
+    for group in cover:
+        by_bandwidth.setdefault(bw[group], []).append(group)
+    errors: dict[ClosedSubgroup, float] = {}
+    for h, groups in by_bandwidth.items():
+        errors.update(_class_holdout_errors(inp, groups, h))
+    errors = {group: errors[group] for group in cover}
+    chosen = _argmin_with_ties(errors, inp.holdout.space)
+    return SymmetrySelection(chosen, bw[chosen], errors, bandwidth_by_group=bw)
 
 
 def _canonical_cover(cover: Sequence[ClosedSubgroup]) -> list[ClosedSubgroup]:
@@ -233,22 +236,6 @@ def _canonical_cover(cover: Sequence[ClosedSubgroup]) -> list[ClosedSubgroup]:
             seen.add(g.canonical_key())
             out.append(g)
     return out
-
-
-def _run_search(inp: SelectionInput, mask: np.ndarray) -> SymmetrySelection:
-    cover = _canonical_cover(inp.cover)
-    X = inp.holdout.X[mask]
-    Y = inp.holdout.Y[mask]
-    bw = {group: _candidate_bandwidth(inp, group) for group in cover}
-    by_bandwidth: dict[float, list[ClosedSubgroup]] = {}
-    for group in cover:
-        by_bandwidth.setdefault(bw[group], []).append(group)
-    errors: dict[ClosedSubgroup, float] = {}
-    for h, groups in by_bandwidth.items():
-        errors.update(_class_holdout_errors(inp, groups, h, X, Y))
-    errors = {group: errors[group] for group in cover}
-    chosen = _argmin_with_ties(errors, inp.holdout.space)
-    return SymmetrySelection(chosen, bw[chosen], errors, bandwidth_by_group=bw)
 
 
 class BestSymmetricPredictor:

@@ -85,8 +85,12 @@ class CovariateSpace:
     intrinsic_dim: int
 
     def contains_rows(self, coords: np.ndarray) -> np.ndarray:
-        """Membership of each row of ``coords``; NaN or inf rows lie outside."""
-        c = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+        """Membership of each row of ``coords``; NaN or inf rows lie outside.
+
+        An array of more than two axes raises :class:`SpaceMismatchError`
+        (see :func:`_row_array`).
+        """
+        c = _row_array(self, coords)
         if c.shape[1] != self.ambient_dim:
             return np.zeros(c.shape[0], dtype=bool)
         if self.kind is SpaceKind.UNIT_BALL3:
@@ -114,6 +118,18 @@ def torus(d: int) -> CovariateSpace:
     return CovariateSpace(SpaceKind.TORUS, ambient_dim=d, intrinsic_dim=d)
 
 
+def _row_array(space: CovariateSpace, coords) -> np.ndarray:
+    """``coords`` as a 2-D float array of rows (one row for a 1-D input).
+
+    The one shape rule for rows of ``space``: an array of more than two
+    axes raises :class:`SpaceMismatchError` naming its shape.
+    """
+    rows = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    if rows.ndim != 2:
+        raise SpaceMismatchError(f"rows of shape {rows.shape} are not a 2-D array of rows of {space}")
+    return rows
+
+
 def member_rows(space: CovariateSpace, coords) -> np.ndarray:
     """``coords`` as a 2-D float array of rows that lie in ``space``.
 
@@ -124,9 +140,7 @@ def member_rows(space: CovariateSpace, coords) -> np.ndarray:
     :meth:`CovariateSpace.contains_rows`), raises
     :class:`SpaceMismatchError` naming it.
     """
-    rows = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-    if rows.ndim != 2:
-        raise SpaceMismatchError(f"rows of shape {rows.shape} are not a 2-D array of rows of {space}")
+    rows = _row_array(space, coords)
     bad = np.flatnonzero(~space.contains_rows(rows))
     if bad.size:
         raise SpaceMismatchError(f"row {bad[0]} ({rows[bad[0]]}) does not lie in {space}")
@@ -136,17 +150,18 @@ def member_rows(space: CovariateSpace, coords) -> np.ndarray:
 def query_rows(space: CovariateSpace, coords) -> np.ndarray:
     """``coords`` as a 2-D float array of query rows for ``space``.
 
-    Raises :class:`SpaceMismatchError` naming the first row that has the
-    wrong width or a NaN or infinite entry, or, on the sphere, whose norm
+    Raises :class:`SpaceMismatchError` naming the shape of an array of
+    more than two axes, or the first row that has the wrong width or a
+    NaN or infinite entry, or, on the sphere, whose norm
     is off 1 by more than the membership tolerance: the neighbour kernel
     thresholds ``q.x > cos h``, which is the geodesic ball only for ``q``
     on the sphere.  Ball and torus membership is not checked: a ball query
     outside the ball has well-defined neighbours, and a torus query off
     [0, 1) is reduced exactly by :func:`neighbor_stats`.
     """
-    rows = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-    if rows.ndim != 2 or rows.shape[1] != space.ambient_dim:
-        raise SpaceMismatchError(f"query row 0 has width {rows.shape[-1]}, "
+    rows = _row_array(space, coords)
+    if rows.shape[1] != space.ambient_dim:
+        raise SpaceMismatchError(f"query row 0 has width {rows.shape[1]}, "
                                  f"but {space} needs {space.ambient_dim}")
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:

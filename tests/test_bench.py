@@ -12,7 +12,7 @@ from orbitreg import (
     RiskReport,
     RiskRow,
     ScenarioConfig,
-    estimate_risk,
+    empirical_error,
     generate_data,
     run_experiment,
     substream,
@@ -20,7 +20,7 @@ from orbitreg import (
     unit_ball3,
 )
 from orbitreg.bench import SCENARIOS, wald_halfwidth
-from orbitreg.estimators import FunctionPredictor
+from orbitreg.estimators import Dataset, FunctionPredictor
 from orbitreg.report import aggregates_csv, emit_report, risk_plot_svg, rows_csv
 from orbitreg.spaces import PointDistribution, sample_points
 from orbitreg.subgroups import circle3, sample_orbit_coords
@@ -94,16 +94,22 @@ class TestGenerateData:
         assert np.all(np.linalg.norm(data.X, axis=1) <= 1.0)
 
 
-class TestEstimateRisk:
+def fresh_truth(scen, k, rng):
+    """``k`` fresh uniform points of the scenario, with noiseless responses."""
+    X = sample_points(scen.space, PointDistribution.UNIFORM_SPACE, k, rng)
+    return Dataset(scen.space, X, scen.fn(X))
+
+
+class TestEmpiricalRisk:
     def test_perfect_predictor_has_zero_risk(self):
         scen = SCENARIOS["so3_f1"]
         pred = FunctionPredictor(scen.space, scen.fn)
-        assert estimate_risk(pred, scen.fn, 100, substream(4), scen.space) == 0.0
+        assert empirical_error(pred, fresh_truth(scen, 100, substream(4))) == 0.0
 
     def test_constant_offset_gives_offset_squared(self):
         scen = SCENARIOS["so3_f1"]
         pred = FunctionPredictor(scen.space, lambda X: scen.fn(X) + 1.0)
-        assert estimate_risk(pred, scen.fn, 57, substream(5), scen.space) == pytest.approx(1.0)
+        assert empirical_error(pred, fresh_truth(scen, 57, substream(5))) == pytest.approx(1.0)
 
     def test_zero_predictor_matches_radial_quadrature(self):
         # Simpson oracle for E cos^2|X| on the uniform ball:
@@ -116,7 +122,9 @@ class TestEstimateRisk:
         scen = SCENARIOS["so3_f1"]
         zero = FunctionPredictor(scen.space, lambda X: np.zeros(X.shape[0]))
         k = 1_000_000
-        risk = estimate_risk(zero, scen.fn, k, substream(6), scen.space)
+        truth = fresh_truth(scen, k, substream(6))
+        assert len(truth) == k
+        risk = empirical_error(zero, truth)
         # three standard errors of the Monte-Carlo risk estimate
         X = sample_points(scen.space, PointDistribution.UNIFORM_SPACE, 200_000, substream(7))
         se = np.std(scen.fn(X) ** 2, ddof=1) / np.sqrt(k)

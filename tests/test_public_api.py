@@ -14,7 +14,7 @@ EXPORTED = [
     "SelectionInput", "SpaceKind", "SpaceMismatchError", "SubgroupFamily", "SymmetrySelection",
     "TorusShift", "VariantMismatchError", "aggregates_csv", "axis_translations",
     "bandwidth", "bias_bound_oracle", "build_orbit_grid", "catalog_lines", "circle3",
-    "delta_cover", "delta_schedule", "emit_report", "empirical_error", "estimate_risk",
+    "delta_cover", "delta_schedule", "emit_report", "empirical_error",
     "full_so3", "full_torus", "generate_data", "global_ems", "hausdorff_U_distance",
     "hypercube_side", "inverse_moment_oracle", "lipschitz_oracle", "orbit_dimension",
     "orbit_quadrature_coords", "packing_oracle", "parent_torus", "polar_gaussian",
@@ -29,4 +29,4 @@ def test_exported_names():
     exported = sorted(name for name, value in vars(orbitreg).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == sorted(EXPORTED)
-    assert len(EXPORTED) == 73
+    assert len(EXPORTED) == 72

@@ -132,6 +132,27 @@ class TestGlobalSearch:
                            match=f"^{given} lies in unit_ball3, but holdout lies in unit_sphere2$"):
             SelectionInput(holdout=holdout, cover=SMALL_COVER, **{given: other[given]})
 
+    @pytest.mark.parametrize("a", [np.inf, 0.0, -1.0, np.nan])
+    def test_bandwidth_constant_must_be_finite_and_positive(self, a):
+        holdout = noiseless_holdout(f1, 10, 3)
+        with pytest.raises(ConfigError, match=f"^bandwidth requires a finite a > 0, got a = {a!r}$"):
+            SelectionInput(holdout=holdout, cover=SMALL_COVER,
+                           base=FunctionPredictor(BALL, f1), a=a)
+
+    def test_cover_entries_must_be_subgroups(self):
+        holdout = noiseless_holdout(f1, 10, 3)
+        with pytest.raises(ConfigError, match="^cover entry 'circle3' is not a ClosedSubgroup$"):
+            SelectionInput(holdout=holdout, cover=[trivial_subgroup(PARENT_SO3), "circle3"],
+                           base=FunctionPredictor(BALL, f1))
+
+    def test_cover_parents_must_act_on_the_holdout_space(self):
+        t2 = torus(2)
+        X = substream(3, "flat").random((10, 2))
+        holdout = Dataset(t2, X, X[:, 0])
+        with pytest.raises(IncompatibleActionError):
+            SelectionInput(holdout=holdout, cover=[trivial_subgroup("torus2"), full_so3()],
+                           base=FunctionPredictor(t2, lambda Z: Z[:, 0]))
+
     def test_empty_holdout_raises(self):
         empty = Dataset(BALL, np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(EmptyHoldoutError):
@@ -214,62 +235,6 @@ class TestChunkedPrediction:
         assert len(passes) > 1  # the queries were split between passes
         assert sum(passes) == len(queries)
         assert np.array_equal(chunked, whole)
-
-
-class TestLocalSearch:
-    def test_empty_region_falls_back_to_trivial(self):
-        holdout = noiseless_holdout(f1, 25, 6)
-        sel = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                        base=FunctionPredictor(BALL, f1),
-                                        region=lambda X: np.zeros(X.shape[0], dtype=bool)))
-        assert sel.used_fallback
-        assert sel.chosen.family is SubgroupFamily.TRIVIAL
-        assert all(err == 1.0 for err in sel.per_group_error.values())
-
-    def test_whole_space_region_matches_global(self):
-        scen = SCENARIOS["so3_f2"]
-        fit = generate_data(scen, 150, 0.5, substream(7, "wf"))
-        holdout = generate_data(scen, 150, 0.5, substream(7, "wh"))
-        whole = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit,
-                                          region=lambda X: np.ones(X.shape[0], dtype=bool)))
-        full = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit))
-        assert whole.chosen == full.chosen
-        assert whole.per_group_error == full.per_group_error
-
-    def test_half_space_errors_match_masked_recomputation(self):
-        scen = SCENARIOS["so3_f2"]
-        fit = generate_data(scen, 150, 0.5, substream(8, "hf"))
-        holdout = generate_data(scen, 150, 0.5, substream(8, "hh"))
-        region = lambda X: X[:, 0] >= 0.0  # closed membership on the boundary
-        sel = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                        fit_data=fit, region=region))
-        mask = holdout.X[:, 0] >= 0.0
-        masked = Dataset(BALL, holdout.X[mask], holdout.Y[mask])
-        again = global_ems(SelectionInput(holdout=masked, cover=SMALL_COVER, fit_data=fit))
-        for group in SMALL_COVER:
-            assert sel.per_group_error[group] == pytest.approx(again.per_group_error[group],
-                                                               abs=1e-12)
-
-    def test_never_raises_on_any_region(self):
-        holdout = noiseless_holdout(f1, 20, 9)
-        rng = substream(9, "regions")
-        regions = [lambda X: np.zeros(X.shape[0], dtype=bool),
-                   lambda X: np.ones(X.shape[0], dtype=bool),
-                   lambda X: rng.random(X.shape[0]) < 0.5,
-                   lambda X: X[:, 2] <= -2.0]
-        for region in regions:
-            sel = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                            base=FunctionPredictor(BALL, f1), region=region))
-            assert sel.chosen is not None
-
-    @pytest.mark.parametrize("region", [lambda X: np.ones(X.shape[0] - 1, dtype=bool),
-                                        lambda X: np.ones((X.shape[0], 2), dtype=bool),
-                                        lambda X: True])
-    def test_region_must_mark_each_holdout_row(self, region):
-        holdout = noiseless_holdout(f1, 12, 11)
-        with pytest.raises(ConfigError, match="region"):
-            global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                      base=FunctionPredictor(BALL, f1), region=region))
 
 
 class TestSymmetrisedBiasBound:

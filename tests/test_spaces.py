@@ -20,7 +20,7 @@ from orbitreg import (
     unit_sphere2,
 )
 from orbitreg import spaces
-from orbitreg.spaces import SpaceKind, member_rows, neighbor_stats, pairwise_distance
+from orbitreg.spaces import SpaceKind, member_rows, neighbor_stats, pairwise_distance, query_rows
 
 ALL_SPACES = [unit_ball3(), unit_sphere2(), torus(2), torus(3)]
 
@@ -67,6 +67,17 @@ class TestMembership:
         shape_text = re.escape(str(shape))
         with pytest.raises(SpaceMismatchError, match=f"^rows of shape {shape_text} are not a 2-D"):
             member_rows(space, np.zeros(shape))
+
+    @pytest.mark.parametrize("check, shape", [
+        (torus(2).contains_rows, (4, 2, 5)),
+        (lambda rows: query_rows(torus(2), rows), (4, 2, 5)),
+        (lambda rows: query_rows(torus(2), rows), (4, 5, 2)),
+    ], ids=["contains_rows", "query_rows_width_axis_1", "query_rows_width_axis_2"])
+    def test_membership_and_queries_refuse_more_than_two_axes(self, check, shape):
+        # not a mask over the last axes, and not a row width read off the wrong axis
+        shape_text = re.escape(str(shape))
+        with pytest.raises(SpaceMismatchError, match=f"^rows of shape {shape_text} are not a 2-D"):
+            check(np.zeros(shape))
 
     def test_member_rows_are_two_dimensional_float_rows(self):
         rows = member_rows(torus(3), [0, 0, 0])
