@@ -49,7 +49,7 @@ _TIE_TOL = 1e-12
 CHUNK_ROWS = 2_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionInput:
     """Everything the symmetry search needs.
 
@@ -63,7 +63,9 @@ class SelectionInput:
     bandwidth constant ``a`` that is not finite and positive, or a cover
     entry that is not a :class:`ClosedSubgroup`, raises
     :class:`ConfigError`; a cover subgroup whose parent does not act on
-    ``holdout``'s space raises :class:`IncompatibleActionError`.
+    ``holdout``'s space raises :class:`IncompatibleActionError`.  The
+    input is frozen, so these checks cannot be undone by assigning a field
+    afterwards (that raises :class:`dataclasses.FrozenInstanceError`).
     """
 
     holdout: Dataset

@@ -32,7 +32,13 @@ neighbour cell's rows are moved by the period it was wrapped across, so a
 block is scored as flat Euclidean space, like the ball.  A small cost
 model picks the cells per axis; one cell is the dense all-pairs kernel,
 taken when binning would not pay, for instance on at most
-``_QUERY_COST`` data points.
+``_QUERY_COST`` data points.  Each chunk of a block is scored by one BLAS
+product of augmented rows: ``[q, h^2 - |q|^2, 1]`` times ``[2x, 1,
+-|x|^2]`` is h^2 - |q - x|^2 (ball, unwrapped torus), and ``[q, 1]``
+times ``[x, -cos h]`` is q.x - cos h (sphere).  The data rows are
+augmented once per call (on the torus, once per block, after the move)
+and the query rows one chunk at a time, into per-call scratch; only the
+torus's dense kernel, which wraps differences, scores elementwise.
 """
 
 from __future__ import annotations
@@ -47,21 +53,23 @@ from .errors import SpaceMismatchError, check_count
 from .randomness import polar_gaussian
 
 _MEMBERSHIP_TOL = 1e-12
-# entries of the score matrix of one chunk of query rows (one row when the
-# data alone are wider).  neighbor_stats allocates that scratch once per
-# call (the torus's dense kernel adds two rows for its differences and
-# their rounding), and every chunk writes into it: fresh 512 KB
+# entries of the score matrix of one chunk of query rows, and of the
+# chunk's augmented query rows (one row when the data, or the augmented
+# row, alone are wider).  neighbor_stats allocates that scratch once per
+# call, a line for the scores and one for the augmented query rows or, in
+# the torus's dense kernel, two for its differences and their rounding,
+# and every chunk writes into it: fresh 512 KB
 # temporaries per chunk were handed back to the OS by glibc and faulted in
 # again, 445 minor faults and 1.2 ms per torus chunk against 0.34 ms in
 # reused buffers.  At 512 KB a chunk stays in one core's L2 cache, and its
-# two BLAS products (the 65,536 x d score of the ball, the sphere or the
-# unwrapped torus, and the indicator times [values, 1], x 2 multiply-adds)
-# are too small for OpenBLAS to split over threads, so the kernel runs on
-# the calling thread.  32 MB chunks went through OpenBLAS's thread team:
-# on a 2-core x86-64 host (OpenBLAS 0.3.31) they ran 10-30 % slower for up
-# to 65 % more CPU, their call times swung with any other load on the
-# machine, and under a process pool each worker's team fought the other
-# worker for the cores.
+# two BLAS products (the score, [q, h^2 - |q|^2, 1] times [2x, 1, -|x|^2]^T
+# or [q, 1] times [x, -cos h]^T, K = d + 2 or d + 1 multiply-adds, and the
+# indicator times [values, 1], x 2) are too small for OpenBLAS to split
+# over threads, so the kernel runs on the calling thread.  32 MB chunks
+# went through OpenBLAS's thread team: on a 2-core x86-64 host (OpenBLAS
+# 0.3.31) they ran 10-30 % slower for up to 65 % more CPU, their call
+# times swung with any other load on the machine, and under a process
+# pool each worker's team fought the other worker for the cores.
 CHUNK_ELEMENTS = 65_536
 
 
@@ -218,7 +226,11 @@ def wrap_rows(coords: np.ndarray) -> np.ndarray:
 # The neighbour grid.  Costs are in dense pair scores (2.2 ns each on the
 # ball, measured on a 2-core x86-64 host with OpenBLAS).  Binning, sorting
 # and gathering one query took 81 ns there, and one occupied cell's block
-# 15-20 us of fixed work; the constants round these up.
+# 15-20 us of fixed work; the constants round these up.  Scored as one
+# product of augmented rows, a dense ball pair costs 1.2 ns on that host
+# (2.4 ns for the three-pass score, timed alongside; 100,000 queries
+# against 300 or 1,000 points).  The constants are kept: a new grid choice
+# would reorder the value sums.
 _MAX_CELLS = 12 ** 3   # grid cells at most (12 per axis in three dimensions); fits int16
 _QUERY_COST = 55       # binning, sorting and gathering one query
 _CELL_COST = 8_000     # setting up the block of one occupied cell
@@ -228,30 +240,44 @@ _MEASURE = {SpaceKind.UNIT_BALL3: 4.0 * math.pi / 3.0, SpaceKind.UNIT_SPHERE2: 4
             SpaceKind.TORUS: 1.0}
 
 
-def _ball_score(metric: SpaceKind, queries: np.ndarray, data: np.ndarray,
-                h: float, scratch: list[np.ndarray]) -> np.ndarray:
+def _augmented(metric: SpaceKind, rows: np.ndarray, h: float) -> np.ndarray:
+    """Candidate rows ``x`` as the right factor of the one-product score:
+    ``[2x, 1, -|x|^2]`` on the ball and the unwrapped torus, against query
+    rows ``[q, h^2 - |q|^2, 1]`` (h^2 - |q - x|^2), and ``[x, -cos h]`` on
+    the sphere, against ``[q, 1]`` (the cosine margin q.x - cos h; past pi
+    every point is a neighbour, and -cos h becomes 2)."""
+    if metric is SpaceKind.UNIT_SPHERE2:
+        return np.column_stack([rows, np.full(rows.shape[0], -np.cos(h) if h <= np.pi else 2.0)])
+    return np.column_stack([2.0 * rows, np.ones(rows.shape[0]), -np.einsum("ij,ij->i", rows, rows)])
+
+
+def _ball_score(metric: SpaceKind, queries: np.ndarray, rows: np.ndarray,
+                h: float, scratch: np.ndarray) -> np.ndarray:
     """Positive entries mark strict h-neighbours: h^2 minus the squared
     distance, or the cosine margin on the sphere, so no square root is
     taken.  ``metric`` is the space kind whose distance is scored; the
     unwrapped blocks of the torus's cell path are scored as ``UNIT_BALL3``
-    (flat Euclidean, any dimension).  The score is written into
-    ``scratch[0]``; the torus's wrapped dense kernel also uses
-    ``scratch[1]`` and ``scratch[2]`` for the difference and its rounding."""
-    score = scratch[0]
-    if metric is SpaceKind.UNIT_SPHERE2:
-        np.matmul(queries, data.T, out=score)
-        score -= np.cos(min(h, np.pi)) if h <= np.pi else -2.0
-        return score
-    if metric is SpaceKind.UNIT_BALL3:
-        # score = h^2 - |q - x|^2, assembled as 2 q.x + (h^2 - |q|^2) - |x|^2
-        np.matmul(queries, data.T * 2.0, out=score)
-        score += (h * h - np.einsum("ij,ij->i", queries, queries))[:, None]
-        score -= np.einsum("ij,ij->i", data, data)[None, :]
-        return score
-    diff, rounded = scratch[1], scratch[2]
+    (flat Euclidean, any dimension).  On the ball and the sphere ``rows``
+    are augmented candidate rows (see :func:`_augmented`), and the score is
+    one product of them with the query rows, augmented into ``scratch[1]``;
+    the torus's wrapped dense kernel takes plain rows and scores each axis
+    elementwise, in ``scratch[1]`` and ``scratch[2]``.  The score is written
+    into ``scratch[0]``."""
+    q, width = queries.shape[0], rows.shape[0]
+    score = scratch[0, : q * width].reshape(q, width)
+    if metric is not SpaceKind.TORUS:
+        d, k = queries.shape[1], rows.shape[1]
+        left = scratch[1, : q * k].reshape(q, k)
+        left[:, :d] = queries
+        if metric is SpaceKind.UNIT_BALL3:
+            np.subtract(h * h, np.einsum("ij,ij->i", queries, queries), out=left[:, d])
+        left[:, -1] = 1.0
+        return np.matmul(left, rows.T, out=score)
+    diff = scratch[1, : q * width].reshape(q, width)
+    rounded = scratch[2, : q * width].reshape(q, width)
     score.fill(0.0)
-    for j in range(data.shape[1]):
-        np.subtract.outer(queries[:, j], data[:, j], out=diff)
+    for j in range(rows.shape[1]):
+        np.subtract.outer(queries[:, j], rows[:, j], out=diff)
         # |d - rint(d)| wraps any finite difference; it equals
         # min(|d|, 1 - |d|) bit for bit when |d| < 1 (Sterbenz)
         diff -= np.rint(diff, out=rounded)
@@ -271,21 +297,23 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
     against all data, in the caller's order.  It is taken when binning
     would not pay (see :func:`_cells_per_axis`), for example whenever
     there are at most ``_QUERY_COST`` data points.  Each block is chunked
-    over query rows so a chunk's score matrix stays within
-    ``CHUNK_ELEMENTS`` entries (one query row when the block is wider),
-    written into scratch allocated once per call.  The indicator is formed
-    in place (heaviside of the score) and both the count and the value sum
-    come out of a single matrix product.
+    over query rows so a chunk's score matrix, and its augmented query
+    rows, stay within ``CHUNK_ELEMENTS`` entries (one query row when the
+    block is wider), written into scratch allocated once per call.  The
+    score of a chunk is one BLAS product of augmented rows (see
+    :func:`_augmented`): the data are augmented once per call, the
+    queries one chunk at a time.  The indicator is formed in place
+    (heaviside of the score) and both the count and the value sum come out
+    of a single matrix product.
 
     On the torus, queries and data are first reduced into [0, 1) by
     :func:`wrap_rows` (exactly, however far off a row lies), and the grid
     path unwraps: each candidate is moved by the period its neighbour cell
     was wrapped across.  With cells at least h wide and ``m >= 3``, a pair
     within reach then has its nearest image in the block, which is scored
-    with the ball's product form.  Only the dense kernel wraps differences
-    with ``rint``.  The chunk products (the ball's, sphere's and unwrapped
-    torus's scores, and the indicator times ``[values, 1]``) use BLAS; the
-    cell ids are elementwise.
+    with the ball's product, its candidates augmented per block after the
+    move.  Only the dense kernel wraps differences with ``rint``,
+    elementwise; the cell ids are elementwise too.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -298,59 +326,61 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
     stacked = np.column_stack([np.asarray(values, dtype=np.float64),
                                np.ones(data.shape[0])])
     m = _cells_per_axis(space, queries, data.shape[0], h)
-    wrapped = m == 1 and space.kind is SpaceKind.TORUS
-    # a chunk is one query row when the data alone are wider than CHUNK_ELEMENTS
-    scratch = np.empty((3 if wrapped else 1, max(CHUNK_ELEMENTS, data.shape[0])))
+    # unwrapped torus blocks are flat: the ball's Euclidean score
+    metric = SpaceKind.UNIT_BALL3 if space.kind is SpaceKind.TORUS and m > 1 else space.kind
+    # a chunk is one query row when the data, or its augmented row (d + 2
+    # entries), alone are wider than CHUNK_ELEMENTS
+    scratch = np.empty((3 if metric is SpaceKind.TORUS else 2,
+                        max(CHUNK_ELEMENTS, data.shape[0], data.shape[1] + 2)))
+    # torus rows are augmented on the cell path only, per block after its move
+    rows = data if space.kind is SpaceKind.TORUS else _augmented(metric, data, h)
     if m == 1:
-        _block_stats(space.kind, queries, data, h, stacked, counts, sums, scratch)
+        _block_stats(metric, queries, rows, h, stacked, counts, sums, scratch)
         return counts, sums
     qids = _cell_ids(space, queries, m)
     order = np.argsort(qids, kind="stable")
-    sorted_queries = queries[order]
+    # rows are gathered with take, not fancy indexing: 2.4 against 5.4 ms for
+    # 244,800 query rows, 1.0 against 2.9 us for a block's 70 candidates
+    sorted_queries = queries.take(order, axis=0)
     qcount = np.bincount(qids, minlength=m ** space.ambient_dim)
     occupied = np.flatnonzero(qcount)
     qend = np.cumsum(qcount[occupied])
     qstart = qend - qcount[occupied]
     dids = _cell_ids(space, data, m)
     cand, shift, offsets = _candidates(space, dids, m, occupied)
-    # unwrapped torus blocks are flat: the ball's Euclidean score
-    metric = SpaceKind.UNIT_BALL3 if space.kind is SpaceKind.TORUS else space.kind
     cell_counts = np.zeros_like(counts)
     cell_sums = np.zeros_like(sums)
     for k in range(occupied.size):
         lo, hi = offsets[k], offsets[k + 1]
         if hi > lo:
             block = cand[lo:hi]
-            near = data[block]
+            near = rows.take(block, axis=0)
             if shift is not None:
-                near += shift[lo:hi]
+                near = _augmented(metric, near + shift[lo:hi], h)
             a, b = qstart[k], qend[k]
-            _block_stats(metric, sorted_queries[a:b], near, h, stacked[block],
+            _block_stats(metric, sorted_queries[a:b], near, h, stacked.take(block, axis=0),
                          cell_counts[a:b], cell_sums[a:b], scratch)
     counts[order] = cell_counts
     sums[order] = cell_sums
     return counts, sums
 
 
-def _block_stats(metric: SpaceKind, queries: np.ndarray, data: np.ndarray, h: float,
+def _block_stats(metric: SpaceKind, queries: np.ndarray, rows: np.ndarray, h: float,
                  stacked: np.ndarray, counts: np.ndarray, sums: np.ndarray,
                  scratch: np.ndarray) -> None:
-    """Counts and value sums of one query block against one data block,
-    scored in ``metric`` (see :func:`_ball_score`) and written into
-    ``counts`` and ``sums``; the scores of each chunk of query rows are
-    written into views of ``scratch``."""
-    width = data.shape[0]
-    rows = max(1, CHUNK_ELEMENTS // width)
-    for start in range(0, queries.shape[0], rows):
-        chunk = queries[start : start + rows]
-        views = [line[: chunk.shape[0] * width].reshape(chunk.shape[0], width)
-                 for line in scratch]
-        score = _ball_score(metric, chunk, data, h, views)
+    """Counts and value sums of one query block against one block of
+    candidate rows (augmented on the ball and sphere), scored in ``metric``
+    (see :func:`_ball_score`) and written into ``counts`` and ``sums``; the
+    scores of each chunk of query rows are written into ``scratch``."""
+    # max(rows.shape): the chunk's augmented query rows must fit a line too
+    step = max(1, CHUNK_ELEMENTS // max(rows.shape))
+    for start in range(0, queries.shape[0], step):
+        score = _ball_score(metric, queries[start : start + step], rows, h, scratch)
         # overwrite the score with the 0/1 indicator in place
         np.greater(score, 0.0, out=score, casting="unsafe")
         agg = score @ stacked
-        sums[start : start + rows] = agg[:, 0]
-        counts[start : start + rows] = np.rint(agg[:, 1]).astype(np.int64)
+        sums[start : start + step] = agg[:, 0]
+        counts[start : start + step] = np.rint(agg[:, 1]).astype(np.int64)
 
 
 def _cells_per_axis(space: CovariateSpace, queries: np.ndarray, n: int, h: float) -> int:

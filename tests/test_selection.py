@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,14 @@ class TestGlobalSearch:
         with pytest.raises(IncompatibleActionError):
             SelectionInput(holdout=holdout, cover=[trivial_subgroup("torus2"), full_so3()],
                            base=FunctionPredictor(t2, lambda Z: Z[:, 0]))
+
+    @pytest.mark.parametrize("field, value", [("cover", ["x"]), ("a", float("inf"))])
+    def test_checked_fields_cannot_be_reassigned(self, field, value):
+        inp = SelectionInput(holdout=noiseless_holdout(f1, 10, 3), cover=SMALL_COVER,
+                             base=FunctionPredictor(BALL, f1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inp, field, value)
+        assert inp.cover == SMALL_COVER and inp.a == 1.0
 
     def test_empty_holdout_raises(self):
         empty = Dataset(BALL, np.zeros((0, 3)), np.zeros(0))
