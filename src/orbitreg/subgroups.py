@@ -35,9 +35,11 @@ grows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -182,7 +184,7 @@ def sample_orbit_coords(group: ClosedSubgroup, x_coords: np.ndarray, m: int,
     return parent_group(group.parent).act_rows(elements, xs[:, None, :])
 
 
-def orbit_quadrature_coords(group: ClosedSubgroup,
+def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
                             xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic near-uniform quadrature nodes on each row's orbit.
 
@@ -193,9 +195,45 @@ def orbit_quadrature_coords(group: ClosedSubgroup,
     on a 3-torus) on higher-dimensional torus orbits.
     Returns ``(coords, counts)`` shaped like
     :func:`orbitreg.orbit_grids.orbit_coords_batch`.
+
+    ``groups`` is one subgroup or a sequence of them; a sequence gives the
+    nodes of each subgroup in turn (subgroup, then row, then node) in one
+    array, and one count per subgroup and row.  The nodes of consecutive
+    subgroups of one parent with one node count are generated together
+    and written in place: one ``act_rows`` per step of about
+    ``CHUNK_ELEMENTS`` points (one subgroup's nodes at least), so no
+    per-subgroup array is built and stacked.  Each point has the bits the
+    subgroup's own call gives it.  The full rotation group keeps its own
+    Fibonacci generator.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    return FAMILY_TABLE[group.family].quadrature(group, xs)
+    groups = [groups] if isinstance(groups, ClosedSubgroup) else list(groups)
+    rows, width = xs.shape
+    sizes = [quadrature_count(g) for g in groups]
+    coords = np.empty((rows * sum(sizes), width))
+    start = 0
+    # runs of consecutive subgroups with one parent, one node count and,
+    # for the full rotation group only, their own generator
+    for (parent, size, own), run in itertools.groupby(zip(groups, sizes), lambda pair: (
+            pair[0].parent, pair[1], FAMILY_TABLE[pair[0].family].quadrature)):
+        run = [group for group, _ in run]
+        if own is None:
+            nodes = np.stack([FAMILY_TABLE[g.family].nodes(g) for g in run])[:, None, :, :]
+            step = max(1, CHUNK_ELEMENTS // max(rows * size, 1))
+            blocks = (parent_group(parent).act_rows(nodes[i : i + step], xs[None, :, None, :])
+                      for i in range(0, len(run), step))
+        else:
+            blocks = (own(g, xs) for g in run)
+        for block in blocks:
+            stop = start + block.size // width
+            coords[start:stop] = block.reshape(-1, width)
+            start = stop
+    return coords, np.repeat(np.asarray(sizes, dtype=np.int64), rows)
+
+
+def quadrature_count(group: ClosedSubgroup) -> int:
+    """Nodes per row that :func:`orbit_quadrature_coords` gives ``group``."""
+    return FAMILY_TABLE[group.family].node_count(group)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -239,10 +277,13 @@ class FamilyEntry:
       shifts) of shape ``shape + (row width,)``;
     * ``nodes(g)``: the fixed quadrature elements as element rows (the
       circle and translation entries take an optional node ``count``,
-      which their nets reuse);
-    * ``quadrature``: deterministic orbit nodes, by default the parent's
-      ``act_rows`` applied with every node to every row of ``xs`` (the
-      full rotation group overrides it with a Fibonacci lattice);
+      which their nets reuse); :func:`orbit_quadrature_coords` applies
+      them to the rows through the parent's ``act_rows``;
+    * ``node_count(g)``: quadrature nodes per row (by default the number
+      of ``nodes``);
+    * ``quadrature(g, xs)``: None, except for the full rotation group,
+      whose nodes are a Fibonacci lattice on each row's sphere, not fixed
+      elements: its orbit nodes, row by row;
     * ``net``: an eps-net of the subgroup as element rows.
 
     Orbit samples, single Haar draws, quadrature points and translation
@@ -261,10 +302,10 @@ class FamilyEntry:
     def singular(self, g: ClosedSubgroup, xs: np.ndarray) -> np.ndarray:
         return np.zeros(len(xs), dtype=bool)
 
-    def quadrature(self, g: ClosedSubgroup, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nodes = self.nodes(g)
-        coords = parent_group(g.parent).act_rows(nodes[None, :, :], xs[:, None, :])
-        return coords.reshape(-1, xs.shape[1]), np.full(xs.shape[0], len(nodes), dtype=np.int64)
+    def node_count(self, g: ClosedSubgroup) -> int:
+        return len(self.nodes(g))
+
+    quadrature = None
 
 
 def _lattice(values: np.ndarray, k: int) -> np.ndarray:
@@ -387,6 +428,9 @@ class _Circle(FamilyEntry):
         theta = np.arange(count) * (2.0 * np.pi / count)
         return quat_from_axis_angle(g.axis_array(), theta)
 
+    def node_count(self, g):  # without building the nodes
+        return _QUADRATURE_1D
+
     def net(self, g, eps):
         return self.nodes(g, max(int(np.ceil(2.0 * np.pi / eps)), 1))
 
@@ -428,11 +472,13 @@ class _FullSO3(FamilyEntry):
         norms[norms == 0.0] = 1.0
         return q / norms
 
+    def node_count(self, g):
+        return _QUADRATURE_2D
+
     def quadrature(self, g, xs):
         nodes = fibonacci_sphere(_QUADRATURE_2D)
         radii = np.linalg.norm(xs, axis=1)
-        coords = radii[:, None, None] * nodes[None, :, :]
-        return coords.reshape(-1, 3), np.full(xs.shape[0], _QUADRATURE_2D, dtype=np.int64)
+        return radii[:, None, None] * nodes[None, :, :]
 
     def net(self, g, eps):
         return _so3_net(eps)

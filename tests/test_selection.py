@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from orbitreg import (
 )
 from orbitreg import selection
 from orbitreg.bench import SCENARIOS, generate_data
-from orbitreg.subgroups import SubgroupFamily, delta_cover
+from orbitreg.subgroups import SubgroupFamily, delta_cover, fibonacci_sphere
 
 BALL = unit_ball3()
 SMALL_COVER = [trivial_subgroup(PARENT_SO3), circle3([1.0, 0.0, 0.0]),
@@ -208,13 +209,39 @@ class TestChunkedSearch:
         passes = []
         predict_pass = selection._predict_pass
         monkeypatch.setattr(selection, "CHUNK_ROWS", budget)
-        monkeypatch.setattr(selection, "_predict_pass",
-                            lambda *args: passes.append(len(args[1])) or predict_pass(*args))
+        # a pass predicts on one array of points, counts[i] of them per base row
+        monkeypatch.setattr(selection, "_predict_pass", lambda base, coords, counts: passes.append(
+            len(counts)) or predict_pass(base, coords, counts))
         chunked = global_ems(inp)
         assert len(passes) > len(set(whole.bandwidth_by_group.values()))  # a class was split
-        assert sum(passes) == len(whole.per_group_error)
+        assert sum(passes) == len(whole.per_group_error) * len(holdout)
         assert list(chunked.per_group_error.items()) == list(whole.per_group_error.items())
         assert chunked.chosen == whole.chosen
+
+
+class TestSearchMemory:
+    def test_uniform_search_peak_stays_near_one_pass_array(self):
+        # 665 circles x 50 holdout rows x 24 nodes make one pass array of
+        # 18.3 MiB.  Beside it the search holds the kernel's counts and
+        # sums and the predictions, 24 bytes a point (the array's size
+        # again): the traced peak reads 2.06 times the array (37.7 MiB).
+        # Nodes built per circle and stacked read 3.65 (66.6 MiB); any
+        # second copy of the pass array breaks the bound
+        axes = fibonacci_sphere(1330)
+        cover = [trivial_subgroup(PARENT_SO3)] + [circle3(a) for a in axes[axes[:, 2] > 0]]
+        assert len(cover) == 666
+        scen = SCENARIOS["so3_f1"]
+        fit, holdout = (generate_data(scen, 50, 0.5, substream(19, "memory", part))
+                        for part in ("f", "h"))
+        inp = SelectionInput(holdout=holdout, cover=cover, fit_data=fit, symmetriser="uniform")
+        pass_bytes = 665 * 50 * 24 * 3 * 8
+        tracemalloc.start()
+        try:
+            global_ems(inp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * pass_bytes
 
 
 class TestChunkedPrediction:
@@ -239,8 +266,8 @@ class TestChunkedPrediction:
         passes = []
         predict_pass = selection._predict_pass
         monkeypatch.setattr(selection, "CHUNK_ROWS", budget)
-        monkeypatch.setattr(selection, "_predict_pass", lambda base, blocks: passes.append(
-            sum(len(counts) for _, counts in blocks)) or predict_pass(base, blocks))
+        monkeypatch.setattr(selection, "_predict_pass", lambda base, coords, counts: passes.append(
+            len(counts)) or predict_pass(base, coords, counts))
         chunked = predict()
         assert len(passes) > 1  # the queries were split between passes
         assert sum(passes) == len(queries)
@@ -318,8 +345,8 @@ class TestBestSymmetricPredictor:
         rng = substream(18, "mc")
         points = []
         predict_pass = selection._predict_pass
-        monkeypatch.setattr(selection, "_predict_pass", lambda base, blocks: points.append(
-            sum(len(coords) for coords, _ in blocks)) or predict_pass(base, blocks))
+        monkeypatch.setattr(selection, "_predict_pass", lambda base, coords, counts: points.append(
+            len(coords)) or predict_pass(base, coords, counts))
         preds = BestSymmetricPredictor(base, trivial, "monte_carlo", rng=rng).predict_coords(queries)
         assert np.array_equal(preds, base.predict_coords(queries))
         assert points == [len(queries)]

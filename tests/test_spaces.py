@@ -1,7 +1,9 @@
 import contextlib
+import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,11 +11,14 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from orbitreg import (
+    BestSymmetricPredictor,
     ConfigError,
     Dataset,
     LocalConstantEstimator,
     PointDistribution,
     SpaceMismatchError,
+    SymmetrySelection,
+    full_so3,
     sample_points,
     substream,
     torus,
@@ -79,6 +84,23 @@ class TestMembership:
         shape_text = re.escape(str(shape))
         with pytest.raises(SpaceMismatchError, match=f"^rows of shape {shape_text} are not a 2-D"):
             check(np.zeros(shape))
+
+    @pytest.mark.parametrize("entry", ["query_rows", "LocalConstantEstimator",
+                                       "BestSymmetricPredictor"])
+    def test_first_non_finite_row_of_a_large_array_is_named(self, entry):
+        # the whole array is tested at once, the first bad row looked for after
+        rows = sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, 100_000,
+                             substream(3, "non-finite"))
+        rows[73_512, 1] = np.nan
+        rows[99_999, 2] = -np.inf
+        base = LocalConstantEstimator(Dataset(unit_ball3(), rows[:10], np.ones(10)), 0.3)
+        check = {"query_rows": lambda r: query_rows(unit_ball3(), r),
+                 "LocalConstantEstimator": base.predict_coords,
+                 "BestSymmetricPredictor": BestSymmetricPredictor(
+                     base, SymmetrySelection(full_so3(), 0.3, {})).predict_coords}[entry]
+        message = re.escape(f"query row 73512 ({rows[73_512]}) is not finite")
+        with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+            check(rows)
 
     def test_member_rows_are_two_dimensional_float_rows(self):
         rows = member_rows(torus(3), [0, 0, 0])
@@ -353,10 +375,10 @@ class TestUnwrappedTorus:
         results = {}
         for cells in (m, 1):
             calls = []
-            block_stats = spaces._block_stats
+            indicators = spaces._indicators
             with mock.patch.multiple(spaces, _cells_per_axis=lambda *args: cells,
-                                     _block_stats=lambda *args: calls.append(args[0])
-                                     or block_stats(*args)):
+                                     _indicators=lambda *args: calls.append(args[0])
+                                     or indicators(*args)):
                 results[cells] = neighbor_stats(torus(d), queries, data, h, values)
             # the cell path scores flat blocks, the dense kernel wraps
             assert set(calls) == {SpaceKind.UNIT_BALL3 if cells > 1 else SpaceKind.TORUS}
@@ -441,9 +463,9 @@ class TestChunkShapes:
             monkeypatch.setattr(spaces, "_QUERY_COST", 0)
             monkeypatch.setattr(spaces, "_CELL_COST", 0)
         widths = []
-        block_stats = spaces._block_stats
-        monkeypatch.setattr(spaces, "_block_stats", lambda space, q, d, *rest: widths.append(
-            len(d)) or block_stats(space, q, d, *rest))
+        indicators = spaces._indicators
+        monkeypatch.setattr(spaces, "_indicators", lambda space, q, d, *rest: widths.append(
+            len(d)) or indicators(space, q, d, *rest))
         counts, sums = neighbor_stats(space, queries, data, 0.2, values)
         brute = pairwise_distance(space, queries, data) < 0.2
         assert counts.tolist() == brute.sum(axis=1).tolist()
@@ -498,14 +520,16 @@ class TestKernelMemory:
     """Peak traced memory of one neighbour search, against the queries' size.
 
     Query rows are augmented one chunk at a time, into scratch that each
-    call allocates once: the kernel reads 2.96 (cell path) and 0.79 (dense
+    call allocates once: the kernel reads 2.35 (cell path) and 0.79 (dense
     path) times ``queries.nbytes``, where an (n_queries, d + 2) array of
-    augmented queries would read about 4.6 and 3.1.  Each bound sits about
-    15 % above the reading of the three-pass score the one product
-    replaced (2.87 and 0.73).
+    augmented queries would read about 4.6 and 3.1.  The cell path writes
+    its ``[sums, counts]`` into one array in cell order and allocates the
+    returned counts and sums only after its sorted queries are dropped
+    (2.96 when both pairs were held at once).  Each bound sits about 15 %
+    above a reading.
     """
 
-    @pytest.mark.parametrize("label, q, n, h, bound", [("cells", 240_000, 300, 0.24, 3.3),
+    @pytest.mark.parametrize("label, q, n, h, bound", [("cells", 240_000, 300, 0.24, 2.7),
                                                        ("dense", 400_000, 25, 0.3, 0.85)])
     def test_peak_traced_memory(self, label, q, n, h, bound):
         rng = substream(5, "memory", label)
@@ -559,6 +583,19 @@ class TestCellIds:
         assert ids.dtype == np.int16
         assert ids.tolist() == self._reference(space, coords, m).tolist()
         assert ids.min() >= 0 and ids.max() < m ** d
+
+    @pytest.mark.parametrize("m", [3, 7, 12])
+    def test_far_off_ball_rows_bin_to_the_edge_cells(self, m):
+        # the clip comes before the int16 cast: nothing overflows or warns
+        far = [1e6, -1e6, 1e300, -1e300]
+        coords = np.array(list(itertools.product(far, repeat=3)))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            ids = spaces._cell_ids(unit_ball3(), coords, m)
+        edge = np.where(coords > 0.0, m - 1, 0)
+        assert ids.dtype == np.int16
+        assert ids.tolist() == ((edge[:, 0] * m + edge[:, 1]) * m + edge[:, 2]).tolist()
+        assert ids.tolist() == self._reference(unit_ball3(), coords, m).tolist()
 
 
 class TestWrapRows:

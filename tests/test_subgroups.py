@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from orbitreg import (
     ConfigError,
     PARENT_SO3,
+    PointDistribution,
     Rotation3,
     axis_translations,
     catalog_lines,
@@ -17,6 +18,7 @@ from orbitreg import (
     orbit_dimension,
     parent_torus,
     sample_group,
+    sample_points,
     substream,
     torus,
     torus_line,
@@ -24,6 +26,7 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
+from orbitreg import subgroups
 from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import parent_group, quat_rotation_angle
 from orbitreg.orbit_grids import orbit_coords_batch
@@ -466,6 +469,53 @@ class TestQuadrature:
                                                  np.array([[0.1, 0.2, 0.3]]))
         assert counts.tolist() == [1]
         assert np.allclose(coords, [[0.1, 0.2, 0.3]])
+
+    @staticmethod
+    def _one_by_one(groups, xs):
+        """Each subgroup's nodes on their own, stacked: the node elements
+        applied to every row through the parent's action (the Fibonacci
+        lattice scaled to each row's radius for the full rotation group)."""
+        coords, counts = [], []
+        for g in groups:
+            if g.family is SubgroupFamily.FULL_SO3:
+                pts = np.linalg.norm(xs, axis=1)[:, None, None] * fibonacci_sphere(64)[None]
+            else:
+                nodes = FAMILY_TABLE[g.family].nodes(g)
+                pts = parent_group(g.parent).act_rows(nodes[None, :, :], xs[:, None, :])
+            coords.append(pts.reshape(-1, xs.shape[1]))
+            counts.append(np.full(len(xs), pts.shape[1]))
+        return np.vstack(coords), np.concatenate(counts)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 24 * 13 - 1, 24 * 13, 24 * 13 + 1, 3 * 24 * 13 + 5,
+                                       65_536])
+    @pytest.mark.parametrize("case", ["circles", "torus_lines", "sub_tori", "mixed"])
+    def test_stepped_nodes_match_subgroups_one_by_one(self, case, chunk, monkeypatch):
+        # 13 rows: a circle or line class steps every 24 x 13 = 312 points,
+        # so the patched steps end inside, at and after a subgroup's nodes;
+        # the sub-tori mix 64- and 24-node runs, the mixed cover the trivial
+        # group and the full rotation group's own generator between circles
+        rng = substream(21, "stepped", case)
+        if case == "torus_lines":
+            space = torus(2)
+            groups = [torus_line(p, q) for p, q in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)]]
+        elif case == "sub_tori":
+            space = torus(3)
+            groups = [axis_translations(3, mask)
+                      for mask in ([0, 1], [0, 2], [1, 2], [0], [1], [2], [0, 2])]
+        else:
+            space = unit_ball3()
+            groups = [circle3(random_axis(rng)) for _ in range(8)]
+            if case == "mixed":
+                groups = [trivial_subgroup(PARENT_SO3), *groups[:3], full_so3(), *groups[3:]]
+        xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 13, rng)
+        monkeypatch.setattr(subgroups, "CHUNK_ELEMENTS", chunk)
+        coords, counts = orbit_quadrature_coords(groups, xs)
+        expected, expected_counts = self._one_by_one(groups, xs)
+        assert coords.tobytes() == expected.tobytes()
+        assert counts.dtype == np.int64 and counts.tolist() == expected_counts.tolist()
+        for g in groups:  # one subgroup alone is a sequence of one
+            single = orbit_quadrature_coords(g, xs)
+            assert single[0].tobytes() == self._one_by_one([g], xs)[0].tobytes()
 
 
 class TestSubTorusDistances:
