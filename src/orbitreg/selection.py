@@ -3,10 +3,13 @@
 The search evaluates, for every subgroup in a cover of the symmetry
 catalog, the holdout mean squared error of the orbit-grid symmetrised
 predictor, with the bandwidth ``a n^(-1/(2 beta + d - k))`` re-optimised
-per candidate of orbit dimension ``k``.  A larger orbit dimension gives a
-narrower ball: ``n^(-1/5)``, ``n^(-1/4)`` and ``n^(-1/3)`` for k = 0, 1
-and 2 at d = 3 and beta = 1, because the orbit average pools data along
-k directions and its variance grows only like ``1 / (n h^(d - k))``.
+per candidate of orbit dimension ``k``.  Candidates that share a
+bandwidth form a class, and the search fits one local-constant estimator
+on ``fit_data`` per class, at that bandwidth.  A larger orbit dimension
+gives a narrower ball: ``n^(-1/5)``, ``n^(-1/4)`` and ``n^(-1/3)`` for
+k = 0, 1 and 2 at d = 3 and beta = 1, because the orbit average pools
+data along k directions and its variance grows only like
+``1 / (n h^(d - k))``.
 The minimiser is the selected symmetry; the final predictor symmetrises
 the base estimator with it, either through the deterministic orbit grid or
 through Monte-Carlo draws from the subgroup's Haar measure.  The search
@@ -15,8 +18,8 @@ holdout ``Dataset`` first.  The search's holdout errors and
 :func:`empirical_error`, which also scores the benchmark's risks, share
 one mean squared error rule.
 
-Holdout data must be independent of the data inside the base estimator;
-the convenience splitter produces such a pair from one sample.
+Holdout data must be independent of ``fit_data``; the convenience
+splitter produces such a pair from one sample.
 """
 
 from __future__ import annotations
@@ -54,36 +57,36 @@ CHUNK_ROWS = 2_000_000
 class SelectionInput:
     """Everything the symmetry search needs.
 
-    Exactly one of ``fit_data`` and ``base`` must be provided: with
-    ``fit_data`` each candidate gets its own local-constant base estimator
-    at that candidate's bandwidth; a fixed ``base`` is used verbatim for
-    every candidate (the orbit grids still use per-candidate bandwidths).
-    Either one must lie in ``holdout``'s space.  The bandwidths use the
-    size of ``fit_data`` (of ``holdout`` with a fixed ``base``), and
-    orbit grids span the whole subgroup.  Inputs are checked here: a
-    bandwidth constant ``a`` that is not finite and positive, or a cover
-    entry that is not a :class:`ClosedSubgroup`, raises
-    :class:`ConfigError`; a cover subgroup whose parent does not act on
-    ``holdout``'s space raises :class:`IncompatibleActionError`.  The
-    input is frozen, so these checks cannot be undone by assigning a field
-    afterwards (that raises :class:`dataclasses.FrozenInstanceError`).
+    The search fits one local-constant estimator on ``fit_data`` per
+    bandwidth class, at that class's bandwidth, and scores each
+    candidate's orbit average of it on ``holdout``.  The bandwidths use
+    the size of ``fit_data``, and orbit grids span the whole subgroup.
+    Inputs are checked here: a ``fit_data`` that is not a nonempty
+    :class:`Dataset`, a bandwidth constant ``a`` that is not finite and
+    positive, or a cover entry that is not a :class:`ClosedSubgroup`,
+    raises :class:`ConfigError`; a ``fit_data`` in another space than
+    ``holdout`` raises :class:`SpaceMismatchError`; a cover subgroup
+    whose parent does not act on ``holdout``'s space raises
+    :class:`IncompatibleActionError`.  The input is frozen, so these
+    checks cannot be undone by assigning a field afterwards (that raises
+    :class:`dataclasses.FrozenInstanceError`).
     """
 
     holdout: Dataset
     cover: Sequence[ClosedSubgroup]
-    fit_data: Dataset | None = None
-    base: Predictor | None = None
+    fit_data: Dataset
     a: float = 1.0
     beta: float = 1.0
     symmetriser: str = "grid"
 
     def __post_init__(self):
-        if (self.fit_data is None) == (self.base is None):
-            raise ConfigError("provide exactly one of fit_data and base")
-        name, given = ("fit_data", self.fit_data) if self.base is None else ("base", self.base)
-        if given.space != self.holdout.space:
-            raise SpaceMismatchError(f"{name} lies in {given.space}, "
+        if not isinstance(self.fit_data, Dataset):
+            raise ConfigError(f"fit_data must be a Dataset, got {type(self.fit_data).__name__}")
+        if self.fit_data.space != self.holdout.space:
+            raise SpaceMismatchError(f"fit_data lies in {self.fit_data.space}, "
                                      f"but holdout lies in {self.holdout.space}")
+        if len(self.fit_data) == 0:
+            raise ConfigError("fit_data must hold at least one observation")
         if not self.cover:
             raise ConfigError("the cover must be nonempty")
         stray = next((g for g in self.cover if not isinstance(g, ClosedSubgroup)), None)
@@ -99,9 +102,6 @@ class SelectionInput:
             raise ConfigError("beta must lie in (0, 1] (degree-0 local estimator)")
         if self.symmetriser not in ("grid", "uniform"):
             raise ConfigError("symmetriser must be 'grid' or 'uniform'")
-
-    def effective_n(self) -> int:
-        return len(self.fit_data) if self.fit_data is not None else len(self.holdout)
 
 
 @dataclass
@@ -135,13 +135,7 @@ def _mean_squared_error(predicted: np.ndarray, truth: np.ndarray) -> float:
 def _candidate_bandwidth(inp: SelectionInput, group: ClosedSubgroup) -> float:
     d = inp.holdout.space.intrinsic_dim
     d_group = orbit_dimension(group, inp.holdout.space)
-    return bandwidth(inp.a, inp.effective_n(), inp.beta, d, d_group)
-
-
-def _candidate_base(inp: SelectionInput, h: float) -> Predictor:
-    if inp.base is not None:
-        return inp.base
-    return LocalConstantEstimator(inp.fit_data, h)
+    return bandwidth(inp.a, len(inp.fit_data), inp.beta, d, d_group)
 
 
 _Block = tuple[np.ndarray, np.ndarray]  # (coords, counts), as orbit_coords_batch returns
@@ -205,7 +199,7 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
     average, matching a Monte-Carlo final prediction.
     """
     holdout = inp.holdout
-    base = _candidate_base(inp, h)
+    base = LocalConstantEstimator(inp.fit_data, h)
     if inp.symmetriser == "uniform":
         averages = _quadrature_averages(base, groups, holdout.X)
     else:
@@ -242,12 +236,11 @@ def global_ems(inp: SelectionInput) -> SymmetrySelection:
 
 
 def _canonical_cover(cover: Sequence[ClosedSubgroup]) -> list[ClosedSubgroup]:
-    out, seen = [], set()
-    for g in sorted(cover, key=lambda g: g.canonical_key()):
-        if g.canonical_key() not in seen:
-            seen.add(g.canonical_key())
-            out.append(g)
-    return out
+    """The first subgroup of each canonical key, in key order."""
+    by_key: dict = {}
+    for g in cover:
+        by_key.setdefault(g.canonical_key(), g)
+    return [by_key[key] for key in sorted(by_key)]
 
 
 class BestSymmetricPredictor:

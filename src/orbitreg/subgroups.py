@@ -800,10 +800,3 @@ def delta_schedule(n: int, beta: float, d: int, d_max: int) -> float:
 def catalog_lines(cover: list[ClosedSubgroup]) -> list[str]:
     """Plain-text catalog, one subgroup per line."""
     return [g.describe() for g in cover]
-
-
-def line_angle_degrees(g: ClosedSubgroup) -> float:
-    """Angle from the first axis of a torus line, in [0, 180) degrees."""
-    p, q = g.direction
-    ang = math.degrees(math.atan2(q, p)) % 180.0
-    return ang

@@ -1,6 +1,9 @@
-"""The names ``orbitreg`` exports, listed so that every addition or removal
-shows as a change to this file."""
+"""The names ``orbitreg`` exports and the options of its configuration
+types, listed so that every addition or removal shows as a change to this
+file."""
 
+import dataclasses
+import inspect
 import types
 
 import orbitreg
@@ -30,3 +33,19 @@ def test_exported_names():
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == sorted(EXPORTED)
     assert len(EXPORTED) == 72
+
+
+def test_selection_input_fields():
+    names = [f.name for f in dataclasses.fields(orbitreg.SelectionInput)]
+    assert names == ["holdout", "cover", "fit_data", "a", "beta", "symmetriser"]
+
+
+def test_scenario_config_fields():
+    names = [f.name for f in dataclasses.fields(orbitreg.ScenarioConfig)]
+    assert names == ["scenario", "noise_sd", "n_grid", "trials", "eval_points", "beta", "a",
+                     "delta", "use_schedule", "seed", "split", "workers"]
+
+
+def test_best_symmetric_predictor_parameters():
+    params = list(inspect.signature(orbitreg.BestSymmetricPredictor.__init__).parameters)
+    assert params == ["self", "base", "selection", "method", "mc_draws", "rng"]

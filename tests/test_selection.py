@@ -85,26 +85,29 @@ class TestGlobalSearch:
     def test_single_candidate_cover(self):
         holdout = noiseless_holdout(f1, 30, 1)
         sel = global_ems(SelectionInput(holdout=holdout, cover=[trivial_subgroup(PARENT_SO3)],
-                                        base=FunctionPredictor(BALL, f1)))
+                                        fit_data=noiseless_holdout(f1, 30, 101)))
         assert sel.chosen.family is SubgroupFamily.TRIVIAL
 
-    def test_exact_invariant_ties_break_to_largest_orbit(self):
-        # all three candidates reach zero error on a noiseless invariant
-        # function; the tie rule prefers the largest orbit dimension
+    @pytest.mark.parametrize("symmetriser", ["grid", "uniform"])
+    def test_exact_invariant_ties_break_to_largest_orbit(self, symmetriser):
+        # at a = 100 every ball holds all of the noiseless invariant fit
+        # data, so all three candidates predict its mean and tie; the tie
+        # rule prefers the largest orbit dimension
         holdout = noiseless_holdout(f1, 40, 2)
         cover = [trivial_subgroup(PARENT_SO3), circle3([0.0, 0.0, 1.0]), full_so3()]
         sel = global_ems(SelectionInput(holdout=holdout, cover=cover,
-                                        base=FunctionPredictor(BALL, f1)))
-        assert all(err <= 1e-12 for err in sel.per_group_error.values())
+                                        fit_data=noiseless_holdout(f1, 40, 102), a=100.0,
+                                        symmetriser=symmetriser))
+        errors = list(sel.per_group_error.values())
+        assert max(errors) - min(errors) <= 1e-12
         assert sel.chosen.family is SubgroupFamily.FULL_SO3
 
     def test_cover_holding_both_names_of_the_full_torus_gives_one_entry(self):
         t2 = torus(2)
-        X = substream(3, "two-names").random((40, 2))
-        wave = FunctionPredictor(t2, lambda Z: np.sin(2 * np.pi * Z[:, 0]))
-        holdout = Dataset(t2, X, wave.predict_coords(X))
+        fit_X, X = (substream(3, "two-names", part).random((40, 2)) for part in ("f", "h"))
+        holdout, fit = (Dataset(t2, Z, np.sin(2 * np.pi * Z[:, 0])) for Z in (X, fit_X))
         cover = [trivial_subgroup("torus2"), axis_translations(2, [0, 1]), full_torus(2)]
-        sel = global_ems(SelectionInput(holdout=holdout, cover=cover, base=wave))
+        sel = global_ems(SelectionInput(holdout=holdout, cover=cover, fit_data=fit))
         assert list(sel.per_group_error) == [trivial_subgroup("torus2"), full_torus(2)]
 
     def test_no_symmetry_recovers_trivial_in_majority_of_seeds(self):
@@ -123,30 +126,36 @@ class TestGlobalSearch:
         holdout = noiseless_holdout(f1, 10, 3)
         with pytest.raises(ConfigError):
             SelectionInput(holdout=holdout, cover=[full_so3()],
-                           base=FunctionPredictor(BALL, f1))
+                           fit_data=noiseless_holdout(f1, 10, 103))
 
-    @pytest.mark.parametrize("given", ["fit_data", "base"])
-    def test_fit_data_or_base_must_share_the_holdout_space(self, given):
+    def test_fit_data_must_share_the_holdout_space(self):
         sphere = unit_sphere2()
         X = sample_points(sphere, PointDistribution.UNIFORM_SPACE, 40, substream(6, "sphere"))
         holdout = Dataset(sphere, X, X[:, 0])
-        other = {"fit_data": noiseless_holdout(f1, 40, 6), "base": FunctionPredictor(BALL, f1)}
         with pytest.raises(SpaceMismatchError,
-                           match=f"^{given} lies in unit_ball3, but holdout lies in unit_sphere2$"):
-            SelectionInput(holdout=holdout, cover=SMALL_COVER, **{given: other[given]})
+                           match="^fit_data lies in unit_ball3, but holdout lies in unit_sphere2$"):
+            SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=noiseless_holdout(f1, 40, 6))
+
+    @pytest.mark.parametrize("fit_data, message", [
+        (Dataset(BALL, np.zeros((0, 3)), np.zeros(0)), "fit_data must hold at least one observation"),
+        (None, "fit_data must be a Dataset, got NoneType"),
+    ], ids=["empty", "none"])
+    def test_fit_data_must_be_a_nonempty_dataset(self, fit_data, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SelectionInput(holdout=noiseless_holdout(f1, 10, 3), cover=SMALL_COVER, fit_data=fit_data)
 
     @pytest.mark.parametrize("a", [np.inf, 0.0, -1.0, np.nan])
     def test_bandwidth_constant_must_be_finite_and_positive(self, a):
         holdout = noiseless_holdout(f1, 10, 3)
         with pytest.raises(ConfigError, match=f"^bandwidth requires a finite a > 0, got a = {a!r}$"):
             SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                           base=FunctionPredictor(BALL, f1), a=a)
+                           fit_data=noiseless_holdout(f1, 10, 103), a=a)
 
     def test_cover_entries_must_be_subgroups(self):
         holdout = noiseless_holdout(f1, 10, 3)
         with pytest.raises(ConfigError, match="^cover entry 'circle3' is not a ClosedSubgroup$"):
             SelectionInput(holdout=holdout, cover=[trivial_subgroup(PARENT_SO3), "circle3"],
-                           base=FunctionPredictor(BALL, f1))
+                           fit_data=noiseless_holdout(f1, 10, 103))
 
     def test_cover_parents_must_act_on_the_holdout_space(self):
         t2 = torus(2)
@@ -154,12 +163,12 @@ class TestGlobalSearch:
         holdout = Dataset(t2, X, X[:, 0])
         with pytest.raises(IncompatibleActionError):
             SelectionInput(holdout=holdout, cover=[trivial_subgroup("torus2"), full_so3()],
-                           base=FunctionPredictor(t2, lambda Z: Z[:, 0]))
+                           fit_data=holdout)
 
     @pytest.mark.parametrize("field, value", [("cover", ["x"]), ("a", float("inf"))])
     def test_checked_fields_cannot_be_reassigned(self, field, value):
         inp = SelectionInput(holdout=noiseless_holdout(f1, 10, 3), cover=SMALL_COVER,
-                             base=FunctionPredictor(BALL, f1))
+                             fit_data=noiseless_holdout(f1, 10, 103))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(inp, field, value)
         assert inp.cover == SMALL_COVER and inp.a == 1.0
@@ -168,7 +177,7 @@ class TestGlobalSearch:
         empty = Dataset(BALL, np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(EmptyHoldoutError):
             global_ems(SelectionInput(holdout=empty, cover=SMALL_COVER,
-                                      base=FunctionPredictor(BALL, f1)))
+                                      fit_data=noiseless_holdout(f1, 10, 103)))
 
     def test_argmin_value_invariant_under_cover_permutation(self):
         rng = substream(4, "perm")
@@ -308,14 +317,16 @@ class TestBestSymmetricPredictor:
         assert BestSymmetricPredictor(base, sel).predict_coords(x)[0] == base.predict_coords(x)[0]
 
     def test_full_rotation_selection_on_exact_invariant(self):
+        # at a = 100 both candidates predict the fit data's mean and tie
         holdout = noiseless_holdout(f1, 40, 12)
-        base = FunctionPredictor(BALL, f1)
         sel = global_ems(SelectionInput(holdout=holdout,
                                         cover=[trivial_subgroup(PARENT_SO3), full_so3()],
-                                        base=base))
+                                        fit_data=noiseless_holdout(f1, 40, 112), a=100.0))
         assert sel.chosen.family is SubgroupFamily.FULL_SO3
+        base = FunctionPredictor(BALL, f1)
         x = np.array([[0.5, -0.2, 0.1]])
-        mc = BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=100,
+        mc = BestSymmetricPredictor(base, SymmetrySelection(full_so3(), sel.chosen_bandwidth, {}),
+                                    method="monte_carlo", mc_draws=100,
                                     rng=substream(12)).predict_coords(x)[0]
         assert mc == pytest.approx(f1(x)[0], abs=1e-12)
 
@@ -354,9 +365,7 @@ class TestBestSymmetricPredictor:
 
     def test_monte_carlo_needs_rng(self):
         base = FunctionPredictor(BALL, f1)
-        holdout = noiseless_holdout(f1, 10, 14)
-        sel = global_ems(SelectionInput(holdout=holdout,
-                                        cover=[trivial_subgroup(PARENT_SO3)], base=base))
+        sel = SymmetrySelection(trivial_subgroup(PARENT_SO3), 0.3, {})
         with pytest.raises(ConfigError):
             BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=10)
 
@@ -451,9 +460,10 @@ class TestSplitDataset:
 
 class TestReportText:
     def test_selection_serialises_to_text(self):
+        # at a = 100 all five candidates tie and the full rotation group wins
         holdout = noiseless_holdout(f1, 30, 19)
         sel = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER,
-                                        base=FunctionPredictor(BALL, f1)))
+                                        fit_data=noiseless_holdout(f1, 30, 119), a=100.0))
         text = sel.to_text()
         assert text.startswith("chosen: full_so3")
         assert "per-group holdout error:" in text

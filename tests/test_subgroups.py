@@ -35,7 +35,6 @@ from orbitreg.subgroups import (
     FAMILY_TABLE,
     SubgroupFamily,
     fibonacci_sphere,
-    line_angle_degrees,
     orbit_quadrature_coords,
     sample_orbit_coords,
     sphere_net,
@@ -102,11 +101,6 @@ class TestCanonicalForms:
     def test_numpy_integers_count(self):
         assert axis_translations(np.int64(3), np.array([0, 2])) == axis_translations(3, [0, 2])
         assert torus_line(np.int64(2), np.int64(2)) == torus_line(1, 1)
-
-    def test_line_angles(self):
-        assert line_angle_degrees(torus_line(1, 0)) == 0.0
-        assert line_angle_degrees(torus_line(1, 1)) == 45.0
-        assert line_angle_degrees(torus_line(0, 1)) == 90.0
 
 
 class TestSampling:
@@ -364,9 +358,8 @@ class TestDeltaCover:
         cover = delta_cover(parent_torus(2), torus(2), 0.5)
         fams = {g.family for g in cover}
         assert SubgroupFamily.TRIVIAL in fams and SubgroupFamily.FULL_TORUS in fams
-        angles = sorted(line_angle_degrees(g) for g in cover
-                        if g.family is SubgroupFamily.TORUS_LINE)
-        assert angles == [0.0, 45.0, 90.0, 135.0]
+        directions = [g.direction for g in cover if g.family is SubgroupFamily.TORUS_LINE]
+        assert sorted(directions) == sorted({(1, 0), (1, 1), (0, 1), (1, -1)})  # each line once
 
     def test_torus_cover_property(self):
         delta, eps = 0.5, 0.02
