@@ -6,8 +6,10 @@ checkouts give the same numbers.
 The runs are ``simulate`` on ``so3_f1`` and ``t2_g3`` (``--n-grid 50,150
 --trials 2 --seed 11``), ``simulate so3_f2 --schedule-delta --n-grid
 30,50``, ``select --show-cover`` on fixed 300-row CSV samples of the ball
-and the 2-torus, and ``validate --quick``; then every ``demos/*.py`` of
-the checkout, each in a fresh temporary directory: 21 artifacts.  An
+and the 2-torus, ``select --delta 0.1 --show-cover`` on the ball sample
+(2,210 candidates, so a fine cover's content and order are checked too),
+and ``validate --quick``; then every ``demos/*.py`` of the checkout, each
+in a fresh temporary directory: 22 artifacts.  An
 artifact is a file a CLI run writes or the standard output of a CLI run
 or a demo.  Each line of output is ``<sha256>  <artifact>``.  With
 ``--base DIR`` the same runs are made with the package and the demos of
@@ -60,6 +62,9 @@ def runs(samples: dict[str, Path]) -> list[tuple[str, list[str]]]:
     for space, path in samples.items():
         out.append((f"select-{space}",
                     ["select", "--input", str(path), "--space", space, "--show-cover"]))
+    out.append(("select-unit_ball3-fine", ["select", "--input", str(samples["unit_ball3"]),
+                                           "--space", "unit_ball3", "--delta", "0.1",
+                                           "--show-cover"]))
     out.append(("validate-quick", ["validate", "--quick"]))
     return out
 

@@ -43,11 +43,11 @@ def parent_torus(d: int) -> str:
 # quaternion helpers (array level, used by the batched fast paths as well)
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Fix the sign ambiguity: make the first nonzero component positive."""
+    """Fix the sign ambiguity of rows of any width (quaternions, or circle
+    axes): negate each row whose first nonzero component is negative."""
     q = np.asarray(q, dtype=np.float64)
-    flat = q.reshape(-1, 4)
-    out = flat.copy()
-    for i in range(4):
+    out = q.reshape(-1, q.shape[-1]).copy()
+    for i in range(q.shape[-1]):
         undecided = np.all(out[:, :i] == 0.0, axis=1) if i else np.ones(len(out), bool)
         out[undecided & (out[:, i] < 0.0)] *= -1.0
     return out.reshape(q.shape)
@@ -262,7 +262,7 @@ class ParentGroup:
     """Everything that depends on the parent group: its ``name`` (the key of
     ``ClosedSubgroup.parent``), element variant, the dimension and ``kinds``
     of the spaces it acts on, the principal orbit dimension of the whole
-    group, the tag, identity row and batched metric of its nets, its one
+    group, the identity row and the batched metric of its nets, its one
     batched action ``act_rows(elements, coords)`` (element rows --
     quaternions or shifts -- applied to coordinate rows, broadcasting the
     leading axes of both), and the rules of single element rows:
@@ -279,7 +279,6 @@ class ParentGroup:
     dim: int
     max_orbit_dim: int
     kinds: tuple[SpaceKind, ...]
-    tag: str
     identity_row: tuple[float, ...]
     net_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     act_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -315,13 +314,13 @@ def parent_group(name: str) -> ParentGroup:
     """The entry of a parent name: ``"so3"`` or ``"torus{d}"``."""
     if name == PARENT_SO3:
         return ParentGroup(name, Rotation3, 3, 2, (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2),
-                           "rotation", (1.0, 0.0, 0.0, 0.0), _rotation_angles, quat_rotate,
+                           (1.0, 0.0, 0.0, 0.0), _rotation_angles, quat_rotate,
                            _unit_quaternion, quat_multiply, quat_conjugate, _rotation_distance)
     match = re.fullmatch(r"torus([1-9][0-9]*)", name)
     if match is None:
         raise ConfigError(f"unknown parent group {name!r}")
     d = int(match[1])
-    return ParentGroup(name, TorusShift, d, d, (SpaceKind.TORUS,), "shift", (0.0,) * d,
+    return ParentGroup(name, TorusShift, d, d, (SpaceKind.TORUS,), (0.0,) * d,
                        partial(flat_distance_matrix, wrap=True), _shift_rows,
                        _canonical_shift, np.add, np.negative, _shift_distance)
 

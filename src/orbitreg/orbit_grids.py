@@ -120,7 +120,7 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     singular = entry.singular(group, xs)
     side = entry.side(group, xs)
     rungs = np.where(singular, 1, np.floor(side / (2.0 * h)).astype(np.int64) + 1)
-    k = entry.orbit_dim(group, space)
+    k = entry.orbit_dim(group)
     counts = rungs**k
     row = np.repeat(np.arange(len(xs)), counts)
     rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -38,6 +38,7 @@ from .spaces import query_rows
 from .subgroups import (
     ClosedSubgroup,
     SubgroupFamily,
+    canonical_cover,
     orbit_dimension,
     orbit_quadrature_coords,
     quadrature_count,
@@ -61,12 +62,13 @@ class SelectionInput:
     bandwidth class, at that class's bandwidth, and scores each
     candidate's orbit average of it on ``holdout``.  The bandwidths use
     the size of ``fit_data``, and orbit grids span the whole subgroup.
-    Inputs are checked here: a ``fit_data`` that is not a nonempty
-    :class:`Dataset`, a bandwidth constant ``a`` that is not finite and
-    positive, or a cover entry that is not a :class:`ClosedSubgroup`,
-    raises :class:`ConfigError`; a ``fit_data`` in another space than
-    ``holdout`` raises :class:`SpaceMismatchError`; a cover subgroup
-    whose parent does not act on ``holdout``'s space raises
+    Inputs are checked here: a ``holdout`` that is not a :class:`Dataset`,
+    a ``fit_data`` that is not a nonempty :class:`Dataset`, a bandwidth
+    constant ``a`` that is not finite and positive, or a cover entry that
+    is not a :class:`ClosedSubgroup`, raises :class:`ConfigError`; an
+    empty ``holdout`` raises :class:`EmptyHoldoutError`; a ``fit_data`` in
+    another space than ``holdout`` raises :class:`SpaceMismatchError`; a
+    cover subgroup whose parent does not act on ``holdout``'s space raises
     :class:`IncompatibleActionError`.  The input is frozen, so these
     checks cannot be undone by assigning a field afterwards (that raises
     :class:`dataclasses.FrozenInstanceError`).
@@ -80,6 +82,10 @@ class SelectionInput:
     symmetriser: str = "grid"
 
     def __post_init__(self):
+        if not isinstance(self.holdout, Dataset):
+            raise ConfigError(f"holdout must be a Dataset, got {type(self.holdout).__name__}")
+        if len(self.holdout) == 0:
+            raise EmptyHoldoutError("the symmetry search needs a nonempty holdout sample")
         if not isinstance(self.fit_data, Dataset):
             raise ConfigError(f"fit_data must be a Dataset, got {type(self.fit_data).__name__}")
         if self.fit_data.space != self.holdout.space:
@@ -218,11 +224,11 @@ def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgr
 def global_ems(inp: SelectionInput) -> SymmetrySelection:
     """Error Minimising Symmetry over the holdout sample.
 
-    An empty holdout sample raises :class:`EmptyHoldoutError`.
+    The cover is searched as :func:`orbitreg.subgroups.canonical_cover`
+    gives it, so the error table lists a
+    :func:`orbitreg.subgroups.delta_cover` in its order.
     """
-    if len(inp.holdout) == 0:
-        raise EmptyHoldoutError("the symmetry search needs a nonempty holdout sample")
-    cover = _canonical_cover(inp.cover)
+    cover = canonical_cover(inp.cover)
     bw = {group: _candidate_bandwidth(inp, group) for group in cover}
     by_bandwidth: dict[float, list[ClosedSubgroup]] = {}
     for group in cover:
@@ -233,14 +239,6 @@ def global_ems(inp: SelectionInput) -> SymmetrySelection:
     errors = {group: errors[group] for group in cover}
     chosen = _argmin_with_ties(errors, inp.holdout.space)
     return SymmetrySelection(chosen, bw[chosen], errors, bandwidth_by_group=bw)
-
-
-def _canonical_cover(cover: Sequence[ClosedSubgroup]) -> list[ClosedSubgroup]:
-    """The first subgroup of each canonical key, in key order."""
-    by_key: dict = {}
-    for g in cover:
-        by_key.setdefault(g.canonical_key(), g)
-    return [by_key[key] for key in sorted(by_key)]
 
 
 class BestSymmetricPredictor:

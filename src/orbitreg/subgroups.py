@@ -52,6 +52,7 @@ from .groups import (
     cross,
     parent_group,
     parent_torus,
+    quat_canonical,
     quat_from_axis_angle,
 )
 from .randomness import polar_gaussian
@@ -84,9 +85,11 @@ class ClosedSubgroup:
         return np.asarray(self.direction, dtype=np.float64)
 
     def canonical_key(self) -> tuple:
-        """Deterministic sort key: family rank first, then parameters."""
+        """Deterministic sort key: family rank first, then parameters (axes
+        rounded to 9 digits, so circles whose axes agree to that many name
+        one candidate)."""
         if self.axis is not None:
-            params = tuple(round(a, 12) for a in self.axis)
+            params = tuple(round(a, 9) for a in self.axis)
         else:
             params = self.direction or self.mask or ()
         return (FAMILY_TABLE[self.family].rank, self.family.value, params)
@@ -107,8 +110,7 @@ def circle3(axis) -> ClosedSubgroup:
     norm = np.linalg.norm(u)
     if u.shape != (3,) or not abs(norm - 1.0) <= 1e-9:  # NaN fails the comparison
         raise ConfigError("circle3 axis must be a unit 3-vector")
-    u = u / norm
-    u = _canonical_axis(u)
+    u = quat_canonical(u / norm)  # u and -u generate the same circle
     return ClosedSubgroup(SubgroupFamily.CIRCLE3, PARENT_SO3, axis=tuple(float(c) for c in u))
 
 
@@ -144,24 +146,13 @@ def axis_translations(d: int, mask) -> ClosedSubgroup:
     return ClosedSubgroup(SubgroupFamily.AXIS_TRANSLATIONS, parent_torus(d), mask=mask)
 
 
-def _canonical_axis(u: np.ndarray) -> np.ndarray:
-    # u and -u generate the same circle of rotations.  This loop repeats
-    # the sign rule of groups.quat_canonical for one 3-vector: through that
-    # vectorised form, building the two shrinking-delta covers (393 and 667
-    # circles) took 63 ms instead of 14 ms on a 2-core x86 machine.
-    for c in u:
-        if c != 0.0:
-            return u if c > 0.0 else -u
-    return u
-
-
 # ---------------------------------------------------------------------------
 # orbit dimension
 
 def orbit_dimension(group: ClosedSubgroup, space: CovariateSpace) -> int:
     """Dimension of a principle orbit of the subgroup's action on the space."""
     parent_group(group.parent).check_acts_on(space)
-    return FAMILY_TABLE[group.family].orbit_dim(group, space)
+    return FAMILY_TABLE[group.family].orbit_dim(group)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +189,11 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
 
     ``groups`` is one subgroup or a sequence of them; a sequence gives the
     nodes of each subgroup in turn (subgroup, then row, then node) in one
-    array, and one count per subgroup and row.  The nodes of consecutive
-    subgroups of one parent with one node count are generated together
-    and written in place: one ``act_rows`` per step of about
-    ``CHUNK_ELEMENTS`` points (one subgroup's nodes at least), so no
-    per-subgroup array is built and stacked.  Each point has the bits the
-    subgroup's own call gives it.  The full rotation group keeps its own
-    Fibonacci generator.
+    array, and one count per subgroup and row.  Consecutive subgroups of
+    one family with one node count form a run, and each step of about
+    ``CHUNK_ELEMENTS`` points (one subgroup's nodes at least) of a run is
+    one call of the family's ``quadrature``, written in place.  Each point
+    has the bits the subgroup's own call gives it.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     groups = [groups] if isinstance(groups, ClosedSubgroup) else list(groups)
@@ -212,19 +201,11 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     sizes = [quadrature_count(g) for g in groups]
     coords = np.empty((rows * sum(sizes), width))
     start = 0
-    # runs of consecutive subgroups with one parent, one node count and,
-    # for the full rotation group only, their own generator
-    for (parent, size, own), run in itertools.groupby(zip(groups, sizes), lambda pair: (
-            pair[0].parent, pair[1], FAMILY_TABLE[pair[0].family].quadrature)):
-        run = [group for group, _ in run]
-        if own is None:
-            nodes = np.stack([FAMILY_TABLE[g.family].nodes(g) for g in run])[:, None, :, :]
-            step = max(1, CHUNK_ELEMENTS // max(rows * size, 1))
-            blocks = (parent_group(parent).act_rows(nodes[i : i + step], xs[None, :, None, :])
-                      for i in range(0, len(run), step))
-        else:
-            blocks = (own(g, xs) for g in run)
-        for block in blocks:
+    for (family, size), run in itertools.groupby(groups, lambda g: (g.family, quadrature_count(g))):
+        run = list(run)
+        step = max(1, CHUNK_ELEMENTS // max(rows * size, 1))
+        for i in range(0, len(run), step):
+            block = FAMILY_TABLE[family].quadrature(run[i : i + step], xs)
             stop = start + block.size // width
             coords[start:stop] = block.reshape(-1, width)
             start = stop
@@ -260,11 +241,13 @@ class FamilyEntry:
     """Everything that depends on a subgroup's family, in one place.
 
     An entry states the canonical ``rank`` (trivial 0, one-parameter 1,
-    full group 2).  Its methods take the subgroup ``g`` first; ``xs`` is
-    row-stacked coordinates:
+    full group 2).  Its methods take the subgroup ``g`` first, or a run
+    ``groups`` of subgroups of the family; ``xs`` is row-stacked
+    coordinates:
 
     * ``describe``: the catalog line;
-    * ``orbit_dim``: principal orbit dimension (``dim`` where it is fixed);
+    * ``orbit_dim(g)``: principal orbit dimension (``dim`` where it is
+      fixed);
     * ``singular``: rows whose orbit is the point itself;
     * ``side``: per-row side of the hypercube in the orbit's tangent shadow;
     * ``place(g, xs, row, offsets)``: projects tangent-shadow
@@ -275,15 +258,18 @@ class FamilyEntry:
       the row ``target`` of ``space`` (within 1e-9);
     * ``haar(g, rng, shape)``: Haar draws as element rows (quaternions or
       shifts) of shape ``shape + (row width,)``;
-    * ``nodes(g)``: the fixed quadrature elements as element rows (the
-      circle and translation entries take an optional node ``count``,
-      which their nets reuse); :func:`orbit_quadrature_coords` applies
-      them to the rows through the parent's ``act_rows``;
+    * ``nodes(groups)``: the fixed quadrature elements of each subgroup
+      as element rows, shaped (subgroups, nodes, row width) and built from
+      the stacked parameters (the circle and translation entries take an
+      optional node ``count``, which their nets reuse as
+      ``nodes([g], count)[0]``);
     * ``node_count(g)``: quadrature nodes per row (by default the number
       of ``nodes``);
-    * ``quadrature(g, xs)``: None, except for the full rotation group,
-      whose nodes are a Fibonacci lattice on each row's sphere, not fixed
-      elements: its orbit nodes, row by row;
+    * ``quadrature(groups, xs)``: the quadrature points of each subgroup
+      on each row, shaped (subgroups, rows, nodes, row width): by default
+      the ``nodes`` applied through the parent's ``act_rows``; the full
+      rotation group, whose nodes are a Fibonacci lattice on each row's
+      sphere, not fixed elements, overrides it;
     * ``net``: an eps-net of the subgroup as element rows.
 
     Orbit samples, single Haar draws, quadrature points and translation
@@ -296,16 +282,18 @@ class FamilyEntry:
     def describe(self, g: ClosedSubgroup) -> str:
         return f"{g.family.value} parent={g.parent}"
 
-    def orbit_dim(self, g: ClosedSubgroup, space: CovariateSpace) -> int:
+    def orbit_dim(self, g: ClosedSubgroup) -> int:
         return self.dim
 
     def singular(self, g: ClosedSubgroup, xs: np.ndarray) -> np.ndarray:
         return np.zeros(len(xs), dtype=bool)
 
     def node_count(self, g: ClosedSubgroup) -> int:
-        return len(self.nodes(g))
+        return self.nodes([g]).shape[1]
 
-    quadrature = None
+    def quadrature(self, groups: Sequence[ClosedSubgroup], xs: np.ndarray) -> np.ndarray:
+        return parent_group(groups[0].parent).act_rows(self.nodes(groups)[:, None],
+                                                       xs[None, :, None, :])
 
 
 def _lattice(values: np.ndarray, k: int) -> np.ndarray:
@@ -320,9 +308,15 @@ def _tangent_frame(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orthogonal to it, and the cross product."""
     k = np.argmin(np.abs(unit), axis=1)
     e1 = np.eye(3)[k] - unit * unit[np.arange(len(unit)), k][:, None]
-    # the matmul form of the norm rounds like a one-row dot product
-    e1 /= np.sqrt(e1[:, None, :] @ e1[:, :, None])[:, 0]
+    e1 /= _row_norms(e1)
     return e1, cross(unit, e1)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``a``, as a column.  The matmul form
+    rounds like the one-row norm (``np.linalg.norm`` of a vector);
+    ``norm(axis=1)`` and ``einsum`` move the last bit of some rows."""
+    return np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0]
 
 
 def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
@@ -362,11 +356,11 @@ class _Trivial(FamilyEntry):
         identity = parent_group(g.parent).identity_row
         return np.broadcast_to(identity, shape + (len(identity),))
 
-    def nodes(self, g):
-        return np.array([parent_group(g.parent).identity_row])
+    def nodes(self, groups):
+        return np.tile(parent_group(groups[0].parent).identity_row, (len(groups), 1, 1))
 
     def net(self, g, eps):
-        return self.nodes(g)
+        return self.nodes([g])[0]
 
 
 class _Circle(FamilyEntry):
@@ -424,15 +418,16 @@ class _Circle(FamilyEntry):
     def haar(self, g, rng, shape):
         return quat_from_axis_angle(g.axis_array(), rng.random(shape) * 2.0 * np.pi)
 
-    def nodes(self, g, count=_QUADRATURE_1D):
+    def nodes(self, groups, count=_QUADRATURE_1D):
+        axes = np.array([g.axis for g in groups])[:, None, :]
         theta = np.arange(count) * (2.0 * np.pi / count)
-        return quat_from_axis_angle(g.axis_array(), theta)
+        return quat_from_axis_angle(axes, np.broadcast_to(theta, (len(groups), count)))
 
     def node_count(self, g):  # without building the nodes
         return _QUADRATURE_1D
 
     def net(self, g, eps):
-        return self.nodes(g, max(int(np.ceil(2.0 * np.pi / eps)), 1))
+        return self.nodes([g], max(int(np.ceil(2.0 * np.pi / eps)), 1))[0]
 
 
 class _FullSO3(FamilyEntry):
@@ -475,10 +470,10 @@ class _FullSO3(FamilyEntry):
     def node_count(self, g):
         return _QUADRATURE_2D
 
-    def quadrature(self, g, xs):
-        nodes = fibonacci_sphere(_QUADRATURE_2D)
+    def quadrature(self, groups, xs):
         radii = np.linalg.norm(xs, axis=1)
-        return radii[:, None, None] * nodes[None, :, :]
+        points = radii[:, None, None] * fibonacci_sphere(_QUADRATURE_2D)[None, :, :]
+        return np.broadcast_to(points, (len(groups),) + points.shape)
 
     def net(self, g, eps):
         return _so3_net(eps)
@@ -495,7 +490,7 @@ class _TorusTranslations(FamilyEntry):
     ``round(nodes ** (1/k))`` (at least 2) nodes on each parameter axis,
     with 24 nodes on a one-dimensional orbit and 64 otherwise."""
 
-    def orbit_dim(self, g, space):
+    def orbit_dim(self, g):
         return len(self.generators(g))
 
     def side(self, g, xs):
@@ -510,8 +505,13 @@ class _TorusTranslations(FamilyEntry):
         gens = self.generators(g)
         return rng.random(shape + (len(gens),)) @ gens
 
-    def nodes(self, g, count=None):
-        gens = self.generators(g)
+    def nodes(self, groups, count=None):
+        # sub-tori of different dimensions may share a node count, so each
+        # subgroup's generators meet their own lattice
+        return np.stack([self._nodes(self.generators(g), count) for g in groups])
+
+    @staticmethod
+    def _nodes(gens, count):
         k = len(gens)
         if count is None:
             count = max(int(round((_QUADRATURE_1D if k == 1 else _QUADRATURE_2D) ** (1.0 / k))), 2)
@@ -522,7 +522,7 @@ class _TorusTranslations(FamilyEntry):
         # sqrt(k) |generator| / count <= eps (the rows share one length)
         gens = self.generators(g)
         count = max(int(np.ceil(np.sqrt(len(gens)) * float(np.linalg.norm(gens[0])) / eps)), 1)
-        return wrap_rows(self.nodes(g, count))
+        return wrap_rows(self.nodes([g], count)[0])
 
 
 class _TorusLine(_TorusTranslations):
@@ -589,8 +589,8 @@ FAMILY_TABLE: dict[SubgroupFamily, FamilyEntry] = {
 # ---------------------------------------------------------------------------
 # finite nets of subgroups
 
-def subgroup_net(group: ClosedSubgroup, eps: float) -> tuple[str, np.ndarray]:
-    """Finite net of the subgroup ``G``, tagged by element variant.
+def subgroup_net(group: ClosedSubgroup, eps: float) -> np.ndarray:
+    """Finite net of the subgroup ``G`` as element rows.
 
     Every element of G lies within ``eps`` of a net point in the group
     metric.  Rotations are returned as (n, 4) unit quaternions,
@@ -598,7 +598,7 @@ def subgroup_net(group: ClosedSubgroup, eps: float) -> tuple[str, np.ndarray]:
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError("net resolution must be finite and positive")
-    return parent_group(group.parent).tag, FAMILY_TABLE[group.family].net(group, eps)
+    return FAMILY_TABLE[group.family].net(group, eps)
 
 
 def _so3_net(eps: float) -> np.ndarray:
@@ -682,8 +682,8 @@ def hausdorff_U_distance(g: ClosedSubgroup, h: ClosedSubgroup,
     if g.parent != h.parent:
         raise IncompatibleActionError(f"subgroups of different parents: {g.parent} vs {h.parent}")
     metric = parent_group(g.parent).net_distance
-    _, net_a = subgroup_net(g, net_resolution)
-    _, net_b = subgroup_net(h, net_resolution)
+    net_a = subgroup_net(g, net_resolution)
+    net_b = subgroup_net(h, net_resolution)
     return float(max(_sup_inf(metric, net_a, net_b), _sup_inf(metric, net_b, net_a)))
 
 
@@ -704,15 +704,18 @@ def delta_cover(parent: str, space: CovariateSpace, delta: float) -> list[Closed
     Every closed connected subgroup of the parent is within ``delta`` of
     some returned subgroup in the Hausdorff metric.  The cover always
     contains the trivial group and the full parent group, so each orbit
-    dimension stratum is represented.
+    dimension stratum is represented.  It is returned as
+    :func:`canonical_cover` gives it: one subgroup per canonical key, in
+    key order, the order :func:`orbitreg.selection.global_ems` reports.
 
     On ``so3`` the circles are the rotations about the axes of
     ``sphere_net(delta / 2)``.  Circles whose axes are psi apart lie within
     Hausdorff distance 2 psi, and the net has a point within delta / 2 of
     every unit vector, so every circle is within delta of a cover circle.
     The axes u and -u name the same circle, so each net point is put in
-    canonical sign and an antipodal pair of net points is kept once.  On
-    ``torus2`` the lines are those of :func:`_torus_line_grid`.  A delta
+    canonical sign, and an antipodal pair of net points (one canonical
+    key) is kept once.  On ``torus2`` the lines are those of
+    :func:`_torus_line_grid`.  A delta
     whose cover would enumerate more than ``_MAX_COVER_CANDIDATES`` net
     points or direction pairs (counted in closed form from delta) raises
     :class:`ConfigError` before anything is built.
@@ -721,10 +724,18 @@ def delta_cover(parent: str, space: CovariateSpace, delta: float) -> list[Closed
         raise ConfigError("delta must be finite and positive")
     parent_group(parent).check_acts_on(space)
     if parent == PARENT_SO3:
-        return [trivial_subgroup(parent)] + _circle_axis_cover(delta) + [full_so3()]
+        return canonical_cover([trivial_subgroup(parent), *_circle_axis_cover(delta), full_so3()])
     if parent == parent_torus(2):
-        return [trivial_subgroup(parent)] + _torus_line_grid(delta) + [full_torus(2)]
+        return canonical_cover([trivial_subgroup(parent), *_torus_line_grid(delta), full_torus(2)])
     raise ConfigError(f"no cover construction for parent group {parent!r}")
+
+
+def canonical_cover(cover: Sequence[ClosedSubgroup]) -> list[ClosedSubgroup]:
+    """The first subgroup of each canonical key, in key order."""
+    by_key: dict = {}
+    for g in cover:
+        by_key.setdefault(g.canonical_key(), g)
+    return [by_key[key] for key in sorted(by_key)]
 
 
 # The most candidates a cover may enumerate: the net points of the axis
@@ -742,19 +753,17 @@ def _check_cover_size(delta: float, candidates: float) -> None:
 
 
 def _circle_axis_cover(delta: float) -> list[ClosedSubgroup]:
-    """The circles about the axes of ``sphere_net(delta / 2)``, one per
-    antipodal pair, in canonical order (see :func:`delta_cover`)."""
+    """The circles about the axes of ``sphere_net(delta / 2)``, one per net
+    point, each axis as :func:`circle3` makes it (normalised, in canonical
+    sign, normalised again); :func:`delta_cover` keeps one per key."""
     # the net's bands, and points per band, number at most pi / s + 1 and
     # 2 pi / s + 1, where s = delta / sqrt(2) is its band height
     s = delta / math.sqrt(2.0)
     _check_cover_size(delta, (math.pi / s + 1.0) * (2.0 * math.pi / s + 1.0))
-    seen: dict[tuple, ClosedSubgroup] = {}
-    for u in sphere_net(delta / 2.0):
-        u = _canonical_axis(u / np.linalg.norm(u))
-        key = tuple(np.round(u, 9))
-        if key not in seen:
-            seen[key] = circle3(u)
-    return [seen[k] for k in sorted(seen)]
+    axes = sphere_net(delta / 2.0)
+    axes = quat_canonical(axes / _row_norms(axes))
+    axes = axes / _row_norms(axes)
+    return [ClosedSubgroup(SubgroupFamily.CIRCLE3, PARENT_SO3, axis=tuple(u)) for u in axes.tolist()]
 
 
 def _torus_line_grid(delta: float) -> list[ClosedSubgroup]:
@@ -763,7 +772,7 @@ def _torus_line_grid(delta: float) -> list[ClosedSubgroup]:
     A line with direction (p, q) covers the torus to within
     1 / (2 sqrt(p^2 + q^2)), so longer lines are within delta of the full
     torus and can be dropped; the remaining low-denominator directions are
-    kept exactly.
+    kept exactly, each once, in (p, q) order.
     """
     _check_cover_size(delta, (1.0 / delta + 1.0) * (2.0 / delta + 1.0))
     bound_sq = (1.0 / delta) ** 2
@@ -777,7 +786,7 @@ def _torus_line_grid(delta: float) -> list[ClosedSubgroup]:
                 continue
             if p * p + q * q <= bound_sq and not (p == 0 and q == 0):
                 lines.append(torus_line(p, q))
-    return sorted(set(lines), key=lambda g: g.canonical_key())
+    return lines
 
 
 def delta_schedule(n: int, beta: float, d: int, d_max: int) -> float:

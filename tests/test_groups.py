@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitreg import (
     InvalidElementError,
@@ -164,6 +165,20 @@ class TestCanonicalisation:
     def test_first_nonzero_component_positive(self):
         q = quat_canonical(np.array([0.0, -1.0, 0.0, 0.0]))
         assert q[1] == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 4).flatmap(lambda width: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0), min_size=width,
+                 max_size=width), min_size=1, max_size=8)))
+    def test_sign_rule_on_rows_of_any_width(self, rows):
+        # axes (width 3) and quaternions (width 4), with zeros and -0.0
+        rows = np.array(rows)
+        out = quat_canonical(rows)
+        for row, canonical in zip(rows, out):
+            assert canonical.tobytes() in (row.tobytes(), (-row).tobytes())
+            nonzero = canonical[canonical != 0.0]
+            assert nonzero.size == 0 or nonzero[0] > 0.0
+        assert quat_canonical(out).tobytes() == out.tobytes()
 
     def test_negated_identity_rotation_hashes_as_the_identity(self):
         # the inverse negates the vector part of [1, 0, 0, 0] into -0.0

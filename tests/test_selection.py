@@ -144,6 +144,19 @@ class TestGlobalSearch:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SelectionInput(holdout=noiseless_holdout(f1, 10, 3), cover=SMALL_COVER, fit_data=fit_data)
 
+    @pytest.mark.parametrize("holdout, message", [
+        (None, "holdout must be a Dataset, got NoneType"),
+        (np.zeros((10, 3)), "holdout must be a Dataset, got ndarray"),
+    ], ids=["none", "array"])
+    def test_holdout_must_be_a_dataset(self, holdout, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=noiseless_holdout(f1, 10, 3))
+
+    def test_empty_holdout_raises_where_the_input_is_built(self):
+        empty = Dataset(BALL, np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(EmptyHoldoutError):
+            SelectionInput(holdout=empty, cover=SMALL_COVER, fit_data=noiseless_holdout(f1, 10, 103))
+
     @pytest.mark.parametrize("a", [np.inf, 0.0, -1.0, np.nan])
     def test_bandwidth_constant_must_be_finite_and_positive(self, a):
         holdout = noiseless_holdout(f1, 10, 3)

@@ -28,7 +28,7 @@ from orbitreg import (
 )
 from orbitreg import subgroups
 from orbitreg.errors import IncompatibleActionError
-from orbitreg.groups import parent_group, quat_rotation_angle
+from orbitreg.groups import parent_group, quat_from_axis_angle, quat_rotation_angle
 from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.randomness import polar_gaussian
 from orbitreg.subgroups import (
@@ -166,8 +166,7 @@ class TestSampling:
 class TestNets:
     def test_circle_net_radius(self):
         group = circle3([0.0, 1.0, 0.0])
-        kind, net = subgroup_net(group, eps=0.1)
-        assert kind == "rotation"
+        net = subgroup_net(group, eps=0.1)
         rng = substream(0, "netcheck")
         for _ in range(200):
             g = sample_group(group, rng)
@@ -176,7 +175,7 @@ class TestNets:
             assert dist.min() <= 0.1
 
     def test_so3_net_radius(self):
-        kind, net = subgroup_net(full_so3(), eps=0.35)
+        net = subgroup_net(full_so3(), eps=0.35)
         rng = substream(0, "so3check")
         worst = 0.0
         for _ in range(300):
@@ -195,8 +194,7 @@ class TestNets:
 
     def test_torus_line_net_radius(self):
         group = torus_line(2, 1)
-        kind, net = subgroup_net(group, eps=0.05)
-        assert kind == "shift"
+        net = subgroup_net(group, eps=0.05)
         rng = substream(0, "linecheck")
         for _ in range(200):
             t = rng.random()
@@ -339,12 +337,29 @@ class TestDeltaCover:
         assert hausdorff_U_distance(circle3(u), nearest, net_resolution=eps) <= delta + 2 * eps
 
     def test_so3_cover_sizes_are_pinned(self):
-        # trivial + axis circles + full group at the benchmark scale and the
-        # schedule's scales at n = 30 and 50, and at n = 3000, the largest
-        # cover the size limit must let through
-        deltas = (1.0, *(delta_schedule(n, 1.0, 3, 2) for n in (30, 50, 3000)))
+        # trivial + axis circles + full group at the benchmark scale, at
+        # 0.5 and 0.0548 (where a 12-digit axis key would keep 3 rounding
+        # twins), and at the schedule's scales at n = 30 and 50, and at
+        # n = 3000, the largest cover the size limit must let through
+        deltas = (1.0, 0.5, 0.0548, *(delta_schedule(n, 1.0, 3, 2) for n in (30, 50, 3000)))
         assert ([len(delta_cover(PARENT_SO3, unit_ball3(), d)) for d in deltas]
-                == [36, 393, 667, 6982])
+                == [36, 72, 6889, 393, 667, 6982])
+
+    @pytest.mark.parametrize("delta", [2.0, 1.0, 0.5, 0.25, 0.05,
+                                       *(delta_schedule(n, 1.0, 3, 2) for n in (30, 50, 300))])
+    def test_so3_cover_is_canonical_with_circle3_axes(self, delta):
+        # the batched cover against circle3, one net point at a time: the
+        # first circle of each canonical key, with its axis's bits
+        cover = delta_cover(PARENT_SO3, unit_ball3(), delta)
+        assert subgroups.canonical_cover(cover) == cover
+        by_key = {}
+        for u in sphere_net(delta / 2.0):
+            circle = circle3(u / np.linalg.norm(u))
+            by_key.setdefault(circle.canonical_key(), circle)
+        circles = [g for g in cover if g.family is SubgroupFamily.CIRCLE3]
+        assert len(circles) == len(by_key)
+        for g in circles:
+            assert np.array(g.axis).tobytes() == np.array(by_key[g.canonical_key()].axis).tobytes()
 
     @pytest.mark.parametrize("delta", [1.0, 0.5, 0.2])
     def test_so3_cover_names_each_circle_once(self, delta):
@@ -457,6 +472,38 @@ class TestQuadrature:
                           np.full_like(dense_angles, 0.3)], axis=1)
         assert fn(coords).mean() == pytest.approx(fn(dense).mean(), abs=1e-3)
 
+    @pytest.mark.parametrize("case", ["trivial", "circles", "full_so3", "torus_lines",
+                                      "full_torus", "sub_tori"])
+    def test_a_runs_quadrature_is_its_subgroups_one_by_one(self, case):
+        # one family's run against each subgroup's own call, bit for bit;
+        # the sub-tori of T^4 mix 2- and 3-dimensional lattices of 64 nodes
+        rng = substream(22, "run", case)
+        groups = {
+            "trivial": [trivial_subgroup(PARENT_SO3)] * 3,
+            "circles": [circle3(random_axis(rng)) for _ in range(5)] + [circle3([0.0, -1.0, 0.0])],
+            "full_so3": [full_so3()] * 3,
+            "torus_lines": [torus_line(1, 0), torus_line(1, -1), torus_line(2, 3)],
+            "full_torus": [full_torus(2)] * 2,
+            "sub_tori": [axis_translations(4, [0, 1]), axis_translations(4, [0, 2, 3]),
+                         axis_translations(4, [1, 3])],
+        }[case]
+        parent = parent_group(groups[0].parent)
+        space = torus(parent.dim) if parent.dim != 3 else unit_ball3()
+        xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 9, rng)
+        entry = FAMILY_TABLE[groups[0].family]
+        size = subgroups.quadrature_count(groups[0])
+        run = entry.quadrature(groups, xs)
+        assert run.shape == (len(groups), len(xs), size, xs.shape[1])
+        for block, g in zip(run, groups):
+            assert block.tobytes() == entry.quadrature([g], xs)[0].tobytes()
+        if case == "circles":  # the stacked axes against one axis at a time
+            theta = np.arange(size) * (2.0 * np.pi / size)
+            for nodes, g in zip(entry.nodes(groups), groups):
+                assert nodes.tobytes() == quat_from_axis_angle(g.axis_array(), theta).tobytes()
+        elif case != "full_so3":
+            for nodes, g in zip(entry.nodes(groups), groups):
+                assert nodes.tobytes() == entry.nodes([g])[0].tobytes()
+
     def test_trivial_quadrature_is_the_point(self):
         coords, counts = orbit_quadrature_coords(trivial_subgroup(PARENT_SO3),
                                                  np.array([[0.1, 0.2, 0.3]]))
@@ -473,7 +520,7 @@ class TestQuadrature:
             if g.family is SubgroupFamily.FULL_SO3:
                 pts = np.linalg.norm(xs, axis=1)[:, None, None] * fibonacci_sphere(64)[None]
             else:
-                nodes = FAMILY_TABLE[g.family].nodes(g)
+                nodes = FAMILY_TABLE[g.family].nodes([g])[0]
                 pts = parent_group(g.parent).act_rows(nodes[None, :, :], xs[:, None, :])
             coords.append(pts.reshape(-1, xs.shape[1]))
             counts.append(np.full(len(xs), pts.shape[1]))
