@@ -157,11 +157,12 @@ class RiskRow:
 
 @dataclass
 class RiskReport:
-    """Per-trial risks plus Wald aggregates and log-log slopes."""
+    """Per-trial risks plus Wald aggregates and log-log slopes, which are
+    computed from the rows (so they are not constructor arguments)."""
 
     rows: list[RiskRow]
-    aggregates: dict[tuple[str, int, str], tuple[float, float]] = field(default_factory=dict)
-    slopes: dict[tuple[str, str], float] = field(default_factory=dict)
+    aggregates: dict[tuple[str, int, str], tuple[float, float]] = field(init=False)
+    slopes: dict[tuple[str, str], float] = field(init=False)
 
     def __post_init__(self):
         self.recompute()

@@ -184,15 +184,16 @@ def _orbit_averages(base: Predictor, blocks: Iterable[_Block]) -> Iterator[np.nd
         yield from np.split(means, np.cumsum([len(c) for c in counts])[:-1])
 
 
-def _quadrature_averages(base: Predictor, groups: list[ClosedSubgroup],
+def _quadrature_averages(base: LocalConstantEstimator, groups: list[ClosedSubgroup],
                          xs: np.ndarray) -> Iterator[np.ndarray]:
     """The quadrature-node average of the base predictor over each row of
-    ``xs``, one array per subgroup, in order.  Each pass's nodes come from
-    one :func:`orbit_quadrature_coords` call, written into the one array
-    the pass predicts on; passes are packed by :func:`_passes`."""
-    rows = xs.shape[0]
-    for chunk in _passes(groups, lambda group: rows * quadrature_count(group)):
-        yield from _predict_pass(base, *orbit_quadrature_coords(chunk, xs)).reshape(len(chunk), rows)
+    ``xs``, one array per subgroup, in order, with the node counts at the
+    base's bandwidth.  Each pass's nodes come from one
+    :func:`orbit_quadrature_coords` call, written into the one array the
+    pass predicts on; passes are packed by :func:`_passes`."""
+    rows, h = xs.shape[0], base.h
+    for chunk in _passes(groups, lambda group: rows * quadrature_count(group, h)):
+        yield from _predict_pass(base, *orbit_quadrature_coords(chunk, xs, h)).reshape(len(chunk), rows)
 
 
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],

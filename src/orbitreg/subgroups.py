@@ -20,11 +20,13 @@ of :mod:`orbitreg.orbit_grids` -- lives in one entry of
 element rows (quaternions or shifts); orbit samples, single draws and
 quadrature points are those rows applied through the parent's one batched
 action.  The three translation families share one implementation
-parameterised by their generator rows.  Everything that depends on the
-parent group -- the spaces it acts on, its identity, its dimension, its
-batched action ``act_rows`` and the group metric on nets -- is the
-parent's entry in :func:`orbitreg.groups.parent_group`, looked up from the
-subgroup's ``parent`` name.
+parameterised by their generator rows.  A subgroup's canonical rank,
+catalog line and quadrature node count follow from its orbit dimension
+and parameters, so each is one rule for every family.  Everything that
+depends on the parent group -- the spaces it acts on, its identity, its
+dimension, its batched action ``act_rows`` and the group metric on nets
+-- is the parent's entry in :func:`orbitreg.groups.parent_group`, looked
+up from the subgroup's ``parent`` name.
 
 Subgroups of the same ambient group are compared with the Hausdorff metric
 in the group metric, computed on finite nets of documented resolution.
@@ -85,17 +87,28 @@ class ClosedSubgroup:
         return np.asarray(self.direction, dtype=np.float64)
 
     def canonical_key(self) -> tuple:
-        """Deterministic sort key: family rank first, then parameters (axes
-        rounded to 9 digits, so circles whose axes agree to that many name
-        one candidate)."""
+        """Deterministic sort key: rank first (0 for the trivial group, 2
+        for a subgroup whose orbits are as large as the parent's, 1
+        otherwise), then family and parameters (axes rounded to 9 digits,
+        so circles whose axes agree to that many name one candidate)."""
+        k = FAMILY_TABLE[self.family].orbit_dim(self)
+        rank = 0 if k == 0 else 2 if k == parent_group(self.parent).max_orbit_dim else 1
         if self.axis is not None:
             params = tuple(round(a, 9) for a in self.axis)
         else:
             params = self.direction or self.mask or ()
-        return (FAMILY_TABLE[self.family].rank, self.family.value, params)
+        return (rank, self.family.value, params)
 
     def describe(self) -> str:
-        return FAMILY_TABLE[self.family].describe(self)
+        """The catalog line: the family and whichever parameter is set
+        (floats to 12 significant digits, integers in full), else the
+        parent."""
+        for name in ("axis", "direction", "mask"):
+            values = getattr(self, name)
+            if values is not None:
+                return f"{self.family.value} {name}=" + ",".join(
+                    f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
+        return f"{self.family.value} parent={self.parent}"
 
 
 # ---------------------------------------------------------------------------
@@ -176,45 +189,73 @@ def sample_orbit_coords(group: ClosedSubgroup, x_coords: np.ndarray, m: int,
 
 
 def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
-                            xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                            xs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic near-uniform quadrature nodes on each row's orbit.
 
     Approximates the full orbit average (the symmetrised value) without
-    Monte-Carlo noise: 24 equally spaced angles on circles and other
-    one-dimensional orbits, a 64-point Fibonacci lattice on sphere orbits,
-    and a square lattice of about 64 points (8 x 8 on a 2-torus, 4 x 4 x 4
-    on a 3-torus) on higher-dimensional torus orbits.
+    Monte-Carlo noise, with the node counts of :func:`quadrature_count` at
+    bandwidth ``h``: equally spaced angles on circles, a Fibonacci lattice
+    on sphere orbits, and a square lattice on flat orbits.
     Returns ``(coords, counts)`` shaped like
     :func:`orbitreg.orbit_grids.orbit_coords_batch`.
 
     ``groups`` is one subgroup or a sequence of them; a sequence gives the
     nodes of each subgroup in turn (subgroup, then row, then node) in one
     array, and one count per subgroup and row.  Consecutive subgroups of
-    one family with one node count form a run, and each step of about
+    one family with one node lattice form a run, and each step of about
     ``CHUNK_ELEMENTS`` points (one subgroup's nodes at least) of a run is
     one call of the family's ``quadrature``, written in place.  Each point
-    has the bits the subgroup's own call gives it.
+    has the bits the subgroup's own call gives it.  A bandwidth that is not
+    finite and positive raises :class:`ConfigError`.
     """
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"bandwidth must be finite and positive, got {h}")
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     groups = [groups] if isinstance(groups, ClosedSubgroup) else list(groups)
     rows, width = xs.shape
-    sizes = [quadrature_count(g) for g in groups]
-    coords = np.empty((rows * sum(sizes), width))
+    lattices = [_node_lattice(g, h) for g in groups]
+    counts = [count for _, count in lattices]
+    coords = np.empty((rows * sum(counts), width))
     start = 0
-    for (family, size), run in itertools.groupby(groups, lambda g: (g.family, quadrature_count(g))):
-        run = list(run)
-        step = max(1, CHUNK_ELEMENTS // max(rows * size, 1))
+    for (family, (side, count)), run in itertools.groupby(
+            zip(groups, lattices), lambda item: (item[0].family, item[1])):
+        run = [g for g, _ in run]
+        step = max(1, CHUNK_ELEMENTS // max(rows * count, 1))
         for i in range(0, len(run), step):
-            block = FAMILY_TABLE[family].quadrature(run[i : i + step], xs)
+            block = FAMILY_TABLE[family].quadrature(run[i : i + step], xs, side)
             stop = start + block.size // width
             coords[start:stop] = block.reshape(-1, width)
             start = stop
-    return coords, np.repeat(np.asarray(sizes, dtype=np.int64), rows)
+    return coords, np.repeat(np.asarray(counts, dtype=np.int64), rows)
 
 
-def quadrature_count(group: ClosedSubgroup) -> int:
-    """Nodes per row that :func:`orbit_quadrature_coords` gives ``group``."""
-    return FAMILY_TABLE[group.family].node_count(group)
+def quadrature_count(group: ClosedSubgroup, h: float) -> int:
+    """Nodes per row that :func:`orbit_quadrature_coords` gives ``group``
+    at bandwidth ``h``.
+
+    An orbit of dimension k = 0 gets one node.  Otherwise each of the k
+    parameter axes gets ``p = max(round(m ** (1/k)), 2)`` nodes, where m is
+    24 on a one-dimensional orbit and 64 otherwise, so a row gets ``p ** k``
+    nodes: 24 on circles and lines, 64 on spheres and 2- and 3-tori.  A
+    torus line of length L gets ``max(24, ceil(L / 2h))``, so its nodes
+    are at most 2h apart and its node average of ``exp(2 pi i k.x)`` is
+    exact for every frequency ``|k| < 1 / 2h`` (with 24 nodes, a line
+    whose direction agrees with (1, 1) mod 24 would share its nodes).
+    """
+    return _node_lattice(group, h)[1]
+
+
+def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
+    """``(p, p ** k)``: the quadrature nodes per parameter axis and per row
+    of :func:`quadrature_count`."""
+    k = FAMILY_TABLE[group.family].orbit_dim(group)
+    if k == 0:
+        return 1, 1
+    if group.family is SubgroupFamily.TORUS_LINE:
+        side = max(_QUADRATURE_1D, math.ceil(math.hypot(*group.direction) / (2.0 * h)))
+    else:
+        side = max(round((_QUADRATURE_1D if k == 1 else _QUADRATURE_2D) ** (1.0 / k)), 2)
+    return side, side ** k
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -233,19 +274,20 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 _SINGULAR_TOL = 1e-9
 _RECOVER_TOL = 1e-9  # largest orbit deviation a recovered element may leave
 _QUADRATURE_1D = 24  # quadrature nodes on a one-dimensional orbit
-_QUADRATURE_2D = 64  # on a sphere orbit; flat orbits round it to a square lattice
+_QUADRATURE_2D = 64  # about this many on a higher-dimensional one
 _TORUS_SHADOW_SIDE = 0.5  # stays within the wrap metric's injectivity radius
 
 
 class FamilyEntry:
     """Everything that depends on a subgroup's family, in one place.
 
-    An entry states the canonical ``rank`` (trivial 0, one-parameter 1,
-    full group 2).  Its methods take the subgroup ``g`` first, or a run
-    ``groups`` of subgroups of the family; ``xs`` is row-stacked
-    coordinates:
+    What follows from the orbit dimension and the parameters alone -- the
+    canonical rank, the catalog line and the quadrature node counts -- is
+    derived once, in :meth:`ClosedSubgroup.canonical_key`,
+    :meth:`ClosedSubgroup.describe` and :func:`quadrature_count`.  An
+    entry's methods take the subgroup ``g`` first, or a run ``groups`` of
+    subgroups of the family; ``xs`` is row-stacked coordinates:
 
-    * ``describe``: the catalog line;
     * ``orbit_dim(g)``: principal orbit dimension (``dim`` where it is
       fixed);
     * ``singular``: rows whose orbit is the point itself;
@@ -258,18 +300,17 @@ class FamilyEntry:
       the row ``target`` of ``space`` (within 1e-9);
     * ``haar(g, rng, shape)``: Haar draws as element rows (quaternions or
       shifts) of shape ``shape + (row width,)``;
-    * ``nodes(groups)``: the fixed quadrature elements of each subgroup
-      as element rows, shaped (subgroups, nodes, row width) and built from
-      the stacked parameters (the circle and translation entries take an
-      optional node ``count``, which their nets reuse as
+    * ``nodes(groups, count)``: the fixed quadrature elements of each
+      subgroup as element rows, ``count`` per parameter axis, shaped
+      (subgroups, nodes, row width) and built from the stacked parameters
+      (the circle and translation nets reuse them as
       ``nodes([g], count)[0]``);
-    * ``node_count(g)``: quadrature nodes per row (by default the number
-      of ``nodes``);
-    * ``quadrature(groups, xs)``: the quadrature points of each subgroup
-      on each row, shaped (subgroups, rows, nodes, row width): by default
-      the ``nodes`` applied through the parent's ``act_rows``; the full
-      rotation group, whose nodes are a Fibonacci lattice on each row's
-      sphere, not fixed elements, overrides it;
+    * ``quadrature(groups, xs, count)``: the quadrature points of each
+      subgroup on each row, ``count`` nodes per parameter axis, shaped
+      (subgroups, rows, nodes, row width): by default the ``nodes``
+      applied through the parent's ``act_rows``; the full rotation group,
+      whose nodes are a Fibonacci lattice on each row's sphere, not fixed
+      elements, overrides it;
     * ``net``: an eps-net of the subgroup as element rows.
 
     Orbit samples, single Haar draws, quadrature points and translation
@@ -277,22 +318,15 @@ class FamilyEntry:
     entry writes the parent's action itself.
     """
 
-    rank = 1
-
-    def describe(self, g: ClosedSubgroup) -> str:
-        return f"{g.family.value} parent={g.parent}"
-
     def orbit_dim(self, g: ClosedSubgroup) -> int:
         return self.dim
 
     def singular(self, g: ClosedSubgroup, xs: np.ndarray) -> np.ndarray:
         return np.zeros(len(xs), dtype=bool)
 
-    def node_count(self, g: ClosedSubgroup) -> int:
-        return self.nodes([g]).shape[1]
-
-    def quadrature(self, groups: Sequence[ClosedSubgroup], xs: np.ndarray) -> np.ndarray:
-        return parent_group(groups[0].parent).act_rows(self.nodes(groups)[:, None],
+    def quadrature(self, groups: Sequence[ClosedSubgroup], xs: np.ndarray,
+                   count: int) -> np.ndarray:
+        return parent_group(groups[0].parent).act_rows(self.nodes(groups, count)[:, None],
                                                        xs[None, :, None, :])
 
 
@@ -337,7 +371,6 @@ def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
 
 
 class _Trivial(FamilyEntry):
-    rank = 0
     dim = 0
 
     def side(self, g, xs):
@@ -356,20 +389,17 @@ class _Trivial(FamilyEntry):
         identity = parent_group(g.parent).identity_row
         return np.broadcast_to(identity, shape + (len(identity),))
 
-    def nodes(self, groups):
+    def nodes(self, groups, count):
         return np.tile(parent_group(groups[0].parent).identity_row, (len(groups), 1, 1))
 
     def net(self, g, eps):
-        return self.nodes([g])[0]
+        return self.nodes([g], 1)[0]
 
 
 class _Circle(FamilyEntry):
     """Rotations about one axis; orbits are circles around the axis."""
 
     dim = 1
-
-    def describe(self, g):
-        return "circle3 axis=" + ",".join(f"{a:.12g}" for a in g.axis)
 
     @staticmethod
     def _split(g, xs):
@@ -418,13 +448,10 @@ class _Circle(FamilyEntry):
     def haar(self, g, rng, shape):
         return quat_from_axis_angle(g.axis_array(), rng.random(shape) * 2.0 * np.pi)
 
-    def nodes(self, groups, count=_QUADRATURE_1D):
+    def nodes(self, groups, count):
         axes = np.array([g.axis for g in groups])[:, None, :]
         theta = np.arange(count) * (2.0 * np.pi / count)
         return quat_from_axis_angle(axes, np.broadcast_to(theta, (len(groups), count)))
-
-    def node_count(self, g):  # without building the nodes
-        return _QUADRATURE_1D
 
     def net(self, g, eps):
         return self.nodes([g], max(int(np.ceil(2.0 * np.pi / eps)), 1))[0]
@@ -433,7 +460,6 @@ class _Circle(FamilyEntry):
 class _FullSO3(FamilyEntry):
     """All rotations; orbits are spheres about the origin."""
 
-    rank = 2
     dim = 2
 
     def singular(self, g, xs):
@@ -467,12 +493,10 @@ class _FullSO3(FamilyEntry):
         norms[norms == 0.0] = 1.0
         return q / norms
 
-    def node_count(self, g):
-        return _QUADRATURE_2D
-
-    def quadrature(self, groups, xs):
+    def quadrature(self, groups, xs, count):
+        # the lattice's count ** 2 nodes, spread as a Fibonacci lattice
         radii = np.linalg.norm(xs, axis=1)
-        points = radii[:, None, None] * fibonacci_sphere(_QUADRATURE_2D)[None, :, :]
+        points = radii[:, None, None] * fibonacci_sphere(count ** self.dim)[None, :, :]
         return np.broadcast_to(points, (len(groups),) + points.shape)
 
     def net(self, g, eps):
@@ -486,9 +510,7 @@ class _TorusTranslations(FamilyEntry):
     cube [0, 1)^k.  Grid offsets run along the unit generators and wrap
     into [0, 1); the shadow is capped at side 1/2: offsets of at most 1/4
     per coordinate stay inside the injectivity radius of the wrapped
-    metric, so distances remain exactly Euclidean.  Quadrature puts
-    ``round(nodes ** (1/k))`` (at least 2) nodes on each parameter axis,
-    with 24 nodes on a one-dimensional orbit and 64 otherwise."""
+    metric, so distances remain exactly Euclidean."""
 
     def orbit_dim(self, g):
         return len(self.generators(g))
@@ -505,17 +527,9 @@ class _TorusTranslations(FamilyEntry):
         gens = self.generators(g)
         return rng.random(shape + (len(gens),)) @ gens
 
-    def nodes(self, groups, count=None):
-        # sub-tori of different dimensions may share a node count, so each
-        # subgroup's generators meet their own lattice
-        return np.stack([self._nodes(self.generators(g), count) for g in groups])
-
-    @staticmethod
-    def _nodes(gens, count):
-        k = len(gens)
-        if count is None:
-            count = max(int(round((_QUADRATURE_1D if k == 1 else _QUADRATURE_2D) ** (1.0 / k))), 2)
-        return _lattice(np.arange(count) / count, k) @ gens
+    def nodes(self, groups, count):
+        return np.stack([_lattice(np.arange(count) / count, len(gens)) @ gens
+                         for gens in map(self.generators, groups)])
 
     def net(self, g, eps):
         # a parameter cell of side 1/count maps onto a cell of diameter
@@ -527,9 +541,6 @@ class _TorusTranslations(FamilyEntry):
 
 class _TorusLine(_TorusTranslations):
     """The closed line through the origin with primitive direction (p, q)."""
-
-    def describe(self, g):
-        return f"torus_line direction={g.direction[0]},{g.direction[1]}"
 
     def generators(self, g):
         return g.direction_array()[None, :]
@@ -545,8 +556,6 @@ class _TorusLine(_TorusTranslations):
 
 
 class _FullTorus(_TorusTranslations):
-    rank = 2
-
     def generators(self, g):
         return np.eye(parent_group(g.parent).dim)
 
@@ -556,9 +565,6 @@ class _FullTorus(_TorusTranslations):
 
 class _AxisTranslations(_TorusTranslations):
     """Translations of the masked coordinates: a coordinate sub-torus."""
-
-    def describe(self, g):
-        return "axis_translations mask=" + ",".join(str(i) for i in g.mask)
 
     def generators(self, g):
         return np.eye(parent_group(g.parent).dim)[list(g.mask)]

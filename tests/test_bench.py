@@ -238,6 +238,12 @@ class TestAggregates:
         assert rep.slopes[("s", "best_symmetric")] == pytest.approx(-0.66, abs=1e-9)
         assert rep.slope("s", "baseline", n_min=100) == pytest.approx(-0.4, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["aggregates", "slopes"])
+    def test_derived_tables_are_not_arguments(self, name):
+        # they are computed from the rows, so a passed table would be dropped
+        with pytest.raises(TypeError):
+            RiskReport([RiskRow("s", 10, 0, "baseline", 0.5)], **{name: {}})
+
 
 class TestReportFiles:
     def test_empty_report_writes_headers_only(self, tmp_path):

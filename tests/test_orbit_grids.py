@@ -224,7 +224,7 @@ class TestRecoverElement:
         """An orbit of radius r <= 1e-9 is still up to 2r across, so the
         recovered element must turn x onto the node, not stay the identity."""
         x = np.array([0.0, r, 0.0])
-        nodes, _ = orbit_quadrature_coords(group, x)
+        nodes, _ = orbit_quadrature_coords(group, x, 0.1)
         for c in nodes:
             g = recover_group_element(BALL, group, x, c)
             assert pairwise_distance(BALL, moved(BALL, g, x), c)[0, 0] <= 1e-12
@@ -460,8 +460,8 @@ class TestGridProperties:
     @settings(max_examples=100, deadline=None)
     @given(orbit_cases(), st.integers(0, 2**32 - 1))
     def test_quadrature_and_monte_carlo_points_lie_on_the_orbit(self, case, seed):
-        space, group, x, _ = case
-        nodes, counts = orbit_quadrature_coords(group, x)
+        space, group, x, h = case
+        nodes, counts = orbit_quadrature_coords(group, x, h)
         assert counts.tolist() == [len(nodes)]
         assert_on_orbit(space, group, x, nodes)
         draws = sample_orbit_coords(group, x, 16, np.random.default_rng(seed))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,6 +47,11 @@ from orbitreg.subgroups import (
 def random_axis(rng):
     v = polar_gaussian(rng, 3)
     return v / np.linalg.norm(v)
+
+
+def _masks(d):
+    """Every nonempty coordinate mask of the d-torus, the full one included."""
+    return [mask for r in range(1, d + 1) for mask in itertools.combinations(range(d), r)]
 
 
 class TestOrbitDimension:
@@ -428,6 +435,26 @@ class TestDeltaCover:
         assert any(line == "torus_line direction=1,1" for line in lines)
         assert lines[-1] == "full_torus parent=torus2"
 
+    def test_catalog_lines_print_integer_parameters_in_full(self):
+        assert catalog_lines([torus_line(1, 10**13), torus_line(np.int64(3), np.int64(-7))]) == [
+            "torus_line direction=1,10000000000000", "torus_line direction=3,-7"]
+
+    @pytest.mark.parametrize("d, expected", [
+        (3, ["trivial parent=torus3", "axis_translations mask=0", "axis_translations mask=0,1",
+             "axis_translations mask=0,2", "axis_translations mask=1", "axis_translations mask=1,2",
+             "axis_translations mask=2", "full_torus parent=torus3"]),
+        (4, ["trivial parent=torus4", "axis_translations mask=0", "axis_translations mask=0,1",
+             "axis_translations mask=0,1,2", "axis_translations mask=0,1,3",
+             "axis_translations mask=0,2", "axis_translations mask=0,2,3",
+             "axis_translations mask=0,3", "axis_translations mask=1", "axis_translations mask=1,2",
+             "axis_translations mask=1,2,3", "axis_translations mask=1,3", "axis_translations mask=2",
+             "axis_translations mask=2,3", "axis_translations mask=3", "full_torus parent=torus4"]),
+    ])
+    def test_reversed_torus_catalog_sorts_by_rank_then_mask(self, d, expected):
+        # the full mask is the full torus, which ranks after every sub-torus
+        catalog = [trivial_subgroup(parent_torus(d))] + [axis_translations(d, mask) for mask in _masks(d)]
+        assert catalog_lines(subgroups.canonical_cover(catalog[::-1])) == expected
+
 
 class TestDeltaSchedule:
     def test_direct_substitution(self):
@@ -464,7 +491,7 @@ class TestQuadrature:
     def test_circle_quadrature_matches_dense_average(self):
         group = circle3([0.0, 0.0, 1.0])
         x = np.array([[0.6, 0.0, 0.3]])
-        coords, counts = orbit_quadrature_coords(group, x)
+        coords, counts = orbit_quadrature_coords(group, x, 0.1)
         assert counts[0] == 24
         fn = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 2]
         dense_angles = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
@@ -475,8 +502,8 @@ class TestQuadrature:
     @pytest.mark.parametrize("case", ["trivial", "circles", "full_so3", "torus_lines",
                                       "full_torus", "sub_tori"])
     def test_a_runs_quadrature_is_its_subgroups_one_by_one(self, case):
-        # one family's run against each subgroup's own call, bit for bit;
-        # the sub-tori of T^4 mix 2- and 3-dimensional lattices of 64 nodes
+        # one family's run of one node lattice against each subgroup's own
+        # call, bit for bit
         rng = substream(22, "run", case)
         groups = {
             "trivial": [trivial_subgroup(PARENT_SO3)] * 3,
@@ -484,34 +511,82 @@ class TestQuadrature:
             "full_so3": [full_so3()] * 3,
             "torus_lines": [torus_line(1, 0), torus_line(1, -1), torus_line(2, 3)],
             "full_torus": [full_torus(2)] * 2,
-            "sub_tori": [axis_translations(4, [0, 1]), axis_translations(4, [0, 2, 3]),
+            "sub_tori": [axis_translations(4, [0, 1]), axis_translations(4, [2, 3]),
                          axis_translations(4, [1, 3])],
         }[case]
         parent = parent_group(groups[0].parent)
         space = torus(parent.dim) if parent.dim != 3 else unit_ball3()
         xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 9, rng)
         entry = FAMILY_TABLE[groups[0].family]
-        size = subgroups.quadrature_count(groups[0])
-        run = entry.quadrature(groups, xs)
+        side, size = subgroups._node_lattice(groups[0], 0.25)
+        run = entry.quadrature(groups, xs, side)
         assert run.shape == (len(groups), len(xs), size, xs.shape[1])
         for block, g in zip(run, groups):
-            assert block.tobytes() == entry.quadrature([g], xs)[0].tobytes()
+            assert block.tobytes() == entry.quadrature([g], xs, side)[0].tobytes()
         if case == "circles":  # the stacked axes against one axis at a time
             theta = np.arange(size) * (2.0 * np.pi / size)
-            for nodes, g in zip(entry.nodes(groups), groups):
+            for nodes, g in zip(entry.nodes(groups, side), groups):
                 assert nodes.tobytes() == quat_from_axis_angle(g.axis_array(), theta).tobytes()
         elif case != "full_so3":
-            for nodes, g in zip(entry.nodes(groups), groups):
-                assert nodes.tobytes() == entry.nodes([g])[0].tobytes()
+            for nodes, g in zip(entry.nodes(groups, side), groups):
+                assert nodes.tobytes() == entry.nodes([g], side)[0].tobytes()
+
+    @pytest.mark.parametrize("h", [0.25, 0.01])
+    @pytest.mark.parametrize("parent", ["so3", "torus2", "torus3", "torus4"])
+    def test_quadrature_count_is_the_number_of_nodes(self, parent, h):
+        # every family: 1 node on the trivial group, 24 on circles, 64 on
+        # spheres and 2- and 3-tori, 81 on 4-tori, and on lines the 2h rule
+        if parent == "so3":
+            space = unit_ball3()
+            groups = [trivial_subgroup(PARENT_SO3), circle3([0.6, 0.0, 0.8]), full_so3()]
+        else:
+            d = parent_group(parent).dim
+            space = torus(d)
+            groups = [trivial_subgroup(parent)] + [axis_translations(d, mask) for mask in _masks(d)]
+            if d == 2:
+                groups += [torus_line(1, 1), torus_line(2, -3), torus_line(1, -23)]
+        xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 3, substream(26, "count", parent))
+        _, counts = orbit_quadrature_coords(groups, xs, h)
+        assert counts.tolist() == [subgroups.quadrature_count(g, h) for g in groups for _ in xs]
+        if parent == "torus2":
+            assert [subgroups.quadrature_count(g, h) for g in groups[-3:]] == (
+                [24, 24, 47] if h == 0.25 else [71, 181, 1152])
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, float("nan"), float("inf")])
+    def test_quadrature_bandwidth_must_be_finite_and_positive(self, h):
+        with pytest.raises(ConfigError, match="bandwidth"):
+            orbit_quadrature_coords(circle3([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.3]), h)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 0.041])
+    def test_line_nodes_average_low_frequencies_exactly(self, delta):
+        # at the n = 300 line-class bandwidth, every frequency with
+        # |k|_1 <= 2 averages to its exact orbit mean: cos 2 pi k.x on the
+        # line where k.(p, q) = 0, else 0 (24 nodes gave (1, -23) the
+        # (1, 1) line's node set: 0.309017 at k = (1, -1), x = (0.1, 0.3))
+        h = 300.0 ** (-1.0 / 3.0)
+        xs = np.vstack([[0.1, 0.3], substream(26, "alias", delta).random((5, 2))])
+        lines = [g for g in delta_cover(parent_torus(2), torus(2), delta)
+                 if g.family is SubgroupFamily.TORUS_LINE]
+        coords, counts = orbit_quadrature_coords(lines, xs, h)
+        freqs = np.array([k for k in itertools.product(range(-2, 3), repeat=2)
+                          if abs(k[0]) + abs(k[1]) <= 2])
+        starts = np.cumsum(counts) - counts
+        for i, g in enumerate(lines):
+            nodes = coords[starts[i * len(xs)] : starts[i * len(xs)] + counts[i * len(xs)] * len(xs)]
+            nodes = nodes.reshape(len(xs), -1, 2)
+            average = np.cos(2.0 * np.pi * nodes @ freqs.T).mean(axis=1)
+            on_line = freqs @ g.direction_array() == 0
+            exact = np.where(on_line, np.cos(2.0 * np.pi * xs @ freqs.T), 0.0)
+            assert np.abs(average - exact).max() <= 1e-12, g.describe()
 
     def test_trivial_quadrature_is_the_point(self):
         coords, counts = orbit_quadrature_coords(trivial_subgroup(PARENT_SO3),
-                                                 np.array([[0.1, 0.2, 0.3]]))
+                                                 np.array([[0.1, 0.2, 0.3]]), 0.1)
         assert counts.tolist() == [1]
         assert np.allclose(coords, [[0.1, 0.2, 0.3]])
 
     @staticmethod
-    def _one_by_one(groups, xs):
+    def _one_by_one(groups, xs, h):
         """Each subgroup's nodes on their own, stacked: the node elements
         applied to every row through the parent's action (the Fibonacci
         lattice scaled to each row's radius for the full rotation group)."""
@@ -520,7 +595,7 @@ class TestQuadrature:
             if g.family is SubgroupFamily.FULL_SO3:
                 pts = np.linalg.norm(xs, axis=1)[:, None, None] * fibonacci_sphere(64)[None]
             else:
-                nodes = FAMILY_TABLE[g.family].nodes([g])[0]
+                nodes = FAMILY_TABLE[g.family].nodes([g], subgroups._node_lattice(g, h)[0])[0]
                 pts = parent_group(g.parent).act_rows(nodes[None, :, :], xs[:, None, :])
             coords.append(pts.reshape(-1, xs.shape[1]))
             counts.append(np.full(len(xs), pts.shape[1]))
@@ -529,19 +604,21 @@ class TestQuadrature:
     @pytest.mark.parametrize("chunk", [1, 7, 24 * 13 - 1, 24 * 13, 24 * 13 + 1, 3 * 24 * 13 + 5,
                                        65_536])
     @pytest.mark.parametrize("case", ["circles", "torus_lines", "sub_tori", "mixed"])
-    def test_stepped_nodes_match_subgroups_one_by_one(self, case, chunk, monkeypatch):
+    @pytest.mark.parametrize("h", [0.25, 0.02])
+    def test_stepped_nodes_match_subgroups_one_by_one(self, case, h, chunk, monkeypatch):
         # 13 rows: a circle or line class steps every 24 x 13 = 312 points,
         # so the patched steps end inside, at and after a subgroup's nodes;
         # the sub-tori mix 64- and 24-node runs, the mixed cover the trivial
-        # group and the full rotation group's own generator between circles
+        # group and the full rotation group's own generator between circles;
+        # at h = 0.02 every line has its own count, 25 to 80 nodes
         rng = substream(21, "stepped", case)
         if case == "torus_lines":
             space = torus(2)
             groups = [torus_line(p, q) for p, q in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)]]
-        elif case == "sub_tori":
-            space = torus(3)
-            groups = [axis_translations(3, mask)
-                      for mask in ([0, 1], [0, 2], [1, 2], [0], [1], [2], [0, 2])]
+        elif case == "sub_tori":  # T^4: 2- and 3-dimensional lattices of 64 nodes
+            space = torus(4)
+            groups = [axis_translations(4, mask)
+                      for mask in ([0, 1], [0, 2, 3], [1, 2], [0], [1], [2], [0, 2])]
         else:
             space = unit_ball3()
             groups = [circle3(random_axis(rng)) for _ in range(8)]
@@ -549,13 +626,13 @@ class TestQuadrature:
                 groups = [trivial_subgroup(PARENT_SO3), *groups[:3], full_so3(), *groups[3:]]
         xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 13, rng)
         monkeypatch.setattr(subgroups, "CHUNK_ELEMENTS", chunk)
-        coords, counts = orbit_quadrature_coords(groups, xs)
-        expected, expected_counts = self._one_by_one(groups, xs)
+        coords, counts = orbit_quadrature_coords(groups, xs, h)
+        expected, expected_counts = self._one_by_one(groups, xs, h)
         assert coords.tobytes() == expected.tobytes()
         assert counts.dtype == np.int64 and counts.tolist() == expected_counts.tolist()
         for g in groups:  # one subgroup alone is a sequence of one
-            single = orbit_quadrature_coords(g, xs)
-            assert single[0].tobytes() == self._one_by_one([g], xs)[0].tobytes()
+            single = orbit_quadrature_coords(g, xs, h)
+            assert single[0].tobytes() == self._one_by_one([g], xs, h)[0].tobytes()
 
 
 class TestSubTorusDistances:
@@ -600,7 +677,7 @@ class TestTorusOrbitsStayInTheSpace:
             "act_rows": parent.act_rows(params @ gens, xs),
             "sample_orbit_coords": sample_orbit_coords(group, xs, 8, rng),
             "orbit_coords_batch": orbit_coords_batch(space, group, xs, h)[0],
-            "orbit_quadrature_coords": orbit_quadrature_coords(group, xs)[0],
+            "orbit_quadrature_coords": orbit_quadrature_coords(group, xs, h)[0],
         }
         for name, coords in orbits.items():
             rows = coords.reshape(-1, parent.dim)
