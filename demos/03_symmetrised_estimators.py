@@ -41,18 +41,18 @@ print(f"bandwidth h = {h:.3f}")
 print(f"plain estimator risk:        {np.mean((plain - target) ** 2):.4f}")
 print(f"orbit-grid symmetrised risk: {np.mean((sym - target) ** 2):.4f}")
 
-# For a compact group the Monte-Carlo orbit average over uniform draws
-# approximates the full symmetrisation; with as many draws as data points
-# it keeps the same convergence rate.
-mc = og.BestSymmetricPredictor(base, so3, "monte_carlo", n, rng).predict_coords(eval_X)
-print(f"Monte-Carlo symmetrised risk: {np.mean((mc - target) ** 2):.4f}")
+# The uniform symmetrisation averages over fixed, near-uniform quadrature
+# nodes on each orbit (a Fibonacci lattice on the spheres of the full
+# rotation group), the nodes the symmetry search scores candidates with.
+uniform = og.BestSymmetricPredictor(base, so3, "uniform").predict_coords(eval_X)
+print(f"quadrature symmetrised risk: {np.mean((uniform - target) ** 2):.4f}")
 
 # Symmetrising with the wrong group injects bias instead.
 def skewed(Xs):
     return Xs[:, 0] + 0.5 * Xs[:, 1]
 data_wrong = og.Dataset(ball, X, skewed(X) + sigma * og.polar_gaussian(rng, n))
 base_wrong = og.LocalConstantEstimator(data_wrong, h)
-wrong = og.BestSymmetricPredictor(base_wrong, so3, "monte_carlo", n, rng).predict_coords(eval_X)
+wrong = og.BestSymmetricPredictor(base_wrong, so3, "uniform").predict_coords(eval_X)
 print(f"\nnon-invariant target, full symmetrisation risk: "
       f"{np.mean((wrong - skewed(eval_X)) ** 2):.4f} "
       f"(orbit averaging erases the signal)")

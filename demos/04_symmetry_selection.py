@@ -50,10 +50,10 @@ selection = og.global_ems(og.SelectionInput(holdout=holdout, cover=cover,
                                             fit_data=fit, symmetriser="uniform"))
 print("\n" + selection.to_text())
 
-# Deploy the winner: symmetrise a base fit at the chosen bandwidth.
+# Deploy the winner: symmetrise a base fit at the chosen bandwidth over the
+# quadrature nodes the search scored it with.
 base = og.LocalConstantEstimator(fit, selection.chosen_bandwidth)
-best = og.BestSymmetricPredictor(base, selection, method="monte_carlo",
-                                 rng=og.substream(0, "demo-04-mc"))
+best = og.BestSymmetricPredictor(base, selection, method="uniform")
 eval_X = og.sample_points(t2, og.PointDistribution.UNIFORM_SPACE, 400, rng)
 risk = np.mean((best.predict_coords(eval_X) - truth(eval_X)) ** 2)
 plain = og.LocalConstantEstimator(og.Dataset(t2, X, Y),

@@ -5,15 +5,19 @@ records the median of each result metric over the seeds, the risk-row
 digest of every run and the environment record.  With ``--base DIR`` the
 same runs are made in a second checkout (for example the parent commit),
 alternating which checkout goes first, and the file also gives the
-change/base ratio of each median and, per workload, ``digests_equal``:
-whether the two checkouts wrote the same risk rows for every seed.  Each
-seed whose digests differ is printed.
+change/base ratio of each median, per workload and metric the pairs (one
+per seed) the change won, and per workload ``digests_equal``: whether the
+two checkouts wrote the same risk rows for every seed.  A pair is won by
+the side whose value is better in the direction ``BENCHMARK.json`` gives
+the metric (``end_to_end[].better``); a tie counts for neither side.
+Each side also records the quartiles of every metric over its seeds.
+Each seed whose digests differ is printed.
 
     python3 scripts/bench_medians.py cells --base ../parent-checkout
 
 The file is written to the root of this checkout.  Each run takes about
-``--seconds`` plus its set-up and check, so the default 4 workloads x 3
-seeds x 2 checkouts take about 12 minutes.
+``--seconds`` plus its set-up and check, so the default 4 workloads x 10
+seeds x 2 checkouts take about 35 minutes.
 """
 
 import argparse
@@ -25,7 +29,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("so3_sweep", "t2_sweep", "so3_schedule", "select_grid")
-METRICS = ("setup_s", "ops_per_s", "call_s_p50", "cpu_s_per_op", "peak_rss_mb")
+# metric -> "lower" or "higher", the direction in which it is better
+BETTER = {m["name"]: m["better"]
+          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+METRICS = tuple(BETTER)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -52,9 +59,27 @@ def commit_of(checkout: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """``[q25, median, q75]``, interpolated linearly between order statistics."""
+    if len(values) == 1:
+        return list(values) * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def pairs_won(change: list[float], base: list[float], better: str) -> dict:
+    """How many of the pairs ``(change[i], base[i])`` each side won, when a
+    value is better if it is ``better`` ("lower" or "higher"); a tie counts
+    for neither side."""
+    sign = 1.0 if better == "higher" else -1.0
+    gains = [sign * (c - b) for c, b in zip(change, base, strict=True)]
+    return {"pairs": len(gains), "change_won": sum(g > 0 for g in gains),
+            "base_won": sum(g < 0 for g in gains)}
+
+
 def summarise(runs: list[dict]) -> dict:
     return {
         "medians": {m: statistics.median(r["metrics"][m]["value"] for r in runs) for m in METRICS},
+        "quartiles": {m: quartiles([r["metrics"][m]["value"] for r in runs]) for m in METRICS},
         "units": {m: runs[0]["metrics"][m]["unit"] for m in METRICS},
         "correct": all(r["correct"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
@@ -68,7 +93,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tag", help="the file written is BENCH_<tag>.json")
     parser.add_argument("--base", type=Path, help="a second checkout to run alternately")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(101, 111)))
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args()
@@ -107,6 +132,14 @@ def main() -> None:
             w: {m: record["checkouts"]["change"]["workloads"][w]["medians"][m]
                 / record["checkouts"]["base"]["workloads"][w]["medians"][m] for m in METRICS}
             for w in args.workloads}
+        record["pairs_won"] = {
+            w: {m: pairs_won([r["metrics"][m]["value"] for r in runs["change"][w]],
+                             [r["metrics"][m]["value"] for r in runs["base"][w]], BETTER[m])
+                for m in METRICS}
+            for w in args.workloads}
+        for w, won in record["pairs_won"].items():
+            print(f"pairs won by the change, {w}: " + ", ".join(
+                f"{m} {c['change_won']}/{c['pairs']}" for m, c in won.items()))
         record["digests_equal"] = {}
         for w in args.workloads:
             differ = [change["seed"] for change, base in zip(runs["change"][w], runs["base"][w])

@@ -5,12 +5,12 @@ drawn; one fits the base estimator, the other drives the symmetry search.
 The baseline local-constant estimator uses the union of both copies at the
 dimension-d bandwidth.  The selected-symmetry estimator scores each
 candidate subgroup with fixed quadrature nodes over the whole orbit, then
-symmetrises a base fit at the chosen group's bandwidth by Monte-Carlo over
-the group, with as many draws as base training points.  Each risk is the
-:func:`~orbitreg.selection.empirical_error` of an estimator on a noiseless
-``Dataset`` of fresh uniform points, so holdout errors and risks share one
-mean squared error rule; risks are summarised per sample size with Wald
-intervals and log-log slopes.
+symmetrises a base fit at the chosen group's bandwidth over the same
+nodes, so it predicts with the estimator whose holdout error chose it.
+Each risk is the :func:`~orbitreg.selection.empirical_error` of an
+estimator on a noiseless ``Dataset`` of fresh uniform points, so holdout
+errors and risks share one mean squared error rule; risks are summarised
+per sample size with Wald intervals and log-log slopes.
 
 Reproducibility: every trial derives its random streams from
 ``(seed, scenario, n, trial)``, so parallel and serial schedules produce
@@ -245,7 +245,6 @@ def run_trial(cfg: ScenarioConfig, scenario: Scenario, cover: list[ClosedSubgrou
     rng_fit = substream(cfg.seed, cfg.scenario, n, trial, "fit")
     rng_sel = substream(cfg.seed, cfg.scenario, n, trial, "selection")
     rng_eval = substream(cfg.seed, cfg.scenario, n, trial, "eval")
-    rng_mc = substream(cfg.seed, cfg.scenario, n, trial, "mc")
 
     fit = generate_data(scenario, n, cfg.noise_sd, rng_fit)
     if cfg.split:
@@ -261,7 +260,7 @@ def run_trial(cfg: ScenarioConfig, scenario: Scenario, cover: list[ClosedSubgrou
                                           a=cfg.a, beta=cfg.beta,
                                           symmetriser="uniform"))
     base_best = LocalConstantEstimator(fit, selection.chosen_bandwidth)
-    best = BestSymmetricPredictor(base_best, selection, method="monte_carlo", rng=rng_mc)
+    best = BestSymmetricPredictor(base_best, selection, method="uniform")
 
     eval_X = sample_points(scenario.space, PointDistribution.UNIFORM_SPACE,
                            cfg.eval_points, rng_eval)

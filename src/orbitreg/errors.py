@@ -1,5 +1,7 @@
-"""Exception types raised across the library, and the check of integer arguments."""
+"""Exception types raised across the library, and the checks of integer
+arguments and bandwidths."""
 
+import math
 import numbers
 
 
@@ -53,3 +55,12 @@ def check_count(value, minimum: int, message: str) -> None:
     :func:`is_integer`) of at least ``minimum``."""
     if not is_integer(value) or value < minimum:
         raise ConfigError(message)
+
+
+def check_bandwidth(h) -> float:
+    """``h`` as a float; raise :class:`ConfigError` unless it is finite and
+    positive."""
+    h = float(h)
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"bandwidth must be finite and positive, got {h}")
+    return h

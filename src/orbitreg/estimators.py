@@ -6,7 +6,7 @@ points strictly within distance ``h``, and 0 when that ball is empty.
 Predictors are batched: ``predict_coords`` takes row-stacked query
 coordinates (one point is one row) and returns one prediction per row.
 The symmetrised predictor, which averages base predictions over orbit
-grids or over Monte-Carlo draws from a compact subgroup, is
+grids or over the quadrature nodes of a compact subgroup, is
 :class:`orbitreg.selection.BestSymmetricPredictor`.
 """
 
@@ -18,7 +18,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_bandwidth, check_count
 from .spaces import CovariateSpace, member_rows, neighbor_stats, query_rows
 
 
@@ -91,11 +91,8 @@ class LocalConstantEstimator:
     """
 
     def __init__(self, data: Dataset, h: float):
-        h = float(h)
-        if not 0.0 < h < math.inf:
-            raise ConfigError(f"bandwidth must be finite and positive, got {h}")
         self.data = data
-        self.h = h
+        self.h = check_bandwidth(h)
         self.space = data.space
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:

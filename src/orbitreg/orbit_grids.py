@@ -34,12 +34,11 @@ deterministic; identical inputs give identical grids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleActionError
+from .errors import check_bandwidth
 from .groups import GroupElement, parent_group
 from .spaces import CovariateSpace, member_rows
 from .subgroups import FAMILY_TABLE, ClosedSubgroup
@@ -110,10 +109,10 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     (first axis slowest) is placed on the orbit by the family, and a
     singular row keeps its base point.  Returns ``(coords, counts)`` where
     ``coords`` stacks the grids of all rows (row i owns ``counts[i]``
-    consecutive entries).
+    consecutive entries).  A bandwidth that is not finite and positive
+    raises :class:`orbitreg.errors.ConfigError`.
     """
-    if not 0.0 < h < math.inf:
-        raise IncompatibleActionError(f"bandwidth must be finite and positive, got {h}")
+    h = check_bandwidth(h)
     parent_group(group.parent).check_acts_on(space)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     entry = FAMILY_TABLE[group.family]

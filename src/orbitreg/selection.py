@@ -11,8 +11,9 @@ k = 0, 1 and 2 at d = 3 and beta = 1, because the orbit average pools
 data along k directions and its variance grows only like
 ``1 / (n h^(d - k))``.
 The minimiser is the selected symmetry; the final predictor symmetrises
-the base estimator with it, either through the deterministic orbit grid or
-through Monte-Carlo draws from the subgroup's Haar measure.  The search
+the base estimator with it, through the deterministic orbit grid or through
+the quadrature nodes the ``uniform`` search scored it with, so the
+``uniform`` final is the estimator whose holdout error chose it.  The search
 scores the whole holdout sample: to search over part of it, filter the
 holdout ``Dataset`` first.  The search's holdout errors and
 :func:`empirical_error`, which also scores the benchmark's risks, share
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyHoldoutError, SpaceMismatchError, check_count
+from .errors import ConfigError, EmptyHoldoutError, SpaceMismatchError, check_bandwidth
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .groups import parent_group
 from .orbit_grids import orbit_coords_batch
@@ -42,6 +43,9 @@ from .subgroups import (
     orbit_dimension,
     orbit_quadrature_coords,
     quadrature_count,
+    # perfbench traces its ``subgroups.sample_orbit_coords`` layer at this
+    # name and counts a layer it cannot resolve as missing; nothing here
+    # calls it, so that layer reads 0
     sample_orbit_coords,
 )
 
@@ -49,7 +53,7 @@ _TIE_TOL = 1e-12
 # orbit points per prediction pass (48 MB per copy at three coordinates).
 # It lies above the largest bandwidth class of every benchmark workload
 # (about 0.8 million points, the shrinking-delta cover at n = 50) and above
-# every Monte-Carlo final prediction there (at most 200 x 300 points), so
+# every quadrature final prediction there (at most 200 x 64 points), so
 # those passes are never split and their numbers do not move.
 CHUNK_ROWS = 2_000_000
 
@@ -184,14 +188,14 @@ def _orbit_averages(base: Predictor, blocks: Iterable[_Block]) -> Iterator[np.nd
         yield from np.split(means, np.cumsum([len(c) for c in counts])[:-1])
 
 
-def _quadrature_averages(base: LocalConstantEstimator, groups: list[ClosedSubgroup],
-                         xs: np.ndarray) -> Iterator[np.ndarray]:
+def _quadrature_averages(base: Predictor, groups: list[ClosedSubgroup], xs: np.ndarray,
+                         h: float) -> Iterator[np.ndarray]:
     """The quadrature-node average of the base predictor over each row of
-    ``xs``, one array per subgroup, in order, with the node counts at the
-    base's bandwidth.  Each pass's nodes come from one
+    ``xs``, one array per subgroup, in order, with the node counts at
+    bandwidth ``h``.  Each pass's nodes come from one
     :func:`orbit_quadrature_coords` call, written into the one array the
     pass predicts on; passes are packed by :func:`_passes`."""
-    rows, h = xs.shape[0], base.h
+    rows = xs.shape[0]
     for chunk in _passes(groups, lambda group: rows * quadrature_count(group, h)):
         yield from _predict_pass(base, *orbit_quadrature_coords(chunk, xs, h)).reshape(len(chunk), rows)
 
@@ -203,12 +207,12 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
     With the ``grid`` symmetriser each candidate is scored through its orbit
     grid (the deterministic packing construction); with ``uniform`` it is
     scored through fixed quadrature nodes approximating the full orbit
-    average, matching a Monte-Carlo final prediction.
+    average, the nodes of a ``method="uniform"`` final prediction.
     """
     holdout = inp.holdout
     base = LocalConstantEstimator(inp.fit_data, h)
     if inp.symmetriser == "uniform":
-        averages = _quadrature_averages(base, groups, holdout.X)
+        averages = _quadrature_averages(base, groups, holdout.X, h)
     else:
         averages = _orbit_averages(base, (orbit_coords_batch(holdout.space, group, holdout.X, h)
                                           for group in groups))
@@ -246,58 +250,43 @@ class BestSymmetricPredictor:
     """The base estimator symmetrised by the selected subgroup, batched.
 
     ``method="grid"`` averages over each point's orbit grid of the whole
-    subgroup at the chosen bandwidth; ``method="monte_carlo"`` averages
-    over ``mc_draws`` uniform draws from the subgroup, by default
-    one per training point (one for the trivial subgroup, whose
-    orbit is the point itself).  To symmetrise by a fixed subgroup, pass
-    ``SymmetrySelection(group, h, {})``; ``h`` only sizes the orbit grids.
-    A subgroup whose parent does not act on the base's space raises
-    :class:`IncompatibleActionError`; a query row of the wrong width or
-    with a NaN or infinite entry raises :class:`SpaceMismatchError`.
+    subgroup at the chosen bandwidth; ``method="uniform"`` averages over
+    the subgroup's :func:`~orbitreg.subgroups.quadrature_count` quadrature
+    nodes at the chosen bandwidth, the nodes the ``uniform`` search scores
+    it with.  Both are deterministic.  To symmetrise by a fixed subgroup,
+    pass ``SymmetrySelection(group, h, {})``; ``h`` only sizes the orbit
+    grids and node counts.  A bandwidth that is not finite and positive
+    raises :class:`ConfigError`; a subgroup whose parent does not act on
+    the base's space raises :class:`IncompatibleActionError`; a query row
+    of the wrong width or with a NaN or infinite entry raises
+    :class:`SpaceMismatchError`.
     """
 
-    def __init__(self, base: Predictor, selection: SymmetrySelection,
-                 method: str = "grid", mc_draws: int | None = None,
-                 rng: np.random.Generator | None = None):
-        if method not in ("grid", "monte_carlo"):
+    def __init__(self, base: Predictor, selection: SymmetrySelection, method: str = "grid"):
+        if method not in ("grid", "uniform"):
             raise ConfigError(f"unknown symmetrisation method {method!r}")
+        check_bandwidth(selection.chosen_bandwidth)
         parent_group(selection.chosen.parent).check_acts_on(base.space)
-        if method == "monte_carlo":
-            if rng is None:
-                raise ConfigError("monte_carlo symmetrisation needs an explicit rng")
-            if mc_draws is None:
-                data = getattr(base, "data", None)
-                if data is None or len(data) == 0:
-                    raise ConfigError("mc_draws must be given when the base has no training set")
-                mc_draws = len(data)
-            check_count(mc_draws, 1, "the number of Monte-Carlo draws must be an integer of at least 1")
         self.base = base
         self.selection = selection
         self.method = method
-        self.mc_draws = mc_draws
-        self.rng = rng
         self.space = base.space
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = query_rows(self.space, coords)
+        group, h = self.selection.chosen, self.selection.chosen_bandwidth
         if self.method == "grid":
-            pts, counts = orbit_coords_batch(self.space, self.selection.chosen, coords,
-                                             self.selection.chosen_bandwidth)
+            pts, counts = orbit_coords_batch(self.space, group, coords, h)
             # one block per query row, so passes split the queries between rows
             blocks = zip(np.split(pts, np.cumsum(counts)[:-1]), counts[:, None])
+            means = list(_orbit_averages(self.base, blocks))
         else:
-            # the trivial orbit is the point itself: one draw is the average
-            # (its draws are identity rows and consume no randomness)
-            draws = 1 if self.selection.chosen.family is SubgroupFamily.TRIVIAL else self.mc_draws
-            step = max(1, CHUNK_ROWS // draws)
-            blocks = (self._draws(coords[start : start + step], draws)
-                      for start in range(0, coords.shape[0], step))
-        means = list(_orbit_averages(self.base, blocks))
-        return np.concatenate(means) if means else np.zeros(0)  # no query rows, no blocks
-
-    def _draws(self, rows: np.ndarray, draws: int) -> _Block:
-        pts = sample_orbit_coords(self.selection.chosen, rows, draws, self.rng)
-        return pts.reshape(-1, rows.shape[1]), np.full(len(rows), draws)
+            # query rows are split so a pass holds at most CHUNK_ROWS nodes
+            step = max(1, CHUNK_ROWS // quadrature_count(group, h))
+            passes = (orbit_quadrature_coords(group, coords[start : start + step], h)
+                      for start in range(0, len(coords), step))
+            means = [_predict_pass(self.base, *nodes) for nodes in passes]
+        return np.concatenate(means) if means else np.zeros(0)  # no query rows, no passes
 
 
 def split_dataset(full: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

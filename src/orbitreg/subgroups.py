@@ -19,7 +19,9 @@ of :mod:`orbitreg.orbit_grids` -- lives in one entry of
 :data:`FAMILY_TABLE`.  An entry gives Haar draws and quadrature nodes as
 element rows (quaternions or shifts); orbit samples, single draws and
 quadrature points are those rows applied through the parent's one batched
-action.  The three translation families share one implementation
+action.  Quadrature nodes carry every orbit average of the ``uniform``
+search and its final prediction; Haar draws serve :func:`sample_group` and
+the tests' oracles.  The three translation families share one implementation
 parameterised by their generator rows.  A subgroup's canonical rank,
 catalog line and quadrature node count follow from its orbit dimension
 and parameters, so each is one rule for every family.  Everything that
@@ -45,7 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleActionError, OffOrbitError, check_count, is_integer
+from .errors import (ConfigError, IncompatibleActionError, OffOrbitError, check_bandwidth,
+                     check_count, is_integer)
 from .groups import (
     PARENT_SO3,
     GroupElement,
@@ -181,7 +184,8 @@ def sample_orbit_coords(group: ClosedSubgroup, x_coords: np.ndarray, m: int,
     """``m`` images of each row of ``x_coords`` under i.i.d. uniform elements.
 
     Returns an array of shape (rows, m, ambient).  Draws are independent
-    across rows, matching a Monte-Carlo orbit average evaluated pointwise.
+    across rows.  No prediction path uses them: they are an oracle for
+    the quadrature nodes of :func:`orbit_quadrature_coords`.
     """
     xs = np.atleast_2d(np.asarray(x_coords, dtype=np.float64))
     elements = FAMILY_TABLE[group.family].haar(group, rng, (xs.shape[0], m))
@@ -192,8 +196,9 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
                             xs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic near-uniform quadrature nodes on each row's orbit.
 
-    Approximates the full orbit average (the symmetrised value) without
-    Monte-Carlo noise, with the node counts of :func:`quadrature_count` at
+    Approximates the full orbit average (the symmetrised value) for the
+    ``uniform`` search and final prediction of :mod:`orbitreg.selection`,
+    without randomness, with the node counts of :func:`quadrature_count` at
     bandwidth ``h``: equally spaced angles on circles, a Fibonacci lattice
     on sphere orbits, and a square lattice on flat orbits.
     Returns ``(coords, counts)`` shaped like
@@ -208,8 +213,7 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     has the bits the subgroup's own call gives it.  A bandwidth that is not
     finite and positive raises :class:`ConfigError`.
     """
-    if not 0.0 < h < math.inf:
-        raise ConfigError(f"bandwidth must be finite and positive, got {h}")
+    h = check_bandwidth(h)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     groups = [groups] if isinstance(groups, ClosedSubgroup) else list(groups)
     rows, width = xs.shape

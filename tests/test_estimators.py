@@ -30,9 +30,9 @@ BALL = unit_ball3()
 ORIGIN = np.zeros((1, 3))
 
 
-def symmetrised(base, group, h=float("nan"), method="grid", m=None, rng=None):
-    """The base predictor symmetrised by a fixed subgroup."""
-    return BestSymmetricPredictor(base, SymmetrySelection(group, h, {}), method, m, rng)
+def symmetrised(base, group, h, method="grid"):
+    """The base predictor symmetrised by a fixed subgroup at bandwidth ``h``."""
+    return BestSymmetricPredictor(base, SymmetrySelection(group, h, {}), method)
 
 
 def at(pred, x):
@@ -250,60 +250,38 @@ def f2(X):
     return np.cos(np.sqrt(X[:, 1] ** 2 + X[:, 2] ** 2))
 
 
-class TestMonteCarloSymmetrised:
-    def test_single_draw_trivial_group(self):
+class TestUniformSymmetrised:
+    def test_trivial_group_returns_base_prediction(self):
         rng = substream(0, "mc1")
         data = ball_dataset(rng, 100, lambda X: X[:, 0])
         est = LocalConstantEstimator(data, 0.3)
         x = np.array([0.1, 0.2, 0.3])
-        value = at(symmetrised(est, trivial_subgroup(PARENT_SO3), method="monte_carlo",
-                               m=1, rng=substream(1)), x)
+        value = at(symmetrised(est, trivial_subgroup(PARENT_SO3), est.h, "uniform"), x)
         assert value == at(est, x)
 
-    def test_invariant_predictor_exact_for_any_seed(self):
+    def test_invariant_predictor_exact(self):
         f = FunctionPredictor(BALL, lambda X: np.cos(np.linalg.norm(X, axis=1)))
         x = np.array([0.3, 0.4, -0.1])
-        expected = float(np.cos(np.linalg.norm(x)))
-        for seed in range(5):
-            value = at(symmetrised(f, full_so3(), method="monte_carlo", m=64,
-                                   rng=substream(seed)), x)
-            assert value == pytest.approx(expected, abs=1e-12)
+        value = at(symmetrised(f, full_so3(), 0.1, "uniform"), x)
+        assert value == pytest.approx(float(np.cos(np.linalg.norm(x))), abs=1e-12)
 
     def test_axis_aligned_symmetry_of_f2(self):
         f = FunctionPredictor(BALL, f2)
         x = np.array([0.2, 0.5, 0.1])
-        for seed in range(3):
-            value = at(symmetrised(f, circle3([1.0, 0.0, 0.0]), method="monte_carlo", m=50,
-                                   rng=substream(seed, "inv")), x)
-            assert value == pytest.approx(at(f, x), abs=1e-12)
+        value = at(symmetrised(f, circle3([1.0, 0.0, 0.0]), 0.1, "uniform"), x)
+        assert value == pytest.approx(at(f, x), abs=1e-12)
 
-    def test_misaligned_axis_shows_the_quadrature_gap(self):
-        # dense-quadrature oracle for the orbit average about the z axis
+    def test_misaligned_axis_gives_the_dense_orbit_average(self):
+        # dense-quadrature oracle for the orbit average about the z axis;
+        # f2's orbit values are smooth in the angle, so 24 nodes reach it
         f = FunctionPredictor(BALL, f2)
         x = np.array([0.2, 0.5, 0.1])
         angles = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
         quats = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angles)
         dense = float(f2(quat_rotate(quats, x[None, :]).reshape(-1, 3)).mean())
-        gap = abs(dense - at(f, x))
-        assert gap > 1e-3  # generic point: a genuine orbit-average gap
-        value = at(symmetrised(f, circle3([0.0, 0.0, 1.0]), method="monte_carlo", m=4000,
-                               rng=substream(0, "gap")), x)
-        assert abs(value - at(f, x)) > gap / 2
-
-    def test_monte_carlo_unbiased_against_quadrature(self):
-        f = FunctionPredictor(BALL, f2)
-        x = np.array([0.2, 0.5, 0.1])
-        angles = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
-        quats = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angles)
-        dense = float(f2(quat_rotate(quats, x[None, :]).reshape(-1, 3)).mean())
-        m, seeds = 128, 200
-        values = np.array([
-            at(symmetrised(f, circle3([0.0, 0.0, 1.0]), method="monte_carlo", m=m,
-                           rng=substream(s, "mcmean")), x)
-            for s in range(seeds)
-        ])
-        se = values.std(ddof=1) / np.sqrt(seeds)
-        assert abs(values.mean() - dense) <= 3 * se
+        assert abs(dense - at(f, x)) > 1e-3  # generic point: a genuine orbit-average gap
+        value = at(symmetrised(f, circle3([0.0, 0.0, 1.0]), 0.1, "uniform"), x)
+        assert value == pytest.approx(dense, abs=1e-12)
 
     def test_sub_torus_average_of_a_function_of_the_other_coordinates_is_exact(self):
         from orbitreg import axis_translations
@@ -311,14 +289,8 @@ class TestMonteCarloSymmetrised:
         t3 = torus(3)
         f = FunctionPredictor(t3, lambda X: np.sin(2 * np.pi * X[:, 1]))
         x = np.array([0.3, 0.2, 0.9])
-        value = at(symmetrised(f, axis_translations(3, [0, 2]), method="monte_carlo", m=64,
-                               rng=substream(0)), x)
+        value = at(symmetrised(f, axis_translations(3, [0, 2]), 0.1, "uniform"), x)
         assert value == pytest.approx(at(f, x), abs=1e-12)
-
-    def test_draw_count_validated(self):
-        f = FunctionPredictor(BALL, f2)
-        with pytest.raises(ConfigError):
-            symmetrised(f, full_so3(), method="monte_carlo", m=0, rng=substream(0))
 
 
 class TestDatasetValidation:

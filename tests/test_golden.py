@@ -32,14 +32,15 @@ from orbitreg.subgroups import (
 # scenario -> risks in row order: trial 0 baseline, trial 0
 # best_symmetric, trial 1 baseline, trial 1 best_symmetric.
 GOLDEN_RISKS = {
-    "so3_f1": (0.09445052132171838, 0.04025120733009852,
-               0.049063953238607017, 0.055696621533534475),
-    "t2_g3": (0.31906045324773563, 0.19187094990345677,
-              0.29064079204108506, 0.19855052863345343),
+    "so3_f1": (0.09445052132171838, 0.035770769375563304,
+               0.049063953238607017, 0.05230849672563605),
+    "t2_g3": (0.31906045324773563, 0.19105197931753068,
+              0.29064079204108506, 0.19955483409174946),
 }
 
 # scenario -> best_symmetric risks of trials 0 and 1 when the same search
-# is followed by the orbit-grid final prediction instead of Monte-Carlo.
+# is followed by the orbit-grid final prediction instead of the quadrature
+# nodes the search scored.
 GOLDEN_GRID_FINAL_RISKS = {
     "so3_f1": (0.106360101777814, 0.10825796917820543),
     "t2_g3": (0.2583089163062379, 0.2531673673137967),

@@ -24,7 +24,7 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
-from orbitreg.errors import IncompatibleActionError
+from orbitreg.errors import ConfigError
 from orbitreg.groups import quat_rotation_angle
 from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.spaces import pairwise_distance
@@ -333,9 +333,9 @@ class TestBatchedGrids:
     def test_non_positive_bandwidth_rejected(self, h):
         xs = np.array([[0.5, 0.1, 0.2]])
         for group in (circle3([0.0, 0.0, 1.0]), full_so3()):
-            with pytest.raises(IncompatibleActionError):
+            with pytest.raises(ConfigError):
                 orbit_coords_batch(unit_ball3(), group, xs, h)
-            with pytest.raises(IncompatibleActionError):
+            with pytest.raises(ConfigError):
                 build_orbit_grid(BALL, group, xs[0], h)
 
 

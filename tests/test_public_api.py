@@ -48,4 +48,4 @@ def test_scenario_config_fields():
 
 def test_best_symmetric_predictor_parameters():
     params = list(inspect.signature(orbitreg.BestSymmetricPredictor.__init__).parameters)
-    assert params == ["self", "base", "selection", "method", "mc_draws", "rng"]
+    assert params == ["self", "base", "selection", "method"]

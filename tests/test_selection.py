@@ -267,12 +267,11 @@ class TestSearchMemory:
 
 
 class TestChunkedPrediction:
-    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
     @pytest.mark.parametrize("budget", [1, 500, 3_000])
     def test_small_chunks_give_identical_predictions(self, method, budget, monkeypatch):
-        # circle3 draws its angles with rng.random, so slicing the queries
-        # does not move the draws; responses on the 1/8 lattice at n = 55
-        # make every neighbour sum exact whatever the batch (see above)
+        # responses on the 1/8 lattice at n = 55 make every neighbour sum
+        # exact whatever the batch (see above)
         scen = SCENARIOS["so3_f2"]
         fit = generate_data(scen, 55, 0.5, substream(6, "chunk-final"))
         fit = Dataset(BALL, fit.X, np.round(8.0 * fit.Y) / 8.0)
@@ -281,8 +280,7 @@ class TestChunkedPrediction:
         queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 400, substream(6, "q"))
 
         def predict():
-            return BestSymmetricPredictor(base, fixed, method,
-                                          rng=substream(6, "mc")).predict_coords(queries)
+            return BestSymmetricPredictor(base, fixed, method).predict_coords(queries)
 
         whole = predict()
         passes = []
@@ -338,10 +336,9 @@ class TestBestSymmetricPredictor:
         assert sel.chosen.family is SubgroupFamily.FULL_SO3
         base = FunctionPredictor(BALL, f1)
         x = np.array([[0.5, -0.2, 0.1]])
-        mc = BestSymmetricPredictor(base, SymmetrySelection(full_so3(), sel.chosen_bandwidth, {}),
-                                    method="monte_carlo", mc_draws=100,
-                                    rng=substream(12)).predict_coords(x)[0]
-        assert mc == pytest.approx(f1(x)[0], abs=1e-12)
+        fixed = SymmetrySelection(full_so3(), sel.chosen_bandwidth, {})
+        uniform = BestSymmetricPredictor(base, fixed, method="uniform").predict_coords(x)[0]
+        assert uniform == pytest.approx(f1(x)[0], abs=1e-12)
 
     def test_batched_predictor_matches_pointwise(self):
         scen = SCENARIOS["so3_f2"]
@@ -357,82 +354,86 @@ class TestBestSymmetricPredictor:
             assert batch[i] == pytest.approx(single, abs=1e-12)
 
     @pytest.mark.parametrize("scenario", ["so3_f3", "t2_g3"])
-    def test_monte_carlo_trivial_choice_is_the_base_prediction(self, scenario, monkeypatch):
-        # the trivial orbit is the query itself: one draw per row, no
-        # randomness consumed, and the base's own numbers bit for bit
+    def test_uniform_trivial_choice_is_the_base_prediction(self, scenario, monkeypatch):
+        # the trivial orbit is the query itself: one node per row, one pass,
+        # and the base's own numbers bit for bit
         spec = SCENARIOS[scenario]
         fit = generate_data(spec, 300, 0.5, substream(18, scenario, "fit"))
         base = LocalConstantEstimator(fit, 0.3)
         queries = sample_points(fit.space, PointDistribution.UNIFORM_SPACE, 200,
                                 substream(18, scenario, "q"))
         trivial = SymmetrySelection(trivial_subgroup(spec.parent), 0.3, {})
-        rng = substream(18, "mc")
         points = []
         predict_pass = selection._predict_pass
         monkeypatch.setattr(selection, "_predict_pass", lambda base, coords, counts: points.append(
             len(coords)) or predict_pass(base, coords, counts))
-        preds = BestSymmetricPredictor(base, trivial, "monte_carlo", rng=rng).predict_coords(queries)
+        preds = BestSymmetricPredictor(base, trivial, "uniform").predict_coords(queries)
         assert np.array_equal(preds, base.predict_coords(queries))
         assert points == [len(queries)]
-        assert rng.random() == substream(18, "mc").random()
 
-    def test_monte_carlo_needs_rng(self):
+    @pytest.mark.parametrize("scenario", ["so3_f1", "t2_g3"])
+    def test_uniform_final_scores_the_chosen_holdout_error(self, scenario):
+        # the uniform final is the estimator the uniform search scored
+        spec = SCENARIOS[scenario]
+        fit, holdout = (generate_data(spec, 100, 0.5, substream(20, scenario, part))
+                        for part in ("fit", "holdout"))
+        cover = delta_cover(spec.parent, spec.space, 1.0 if spec.parent == PARENT_SO3 else 0.5)
+        sel = global_ems(SelectionInput(holdout=holdout, cover=cover, fit_data=fit,
+                                        symmetriser="uniform"))
+        assert sel.chosen.family is not SubgroupFamily.TRIVIAL
+        final = BestSymmetricPredictor(LocalConstantEstimator(fit, sel.chosen_bandwidth), sel,
+                                       method="uniform")
+        assert empirical_error(final, holdout) == pytest.approx(sel.per_group_error[sel.chosen],
+                                                                rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
+    def test_no_query_rows_give_an_empty_array(self, method):
+        base = LocalConstantEstimator(noiseless_holdout(f1, 50, 14), 0.3)
+        predictor = BestSymmetricPredictor(base, SymmetrySelection(full_so3(), 0.3, {}), method)
+        preds = predictor.predict_coords(np.zeros((0, 3)))
+        assert preds.shape == (0,)
+
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+    def test_bandwidth_must_be_finite_and_positive(self, method, h):
         base = FunctionPredictor(BALL, f1)
-        sel = SymmetrySelection(trivial_subgroup(PARENT_SO3), 0.3, {})
-        with pytest.raises(ConfigError):
-            BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=10)
+        with pytest.raises(ConfigError, match="bandwidth"):
+            BestSymmetricPredictor(base, SymmetrySelection(full_so3(), h, {}), method)
 
-    def test_monte_carlo_needs_at_least_one_draw(self):
+    def test_unknown_method_rejected(self):
         base = FunctionPredictor(BALL, f1)
-        sel = SymmetrySelection(full_so3(), 0.3, {})
-        with pytest.raises(ConfigError):
-            BestSymmetricPredictor(base, sel, method="monte_carlo", mc_draws=0, rng=substream(0))
+        with pytest.raises(ConfigError, match="monte_carlo"):
+            BestSymmetricPredictor(base, SymmetrySelection(full_so3(), 0.3, {}), "monte_carlo")
 
-    @pytest.mark.parametrize("draws", [2.5, True, 3.0])
-    def test_monte_carlo_draws_must_be_an_integer(self, draws):
-        base = FunctionPredictor(BALL, f1)
-        sel = SymmetrySelection(full_so3(), 0.3, {})
-        with pytest.raises(ConfigError, match="integer"):
-            BestSymmetricPredictor(base, sel, "monte_carlo", draws, substream(0))
-
-    def test_monte_carlo_draws_may_be_a_numpy_integer(self):
-        base = FunctionPredictor(BALL, f1)
-        sel = SymmetrySelection(full_so3(), 0.3, {})
-        x = np.array([[0.5, -0.2, 0.1]])
-        preds = [BestSymmetricPredictor(base, sel, "monte_carlo", m, substream(0)).predict_coords(x)
-                 for m in (7, np.int64(7))]
-        assert preds[0] == preds[1]
-
-    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
     @pytest.mark.parametrize("row", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.1, 0.2, -np.inf]])
     def test_non_finite_query_row_raises(self, method, row):
         base = LocalConstantEstimator(noiseless_holdout(f1, 50, 15), 0.3)
         sel = SymmetrySelection(full_so3(), 0.3, {})
-        predictor = BestSymmetricPredictor(base, sel, method, 10, substream(15))
+        predictor = BestSymmetricPredictor(base, sel, method)
         with pytest.raises(SpaceMismatchError, match="query row 1 "):
             predictor.predict_coords(np.array([[0.1, 0.2, 0.3], row]))
 
-    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
     def test_off_sphere_query_row_raises(self, method):
         sphere = unit_sphere2()
         base = LocalConstantEstimator(Dataset(sphere, [[0.0, 0.0, 1.0]], [1.0]), 0.3)
-        predictor = BestSymmetricPredictor(base, SymmetrySelection(full_so3(), 0.3, {}),
-                                           method, 10, substream(17))
+        predictor = BestSymmetricPredictor(base, SymmetrySelection(full_so3(), 0.3, {}), method)
         with pytest.raises(SpaceMismatchError, match="query row 1 "):
             predictor.predict_coords(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]]))
 
-    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
     def test_subgroup_must_act_on_the_base_space(self, method):
         base = LocalConstantEstimator(noiseless_holdout(f1, 50, 19), 0.3)
         sel = SymmetrySelection(full_torus(3), 0.5, {})
         with pytest.raises(IncompatibleActionError):
-            BestSymmetricPredictor(base, sel, method, 10, substream(19))
+            BestSymmetricPredictor(base, sel, method)
 
-    @pytest.mark.parametrize("method", ["grid", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
     def test_query_of_the_wrong_width_raises(self, method):
         base = LocalConstantEstimator(noiseless_holdout(f1, 50, 16), 0.3)
         sel = SymmetrySelection(circle3([1.0, 0.0, 0.0]), 0.3, {})
-        predictor = BestSymmetricPredictor(base, sel, method, 10, substream(16))
+        predictor = BestSymmetricPredictor(base, sel, method)
         with pytest.raises(SpaceMismatchError, match="width"):
             predictor.predict_coords(np.zeros((2, 2)))
 
