@@ -1,6 +1,6 @@
 """Benchmark risk quality of two checkouts, written to ``QUALITY_<tag>.json``.
 
-    python3 scripts/quality.py TAG [--base DIR] [--tiny] [--out DIR]
+    python3 scripts/quality.py TAG [--base DIR] [--tiny | --large] [--out DIR]
 
 Runs the six benchmark scenarios at n = 100 and 300 on seeds 201-210,
 trials 0-9 each (``ScenarioConfig`` defaults otherwise, so the fixed
@@ -14,10 +14,14 @@ scenario, n and seed it takes three numbers over the trials:
   element nearest the scenario's maximal symmetry.
 
 It prints each number's median and interquartile range over the seeds,
-writes them to ``QUALITY_<tag>.json`` at the root of this checkout (or in
-``--out``), and flags every cell whose median on this checkout falls
-outside the base's interquartile range; it exits 1 if any cell is
-flagged.  ``--tiny`` runs one seed at n = 30, as a smoke test.
+and per scenario the same of ``risk_slope``, the least-squares slope of
+log10 ``risk_best`` against log10 n over the sizes.  It writes them to
+``QUALITY_<tag>.json`` at the root of this checkout (or in ``--out``),
+and flags every cell and slope whose median on this checkout falls
+outside the base's interquartile range; it exits 1 if any is flagged.
+``--tiny`` runs one seed at n = 30, as a smoke test; ``--large`` runs
+n = 1000 and 3000 instead, where a rate lost at large n shows in the
+slope.
 
 The chosen subgroups are observed by wrapping ``orbitreg.bench.global_ems``
 in the process that runs the trials; when that name is gone, the hit
@@ -40,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ("so3_f1", "so3_f2", "so3_f3", "t2_g1", "t2_g2", "t2_g3")
 SEEDS = tuple(range(201, 211))
 N_GRID = (100, 300)
+LARGE_N_GRID = (1000, 3000)
 TRIALS = 10
 METRICS = ("risk_best", "risk_ratio", "symmetry_hit_frac")
 
@@ -108,9 +113,10 @@ def trials(seeds, n_grid) -> dict:
 # ---------------------------------------------------------------------------
 # the report: runs the trials of each checkout and compares them
 
-def measure(checkout: Path, seeds, n_grid) -> tuple[dict, float]:
-    """Each cell's per-seed numbers from ``checkout``'s package, and the
-    wall seconds the trials took."""
+def measure(checkout: Path, seeds, n_grid) -> tuple[dict, dict, float]:
+    """Each cell's per-seed numbers and each scenario's ``risk_slope`` (with
+    two sizes or more) from ``checkout``'s package, and the wall seconds
+    the trials took."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     command = [sys.executable, str(Path(__file__).resolve()), "--worker",
                "--seeds", *map(str, seeds), "--n-grid", *map(str, n_grid)]
@@ -121,7 +127,7 @@ def measure(checkout: Path, seeds, n_grid) -> tuple[dict, float]:
     if proc.returncode != 0:
         raise SystemExit(f"the trials failed in {checkout}:\n{proc.stderr[-2000:]}")
     raw = json.loads(proc.stdout)
-    cells = {}
+    cells, slopes = {}, {}
     for scenario in SCENARIOS:
         for n in n_grid:
             per_seed = {m: [] for m in METRICS}
@@ -134,7 +140,15 @@ def measure(checkout: Path, seeds, n_grid) -> tuple[dict, float]:
                 per_seed["symmetry_hit_frac"].append(
                     None if None in hits else sum(hits) / len(hits))
             cells[f"{scenario} n={n}"] = {m: spread(v) for m, v in per_seed.items()}
-    return cells, seconds
+        if len(n_grid) > 1:
+            per_seed = zip(*(cells[f"{scenario} n={n}"]["risk_best"]["per_seed"] for n in n_grid))
+            slopes[scenario] = spread([risk_slope(n_grid, risks) for risks in per_seed])
+    return cells, slopes, seconds
+
+
+def risk_slope(n_grid, risks) -> float:
+    """Least-squares slope of log10 risk against log10 n."""
+    return float(np.polyfit(np.log10(n_grid), np.log10(risks), 1)[0])
 
 
 def spread(values: list) -> dict:
@@ -169,7 +183,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tag", nargs="?", help="the file written is QUALITY_<tag>.json")
     parser.add_argument("--base", type=Path, help="a second checkout to compare against")
-    parser.add_argument("--tiny", action="store_true", help="one seed at n = 30")
+    size = parser.add_mutually_exclusive_group()
+    size.add_argument("--tiny", action="store_true", help="one seed at n = 30")
+    size.add_argument("--large", action="store_true", help="n = 1000 and 3000")
     parser.add_argument("--out", type=Path, default=ROOT, help="where the file is written")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--seeds", type=int, nargs="+", help=argparse.SUPPRESS)
@@ -181,13 +197,15 @@ def main(argv=None) -> int:
     if args.tag is None:
         parser.error("the tag is required")
     seeds, n_grid = ((SEEDS[0],), (30,)) if args.tiny else (SEEDS, N_GRID)
+    if args.large:
+        n_grid = LARGE_N_GRID
 
     sides = {"change": ROOT}
     if args.base is not None:
         sides["base"] = args.base.resolve()
-    cells, seconds = {}, {}
+    cells, slopes, seconds = {}, {}, {}
     for side, checkout in sides.items():
-        cells[side], seconds[side] = measure(checkout, seeds, n_grid)
+        cells[side], slopes[side], seconds[side] = measure(checkout, seeds, n_grid)
         print(f"{side}: {seconds[side]:.1f} s", flush=True)
 
     flagged = []
@@ -203,23 +221,33 @@ def main(argv=None) -> int:
                     flagged.append(f"{cell} {metric}")
                     line += "  FLAGGED"
             print(line)
+    for scenario, stats in slopes["change"].items():
+        line = f"{scenario:16s} {'risk_slope':18s} {show(stats)}"
+        if "base" in sides:
+            base = slopes["base"][scenario]
+            line += f"  {show(base)}"
+            if outside(stats, base):
+                flagged.append(f"{scenario} risk_slope")
+                line += "  FLAGGED"
+        print(line)
 
     record = {
         "command": f"python3 scripts/quality.py {args.tag}"
                    + (" --base DIR" if args.base is not None else "")
-                   + (" --tiny" if args.tiny else ""),
+                   + (" --tiny" if args.tiny else "") + (" --large" if args.large else ""),
         "seeds": list(seeds),
         "n_grid": list(n_grid),
         "trials": TRIALS,
         "checkouts": {side: {**commit_of(path), "seconds": round(seconds[side], 2),
-                             "cells": cells[side]}
+                             "cells": cells[side], "slopes": slopes[side]}
                       for side, path in sides.items()},
         "flagged": flagged if "base" in sides else None,
     }
     path = args.out / f"QUALITY_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     if "base" in sides:
-        print(f"{len(flagged)} of {len(cells['change']) * len(METRICS)} cells flagged")
+        total = len(cells["change"]) * len(METRICS) + len(slopes["change"])
+        print(f"{len(flagged)} of {total} cells flagged")
     print(f"wrote {path}")
     return 1 if flagged else 0
 

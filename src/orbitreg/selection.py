@@ -53,7 +53,7 @@ _TIE_TOL = 1e-12
 # orbit points per prediction pass (48 MB per copy at three coordinates).
 # It lies above the largest bandwidth class of every benchmark workload
 # (about 0.8 million points, the shrinking-delta cover at n = 50) and above
-# every quadrature final prediction there (at most 200 x 64 points), so
+# every quadrature final prediction there (at most 200 x 144 points), so
 # those passes are never split and their numbers do not move.
 CHUNK_ROWS = 2_000_000
 
@@ -192,12 +192,18 @@ def _quadrature_averages(base: Predictor, groups: list[ClosedSubgroup], xs: np.n
                          h: float) -> Iterator[np.ndarray]:
     """The quadrature-node average of the base predictor over each row of
     ``xs``, one array per subgroup, in order, with the node counts at
-    bandwidth ``h``.  Each pass's nodes come from one
+    bandwidth ``h``.  Passes are packed by :func:`_passes`; a pass whose
+    nodes on every row exceed ``CHUNK_ROWS`` points (one subgroup's, then)
+    is split between rows, so every pass holds at most ``CHUNK_ROWS``
+    points or one row's nodes.  Each pass's nodes come from one
     :func:`orbit_quadrature_coords` call, written into the one array the
-    pass predicts on; passes are packed by :func:`_passes`."""
+    pass predicts on."""
     rows = xs.shape[0]
     for chunk in _passes(groups, lambda group: rows * quadrature_count(group, h)):
-        yield from _predict_pass(base, *orbit_quadrature_coords(chunk, xs, h)).reshape(len(chunk), rows)
+        step = max(1, CHUNK_ROWS // sum(quadrature_count(group, h) for group in chunk))
+        means = [_predict_pass(base, *orbit_quadrature_coords(chunk, xs[start : start + step], h))
+                 .reshape(len(chunk), -1) for start in range(0, rows, step)]
+        yield from np.hstack(means) if means else np.zeros((len(chunk), 0))
 
 
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
@@ -275,17 +281,12 @@ class BestSymmetricPredictor:
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = query_rows(self.space, coords)
         group, h = self.selection.chosen, self.selection.chosen_bandwidth
-        if self.method == "grid":
-            pts, counts = orbit_coords_batch(self.space, group, coords, h)
-            # one block per query row, so passes split the queries between rows
-            blocks = zip(np.split(pts, np.cumsum(counts)[:-1]), counts[:, None])
-            means = list(_orbit_averages(self.base, blocks))
-        else:
-            # query rows are split so a pass holds at most CHUNK_ROWS nodes
-            step = max(1, CHUNK_ROWS // quadrature_count(group, h))
-            passes = (orbit_quadrature_coords(group, coords[start : start + step], h)
-                      for start in range(0, len(coords), step))
-            means = [_predict_pass(self.base, *nodes) for nodes in passes]
+        if self.method == "uniform":
+            return next(_quadrature_averages(self.base, [group], coords, h))
+        pts, counts = orbit_coords_batch(self.space, group, coords, h)
+        # one block per query row, so passes split the queries between rows
+        blocks = zip(np.split(pts, np.cumsum(counts)[:-1]), counts[:, None])
+        means = list(_orbit_averages(self.base, blocks))
         return np.concatenate(means) if means else np.zeros(0)  # no query rows, no passes
 
 

@@ -238,13 +238,22 @@ def quadrature_count(group: ClosedSubgroup, h: float) -> int:
     at bandwidth ``h``.
 
     An orbit of dimension k = 0 gets one node.  Otherwise each of the k
-    parameter axes gets ``p = max(round(m ** (1/k)), 2)`` nodes, where m is
-    24 on a one-dimensional orbit and 64 otherwise, so a row gets ``p ** k``
-    nodes: 24 on circles and lines, 64 on spheres and 2- and 3-tori.  A
-    torus line of length L gets ``max(24, ceil(L / 2h))``, so its nodes
-    are at most 2h apart and its node average of ``exp(2 pi i k.x)`` is
-    exact for every frequency ``|k| < 1 / 2h`` (with 24 nodes, a line
-    whose direction agrees with (1, 1) mod 24 would share its nodes).
+    parameter axes gets ``p = max(round(m ** (1/k)), 2, ceil(L / 2h))``
+    nodes, where m is 24 on a one-dimensional orbit and 64 otherwise, and
+    L is the longest orbit's extent along the axis: 2 pi on circles (the
+    unit circle), 2 sqrt(pi) on spheres (the side of a square of the unit
+    sphere's area), ``|(p, q)|`` on a torus line and 1 on each axis of a
+    sub-torus.  A row gets ``p ** k`` nodes: at least 24 on circles and
+    lines and 64 on spheres and 2- and 3-tori, and enough that neighbouring
+    nodes are at most about 2h apart.  So the nodes' h-balls cover the
+    orbit and their average pools the data of the orbit's whole h-tube, as
+    the exact orbit average does, at every bandwidth.  With a fixed count
+    the balls part as h shrinks, and the average's variance shrinks more
+    slowly than the orbit average's (the full rotation group passes 64
+    nodes from n = 92 at a = beta = 1).  A torus line's node average of
+    ``exp(2 pi i k.x)`` is exact for every frequency ``|k| < 1 / 2h`` (with
+    24 nodes, a line whose direction agrees with (1, 1) mod 24 would share
+    its nodes).
     """
     return _node_lattice(group, h)[1]
 
@@ -252,13 +261,12 @@ def quadrature_count(group: ClosedSubgroup, h: float) -> int:
 def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
     """``(p, p ** k)``: the quadrature nodes per parameter axis and per row
     of :func:`quadrature_count`."""
-    k = FAMILY_TABLE[group.family].orbit_dim(group)
+    entry = FAMILY_TABLE[group.family]
+    k = entry.orbit_dim(group)
     if k == 0:
         return 1, 1
-    if group.family is SubgroupFamily.TORUS_LINE:
-        side = max(_QUADRATURE_1D, math.ceil(math.hypot(*group.direction) / (2.0 * h)))
-    else:
-        side = max(round((_QUADRATURE_1D if k == 1 else _QUADRATURE_2D) ** (1.0 / k)), 2)
+    side = max(round((_QUADRATURE_1D if k == 1 else _QUADRATURE_2D) ** (1.0 / k)), 2,
+               math.ceil(entry.extent(group) / (2.0 * h)))
     return side, side ** k
 
 
@@ -294,6 +302,8 @@ class FamilyEntry:
 
     * ``orbit_dim(g)``: principal orbit dimension (``dim`` where it is
       fixed);
+    * ``extent(g)``: the longest orbit's length along each parameter axis,
+      which sets the quadrature node count at small bandwidths;
     * ``singular``: rows whose orbit is the point itself;
     * ``side``: per-row side of the hypercube in the orbit's tangent shadow;
     * ``place(g, xs, row, offsets)``: projects tangent-shadow
@@ -413,6 +423,9 @@ class _Circle(FamilyEntry):
         radial = xs - axial[:, None] * u
         return axial, radial, np.linalg.norm(radial, axis=1)
 
+    def extent(self, g):
+        return 2.0 * math.pi  # orbits in the unit ball and sphere
+
     def singular(self, g, xs):
         return self._split(g, xs)[2] <= _SINGULAR_TOL
 
@@ -466,6 +479,11 @@ class _FullSO3(FamilyEntry):
 
     dim = 2
 
+    def extent(self, g):
+        # the side of a square of the unit sphere's area: the Fibonacci
+        # lattice then gives each node at most (2h)^2 of the sphere
+        return 2.0 * math.sqrt(math.pi)
+
     def singular(self, g, xs):
         return np.linalg.norm(xs, axis=1) <= _SINGULAR_TOL
 
@@ -518,6 +536,9 @@ class _TorusTranslations(FamilyEntry):
 
     def orbit_dim(self, g):
         return len(self.generators(g))
+
+    def extent(self, g):
+        return math.hypot(*self.generators(g)[0])  # the rows share one length
 
     def side(self, g, xs):
         return np.full(len(xs), _TORUS_SHADOW_SIDE)

@@ -1,9 +1,11 @@
-"""The quality report's smoke test: one seed at n = 30, this checkout
-against itself."""
+"""The quality report: its smoke test (one seed at n = 30, this checkout
+against itself), its flag rule and its slope."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("quality", ROOT / "scripts" / "quality.py")
@@ -33,3 +35,8 @@ def test_a_median_outside_the_base_quartiles_is_flagged():
     assert not quality.outside(quality.spread([3.9, 4.0, 4.1]), base)
     assert quality.outside(quality.spread([4.1, 4.2, 4.3]), base)
     assert quality.outside(quality.spread([1.9]), base)
+
+
+def test_risk_slope_is_the_log_log_rate():
+    assert quality.risk_slope((1000, 3000), (0.02, 0.02 * 3.0 ** -0.5)) == pytest.approx(-0.5)
+    assert quality.risk_slope((100, 300, 1000), (0.1, 0.1, 0.1)) == pytest.approx(0.0, abs=1e-12)

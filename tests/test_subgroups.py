@@ -33,6 +33,7 @@ from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import parent_group, quat_from_axis_angle, quat_rotation_angle
 from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.randomness import polar_gaussian
+from orbitreg.spaces import pairwise_distance
 from orbitreg.subgroups import (
     FAMILY_TABLE,
     SubgroupFamily,
@@ -492,7 +493,7 @@ class TestQuadrature:
         group = circle3([0.0, 0.0, 1.0])
         x = np.array([[0.6, 0.0, 0.3]])
         coords, counts = orbit_quadrature_coords(group, x, 0.1)
-        assert counts[0] == 24
+        assert counts[0] == 32  # ceil(2 pi / 0.2): at most 2h apart on the unit circle
         fn = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 2]
         dense_angles = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
         dense = np.stack([0.6 * np.cos(dense_angles), 0.6 * np.sin(dense_angles),
@@ -531,11 +532,12 @@ class TestQuadrature:
             for nodes, g in zip(entry.nodes(groups, side), groups):
                 assert nodes.tobytes() == entry.nodes([g], side)[0].tobytes()
 
-    @pytest.mark.parametrize("h", [0.25, 0.01])
+    @pytest.mark.parametrize("h", [0.25, 0.04])
     @pytest.mark.parametrize("parent", ["so3", "torus2", "torus3", "torus4"])
     def test_quadrature_count_is_the_number_of_nodes(self, parent, h):
-        # every family: 1 node on the trivial group, 24 on circles, 64 on
-        # spheres and 2- and 3-tori, 81 on 4-tori, and on lines the 2h rule
+        # every family: 1 node on the trivial group; at h = 0.25, 24 on
+        # circles, 64 on spheres and 2- and 3-tori, 81 on 4-tori; at
+        # h = 0.04 the 2h rule on every orbit of positive dimension
         if parent == "so3":
             space = unit_ball3()
             groups = [trivial_subgroup(PARENT_SO3), circle3([0.6, 0.0, 0.8]), full_so3()]
@@ -548,9 +550,33 @@ class TestQuadrature:
         xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 3, substream(26, "count", parent))
         _, counts = orbit_quadrature_coords(groups, xs, h)
         assert counts.tolist() == [subgroups.quadrature_count(g, h) for g in groups for _ in xs]
-        if parent == "torus2":
-            assert [subgroups.quadrature_count(g, h) for g in groups[-3:]] == (
-                [24, 24, 47] if h == 0.25 else [71, 181, 1152])
+        pinned = {  # (h = 0.25, h = 0.04), groups in order after the trivial one
+            "so3": ([24, 64], [79, 45 ** 2]),
+            "torus2": ([24, 24, 64, 24, 24, 47], [24, 24, 13 ** 2, 24, 46, 288]),
+            "torus3": ([24] * 3 + [64] * 4, [24] * 3 + [13 ** 2] * 3 + [13 ** 3]),
+            "torus4": ([24] * 4 + [64] * 10 + [81], [24] * 4 + [13 ** 2] * 6 + [13 ** 3] * 4
+                       + [13 ** 4]),
+        }[parent][h == 0.04]
+        assert [subgroups.quadrature_count(g, h) for g in groups] == [1] + pinned
+
+    @pytest.mark.parametrize("h", [0.3, 0.2, 0.15, 0.1, 0.05])
+    @pytest.mark.parametrize("family", ["circle", "sphere", "line", "torus2"])
+    def test_neighbouring_nodes_on_the_longest_orbit_are_within_2h(self, family, h):
+        # the nodes' h-balls touch along the whole orbit, so the node average
+        # pools the orbit's h-tube at every bandwidth (64 fixed nodes on the
+        # unit sphere leave up to 0.428 between neighbours, over 2h below
+        # h = 0.214)
+        if family in ("circle", "sphere"):
+            group = circle3([0.6, 0.0, 0.8]) if family == "circle" else full_so3()
+            x = np.array([[0.8, 0.0, -0.6]])  # radius 1, a great circle of the circle's axis
+        else:
+            group = torus_line(2, -3) if family == "line" else full_torus(2)
+            x = np.array([[0.1, 0.3]])
+        nodes, _ = orbit_quadrature_coords(group, x, h)
+        space = unit_ball3() if family in ("circle", "sphere") else torus(2)
+        gaps = pairwise_distance(space, nodes, nodes)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min(axis=1).max() <= 2.0 * h
 
     @pytest.mark.parametrize("h", [0.0, -0.1, float("nan"), float("inf")])
     def test_quadrature_bandwidth_must_be_finite_and_positive(self, h):
@@ -593,7 +619,8 @@ class TestQuadrature:
         coords, counts = [], []
         for g in groups:
             if g.family is SubgroupFamily.FULL_SO3:
-                pts = np.linalg.norm(xs, axis=1)[:, None, None] * fibonacci_sphere(64)[None]
+                lattice = fibonacci_sphere(subgroups._node_lattice(g, h)[1])
+                pts = np.linalg.norm(xs, axis=1)[:, None, None] * lattice[None]
             else:
                 nodes = FAMILY_TABLE[g.family].nodes([g], subgroups._node_lattice(g, h)[0])[0]
                 pts = parent_group(g.parent).act_rows(nodes[None, :, :], xs[:, None, :])
@@ -610,7 +637,8 @@ class TestQuadrature:
         # so the patched steps end inside, at and after a subgroup's nodes;
         # the sub-tori mix 64- and 24-node runs, the mixed cover the trivial
         # group and the full rotation group's own generator between circles;
-        # at h = 0.02 every line has its own count, 25 to 80 nodes
+        # at h = 0.02 every line has its own count, 25 to 80 nodes, the
+        # circles 158, the sphere 45 ** 2 and the sub-tori 25 per axis
         rng = substream(21, "stepped", case)
         if case == "torus_lines":
             space = torus(2)
