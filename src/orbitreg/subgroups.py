@@ -238,20 +238,21 @@ def quadrature_count(group: ClosedSubgroup, h: float) -> int:
     at bandwidth ``h``.
 
     An orbit of dimension k = 0 gets one node.  Otherwise each of the k
-    parameter axes gets ``p = max(round(m ** (1/k)), 2, ceil(L / 2h))``
-    nodes, where m is 24 on a one-dimensional orbit and 64 otherwise, and
-    L is the longest orbit's extent along the axis: 2 pi on circles (the
-    unit circle), 2 sqrt(pi) on spheres (the side of a square of the unit
-    sphere's area), ``|(p, q)|`` on a torus line and 1 on each axis of a
-    sub-torus.  A row gets ``p ** k`` nodes: at least 24 on circles and
-    lines and 64 on spheres and 2- and 3-tori, and enough that neighbouring
-    nodes are at most about 2h apart.  So the nodes' h-balls cover the
-    orbit and their average pools the data of the orbit's whole h-tube, as
-    the exact orbit average does, at every bandwidth.  With a fixed count
-    the balls part as h shrinks, and the average's variance shrinks more
-    slowly than the orbit average's (the full rotation group passes 64
-    nodes from n = 92 at a = beta = 1).  A torus line's node average of
-    ``exp(2 pi i k.x)`` is exact for every frequency ``|k| < 1 / 2h`` (with
+    parameter axes gets ``p = max(round(m ** (1/k)), 2, ceil(L / (c h)))``
+    nodes, where m is 24 and c is 1 on a one-dimensional orbit, m is 64
+    and c is 2 otherwise, and L is the longest orbit's extent along the
+    axis: 2 pi on circles (the unit circle), 2 sqrt(pi) on spheres (the
+    side of a square of the unit sphere's area), ``|(p, q)|`` on a torus
+    line and 1 on each axis of a sub-torus.  A row gets ``p ** k`` nodes:
+    at least 24 on circles and lines and 64 on spheres and 2- and 3-tori,
+    and enough that neighbouring nodes are at most about c h apart.  So
+    the nodes' h-balls overlap along the orbit, and their average pools
+    the data of the orbit's whole h-tube, as the exact orbit average does,
+    at every bandwidth: its variance stays within a fixed factor of the
+    orbit average's, so it keeps that average's rate in n.  With a fixed
+    count the gaps would outgrow c h as h shrinks (circles from n = 213,
+    full SO(3) from n = 92, at a = beta = 1).  A torus line's node average of
+    ``exp(2 pi i k.x)`` is exact for every frequency ``|k| < 1 / h`` (with
     24 nodes, a line whose direction agrees with (1, 1) mod 24 would share
     its nodes).
     """
@@ -265,8 +266,8 @@ def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
     k = entry.orbit_dim(group)
     if k == 0:
         return 1, 1
-    side = max(round((_QUADRATURE_1D if k == 1 else _QUADRATURE_2D) ** (1.0 / k)), 2,
-               math.ceil(entry.extent(group) / (2.0 * h)))
+    least, gap = (_QUADRATURE_1D, _NODE_GAP_1D) if k == 1 else (_QUADRATURE_2D, _NODE_GAP_2D)
+    side = max(round(least ** (1.0 / k)), 2, math.ceil(entry.extent(group) / (gap * h)))
     return side, side ** k
 
 
@@ -287,6 +288,12 @@ _SINGULAR_TOL = 1e-9
 _RECOVER_TOL = 1e-9  # largest orbit deviation a recovered element may leave
 _QUADRATURE_1D = 24  # quadrature nodes on a one-dimensional orbit
 _QUADRATURE_2D = 64  # about this many on a higher-dimensional one
+# the widest gap between neighbouring nodes, in bandwidths: with pure noise
+# a circle's node average then has 1.15 times the orbit average's variance
+# (1.29 with 24 nodes at n = 3000), and a sphere's 1.57 (15 with 64 nodes);
+# a gap of h on a sphere would take four times its nodes
+_NODE_GAP_1D = 1.0
+_NODE_GAP_2D = 2.0
 _TORUS_SHADOW_SIDE = 0.5  # stays within the wrap metric's injectivity radius
 
 
