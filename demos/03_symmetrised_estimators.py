@@ -44,6 +44,8 @@ print(f"orbit-grid symmetrised risk: {np.mean((sym - target) ** 2):.4f}")
 # The uniform symmetrisation averages over fixed, near-uniform quadrature
 # nodes on each orbit (a Fibonacci lattice on the spheres of the full
 # rotation group), the nodes the symmetry search scores candidates with.
+# There are enough of them that neighbours lie within 2h (196 here), so
+# their h-balls cover each orbit and the average uses all its data.
 uniform = og.BestSymmetricPredictor(base, so3, "uniform").predict_coords(eval_X)
 print(f"quadrature symmetrised risk: {np.mean((uniform - target) ** 2):.4f}")
 
