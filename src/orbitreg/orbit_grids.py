@@ -17,10 +17,12 @@ radius) and ``k`` the orbit dimension.  The construction is:
 3. recover one group element per projected point.
 
 Steps 1 and 2 run batched over many base points in
-:func:`orbit_coords_batch`, the one home of the rung count and the ladder;
-the family's entry of :data:`orbitreg.subgroups.FAMILY_TABLE` supplies only
-the geometry (``side``, ``singular``, the orbit dimension, and the
-projection ``place``).  A single grid is one row of that batch.
+:func:`orbit_coords_batch`, the one home of the ladder.  The rung count has
+one home too, shared with :func:`orbit_grid_counts`, which gives each row's
+point count without building the points.  The family's entry of
+:data:`orbitreg.subgroups.FAMILY_TABLE` supplies only the geometry
+(``side``, ``singular``, the orbit dimension, and the projection
+``place``).  A single grid is one row of that batch.
 
 Every entry takes ``(space, group, rows...)`` in that order, points as
 rows of the named space.  The single-grid entries :func:`build_orbit_grid`,
@@ -113,12 +115,8 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     raises :class:`orbitreg.errors.ConfigError`.
     """
     h = check_bandwidth(h)
-    parent_group(group.parent).check_acts_on(space)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    entry = FAMILY_TABLE[group.family]
-    singular = entry.singular(group, xs)
-    side = entry.side(group, xs)
-    rungs = np.where(singular, 1, np.floor(side / (2.0 * h)).astype(np.int64) + 1)
+    entry, singular, rungs = _rungs(space, group, xs, h)
     k = entry.orbit_dim(group)
     counts = rungs**k
     row = np.repeat(np.arange(len(xs)), counts)
@@ -130,3 +128,25 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     coords = entry.place(group, xs, row, offsets)
     coords[singular[row]] = xs[row[singular[row]]]
     return coords, counts
+
+
+def orbit_grid_counts(space: CovariateSpace, group: ClosedSubgroup,
+                      xs: np.ndarray, h: float) -> np.ndarray:
+    """The ``counts`` of :func:`orbit_coords_batch` for the rows ``xs``, a
+    2-D array, without building their points; it raises as
+    :func:`orbit_coords_batch` does."""
+    entry, _, rungs = _rungs(space, group, xs, check_bandwidth(h))
+    return rungs ** entry.orbit_dim(group)
+
+
+def _rungs(space: CovariateSpace, group: ClosedSubgroup, xs: np.ndarray, h: float):
+    """``(entry, singular, rungs)``: the family's entry, and per row of
+    ``xs`` whether it is singular and its ladder's rungs per tangent axis,
+    ``floor(R / 2h) + 1`` (one on a singular row), for a checked ``h``.
+    A subgroup whose parent does not act on ``space`` raises
+    :class:`orbitreg.errors.IncompatibleActionError`."""
+    parent_group(group.parent).check_acts_on(space)
+    entry = FAMILY_TABLE[group.family]
+    singular = entry.singular(group, xs)
+    rungs = np.floor(entry.side(group, xs) / (2.0 * h)).astype(np.int64) + 1
+    return entry, singular, np.where(singular, 1, rungs)

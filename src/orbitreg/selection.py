@@ -13,11 +13,13 @@ data along k directions and its variance grows only like
 The minimiser is the selected symmetry; the final predictor symmetrises
 the base estimator with it, through the deterministic orbit grid or through
 the quadrature nodes the ``uniform`` search scored it with, so the
-``uniform`` final is the estimator whose holdout error chose it.  The search
-scores the whole holdout sample: to search over part of it, filter the
-holdout ``Dataset`` first.  The search's holdout errors and
-:func:`empirical_error`, which also scores the benchmark's risks, share
-one mean squared error rule.
+``uniform`` final is the estimator whose holdout error chose it.  Every
+orbit average, of the search and of both finals, goes through one pass
+builder that holds at most ``CHUNK_ROWS`` orbit points (or one row's) at a
+time, whichever the symmetriser.  The search scores the whole holdout
+sample: to search over part of it, filter the holdout ``Dataset`` first.
+The search's holdout errors and :func:`empirical_error`, which also scores
+the benchmark's risks, share one mean squared error rule.
 
 Holdout data must be independent of ``fit_data``; the convenience
 splitter produces such a pair from one sample.
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import ConfigError, EmptyHoldoutError, SpaceMismatchError, check_bandwidth
 from .estimators import Dataset, LocalConstantEstimator, Predictor, bandwidth
 from .groups import parent_group
-from .orbit_grids import orbit_coords_batch
+from .orbit_grids import orbit_coords_batch, orbit_grid_counts
 from .spaces import query_rows
 from .subgroups import (
     ClosedSubgroup,
@@ -50,11 +52,14 @@ from .subgroups import (
 )
 
 _TIE_TOL = 1e-12
-# orbit points per prediction pass (48 MB per copy at three coordinates).
-# It lies above the largest bandwidth class of every benchmark workload
-# (about 0.8 million points, the shrinking-delta cover at n = 50) and above
-# every quadrature final prediction there (at most 200 x 144 points), so
-# those passes are never split and their numbers do not move.
+# orbit points per prediction pass of every orbit average, search and final,
+# grid and quadrature (48 MB per copy at three coordinates); a subgroup with
+# more points is split between rows, and a pass's points are built only when
+# it runs.  It lies above the largest bandwidth class of every benchmark
+# workload (about 0.8 million points, the shrinking-delta cover at n = 50)
+# and above every final prediction there (at most 200 x 144 nodes; the grid
+# search and final of select_grid build 0.12 million grid points per op in
+# all), so those passes are never split and their numbers do not move.
 CHUNK_ROWS = 2_000_000
 
 
@@ -75,17 +80,21 @@ class SelectionInput:
     cover subgroup whose parent does not act on ``holdout``'s space raises
     :class:`IncompatibleActionError`.  The input is frozen, so these
     checks cannot be undone by assigning a field afterwards (that raises
-    :class:`dataclasses.FrozenInstanceError`).
+    :class:`dataclasses.FrozenInstanceError`), and ``cover`` is kept as a
+    tuple of the subgroups given, which may be any iterable.
     """
 
     holdout: Dataset
-    cover: Sequence[ClosedSubgroup]
+    cover: Iterable[ClosedSubgroup]
     fit_data: Dataset
     a: float = 1.0
     beta: float = 1.0
     symmetriser: str = "grid"
 
     def __post_init__(self):
+        # a tuple of its own: a generator is not used up by the checks, and
+        # the caller's list can change afterwards without reaching the search
+        object.__setattr__(self, "cover", tuple(self.cover))
         if not isinstance(self.holdout, Dataset):
             raise ConfigError(f"holdout must be a Dataset, got {type(self.holdout).__name__}")
         if len(self.holdout) == 0:
@@ -148,17 +157,13 @@ def _candidate_bandwidth(inp: SelectionInput, group: ClosedSubgroup) -> float:
     return bandwidth(inp.a, len(inp.fit_data), inp.beta, d, d_group)
 
 
-_Block = tuple[np.ndarray, np.ndarray]  # (coords, counts), as orbit_coords_batch returns
-
-
 def _passes(blocks: Iterable, points: Callable[[object], int]) -> Iterator[list]:
     """Consecutive ``blocks`` grouped into prediction passes: a pass takes
     blocks while their orbit points (``points(block)``) stay within
     ``CHUNK_ROWS``; a block with more points runs alone.  Blocks are drawn
     lazily: a generator of blocks holds one pass's blocks and the next
     block at most."""
-    pending: list = []
-    total = 0
+    pending, total = [], 0
     for block in blocks:
         size = points(block)
         if pending and total + size > CHUNK_ROWS:
@@ -177,33 +182,40 @@ def _predict_pass(base: Predictor, coords: np.ndarray, counts: np.ndarray) -> np
     return np.add.reduceat(preds, np.cumsum(counts) - counts) / counts
 
 
-def _orbit_averages(base: Predictor, blocks: Iterable[_Block]) -> Iterator[np.ndarray]:
-    """The orbit average of the base predictor for each ``(coords, counts)``
-    block, in order: one mean per base row of the block, passes packed by
-    :func:`_passes`."""
-    for chunk in _passes(blocks, lambda block: len(block[0])):
-        counts = [counts for _, counts in chunk]
-        means = _predict_pass(base, np.vstack([coords for coords, _ in chunk]),
-                              np.concatenate(counts))
-        yield from np.split(means, np.cumsum([len(c) for c in counts])[:-1])
+def _orbit_averages(base: Predictor, groups: Sequence[ClosedSubgroup], xs: np.ndarray,
+                    h: float, symmetriser: str) -> Iterator[np.ndarray]:
+    """The orbit average of the base predictor over each row of ``xs``, one
+    array per subgroup, in order, at bandwidth ``h``: over each row's orbit
+    grid (``symmetriser="grid"``) or its quadrature nodes (``"uniform"``).
 
-
-def _quadrature_averages(base: Predictor, groups: list[ClosedSubgroup], xs: np.ndarray,
-                         h: float) -> Iterator[np.ndarray]:
-    """The quadrature-node average of the base predictor over each row of
-    ``xs``, one array per subgroup, in order, with the node counts at
-    bandwidth ``h``.  Passes are packed by :func:`_passes`; a pass whose
-    nodes on every row exceed ``CHUNK_ROWS`` points (one subgroup's, then)
-    is split between rows, so every pass holds at most ``CHUNK_ROWS``
-    points or one row's nodes.  Each pass's nodes come from one
-    :func:`orbit_quadrature_coords` call, written into the one array the
-    pass predicts on."""
+    Subgroups share a pass by :func:`_passes`, by their points: a node
+    count per row, or the grid counts of :func:`orbit_grid_counts`,
+    computed once per subgroup.  A subgroup with more than ``CHUNK_ROWS``
+    points is split between rows, so every pass holds at most
+    ``CHUNK_ROWS`` points or one row's.  Each pass's points are built just
+    before it runs: the nodes of all its subgroups by one
+    :func:`orbit_quadrature_coords` call, or each subgroup's grids by
+    :func:`orbit_coords_batch`.
+    """
     rows = xs.shape[0]
-    for chunk in _passes(groups, lambda group: rows * quadrature_count(group, h)):
-        step = max(1, CHUNK_ROWS // sum(quadrature_count(group, h) for group in chunk))
-        means = [_predict_pass(base, *orbit_quadrature_coords(chunk, xs[start : start + step], h))
-                 .reshape(len(chunk), -1) for start in range(0, rows, step)]
-        yield from np.hstack(means) if means else np.zeros((len(chunk), 0))
+    uniform = symmetriser == "uniform"
+    blocks = ((group, quadrature_count(group, h) if uniform
+               else orbit_grid_counts(base.space, group, xs, h)) for group in groups)
+    for chunk in _passes(blocks, lambda block: rows * block[1] if uniform else int(block[1].sum())):
+        # the chunk's points before each row (and after the last)
+        starts = np.concatenate(([0], np.cumsum(np.broadcast_to(sum(c for _, c in chunk), rows))))
+        chunk = [group for group, _ in chunk]
+        means, lo = [], 0
+        while lo < rows or not means:  # no rows make one empty pass
+            hi = min(rows, max(lo + 1, np.searchsorted(starts, starts[lo] + CHUNK_ROWS, "right") - 1))
+            if uniform:
+                coords, counts = orbit_quadrature_coords(chunk, xs[lo:hi], h)
+            else:
+                grids = [orbit_coords_batch(base.space, group, xs[lo:hi], h) for group in chunk]
+                coords, counts = grids[0] if len(grids) == 1 else map(np.concatenate, zip(*grids))
+            means.append(_predict_pass(base, coords, counts).reshape(len(chunk), -1))
+            lo = hi
+        yield from np.hstack(means)
 
 
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
@@ -215,14 +227,9 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
     scored through fixed quadrature nodes approximating the full orbit
     average, the nodes of a ``method="uniform"`` final prediction.
     """
-    holdout = inp.holdout
     base = LocalConstantEstimator(inp.fit_data, h)
-    if inp.symmetriser == "uniform":
-        averages = _quadrature_averages(base, groups, holdout.X, h)
-    else:
-        averages = _orbit_averages(base, (orbit_coords_batch(holdout.space, group, holdout.X, h)
-                                          for group in groups))
-    return {group: _mean_squared_error(sym, holdout.Y) for group, sym in zip(groups, averages)}
+    averages = _orbit_averages(base, groups, inp.holdout.X, h, inp.symmetriser)
+    return {group: _mean_squared_error(sym, inp.holdout.Y) for group, sym in zip(groups, averages)}
 
 
 def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgroup:
@@ -261,7 +268,8 @@ class BestSymmetricPredictor:
     nodes at the chosen bandwidth, the nodes the ``uniform`` search scores
     it with.  Both are deterministic.  To symmetrise by a fixed subgroup,
     pass ``SymmetrySelection(group, h, {})``; ``h`` only sizes the orbit
-    grids and node counts.  A bandwidth that is not finite and positive
+    grids and node counts.  The subgroup and bandwidth are read from
+    ``selection`` once, here.  A bandwidth that is not finite and positive
     raises :class:`ConfigError`; a subgroup whose parent does not act on
     the base's space raises :class:`IncompatibleActionError`; a query row
     of the wrong width or with a NaN or infinite entry raises
@@ -271,8 +279,10 @@ class BestSymmetricPredictor:
     def __init__(self, base: Predictor, selection: SymmetrySelection, method: str = "grid"):
         if method not in ("grid", "uniform"):
             raise ConfigError(f"unknown symmetrisation method {method!r}")
-        check_bandwidth(selection.chosen_bandwidth)
-        parent_group(selection.chosen.parent).check_acts_on(base.space)
+        # the checked subgroup and bandwidth, read once: a later assignment
+        # to the (mutable) selection does not reach the predictions
+        self._group, self._h = selection.chosen, check_bandwidth(selection.chosen_bandwidth)
+        parent_group(self._group.parent).check_acts_on(base.space)
         self.base = base
         self.selection = selection
         self.method = method
@@ -280,14 +290,7 @@ class BestSymmetricPredictor:
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = query_rows(self.space, coords)
-        group, h = self.selection.chosen, self.selection.chosen_bandwidth
-        if self.method == "uniform":
-            return next(_quadrature_averages(self.base, [group], coords, h))
-        pts, counts = orbit_coords_batch(self.space, group, coords, h)
-        # one block per query row, so passes split the queries between rows
-        blocks = zip(np.split(pts, np.cumsum(counts)[:-1]), counts[:, None])
-        means = list(_orbit_averages(self.base, blocks))
-        return np.concatenate(means) if means else np.zeros(0)  # no query rows, no passes
+        return next(_orbit_averages(self.base, [self._group], coords, self._h, self.method))
 
 
 def split_dataset(full: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

@@ -211,9 +211,9 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     ``CHUNK_ELEMENTS`` points (one subgroup's nodes at least) of a run is
     one call of the family's ``quadrature``, written in place.  Each point
     has the bits the subgroup's own call gives it.  A bandwidth that is not
-    finite and positive raises :class:`ConfigError`.
+    finite and positive raises :class:`ConfigError` (from
+    :func:`quadrature_count`'s rule).
     """
-    h = check_bandwidth(h)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     groups = [groups] if isinstance(groups, ClosedSubgroup) else list(groups)
     rows, width = xs.shape
@@ -254,14 +254,16 @@ def quadrature_count(group: ClosedSubgroup, h: float) -> int:
     full SO(3) from n = 92, at a = beta = 1).  A torus line's node average of
     ``exp(2 pi i k.x)`` is exact for every frequency ``|k| < 1 / h`` (with
     24 nodes, a line whose direction agrees with (1, 1) mod 24 would share
-    its nodes).
+    its nodes).  A bandwidth that is not finite and positive raises
+    :class:`ConfigError`.
     """
     return _node_lattice(group, h)[1]
 
 
 def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
     """``(p, p ** k)``: the quadrature nodes per parameter axis and per row
-    of :func:`quadrature_count`."""
+    of :func:`quadrature_count`, for a finite positive ``h``."""
+    h = check_bandwidth(h)
     entry = FAMILY_TABLE[group.family]
     k = entry.orbit_dim(group)
     if k == 0:

@@ -184,7 +184,26 @@ class TestGlobalSearch:
                              fit_data=noiseless_holdout(f1, 10, 103))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(inp, field, value)
-        assert inp.cover == SMALL_COVER and inp.a == 1.0
+        assert inp.cover == tuple(SMALL_COVER) and inp.a == 1.0
+
+    def test_a_generator_cover_is_kept_whole(self):
+        # the checks once used a generator up, and then refused it as
+        # lacking the trivial subgroup
+        holdout, fit = noiseless_holdout(f1, 10, 3), noiseless_holdout(f1, 10, 103)
+        inp = SelectionInput(holdout=holdout, cover=(g for g in SMALL_COVER), fit_data=fit)
+        assert inp.cover == tuple(SMALL_COVER)
+        listed = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit))
+        assert global_ems(inp).per_group_error == listed.per_group_error
+
+    def test_a_cover_list_changed_afterwards_does_not_reach_the_search(self):
+        # an entry appended after the checks once reached the search as a
+        # raw AttributeError
+        cover = list(SMALL_COVER)
+        inp = SelectionInput(holdout=noiseless_holdout(f1, 10, 3), cover=cover,
+                             fit_data=noiseless_holdout(f1, 10, 103))
+        cover.append("circle3")
+        assert inp.cover == tuple(SMALL_COVER)
+        assert set(global_ems(inp).per_group_error) == set(SMALL_COVER)
 
     def test_empty_holdout_raises(self):
         empty = Dataset(BALL, np.zeros((0, 3)), np.zeros(0))
@@ -233,10 +252,12 @@ class TestChunkedSearch:
         monkeypatch.setattr(selection, "CHUNK_ROWS", budget)
         # a pass predicts on one array of points, counts[i] of them per base row
         monkeypatch.setattr(selection, "_predict_pass", lambda base, coords, counts: passes.append(
-            len(counts)) or predict_pass(base, coords, counts))
+            (len(counts), len(coords))) or predict_pass(base, coords, counts))
         chunked = global_ems(inp)
         assert len(passes) > len(set(whole.bandwidth_by_group.values()))  # a class was split
-        assert sum(passes) == len(whole.per_group_error) * len(holdout)
+        assert sum(rows for rows, _ in passes) == len(whole.per_group_error) * len(holdout)
+        # every pass holds at most the budget's points, or one row's
+        assert all(points <= budget or rows == 1 for rows, points in passes)
         assert list(chunked.per_group_error.items()) == list(whole.per_group_error.items())
         assert chunked.chosen == whole.chosen
 
@@ -265,6 +286,26 @@ class TestSearchMemory:
             tracemalloc.stop()
         assert peak <= 2.4 * pass_bytes
 
+    def test_grid_final_peak_stays_near_one_pass_array(self, monkeypatch):
+        # 100 queries under full SO(3) at h = 0.02 hold 78,513 grid points
+        # (16 to 1,296 a row); a budget of 10,000 points makes a pass array
+        # of 0.23 MiB.  Building a pass's grids takes about five such
+        # arrays of temporaries: the traced peak reads 6.0 times the array.
+        # Building every query's grids before splitting them between
+        # passes reads 39.6
+        monkeypatch.setattr(selection, "CHUNK_ROWS", 10_000)
+        base = FunctionPredictor(BALL, f1)
+        queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 100, substream(3, "gridmem"))
+        predictor = BestSymmetricPredictor(base, SymmetrySelection(full_so3(), 0.02, {}), "grid")
+        pass_bytes = 10_000 * 3 * 8
+        tracemalloc.start()
+        try:
+            predictor.predict_coords(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * pass_bytes
+
 
 class TestChunkedPrediction:
     @pytest.mark.parametrize("method", ["grid", "uniform"])
@@ -287,10 +328,11 @@ class TestChunkedPrediction:
         predict_pass = selection._predict_pass
         monkeypatch.setattr(selection, "CHUNK_ROWS", budget)
         monkeypatch.setattr(selection, "_predict_pass", lambda base, coords, counts: passes.append(
-            len(counts)) or predict_pass(base, coords, counts))
+            (len(counts), len(coords))) or predict_pass(base, coords, counts))
         chunked = predict()
         assert len(passes) > 1  # the queries were split between passes
-        assert sum(passes) == len(queries)
+        assert sum(rows for rows, _ in passes) == len(queries)
+        assert all(points <= budget or rows == 1 for rows, points in passes)
         assert np.array_equal(chunked, whole)
 
 
@@ -399,6 +441,17 @@ class TestBestSymmetricPredictor:
         base = FunctionPredictor(BALL, f1)
         with pytest.raises(ConfigError, match="bandwidth"):
             BestSymmetricPredictor(base, SymmetrySelection(full_so3(), h, {}), method)
+
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
+    def test_the_selection_is_read_where_the_predictor_is_built(self, method):
+        # SymmetrySelection is mutable: a NaN bandwidth or a torus subgroup
+        # assigned afterwards once reached the orbit averages unchecked
+        sel = SymmetrySelection(circle3([0.0, 0.0, 1.0]), 0.3, {})
+        predictor = BestSymmetricPredictor(FunctionPredictor(BALL, f2), sel, method)
+        queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 30, substream(21, "q"))
+        before = predictor.predict_coords(queries)
+        sel.chosen, sel.chosen_bandwidth = full_torus(2), float("nan")
+        assert np.array_equal(predictor.predict_coords(queries), before)
 
     def test_unknown_method_rejected(self):
         base = FunctionPredictor(BALL, f1)

@@ -585,6 +585,15 @@ class TestQuadrature:
         with pytest.raises(ConfigError, match="bandwidth"):
             orbit_quadrature_coords(circle3([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.3]), h)
 
+    @pytest.mark.parametrize("group", [circle3([0.0, 0.0, 1.0]), trivial_subgroup(PARENT_SO3)],
+                             ids=["circle", "trivial"])
+    @pytest.mark.parametrize("h", [-1.0, float("inf"), 0.0, float("nan")])
+    def test_quadrature_count_bandwidth_must_be_finite_and_positive(self, group, h):
+        # a negative or infinite h once gave the floor of 24 nodes, 0 a
+        # ZeroDivisionError and NaN a raw ValueError
+        with pytest.raises(ConfigError, match="^bandwidth must be finite and positive"):
+            subgroups.quadrature_count(group, h)
+
     @pytest.mark.parametrize("delta", [0.5, 0.1, 0.041])
     def test_line_nodes_average_low_frequencies_exactly(self, delta):
         # at the n = 300 line-class bandwidth, every frequency with
