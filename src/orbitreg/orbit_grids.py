@@ -18,11 +18,15 @@ radius) and ``k`` the orbit dimension.  The construction is:
 
 Steps 1 and 2 run batched over many base points in
 :func:`orbit_coords_batch`, the one home of the ladder.  The rung count has
-one home too, shared with :func:`orbit_grid_counts`, which gives each row's
-point count without building the points.  The family's entry of
-:data:`orbitreg.subgroups.FAMILY_TABLE` supplies only the geometry
-(``side``, ``singular``, the orbit dimension, and the projection
-``place``).  A single grid is one row of that batch.
+one home too, ``floor(R / 2h) + 1``, shared with :func:`orbit_grid_counts`,
+which gives each row's point count without building the points; a bandwidth
+that would put more than ``CHUNK_ROWS`` points on one row raises
+:class:`orbitreg.errors.ConfigError` before any is built.  The family's
+entry of :data:`orbitreg.subgroups.FAMILY_TABLE` supplies only the geometry:
+the orbit dimension, and one ``shadow`` per call, which gives each row's
+side ``R`` (exactly 0 on a row whose orbit is the point itself, which so
+gets one rung and keeps its base point) and the projection ``place`` built
+on the same per-row geometry.  A single grid is one row of that batch.
 
 Every entry takes ``(space, group, rows...)`` in that order, points as
 rows of the named space.  The single-grid entries :func:`build_orbit_grid`,
@@ -43,7 +47,7 @@ import numpy as np
 from .errors import check_bandwidth
 from .groups import GroupElement, parent_group
 from .spaces import CovariateSpace, member_rows
-from .subgroups import FAMILY_TABLE, ClosedSubgroup
+from .subgroups import CHUNK_ROWS, FAMILY_TABLE, ClosedSubgroup, _too_many_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +61,15 @@ class OrbitGrid:
     elements: tuple[GroupElement, ...]
     orbit_coords: np.ndarray          # (m, ambient_dim), orbit_coords[i] = elements[i] . base
     hypercube_side: float
-    singular: bool = False
 
     @property
     def m(self) -> int:
         return len(self.elements)
+
+    @property
+    def singular(self) -> bool:
+        """Whether the base point is its own orbit (the one-point grid)."""
+        return self.hypercube_side == 0.0
 
 
 def _point(space: CovariateSpace, x) -> np.ndarray:
@@ -71,9 +79,10 @@ def _point(space: CovariateSpace, x) -> np.ndarray:
 
 def hypercube_side(space: CovariateSpace, group: ClosedSubgroup, x) -> float:
     """Side length of the tangent-space hypercube used to seed the grid at
-    the row ``x`` of ``space``."""
+    the row ``x`` of ``space``: exactly 0.0 where the orbit is the point
+    itself (within 1e-9 of the action's fixed set)."""
     parent_group(group.parent).check_acts_on(space)
-    return float(FAMILY_TABLE[group.family].side(group, _point(space, x)[None, :])[0])
+    return float(FAMILY_TABLE[group.family].shadow(group, _point(space, x)[None, :])[0][0])
 
 
 def build_orbit_grid(space: CovariateSpace, group: ClosedSubgroup, x, h: float) -> OrbitGrid:
@@ -81,16 +90,14 @@ def build_orbit_grid(space: CovariateSpace, group: ClosedSubgroup, x, h: float) 
     bandwidth ``h``.
 
     The points are one row of :func:`orbit_coords_batch`; the elements are
-    recovered from them.  A base point on the fixed set of the action (the
-    origin, or a point on a circle's axis) gives the singular one-point grid.
+    recovered from them.  A base point within 1e-9 of the fixed set of the
+    action (the origin, or a circle's axis) gives the singular one-point grid.
     """
     x = _point(space, x)
-    row = x[None, :]
-    coords, _ = orbit_coords_batch(space, group, row, h)
+    coords, _ = orbit_coords_batch(space, group, x[None, :], h)
     entry = FAMILY_TABLE[group.family]
     elements = tuple(entry.recover(group, space, x, c) for c in coords)
-    return OrbitGrid(space, x, group, h, elements, coords, float(entry.side(group, row)[0]),
-                     singular=bool(entry.singular(group, row)[0]))
+    return OrbitGrid(space, x, group, h, elements, coords, hypercube_side(space, group, x))
 
 
 def recover_group_element(space: CovariateSpace, group: ClosedSubgroup, x,
@@ -106,27 +113,26 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
                        xs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Orbit-grid points for every row of ``xs`` at once.
 
-    Each row gets ``floor(R / 2h) + 1`` rungs per tangent axis (one on a
-    singular row), so ``counts = rungs**k``; the lattice of centred ladders
-    (first axis slowest) is placed on the orbit by the family, and a
-    singular row keeps its base point.  Returns ``(coords, counts)`` where
-    ``coords`` stacks the grids of all rows (row i owns ``counts[i]``
-    consecutive entries).  A bandwidth that is not finite and positive
-    raises :class:`orbitreg.errors.ConfigError`.
+    Each row gets ``floor(R / 2h) + 1`` rungs per tangent axis (one where
+    its side ``R`` is 0), so ``counts = rungs**k``; the lattice of centred
+    ladders (first axis slowest) is placed on the orbit by the family's
+    shadow, and a row of side 0 keeps its base point.  Returns ``(coords,
+    counts)`` where ``coords`` stacks the grids of all rows (row i owns
+    ``counts[i]`` consecutive entries).  A bandwidth that is not finite
+    and positive, or that would put more than ``CHUNK_ROWS`` points on one
+    row, raises :class:`orbitreg.errors.ConfigError`.
     """
-    h = check_bandwidth(h)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    entry, singular, rungs = _rungs(space, group, xs, h)
-    k = entry.orbit_dim(group)
-    counts = rungs**k
+    k, side, place, rungs, counts = _rungs(space, group, xs, h)
     row = np.repeat(np.arange(len(xs)), counts)
     rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
     per_axis = rungs[row, None]
     # axis i takes digit i of the point's rank in base per_axis (first axis slowest)
     offsets = (rank[:, None] // per_axis ** np.arange(k - 1, -1, -1) % per_axis
                - (per_axis - 1) / 2.0) * (2.0 * h)
-    coords = entry.place(group, xs, row, offsets)
-    coords[singular[row]] = xs[row[singular[row]]]
+    coords = place(row, offsets)
+    fixed = side[row] == 0.0
+    coords[fixed] = xs[row[fixed]]
     return coords, counts
 
 
@@ -135,18 +141,25 @@ def orbit_grid_counts(space: CovariateSpace, group: ClosedSubgroup,
     """The ``counts`` of :func:`orbit_coords_batch` for the rows ``xs``, a
     2-D array, without building their points; it raises as
     :func:`orbit_coords_batch` does."""
-    entry, _, rungs = _rungs(space, group, xs, check_bandwidth(h))
-    return rungs ** entry.orbit_dim(group)
+    return _rungs(space, group, xs, h)[4]
 
 
 def _rungs(space: CovariateSpace, group: ClosedSubgroup, xs: np.ndarray, h: float):
-    """``(entry, singular, rungs)``: the family's entry, and per row of
-    ``xs`` whether it is singular and its ladder's rungs per tangent axis,
-    ``floor(R / 2h) + 1`` (one on a singular row), for a checked ``h``.
-    A subgroup whose parent does not act on ``space`` raises
-    :class:`orbitreg.errors.IncompatibleActionError`."""
+    """``(k, side, place, rungs, counts)``: the orbit dimension, the
+    family's shadow at the rows ``xs``, and per row its ladder's rungs per
+    tangent axis, ``floor(R / 2h) + 1``, and its points, ``rungs**k``.  A
+    bandwidth that is not finite and positive, or that would put more than
+    ``CHUNK_ROWS`` points on one row, raises
+    :class:`orbitreg.errors.ConfigError`; a subgroup whose parent does not
+    act on ``space`` raises :class:`orbitreg.errors.IncompatibleActionError`."""
+    h = check_bandwidth(h)
     parent_group(group.parent).check_acts_on(space)
     entry = FAMILY_TABLE[group.family]
-    singular = entry.singular(group, xs)
-    rungs = np.floor(entry.side(group, xs) / (2.0 * h)).astype(np.int64) + 1
-    return entry, singular, np.where(singular, 1, rungs)
+    side, place = entry.shadow(group, xs)
+    k = entry.orbit_dim(group)
+    with np.errstate(over="ignore"):  # a subnormal h makes infinite ladders, refused below
+        rungs = np.minimum(np.floor(side / (2.0 * h)) + 1, CHUNK_ROWS + 1)  # a finite power
+    counts = rungs**k
+    if np.any(counts > CHUNK_ROWS):  # before the int64 cast, where a count would wrap
+        raise _too_many_points(h)
+    return k, side, place, rungs.astype(np.int64), counts.astype(np.int64)

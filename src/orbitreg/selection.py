@@ -15,8 +15,9 @@ the base estimator with it, through the deterministic orbit grid or through
 the quadrature nodes the ``uniform`` search scored it with, so the
 ``uniform`` final is the estimator whose holdout error chose it.  Every
 orbit average, of the search and of both finals, goes through one pass
-builder that holds at most ``CHUNK_ROWS`` orbit points (or one row's) at a
-time, whichever the symmetriser.  The search scores the whole holdout
+builder, which sizes each subgroup by its orbit points per row and so
+holds at most ``CHUNK_ROWS`` orbit points (or one row's) at a time by one
+rule, whichever the symmetriser.  The search scores the whole holdout
 sample: to search over part of it, filter the holdout ``Dataset`` first.
 The search's holdout errors and :func:`empirical_error`, which also scores
 the benchmark's risks, share one mean squared error rule.
@@ -39,6 +40,7 @@ from .groups import parent_group
 from .orbit_grids import orbit_coords_batch, orbit_grid_counts
 from .spaces import query_rows
 from .subgroups import (
+    CHUNK_ROWS,
     ClosedSubgroup,
     SubgroupFamily,
     canonical_cover,
@@ -52,15 +54,6 @@ from .subgroups import (
 )
 
 _TIE_TOL = 1e-12
-# orbit points per prediction pass of every orbit average, search and final,
-# grid and quadrature (48 MB per copy at three coordinates); a subgroup with
-# more points is split between rows, and a pass's points are built only when
-# it runs.  It lies above the largest bandwidth class of every benchmark
-# workload (about 0.8 million points, the shrinking-delta cover at n = 50)
-# and above every final prediction there (at most 200 x 144 nodes; the grid
-# search and final of select_grid build 0.12 million grid points per op in
-# all), so those passes are never split and their numbers do not move.
-CHUNK_ROWS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,12 @@ class SymmetrySelection:
 
 
 def empirical_error(pred: Predictor, holdout: Dataset) -> float:
-    """Mean squared residual of a predictor over a holdout sample."""
+    """Mean squared residual of a predictor over a holdout sample.  A
+    predictor of another space than the holdout's raises
+    :class:`SpaceMismatchError`."""
+    if pred.space != holdout.space:
+        raise SpaceMismatchError(f"the predictor works on {pred.space}, "
+                                 f"but the holdout lies in {holdout.space}")
     if len(holdout) == 0:
         raise EmptyHoldoutError("cannot estimate error on an empty holdout set")
     return _mean_squared_error(pred.predict_coords(holdout.X), holdout.Y)
@@ -188,10 +186,11 @@ def _orbit_averages(base: Predictor, groups: Sequence[ClosedSubgroup], xs: np.nd
     array per subgroup, in order, at bandwidth ``h``: over each row's orbit
     grid (``symmetriser="grid"``) or its quadrature nodes (``"uniform"``).
 
-    Subgroups share a pass by :func:`_passes`, by their points: a node
-    count per row, or the grid counts of :func:`orbit_grid_counts`,
-    computed once per subgroup.  A subgroup with more than ``CHUNK_ROWS``
-    points is split between rows, so every pass holds at most
+    Each subgroup is sized by its points per row: its node count, or its
+    largest grid count over the rows (:func:`orbit_grid_counts`, computed
+    once per subgroup).  Subgroups share a pass by :func:`_passes`, and a
+    pass takes ``max(1, CHUNK_ROWS // s)`` rows at a time, ``s`` the sum of
+    its subgroups' points per row, so every pass holds at most
     ``CHUNK_ROWS`` points or one row's.  Each pass's points are built just
     before it runs: the nodes of all its subgroups by one
     :func:`orbit_quadrature_coords` call, or each subgroup's grids by
@@ -200,21 +199,20 @@ def _orbit_averages(base: Predictor, groups: Sequence[ClosedSubgroup], xs: np.nd
     rows = xs.shape[0]
     uniform = symmetriser == "uniform"
     blocks = ((group, quadrature_count(group, h) if uniform
-               else orbit_grid_counts(base.space, group, xs, h)) for group in groups)
-    for chunk in _passes(blocks, lambda block: rows * block[1] if uniform else int(block[1].sum())):
-        # the chunk's points before each row (and after the last)
-        starts = np.concatenate(([0], np.cumsum(np.broadcast_to(sum(c for _, c in chunk), rows))))
+               else int(orbit_grid_counts(base.space, group, xs, h).max(initial=1)))
+              for group in groups)
+    for chunk in _passes(blocks, lambda block: rows * block[1]):
+        step = max(1, CHUNK_ROWS // sum(per_row for _, per_row in chunk))
         chunk = [group for group, _ in chunk]
-        means, lo = [], 0
-        while lo < rows or not means:  # no rows make one empty pass
-            hi = min(rows, max(lo + 1, np.searchsorted(starts, starts[lo] + CHUNK_ROWS, "right") - 1))
+        means = []
+        for lo in range(0, max(rows, 1), step):  # no rows make one empty pass
+            part = xs[lo:lo + step]
             if uniform:
-                coords, counts = orbit_quadrature_coords(chunk, xs[lo:hi], h)
+                coords, counts = orbit_quadrature_coords(chunk, part, h)
             else:
-                grids = [orbit_coords_batch(base.space, group, xs[lo:hi], h) for group in chunk]
+                grids = [orbit_coords_batch(base.space, group, part, h) for group in chunk]
                 coords, counts = grids[0] if len(grids) == 1 else map(np.concatenate, zip(*grids))
             means.append(_predict_pass(base, coords, counts).reshape(len(chunk), -1))
-            lo = hi
         yield from np.hstack(means)
 
 

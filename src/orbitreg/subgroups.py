@@ -15,16 +15,20 @@ Every subgroup in the catalog is compact, so each has a normalised Haar
 measure, uniform quadrature on its orbits, and finite nets of the whole
 group.  Everything that depends on a subgroup's family -- orbit dimension,
 Haar draws, quadrature nodes, nets, and the geometry of the orbit grids
-of :mod:`orbitreg.orbit_grids` -- lives in one entry of
-:data:`FAMILY_TABLE`.  An entry gives Haar draws and quadrature nodes as
-element rows (quaternions or shifts); orbit samples, single draws and
-quadrature points are those rows applied through the parent's one batched
-action.  Quadrature nodes carry every orbit average of the ``uniform``
-search and its final prediction; Haar draws serve :func:`sample_group` and
-the tests' oracles.  The three translation families share one implementation
+of :mod:`orbitreg.orbit_grids`, one tangent ``shadow`` per call that gives
+each row's side (0 where the orbit is the point itself) and the
+projection onto the orbit -- lives in one entry of :data:`FAMILY_TABLE`.
+An entry gives Haar draws and quadrature nodes as element rows
+(quaternions or shifts); orbit samples, single draws and quadrature points
+are those rows applied through the parent's one batched action.
+Quadrature nodes carry every orbit average of the ``uniform`` search and
+its final prediction; Haar draws serve :func:`sample_group` and the tests'
+oracles.  The three translation families share one implementation
 parameterised by their generator rows.  A subgroup's canonical rank,
 catalog line and quadrature node count follow from its orbit dimension
-and parameters, so each is one rule for every family.  Everything that
+and parameters, so each is one rule for every family.  No row gets more
+than ``CHUNK_ROWS`` quadrature nodes or grid points: a finer bandwidth
+raises :class:`ConfigError` before anything is built.  Everything that
 depends on the parent group -- the spaces it acts on, its identity, its
 dimension, its batched action ``act_rows`` and the group metric on nets
 -- is the parent's entry in :func:`orbitreg.groups.parent_group`, looked
@@ -221,12 +225,12 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     counts = [count for _, count in lattices]
     coords = np.empty((rows * sum(counts), width))
     start = 0
-    for (family, (side, count)), run in itertools.groupby(
+    for (family, (per_axis, count)), run in itertools.groupby(
             zip(groups, lattices), lambda item: (item[0].family, item[1])):
         run = [g for g, _ in run]
         step = max(1, CHUNK_ELEMENTS // max(rows * count, 1))
         for i in range(0, len(run), step):
-            block = FAMILY_TABLE[family].quadrature(run[i : i + step], xs, side)
+            block = FAMILY_TABLE[family].quadrature(run[i : i + step], xs, per_axis)
             stop = start + block.size // width
             coords[start:stop] = block.reshape(-1, width)
             start = stop
@@ -254,23 +258,48 @@ def quadrature_count(group: ClosedSubgroup, h: float) -> int:
     full SO(3) from n = 92, at a = beta = 1).  A torus line's node average of
     ``exp(2 pi i k.x)`` is exact for every frequency ``|k| < 1 / h`` (with
     24 nodes, a line whose direction agrees with (1, 1) mod 24 would share
-    its nodes).  A bandwidth that is not finite and positive raises
+    its nodes).  A bandwidth that is not finite and positive, or so small
+    that a row would get more than ``CHUNK_ROWS`` nodes, raises
     :class:`ConfigError`.
     """
     return _node_lattice(group, h)[1]
 
 
 def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
-    """``(p, p ** k)``: the quadrature nodes per parameter axis and per row
-    of :func:`quadrature_count`, for a finite positive ``h``."""
+    """``(per_axis, count)``: the quadrature nodes per parameter axis and
+    per row of :func:`quadrature_count`."""
     h = check_bandwidth(h)
     entry = FAMILY_TABLE[group.family]
     k = entry.orbit_dim(group)
     if k == 0:
         return 1, 1
     least, gap = (_QUADRATURE_1D, _NODE_GAP_1D) if k == 1 else (_QUADRATURE_2D, _NODE_GAP_2D)
-    side = max(round(least ** (1.0 / k)), 2, math.ceil(entry.extent(group) / (gap * h)))
-    return side, side ** k
+    per_axis = max(round(least ** (1.0 / k)), 2, entry.extent(group) / (gap * h))
+    per_axis = math.ceil(min(per_axis, CHUNK_ROWS + 1))  # an infinite count has no ceiling
+    if per_axis ** k > CHUNK_ROWS:
+        raise _too_many_points(h)
+    return per_axis, per_axis ** k
+
+
+# the most orbit points one row may get, quadrature nodes or grid points,
+# and the most one prediction pass of :mod:`orbitreg.selection` holds,
+# which imports it (48 MB per copy at three coordinates): a bandwidth that
+# would put more on one row is refused before anything is allocated (at
+# h = 1e-12 a uniform circle would take 6e12 nodes a row).  It lies above
+# the largest bandwidth class of every benchmark workload (about 0.8
+# million points, the shrinking-delta cover at n = 50) and above every
+# final prediction there (at most 200 x 144 nodes; the grid search and final
+# of select_grid build 0.12 million grid points per op in all), so those
+# passes are never split and their numbers do not move.
+CHUNK_ROWS = 2_000_000
+
+
+def _too_many_points(h: float) -> ConfigError:
+    """The error for a bandwidth ``h`` that would put more than
+    ``CHUNK_ROWS`` orbit points on one row: the node rule and the rung
+    rule of :mod:`orbitreg.orbit_grids` raise it before any point is built."""
+    return ConfigError(f"bandwidth h = {h!r} would put more than {CHUNK_ROWS:,} "
+                       "orbit points on one row")
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -286,7 +315,7 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the family table
 
-_SINGULAR_TOL = 1e-9
+_SINGULAR_TOL = 1e-9  # a row this close to the fixed set is its own orbit
 _RECOVER_TOL = 1e-9  # largest orbit deviation a recovered element may leave
 _QUADRATURE_1D = 24  # quadrature nodes on a one-dimensional orbit
 _QUADRATURE_2D = 64  # about this many on a higher-dimensional one
@@ -313,11 +342,13 @@ class FamilyEntry:
       fixed);
     * ``extent(g)``: the longest orbit's length along each parameter axis,
       which sets the quadrature node count at small bandwidths;
-    * ``singular``: rows whose orbit is the point itself;
-    * ``side``: per-row side of the hypercube in the orbit's tangent shadow;
-    * ``place(g, xs, row, offsets)``: projects tangent-shadow
-      ``offsets`` (one ``k``-vector per output point, belonging to base row
-      ``row``) onto the orbit; the packing rule that lays the offsets out is
+    * ``shadow(g, xs)``: ``(side, place)``, the orbit's tangent shadow at
+      each row, from one pass over the rows' geometry: ``side`` is the side
+      of the hypercube in it, exactly 0 on a row whose orbit is the point
+      itself (within ``_SINGULAR_TOL`` of the fixed set), and
+      ``place(row, offsets)`` projects shadow ``offsets`` (one ``k``-vector
+      per output point, belonging to base row ``row``) onto the orbit; the
+      packing rule that lays the offsets out is
       :func:`orbitreg.orbit_grids.orbit_coords_batch`;
     * ``recover(g, space, x, target)``: the element taking the row ``x`` to
       the row ``target`` of ``space`` (within 1e-9);
@@ -343,9 +374,6 @@ class FamilyEntry:
 
     def orbit_dim(self, g: ClosedSubgroup) -> int:
         return self.dim
-
-    def singular(self, g: ClosedSubgroup, xs: np.ndarray) -> np.ndarray:
-        return np.zeros(len(xs), dtype=bool)
 
     def quadrature(self, groups: Sequence[ClosedSubgroup], xs: np.ndarray,
                    count: int) -> np.ndarray:
@@ -396,11 +424,8 @@ def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
 class _Trivial(FamilyEntry):
     dim = 0
 
-    def side(self, g, xs):
-        return np.ones(len(xs))
-
-    def place(self, g, xs, row, offsets):
-        return xs[row]
+    def shadow(self, g, xs):
+        return np.ones(len(xs)), lambda row, offsets: xs[row]
 
     def recover(self, g, space, x, target):
         deviation = float(pairwise_distance(space, x, target)[0, 0])
@@ -424,36 +449,29 @@ class _Circle(FamilyEntry):
 
     dim = 1
 
-    @staticmethod
-    def _split(g, xs):
-        """Axial coordinate, radial part and distance to the axis of each row."""
-        u = g.axis_array()
-        axial = xs @ u
-        radial = xs - axial[:, None] * u
-        return axial, radial, np.linalg.norm(radial, axis=1)
-
     def extent(self, g):
         return 2.0 * math.pi  # orbits in the unit ball and sphere
 
-    def singular(self, g, xs):
-        return self._split(g, xs)[2] <= _SINGULAR_TOL
-
-    def side(self, g, xs):
+    def shadow(self, g, xs):
         # a circle of radius r casts an interval of length 2r on its tangent line
-        return 2.0 * self._split(g, xs)[2]
-
-    def place(self, g, xs, row, offsets):
-        # an offset t on the tangent line sits at angle arcsin(t / r)
         u = g.axis_array()
-        axial, radial, r = self._split(g, xs)
-        safe_r = np.where(r <= _SINGULAR_TOL, 1.0, r)
-        angles = np.arcsin(np.clip(offsets[:, 0] / safe_r[row], -1.0, 1.0))
-        e1 = radial / safe_r[:, None]
-        e2 = cross(u, e1)
-        r_rep = r[row]
-        return (axial[row, None] * u
-                + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
-                + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
+        axial = xs @ u
+        radial = xs - axial[:, None] * u
+        r = np.linalg.norm(radial, axis=1)
+        fixed = r <= _SINGULAR_TOL
+        safe_r = np.where(fixed, 1.0, r)
+
+        def place(row, offsets):
+            # an offset t on the tangent line sits at angle arcsin(t / r)
+            angles = np.arcsin(np.clip(offsets[:, 0] / safe_r[row], -1.0, 1.0))
+            e1 = radial / safe_r[:, None]
+            e2 = cross(u, e1)
+            r_rep = r[row]
+            return (axial[row, None] * u
+                    + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
+                    + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
+
+        return np.where(fixed, 0.0, 2.0 * r), place
 
     def recover(self, g, space, x, target):
         u = g.axis_array()
@@ -493,23 +511,22 @@ class _FullSO3(FamilyEntry):
         # lattice then gives each node at most (2h)^2 of the sphere
         return 2.0 * math.sqrt(math.pi)
 
-    def singular(self, g, xs):
-        return np.linalg.norm(xs, axis=1) <= _SINGULAR_TOL
-
-    def side(self, g, xs):
+    def shadow(self, g, xs):
         # a sphere of radius |x| casts a disc of radius |x| on its tangent
         # plane; the inscribed square has side sqrt(2) |x|
-        return np.sqrt(2.0) * np.linalg.norm(xs, axis=1)
-
-    def place(self, g, xs, row, offsets):
-        # offsets in the tangent plane at x, moved along the normal onto the
-        # sphere of radius |x| (float_power rounds like the scalar square)
         s = np.linalg.norm(xs, axis=1)
-        unit = xs / np.where(s <= _SINGULAR_TOL, 1.0, s)[:, None]
-        e1, e2 = _tangent_frame(unit)
-        a1, a2 = offsets[:, 0], offsets[:, 1]
-        normal = np.sqrt(np.maximum(np.float_power(s[row], 2) - a1**2 - a2**2, 0.0))
-        return a1[:, None] * e1[row] + a2[:, None] * e2[row] + normal[:, None] * unit[row]
+        fixed = s <= _SINGULAR_TOL
+
+        def place(row, offsets):
+            # offsets in the tangent plane at x, moved along the normal onto
+            # the sphere of radius |x| (float_power rounds like the scalar square)
+            unit = xs / np.where(fixed, 1.0, s)[:, None]
+            e1, e2 = _tangent_frame(unit)
+            a1, a2 = offsets[:, 0], offsets[:, 1]
+            normal = np.sqrt(np.maximum(np.float_power(s[row], 2) - a1**2 - a2**2, 0.0))
+            return a1[:, None] * e1[row] + a2[:, None] * e2[row] + normal[:, None] * unit[row]
+
+        return np.where(fixed, 0.0, np.sqrt(2.0) * s), place
 
     def recover(self, g, space, x, target):
         deviation = abs(float(np.linalg.norm(target)) - float(np.linalg.norm(x)))
@@ -549,13 +566,11 @@ class _TorusTranslations(FamilyEntry):
     def extent(self, g):
         return math.hypot(*self.generators(g)[0])  # the rows share one length
 
-    def side(self, g, xs):
-        return np.full(len(xs), _TORUS_SHADOW_SIDE)
-
-    def place(self, g, xs, row, offsets):
+    def shadow(self, g, xs):
         gens = self.generators(g)
         unit = gens / np.linalg.norm(gens, axis=1)[:, None]
-        return parent_group(g.parent).act_rows(offsets @ unit, xs[row])
+        return (np.full(len(xs), _TORUS_SHADOW_SIDE),
+                lambda row, offsets: parent_group(g.parent).act_rows(offsets @ unit, xs[row]))
 
     def haar(self, g, rng, shape):
         gens = self.generators(g)

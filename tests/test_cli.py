@@ -227,6 +227,26 @@ class TestSelect:
         assert "is too fine" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("a", ["1e-12", "1e-300"])
+    def test_bandwidth_too_fine_for_one_row_is_a_config_error(self, tmp_path, a):
+        # in a fresh interpreter, so a traceback would show on stderr;
+        # unchecked, a circle's grid at a = 1e-12 asked numpy for 24.8 TiB,
+        # and at 1e-300 its rung count wrapped to a negative repeat count
+        rng = substream(2, "fine-a")
+        X = rng.uniform(-1.0, 1.0, size=(600, 3))
+        X = X[np.linalg.norm(X, axis=1) <= 1.0][:300]
+        csv_path = tmp_path / "ball.csv"
+        csv_path.write_text("x1,x2,x3,y\n" + "".join(
+            f"{x!r},{y!r},{z!r},{float(np.cos(x))!r}\n" for x, y, z in X.tolist()), encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "orbitreg", "select", "--input",
+                               str(csv_path), "--space", "unit_ball3", "--a", a],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert "bandwidth h = " in done.stderr and "on one row" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_wrong_header_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n0.1,0.2,0.3\n", encoding="utf-8")

@@ -26,7 +26,7 @@ from orbitreg import (
 )
 from orbitreg.errors import ConfigError
 from orbitreg.groups import quat_rotation_angle
-from orbitreg.orbit_grids import orbit_coords_batch
+from orbitreg.orbit_grids import orbit_coords_batch, orbit_grid_counts
 from orbitreg.spaces import pairwise_distance
 from orbitreg.subgroups import sample_orbit_coords
 
@@ -76,6 +76,18 @@ class TestHypercubeSide:
         x = [0.5, 0.9, 0.1]
         assert hypercube_side(torus(3), axis_translations(3, [1, 2]), x) == 0.5
         assert hypercube_side(torus(3), axis_translations(3, [2]), x) == 0.5
+
+
+    @pytest.mark.parametrize("group, x", [(circle3([0.0, 0.0, 1.0]), [0.0, 0.0, 0.5]),
+                                          (full_so3(), [0.0, 0.0, 0.0])], ids=["circle", "so3"])
+    def test_side_is_exactly_zero_within_the_tolerance_of_the_fixed_set(self, group, x):
+        # 1e-10 off the fixed set the orbit is its own point: side 0.0, not
+        # 2e-10 or 1.4e-10, and a singular grid; at 1e-8 it is an orbit
+        near, off = (np.asarray(x) + [d, 0.0, 0.0] for d in (1e-10, 1e-8))
+        assert hypercube_side(BALL, group, near) == 0.0
+        assert hypercube_side(BALL, group, off) > 0.0
+        assert build_orbit_grid(BALL, group, near, 0.1).singular
+        assert not build_orbit_grid(BALL, group, off, 0.1).singular
 
 
 class TestBuildGrid:
@@ -399,6 +411,34 @@ class TestPackingRule:
             assert np.array_equal(coords[starts[i]], xs[i])
         for i, x in enumerate(xs):
             assert hypercube_side(space, group, x) == pytest.approx(side[i], abs=1e-12)
+
+
+class TestRowBound:
+    def test_a_rung_count_past_int64_raises(self):
+        # 2**32 rungs a side: their square wrapped int64 to an empty grid
+        with pytest.raises(ConfigError, match="would put more than 2,000,000 orbit points"):
+            build_orbit_grid(BALL, full_so3(), [2.0**-0.5, 0.0, 0.0], 1.0 / (2.0 * (2**32 - 1)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [1e-300, 5e-324])
+    def test_a_bandwidth_past_the_float_range_raises_without_a_warning(self, h):
+        # at 1e-300 a circle's count read -9.2e18, after a cast warning
+        rows = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        with pytest.raises(ConfigError, match=f"bandwidth h = {h!r}"):
+            orbit_grid_counts(BALL, circle3([0.0, 0.0, 1.0]), rows, h)
+        with pytest.raises(ConfigError, match=f"bandwidth h = {h!r}"):
+            orbit_coords_batch(torus(2), full_torus(2), [[0.3, 0.7]], h)
+        trivial = trivial_subgroup(PARENT_SO3)
+        assert orbit_grid_counts(BALL, trivial, rows, h).tolist() == [1, 1]
+        assert np.array_equal(orbit_coords_batch(BALL, trivial, rows, h)[0], rows)
+
+    def test_the_bound_admits_its_own_count(self):
+        # radius 1/2: side 1 and floor(1 / 2h) + 1 rungs on the circle
+        row = np.array([[0.5, 0.0, 0.0]])
+        circle = circle3([0.0, 0.0, 1.0])
+        assert orbit_grid_counts(BALL, circle, row, 1.0 / (2 * 1_999_999)).tolist() == [2_000_000]
+        with pytest.raises(ConfigError):
+            orbit_grid_counts(BALL, circle, row, 1.0 / (2 * 2_000_000))
 
 
 unit_vectors = (st.tuples(*[st.floats(-1.0, 1.0)] * 3)

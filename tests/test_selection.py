@@ -34,7 +34,7 @@ from orbitreg import (
 )
 from orbitreg import selection
 from orbitreg.bench import SCENARIOS, generate_data
-from orbitreg.subgroups import SubgroupFamily, delta_cover, fibonacci_sphere
+from orbitreg.subgroups import FAMILY_TABLE, SubgroupFamily, delta_cover, fibonacci_sphere
 
 BALL = unit_ball3()
 SMALL_COVER = [trivial_subgroup(PARENT_SO3), circle3([1.0, 0.0, 0.0]),
@@ -79,6 +79,13 @@ class TestEmpiricalError:
         empty = Dataset(BALL, np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(EmptyHoldoutError):
             empirical_error(FunctionPredictor(BALL, f1), empty)
+
+    def test_predictor_of_another_space_raises(self):
+        # a ball estimator scored on a 3-torus sample read 0.110, unchecked
+        ball = LocalConstantEstimator(noiseless_holdout(f1, 50, 1), 0.3)
+        X = substream(1, "torus-holdout").random((40, 3))
+        with pytest.raises(SpaceMismatchError, match="torus"):
+            empirical_error(ball, Dataset(torus(3), X, f1(X)))
 
 
 class TestGlobalSearch:
@@ -232,6 +239,24 @@ class TestGlobalSearch:
         assert a.chosen == b.chosen and a.per_group_error == b.per_group_error
 
 
+class TestGridGeometry:
+    def test_a_grid_candidate_takes_at_most_two_shadows(self, monkeypatch):
+        # one shadow sizes the candidate's passes and one builds its grids;
+        # the family methods it replaced split every row five times
+        calls = {}
+        for entry in FAMILY_TABLE.values():
+            def counted(g, xs, shadow=entry.shadow):
+                calls[g] = calls.get(g, 0) + 1
+                return shadow(g, xs)
+            monkeypatch.setattr(entry, "shadow", counted)
+        scen = SCENARIOS["so3_f2"]
+        fit, holdout = (generate_data(scen, 60, 0.5, substream(22, "shadow", part))
+                        for part in ("f", "h"))
+        global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit))
+        assert set(calls) == set(SMALL_COVER)
+        assert max(calls.values()) <= 2
+
+
 class TestChunkedSearch:
     @pytest.mark.parametrize("symmetriser", ["grid", "uniform"])
     @pytest.mark.parametrize("budget", [1, 500, 3_000])
@@ -290,9 +315,10 @@ class TestSearchMemory:
         # 100 queries under full SO(3) at h = 0.02 hold 78,513 grid points
         # (16 to 1,296 a row); a budget of 10,000 points makes a pass array
         # of 0.23 MiB.  Building a pass's grids takes about five such
-        # arrays of temporaries: the traced peak reads 6.0 times the array.
-        # Building every query's grids before splitting them between
-        # passes reads 39.6
+        # arrays of temporaries: with each pass taking 10,000 // 1,296 rows,
+        # the traced peak reads 4.6 times the array (6.3 with rows packed
+        # up to the budget by their own counts).  Building every query's
+        # grids before splitting them between passes reads 39.6
         monkeypatch.setattr(selection, "CHUNK_ROWS", 10_000)
         base = FunctionPredictor(BALL, f1)
         queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 100, substream(3, "gridmem"))
@@ -452,6 +478,16 @@ class TestBestSymmetricPredictor:
         before = predictor.predict_coords(queries)
         sel.chosen, sel.chosen_bandwidth = full_torus(2), float("nan")
         assert np.array_equal(predictor.predict_coords(queries), before)
+
+    @pytest.mark.parametrize("method", ["grid", "uniform"])
+    def test_a_bandwidth_too_fine_for_one_row_raises(self, method):
+        # at h = 1e-12 a circle takes 6e12 nodes or 1e12 grid points a row:
+        # unchecked, the uniform final asked numpy for 137 TiB
+        predictor = BestSymmetricPredictor(FunctionPredictor(BALL, f1),
+                                           SymmetrySelection(circle3([0.0, 0.0, 1.0]), 1e-12, {}),
+                                           method)
+        with pytest.raises(ConfigError, match="h = 1e-12"):
+            predictor.predict_coords(np.array([[0.5, 0.0, 0.0]]))
 
     def test_unknown_method_rejected(self):
         base = FunctionPredictor(BALL, f1)

@@ -594,6 +594,24 @@ class TestQuadrature:
         with pytest.raises(ConfigError, match="^bandwidth must be finite and positive"):
             subgroups.quadrature_count(group, h)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("group", [circle3([0.0, 0.0, 1.0]), full_so3(), full_torus(3)],
+                             ids=["circle", "so3", "torus3"])
+    @pytest.mark.parametrize("h", [1e-12, 1e-300, 5e-324])
+    def test_a_bandwidth_too_fine_for_one_row_raises(self, group, h):
+        # a circle took 6e12 nodes a row at h = 1e-12; past the float range
+        # the ceiling of the node count raised a raw OverflowError
+        with pytest.raises(ConfigError, match=f"h = {h!r} would put more than 2,000,000"):
+            subgroups.quadrature_count(group, h)
+        assert subgroups.quadrature_count(trivial_subgroup(PARENT_SO3), h) == 1
+
+    def test_the_row_bound_admits_its_own_count(self):
+        # 2 pi / h nodes on a circle: two million fit, one more does not
+        circle = circle3([0.0, 0.0, 1.0])
+        assert subgroups.quadrature_count(circle, 2.0 * np.pi / subgroups.CHUNK_ROWS) == 2_000_000
+        with pytest.raises(ConfigError):
+            subgroups.quadrature_count(circle, 2.0 * np.pi / (subgroups.CHUNK_ROWS + 0.5))
+
     @pytest.mark.parametrize("delta", [0.5, 0.1, 0.041])
     def test_line_nodes_average_low_frequencies_exactly(self, delta):
         # at the n = 300 line-class bandwidth, every frequency with
