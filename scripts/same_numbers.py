@@ -8,10 +8,14 @@ The runs are ``simulate`` on ``so3_f1`` and ``t2_g3`` (``--n-grid 50,150
 30,50``, ``select --show-cover`` on fixed 300-row CSV samples of the ball
 and the 2-torus, ``select --delta 0.1 --show-cover`` on the ball sample
 (2,210 candidates, so a fine cover's content and order are checked too),
-and ``validate --quick``; then every ``demos/*.py`` of the checkout, each
-in a fresh temporary directory: 22 artifacts.  An
-artifact is a file a CLI run writes or the standard output of a CLI run
-or a demo.  Each line of output is ``<sha256>  <artifact>``.  With
+and ``validate --quick``; two ``uniform`` searches (``global_ems`` with
+``symmetriser="uniform"``, split as ``select`` splits), on the ball
+sample at delta 0.1 and on the torus sample at delta 0.5, each printing
+its chosen subgroup and every candidate's holdout error as a float hex
+string; then every ``demos/*.py`` of the checkout, each in a fresh
+temporary directory: 24 artifacts.  An artifact is a file a CLI run
+writes or the standard output of a CLI run, a search or a demo.  Each
+line of output is ``<sha256>  <artifact>``.  With
 ``--base DIR`` the same runs are made with the package and the demos of
 the checkout ``DIR``, the artifacts that differ are listed, and the
 script exits 1 if any do.  The CSV samples are drawn here, with numpy
@@ -30,6 +34,23 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIMULATE = ("--n-grid", "50,150", "--trials", "2", "--seed", "11")
+# one uniform search on a CSV sample: argv is the sample, its space and delta
+UNIFORM_ERRORS = """
+import sys
+import numpy as np
+from orbitreg import (PARENT_SO3, Dataset, SelectionInput, delta_cover, global_ems,
+                      parent_torus, split_dataset, substream, torus, unit_ball3)
+path, name, delta = sys.argv[1], sys.argv[2], float(sys.argv[3])
+space, parent = (unit_ball3(), PARENT_SO3) if name == "unit_ball3" else (torus(2), parent_torus(2))
+data = np.loadtxt(path, delimiter=",", skiprows=1)
+fit, holdout = split_dataset(Dataset(space, data[:, :-1], data[:, -1]),
+                             substream(0, "select-split"))
+sel = global_ems(SelectionInput(holdout=holdout, cover=delta_cover(parent, space, delta),
+                                fit_data=fit, symmetriser="uniform"))
+print("chosen:", sel.chosen.describe())
+for group, error in sel.per_group_error.items():
+    print(error.hex(), group.describe())
+"""
 
 
 def write_samples(directory: Path) -> dict[str, Path]:
@@ -53,7 +74,8 @@ def write_samples(directory: Path) -> dict[str, Path]:
 
 
 def runs(samples: dict[str, Path]) -> list[tuple[str, list[str]]]:
-    """(name, CLI arguments) of every run."""
+    """(name, Python arguments) of every run: the CLI's, then the uniform
+    searches'."""
     out = []
     for scenario in ("so3_f1", "t2_g3"):
         out.append((f"simulate-{scenario}", ["simulate", "--scenario", scenario, *SIMULATE]))
@@ -66,6 +88,10 @@ def runs(samples: dict[str, Path]) -> list[tuple[str, list[str]]]:
                                            "--space", "unit_ball3", "--delta", "0.1",
                                            "--show-cover"]))
     out.append(("validate-quick", ["validate", "--quick"]))
+    out = [(name, ["-m", "orbitreg", *args]) for name, args in out]
+    for space, delta in (("unit_ball3", "0.1"), ("torus2", "0.5")):
+        out.append((f"uniform-errors-{space}",
+                    ["-c", UNIFORM_ERRORS, str(samples[space]), space, delta]))
     return out
 
 
@@ -84,7 +110,7 @@ def digests(checkout: Path, samples: dict[str, Path]) -> dict[str, str]:
     for name, args in runs(samples):
         with tempfile.TemporaryDirectory() as work:
             work = Path(work)
-            stdout = run(name, ["-m", "orbitreg", *args], work)
+            stdout = run(name, args, work)
             found[f"{name}/stdout"] = hashlib.sha256(stdout).hexdigest()
             for path in sorted(p for p in work.rglob("*") if p.is_file()):
                 found[f"{name}/{path.relative_to(work)}"] = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -108,14 +108,35 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([v[i] + w2 * uv[i] + 2.0 * uuv[i] for i in range(3)], axis=-1)
 
 
+def quat_matrix(q: np.ndarray) -> np.ndarray:
+    """The 3 x 3 rotation matrices of quaternion rows ``q``, shaped
+    ``q.shape[:-1] + (3, 3)``: ``quat_matrix(q) @ v`` is ``quat_rotate(q, v)``
+    to rounding.  Each row is scaled by ``2 / |q|^2``, so a row a few ulps
+    off unit norm (as ``quat_from_axis_angle`` makes them) still gives a
+    matrix orthogonal to rounding."""
+    q = np.asarray(q, dtype=np.float64)
+    # one copy makes each component contiguous, which halves the time
+    w, x, y, z = np.ascontiguousarray(np.moveaxis(q, -1, 0))
+    s = 2.0 / (w * w + x * x + y * y + z * z)
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    return np.stack([
+        1.0 - s * (yy + zz), s * (xy - wz), s * (xz + wy),
+        s * (xy + wz), 1.0 - s * (xx + zz), s * (yz - wx),
+        s * (xz - wy), s * (yz + wx), 1.0 - s * (xx + yy),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
+
+
 def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
+    """Quaternion rows of the rotations by ``angle`` about the unit ``axis``
+    rows, broadcasting ``angle`` against the leading axes of ``axis``; the
+    sine and cosine are taken once per angle."""
     axis = np.asarray(axis, dtype=np.float64)
-    angle = np.asarray(angle, dtype=np.float64)
-    half = angle / 2.0
-    s = np.sin(half)
-    return np.concatenate(
-        [np.cos(half)[..., None], s[..., None] * axis], axis=-1
-    )
+    half = np.asarray(angle, dtype=np.float64) / 2.0
+    vector = np.sin(half)[..., None] * axis
+    scalar = np.broadcast_to(np.cos(half)[..., None], vector.shape[:-1] + (1,))
+    return np.concatenate([scalar, vector], axis=-1)
 
 
 def quat_rotation_angle(q: np.ndarray) -> np.ndarray:
@@ -272,7 +293,9 @@ class ParentGroup:
     Shift rows -- translated points and canonical shifts -- are reduced by
     :func:`orbitreg.spaces.wrap_rows`, so they never come out as 1.0.
     Every orbit point set -- an element's action, Haar orbit samples,
-    quadrature nodes -- goes through ``act_rows``."""
+    quadrature nodes -- goes through ``act_rows``, except the quadrature
+    points of circles (one product of :func:`quat_matrix` rotation
+    matrices) and of the full rotation group (a Fibonacci lattice)."""
 
     name: str
     element: type

@@ -125,11 +125,20 @@ def orbit_coords_batch(space: CovariateSpace, group: ClosedSubgroup,
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     k, side, place, rungs, counts = _rungs(space, group, xs, h)
     row = np.repeat(np.arange(len(xs)), counts)
-    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    per_axis = rungs[row, None]
-    # axis i takes digit i of the point's rank in base per_axis (first axis slowest)
-    offsets = (rank[:, None] // per_axis ** np.arange(k - 1, -1, -1) % per_axis
-               - (per_axis - 1) / 2.0) * (2.0 * h)
+    rank = np.arange(row.size)
+    rank -= np.repeat(np.cumsum(counts) - counts, counts)
+    per_axis = rungs[row]
+    half = (per_axis - 1) / 2.0
+    # axis i takes digit i of the point's rank in base per_axis (first axis
+    # slowest), written one axis at a time, last first, into its column
+    offsets = np.empty((row.size, k))
+    for i in range(k - 1, -1, -1):
+        column = offsets[:, i]
+        np.remainder(rank, per_axis, out=column)
+        column -= half
+        rank //= per_axis
+    offsets *= 2.0 * h
+    del rank, per_axis, half  # freed before place builds the points
     coords = place(row, offsets)
     fixed = side[row] == 0.0
     coords[fixed] = xs[row[fixed]]

@@ -41,6 +41,7 @@ from .orbit_grids import orbit_coords_batch, orbit_grid_counts
 from .spaces import query_rows
 from .subgroups import (
     CHUNK_ROWS,
+    FAMILY_TABLE,
     ClosedSubgroup,
     SubgroupFamily,
     canonical_cover,
@@ -149,12 +150,6 @@ def _mean_squared_error(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(residual * residual))
 
 
-def _candidate_bandwidth(inp: SelectionInput, group: ClosedSubgroup) -> float:
-    d = inp.holdout.space.intrinsic_dim
-    d_group = orbit_dimension(group, inp.holdout.space)
-    return bandwidth(inp.a, len(inp.fit_data), inp.beta, d, d_group)
-
-
 def _passes(blocks: Iterable, points: Callable[[object], int]) -> Iterator[list]:
     """Consecutive ``blocks`` grouped into prediction passes: a pass takes
     blocks while their orbit points (``points(block)``) stay within
@@ -182,9 +177,10 @@ def _predict_pass(base: Predictor, coords: np.ndarray, counts: np.ndarray) -> np
 
 def _orbit_averages(base: Predictor, groups: Sequence[ClosedSubgroup], xs: np.ndarray,
                     h: float, symmetriser: str) -> Iterator[np.ndarray]:
-    """The orbit average of the base predictor over each row of ``xs``, one
-    array per subgroup, in order, at bandwidth ``h``: over each row's orbit
-    grid (``symmetriser="grid"``) or its quadrature nodes (``"uniform"``).
+    """The orbit average of the base predictor over each row of ``xs``, at
+    bandwidth ``h``, one (subgroups, rows) array per pass, the subgroups in
+    order: over each row's orbit grid (``symmetriser="grid"``) or its
+    quadrature nodes (``"uniform"``).
 
     Each subgroup is sized by its points per row: its node count, or its
     largest grid count over the rows (:func:`orbit_grid_counts`, computed
@@ -213,7 +209,7 @@ def _orbit_averages(base: Predictor, groups: Sequence[ClosedSubgroup], xs: np.nd
                 grids = [orbit_coords_batch(base.space, group, part, h) for group in chunk]
                 coords, counts = grids[0] if len(grids) == 1 else map(np.concatenate, zip(*grids))
             means.append(_predict_pass(base, coords, counts).reshape(len(chunk), -1))
-        yield from np.hstack(means)
+        yield np.hstack(means)
 
 
 def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
@@ -223,11 +219,16 @@ def _class_holdout_errors(inp: SelectionInput, groups: list[ClosedSubgroup],
     With the ``grid`` symmetriser each candidate is scored through its orbit
     grid (the deterministic packing construction); with ``uniform`` it is
     scored through fixed quadrature nodes approximating the full orbit
-    average, the nodes of a ``method="uniform"`` final prediction.
+    average, the nodes of a ``method="uniform"`` final prediction.  Each
+    pass's errors are one row-wise mean over its stacked orbit averages,
+    with the bits :func:`_mean_squared_error` gives each row.
     """
     base = LocalConstantEstimator(inp.fit_data, h)
-    averages = _orbit_averages(base, groups, inp.holdout.X, h, inp.symmetriser)
-    return {group: _mean_squared_error(sym, inp.holdout.Y) for group, sym in zip(groups, averages)}
+    errors = []
+    for sym in _orbit_averages(base, groups, inp.holdout.X, h, inp.symmetriser):
+        residual = sym - inp.holdout.Y
+        errors.append(np.mean(residual * residual, axis=1))
+    return dict(zip(groups, np.concatenate(errors).tolist()))
 
 
 def _argmin_with_ties(errors: dict[ClosedSubgroup, float], space) -> ClosedSubgroup:
@@ -245,7 +246,11 @@ def global_ems(inp: SelectionInput) -> SymmetrySelection:
     :func:`orbitreg.subgroups.delta_cover` in its order.
     """
     cover = canonical_cover(inp.cover)
-    bw = {group: _candidate_bandwidth(inp, group) for group in cover}
+    # one bandwidth per orbit dimension; SelectionInput checked every parent
+    dims = [FAMILY_TABLE[group.family].orbit_dim(group) for group in cover]
+    by_dim = {k: bandwidth(inp.a, len(inp.fit_data), inp.beta, inp.holdout.space.intrinsic_dim, k)
+              for k in set(dims)}
+    bw = {group: by_dim[k] for group, k in zip(cover, dims)}
     by_bandwidth: dict[float, list[ClosedSubgroup]] = {}
     for group in cover:
         by_bandwidth.setdefault(bw[group], []).append(group)
@@ -288,7 +293,7 @@ class BestSymmetricPredictor:
 
     def predict_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = query_rows(self.space, coords)
-        return next(_orbit_averages(self.base, [self._group], coords, self._h, self.method))
+        return next(_orbit_averages(self.base, [self._group], coords, self._h, self.method))[0]
 
 
 def split_dataset(full: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

@@ -20,7 +20,10 @@ each row's side (0 where the orbit is the point itself) and the
 projection onto the orbit -- lives in one entry of :data:`FAMILY_TABLE`.
 An entry gives Haar draws and quadrature nodes as element rows
 (quaternions or shifts); orbit samples, single draws and quadrature points
-are those rows applied through the parent's one batched action.
+are those rows applied through the parent's one batched action, except
+where a family builds its quadrature points itself: circles by one matrix
+product of their nodes' rotation matrices, the full rotation group as a
+Fibonacci lattice.
 Quadrature nodes carry every orbit average of the ``uniform`` search and
 its final prediction; Haar draws serve :func:`sample_group` and the tests'
 oracles.  The three translation families share one implementation
@@ -43,6 +46,7 @@ grows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,6 +67,7 @@ from .groups import (
     parent_torus,
     quat_canonical,
     quat_from_axis_angle,
+    quat_matrix,
 )
 from .randomness import polar_gaussian
 from .spaces import CHUNK_ELEMENTS, CovariateSpace, pairwise_distance, wrap_rows
@@ -211,10 +216,17 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     ``groups`` is one subgroup or a sequence of them; a sequence gives the
     nodes of each subgroup in turn (subgroup, then row, then node) in one
     array, and one count per subgroup and row.  Consecutive subgroups of
-    one family with one node lattice form a run, and each step of about
-    ``CHUNK_ELEMENTS`` points (one subgroup's nodes at least) of a run is
-    one call of the family's ``quadrature``, written in place.  Each point
-    has the bits the subgroup's own call gives it.  A bandwidth that is not
+    one family with one node lattice form a run, and each run is one call
+    of the family's ``quadrature``, which writes straight into its part of
+    the returned array (the default, through ``act_rows``, in steps of
+    about ``CHUNK_ELEMENTS`` points, one subgroup's nodes at least).  A
+    subgroup's points depend on the subgroup and the whole of ``xs`` only,
+    not on the other subgroups or the steps, so each has the bits of the
+    subgroup's own call on the same rows.  A circle applies its nodes'
+    rotation matrices to all rows by one matrix product, whose rounding
+    may depend on how many rows it gets: a row's points may move in the
+    last bit when it is passed with other rows (within 2e-15 of
+    ``act_rows`` with the node quaternions).  A bandwidth that is not
     finite and positive raises :class:`ConfigError` (from
     :func:`quadrature_count`'s rule).
     """
@@ -228,12 +240,10 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     for (family, (per_axis, count)), run in itertools.groupby(
             zip(groups, lattices), lambda item: (item[0].family, item[1])):
         run = [g for g, _ in run]
-        step = max(1, CHUNK_ELEMENTS // max(rows * count, 1))
-        for i in range(0, len(run), step):
-            block = FAMILY_TABLE[family].quadrature(run[i : i + step], xs, per_axis)
-            stop = start + block.size // width
-            coords[start:stop] = block.reshape(-1, width)
-            start = stop
+        stop = start + len(run) * rows * count
+        FAMILY_TABLE[family].quadrature(run, xs, per_axis,
+                                        coords[start:stop].reshape(len(run), rows, count, width))
+        start = stop
     return coords, np.repeat(np.asarray(counts, dtype=np.int64), rows)
 
 
@@ -268,13 +278,22 @@ def quadrature_count(group: ClosedSubgroup, h: float) -> int:
 def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
     """``(per_axis, count)``: the quadrature nodes per parameter axis and
     per row of :func:`quadrature_count`."""
-    h = check_bandwidth(h)
     entry = FAMILY_TABLE[group.family]
     k = entry.orbit_dim(group)
+    return _axis_lattice(k, entry.extent(group) if k else 0.0, h)
+
+
+@functools.lru_cache(maxsize=1024)
+def _axis_lattice(k: int, extent: float, h: float) -> tuple[int, int]:
+    """:func:`_node_lattice` of an orbit of dimension ``k`` and ``extent``,
+    memoised: a cover's circles share one ``(k, extent)``, and the search
+    asks for each candidate's lattice twice, to size its pass and to build
+    its nodes."""
+    h = check_bandwidth(h)
     if k == 0:
         return 1, 1
     least, gap = (_QUADRATURE_1D, _NODE_GAP_1D) if k == 1 else (_QUADRATURE_2D, _NODE_GAP_2D)
-    per_axis = max(round(least ** (1.0 / k)), 2, entry.extent(group) / (gap * h))
+    per_axis = max(round(least ** (1.0 / k)), 2, extent / (gap * h))
     per_axis = math.ceil(min(per_axis, CHUNK_ROWS + 1))  # an infinite count has no ceiling
     if per_axis ** k > CHUNK_ROWS:
         raise _too_many_points(h)
@@ -359,26 +378,35 @@ class FamilyEntry:
       (subgroups, nodes, row width) and built from the stacked parameters
       (the circle and translation nets reuse them as
       ``nodes([g], count)[0]``);
-    * ``quadrature(groups, xs, count)``: the quadrature points of each
-      subgroup on each row, ``count`` nodes per parameter axis, shaped
-      (subgroups, rows, nodes, row width): by default the ``nodes``
-      applied through the parent's ``act_rows``; the full rotation group,
-      whose nodes are a Fibonacci lattice on each row's sphere, not fixed
-      elements, overrides it;
+    * ``quadrature(groups, xs, count, out)``: writes the quadrature points
+      of each subgroup on each row, ``count`` nodes per parameter axis,
+      into ``out``, a C-contiguous array shaped (subgroups, rows, nodes,
+      row width): by default the ``nodes`` applied through the parent's
+      ``act_rows``, in steps of about ``CHUNK_ELEMENTS`` points that
+      bound its temporaries; circles override it with one matrix product
+      per subgroup (their nodes' rotation matrices, from
+      :func:`orbitreg.groups.quat_matrix`, stacked against all rows), and
+      the full rotation group, whose nodes are a Fibonacci lattice on each
+      row's sphere, not fixed elements, overrides it too;
     * ``net``: an eps-net of the subgroup as element rows.
 
-    Orbit samples, single Haar draws, quadrature points and translation
-    grids apply element rows through the parent's ``act_rows``, so no
-    entry writes the parent's action itself.
+    Orbit samples, single Haar draws, the default quadrature points and
+    translation grids apply element rows through the parent's
+    ``act_rows``, so no entry writes the parent's action itself.
     """
 
     def orbit_dim(self, g: ClosedSubgroup) -> int:
         return self.dim
 
-    def quadrature(self, groups: Sequence[ClosedSubgroup], xs: np.ndarray,
-                   count: int) -> np.ndarray:
-        return parent_group(groups[0].parent).act_rows(self.nodes(groups, count)[:, None],
-                                                       xs[None, :, None, :])
+    def quadrature(self, groups: Sequence[ClosedSubgroup], xs: np.ndarray, count: int,
+                   out: np.ndarray) -> None:
+        # act_rows holds several temporaries per point: a step of about
+        # CHUNK_ELEMENTS points (one subgroup's at least) bounds them
+        act_rows = parent_group(groups[0].parent).act_rows
+        step = max(1, CHUNK_ELEMENTS // max(out.shape[1] * out.shape[2], 1))
+        for i in range(0, len(groups), step):
+            out[i : i + step] = act_rows(self.nodes(groups[i : i + step], count)[:, None],
+                                         xs[None, :, None, :])
 
 
 def _lattice(values: np.ndarray, k: int) -> np.ndarray:
@@ -425,7 +453,8 @@ class _Trivial(FamilyEntry):
     dim = 0
 
     def shadow(self, g, xs):
-        return np.ones(len(xs)), lambda row, offsets: xs[row]
+        # every orbit is the point itself
+        return np.zeros(len(xs)), lambda row, offsets: xs[row]
 
     def recover(self, g, space, x, target):
         deviation = float(pairwise_distance(space, x, target)[0, 0])
@@ -462,14 +491,21 @@ class _Circle(FamilyEntry):
         safe_r = np.where(fixed, 1.0, r)
 
         def place(row, offsets):
-            # an offset t on the tangent line sits at angle arcsin(t / r)
-            angles = np.arcsin(np.clip(offsets[:, 0] / safe_r[row], -1.0, 1.0))
+            # an offset t on the tangent line sits at angle arcsin(t / r):
+            # axial u + r cos e1 + r sin e2, summed into one array
+            angles = offsets[:, 0] / safe_r[row]
+            np.arcsin(np.clip(angles, -1.0, 1.0, out=angles), out=angles)
             e1 = radial / safe_r[:, None]
             e2 = cross(u, e1)
             r_rep = r[row]
-            return (axial[row, None] * u
-                    + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
-                    + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
+            coords = axial[row, None] * u
+            term = e1[row]
+            term *= (r_rep * np.cos(angles))[:, None]
+            coords += term
+            np.take(e2, row, axis=0, out=term, mode="clip")
+            term *= (r_rep * np.sin(angles, out=angles))[:, None]
+            coords += term
+            return coords
 
         return np.where(fixed, 0.0, 2.0 * r), place
 
@@ -494,8 +530,13 @@ class _Circle(FamilyEntry):
 
     def nodes(self, groups, count):
         axes = np.array([g.axis for g in groups])[:, None, :]
-        theta = np.arange(count) * (2.0 * np.pi / count)
-        return quat_from_axis_angle(axes, np.broadcast_to(theta, (len(groups), count)))
+        return quat_from_axis_angle(axes, np.arange(count) * (2.0 * np.pi / count))
+
+    def quadrature(self, groups, xs, count, out):
+        # the nodes' rotation matrices, stacked (3 count, 3) per subgroup and
+        # applied to every row by one matrix product per subgroup
+        matrices = quat_matrix(self.nodes(groups, count)).reshape(len(groups), 3 * count, 3)
+        np.matmul(xs, matrices.swapaxes(1, 2), out=out.reshape(len(groups), len(xs), 3 * count))
 
     def net(self, g, eps):
         return self.nodes([g], max(int(np.ceil(2.0 * np.pi / eps)), 1))[0]
@@ -519,12 +560,24 @@ class _FullSO3(FamilyEntry):
 
         def place(row, offsets):
             # offsets in the tangent plane at x, moved along the normal onto
-            # the sphere of radius |x| (float_power rounds like the scalar square)
+            # the sphere of radius |x| (float_power rounds like the scalar
+            # square): a1 e1 + a2 e2 + normal unit, summed into one array
             unit = xs / np.where(fixed, 1.0, s)[:, None]
             e1, e2 = _tangent_frame(unit)
             a1, a2 = offsets[:, 0], offsets[:, 1]
-            normal = np.sqrt(np.maximum(np.float_power(s[row], 2) - a1**2 - a2**2, 0.0))
-            return a1[:, None] * e1[row] + a2[:, None] * e2[row] + normal[:, None] * unit[row]
+            normal = np.float_power(s[row], 2)
+            normal -= a1**2
+            normal -= a2**2
+            np.sqrt(np.maximum(normal, 0.0, out=normal), out=normal)
+            coords = e1[row]
+            coords *= a1[:, None]
+            term = e2[row]
+            term *= a2[:, None]
+            coords += term
+            np.take(unit, row, axis=0, out=term, mode="clip")
+            term *= normal[:, None]
+            coords += term
+            return coords
 
         return np.where(fixed, 0.0, np.sqrt(2.0) * s), place
 
@@ -541,11 +594,10 @@ class _FullSO3(FamilyEntry):
         norms[norms == 0.0] = 1.0
         return q / norms
 
-    def quadrature(self, groups, xs, count):
+    def quadrature(self, groups, xs, count, out):
         # the lattice's count ** 2 nodes, spread as a Fibonacci lattice
         radii = np.linalg.norm(xs, axis=1)
-        points = radii[:, None, None] * fibonacci_sphere(count ** self.dim)[None, :, :]
-        return np.broadcast_to(points, (len(groups),) + points.shape)
+        np.multiply(radii[:, None, None], fibonacci_sphere(count ** self.dim)[None, :, :], out=out)
 
     def net(self, g, eps):
         return _so3_net(eps)

@@ -22,6 +22,9 @@ from orbitreg.groups import (
     quat_canonical,
     quat_multiply,
     quat_conjugate,
+    quat_from_axis_angle,
+    quat_matrix,
+    quat_rotate,
     quat_rotation_angle,
 )
 from orbitreg.randomness import polar_gaussian
@@ -87,6 +90,31 @@ class TestCross:
         got = cross(a, b)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+class TestQuatMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matrix_product_is_the_quaternion_rotation(self, seed):
+        rng = np.random.default_rng(seed)
+        q = random_rotations(rng, 40)
+        v = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 40, rng)
+        matrices = quat_matrix(q)
+        assert matrices.shape == (40, 3, 3)
+        assert np.abs((matrices @ v[:, :, None])[:, :, 0] - quat_rotate(q, v)).max() <= 2e-15
+        assert np.abs(matrices @ matrices.swapaxes(1, 2) - np.eye(3)).max() <= 2e-15
+        assert np.allclose(np.linalg.det(matrices), 1.0, rtol=0, atol=1e-14)
+
+    def test_axis_angle_rows_give_orthogonal_matrices(self):
+        # quat_from_axis_angle's rows are a few ulps off unit norm; the
+        # 2 / |q|^2 scale keeps their matrices orthogonal to rounding
+        rng = substream(3, "matrix-axis")
+        axes = polar_gaussian(rng, 3 * 500).reshape(500, 3)
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        q = quat_from_axis_angle(axes, rng.random(500) * 2.0 * np.pi)
+        matrices = quat_matrix(q).astype(np.longdouble)
+        assert np.abs(matrices @ matrices.swapaxes(1, 2) - np.eye(3)).max() <= 1.5e-15
+        assert quat_matrix(q[0]).shape == (3, 3)
 
 
 class TestComposeInverse:
@@ -231,8 +259,6 @@ class TestIsometryAndLipschitz:
         n = 10_000
         qa, qb = random_rotations(rng, n), random_rotations(rng, n)
         X = sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, n, rng)
-        from orbitreg.groups import quat_rotate
-
         moved = np.linalg.norm(quat_rotate(qa, X) - quat_rotate(qb, X), axis=1)
         dg = quat_rotation_angle(quat_multiply(quat_conjugate(qa), qb))
         keep = dg > 1e-12

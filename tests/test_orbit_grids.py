@@ -53,8 +53,12 @@ def grid_is_well_packed(space, grid, h):
 
 
 class TestHypercubeSide:
-    def test_trivial_is_one(self):
-        assert hypercube_side(BALL, trivial_subgroup(PARENT_SO3), [0.3, 0.3, 0.1]) == 1.0
+    def test_trivial_is_zero(self):
+        # the trivial orbit is the point itself, so its grid is singular
+        trivial = trivial_subgroup(PARENT_SO3)
+        assert hypercube_side(BALL, trivial, [0.3, 0.3, 0.1]) == 0.0
+        grid = build_orbit_grid(BALL, trivial, [0.3, 0.3, 0.1], 0.1)
+        assert grid.singular and grid.m == 1
 
     def test_sphere_orbit_side(self):
         side = hypercube_side(BALL, full_so3(), [0.5, 0.0, 0.0])
@@ -367,7 +371,7 @@ def _axis_distance(xs):
 # orbit dimension k) -- one line per family and configuration
 PACKING_TABLE = {
     "trivial": (unit_ball3(), trivial_subgroup(PARENT_SO3), _BALL_ROWS,
-                lambda xs: (np.ones(len(xs)), np.zeros(len(xs), bool)), 0),
+                lambda xs: (np.zeros(len(xs)), np.ones(len(xs), bool)), 0),
     "circle_ball": (unit_ball3(), circle3(_AXIS), _BALL_ROWS,
                     lambda xs: (2.0 * _axis_distance(xs), _axis_distance(xs) <= 1e-9), 1),
     "circle_sphere": (unit_sphere2(), circle3(_AXIS), _SPHERE_ROWS,

@@ -34,7 +34,9 @@ from orbitreg import (
 )
 from orbitreg import selection
 from orbitreg.bench import SCENARIOS, generate_data
-from orbitreg.subgroups import FAMILY_TABLE, SubgroupFamily, delta_cover, fibonacci_sphere
+from orbitreg.estimators import bandwidth
+from orbitreg.subgroups import (FAMILY_TABLE, SubgroupFamily, delta_cover, fibonacci_sphere,
+                                orbit_dimension)
 
 BALL = unit_ball3()
 SMALL_COVER = [trivial_subgroup(PARENT_SO3), circle3([1.0, 0.0, 0.0]),
@@ -238,6 +240,50 @@ class TestGlobalSearch:
         b = global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit))
         assert a.chosen == b.chosen and a.per_group_error == b.per_group_error
 
+    @pytest.mark.parametrize("symmetriser", ["grid", "uniform"])
+    @pytest.mark.parametrize("budget", [None, 500])
+    @pytest.mark.parametrize("scenario", ["so3_f2", "t2_g3"])
+    def test_class_errors_have_each_candidates_mean_squared_error_bits(
+            self, scenario, symmetriser, budget, monkeypatch):
+        # one row-wise mean per pass over the stacked orbit averages gives
+        # every candidate the bits of its own _mean_squared_error call, also
+        # where a small budget splits the class into passes
+        spec = SCENARIOS[scenario]
+        fit, holdout = (generate_data(spec, 80, 0.5, substream(23, scenario, part))
+                        for part in ("f", "h"))
+        cover = delta_cover(spec.parent, spec.space, 0.5)
+        inp = SelectionInput(holdout=holdout, cover=cover, fit_data=fit, symmetriser=symmetriser)
+        if budget is not None:
+            monkeypatch.setattr(selection, "CHUNK_ROWS", budget)
+        classes = {}
+        for group, h in global_ems(inp).bandwidth_by_group.items():
+            classes.setdefault(h, []).append(group)
+        for h, groups in classes.items():
+            errors = selection._class_holdout_errors(inp, groups, h)
+            base = LocalConstantEstimator(fit, h)
+            averages = np.vstack(list(selection._orbit_averages(base, groups, holdout.X, h,
+                                                                symmetriser)))
+            assert list(errors) == groups
+            for group, average in zip(groups, averages):
+                expected = selection._mean_squared_error(average, holdout.Y)
+                assert errors[group].hex() == expected.hex(), group.describe()
+
+    @pytest.mark.parametrize("scenario", ["so3_f2", "t2_g3"])
+    def test_bandwidths_are_the_rate_rule_bit_for_bit(self, scenario):
+        # one bandwidth per orbit dimension, the rule's own bits
+        spec = SCENARIOS[scenario]
+        fit, holdout = (generate_data(spec, 70, 0.5, substream(24, scenario, part))
+                        for part in ("f", "h"))
+        cover = delta_cover(spec.parent, spec.space, 0.5)
+        sel = global_ems(SelectionInput(holdout=holdout, cover=cover, fit_data=fit, a=0.7,
+                                        beta=0.8))
+        assert list(sel.bandwidth_by_group) == cover
+        d = spec.space.intrinsic_dim
+        for group, h in sel.bandwidth_by_group.items():
+            k = orbit_dimension(group, spec.space)
+            assert h.hex() == bandwidth(0.7, len(fit), 0.8, d, k).hex()
+        assert len(set(sel.bandwidth_by_group.values())) == 3
+
 
 class TestGridGeometry:
     def test_a_grid_candidate_takes_at_most_two_shadows(self, monkeypatch):
@@ -314,11 +360,12 @@ class TestSearchMemory:
     def test_grid_final_peak_stays_near_one_pass_array(self, monkeypatch):
         # 100 queries under full SO(3) at h = 0.02 hold 78,513 grid points
         # (16 to 1,296 a row); a budget of 10,000 points makes a pass array
-        # of 0.23 MiB.  Building a pass's grids takes about five such
-        # arrays of temporaries: with each pass taking 10,000 // 1,296 rows,
-        # the traced peak reads 4.6 times the array (6.3 with rows packed
-        # up to the budget by their own counts).  Building every query's
-        # grids before splitting them between passes reads 39.6
+        # of 0.23 MiB.  Beside a pass's points, building them holds one
+        # term of the sum the shadow places them by, each point's row and
+        # its offsets: the traced peak reads 3.3 times the array.  Offsets
+        # built as (N, k) integer arrays, and a sum of fresh (N, 3) terms,
+        # read 4.6; building every query's grids before splitting them
+        # between passes reads 39.6
         monkeypatch.setattr(selection, "CHUNK_ROWS", 10_000)
         base = FunctionPredictor(BALL, f1)
         queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 100, substream(3, "gridmem"))
@@ -330,7 +377,7 @@ class TestSearchMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * pass_bytes
+        assert peak <= 4 * pass_bytes
 
 
 class TestChunkedPrediction:

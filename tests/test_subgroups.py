@@ -520,10 +520,16 @@ class TestQuadrature:
         xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 9, rng)
         entry = FAMILY_TABLE[groups[0].family]
         side, size = subgroups._node_lattice(groups[0], 0.25)
-        run = entry.quadrature(groups, xs, side)
-        assert run.shape == (len(groups), len(xs), size, xs.shape[1])
+
+        def quadrature(run):  # the family writes into an array of its points' shape
+            out = np.full((len(run), len(xs), size, xs.shape[1]), np.nan)
+            entry.quadrature(run, xs, side, out)
+            return out
+
+        run = quadrature(groups)
+        assert not np.isnan(run).any()
         for block, g in zip(run, groups):
-            assert block.tobytes() == entry.quadrature([g], xs, side)[0].tobytes()
+            assert block.tobytes() == quadrature([g])[0].tobytes()
         if case == "circles":  # the stacked axes against one axis at a time
             theta = np.arange(size) * (2.0 * np.pi / size)
             for nodes, g in zip(entry.nodes(groups, side), groups):
@@ -684,12 +690,37 @@ class TestQuadrature:
         xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 13, rng)
         monkeypatch.setattr(subgroups, "CHUNK_ELEMENTS", chunk)
         coords, counts = orbit_quadrature_coords(groups, xs, h)
+        # the batch has the bits of each subgroup's own call (a sequence of one)
+        singles = np.vstack([orbit_quadrature_coords(g, xs, h)[0] for g in groups])
+        assert coords.tobytes() == singles.tobytes()
         expected, expected_counts = self._one_by_one(groups, xs, h)
-        assert coords.tobytes() == expected.tobytes()
         assert counts.dtype == np.int64 and counts.tolist() == expected_counts.tolist()
-        for g in groups:  # one subgroup alone is a sequence of one
-            single = orbit_quadrature_coords(g, xs, h)
-            assert single[0].tobytes() == self._one_by_one([g], xs, h)[0].tobytes()
+        # the parent's action gives every point: bit for bit, except that
+        # circles apply their nodes' rotation matrices by one product, whose
+        # points sit up to 1.0e-15 from quat_rotate's here (quat_rotate's
+        # own error: it assumes unit quaternions, and keeps x.u and the
+        # radius only to 1.1e-15 where the matrices keep them to 6e-16)
+        circle = np.repeat([g.family is SubgroupFamily.CIRCLE3 for g in groups],
+                           counts.reshape(len(groups), -1).sum(axis=1))
+        assert coords[~circle].tobytes() == expected[~circle].tobytes()
+        assert np.abs(coords[circle] - expected[circle]).max(initial=0.0) <= 2e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.floats(0.01, 1.0))
+    def test_circle_nodes_keep_height_and_radius(self, seed, h):
+        # a rotation about u keeps x.u and the distance from the axis
+        rng = np.random.default_rng(seed)
+        group = circle3(random_axis(rng))
+        xs = sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, 7, rng)
+        coords, counts = orbit_quadrature_coords(group, xs, h)
+        u = group.axis_array()
+        base = np.repeat(xs, counts, axis=0)
+
+        def radius(rows):
+            return np.linalg.norm(rows - (rows @ u)[:, None] * u, axis=1)
+
+        assert np.abs(coords @ u - base @ u).max() <= 1e-15
+        assert np.abs(radius(coords) - radius(base)).max() <= 1e-15
 
 
 class TestSubTorusDistances:
