@@ -46,7 +46,6 @@ grows.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -218,15 +217,15 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     array, and one count per subgroup and row.  Consecutive subgroups of
     one family with one node lattice form a run, and each run is one call
     of the family's ``quadrature``, which writes straight into its part of
-    the returned array (the default, through ``act_rows``, in steps of
-    about ``CHUNK_ELEMENTS`` points, one subgroup's nodes at least).  A
-    subgroup's points depend on the subgroup and the whole of ``xs`` only,
-    not on the other subgroups or the steps, so each has the bits of the
-    subgroup's own call on the same rows.  A circle applies its nodes'
-    rotation matrices to all rows by one matrix product, whose rounding
-    may depend on how many rows it gets: a row's points may move in the
-    last bit when it is passed with other rows (within 2e-15 of
-    ``act_rows`` with the node quaternions).  A bandwidth that is not
+    the returned array in steps of about ``CHUNK_ELEMENTS`` points or
+    entries (see :class:`FamilyEntry`).  A subgroup's points depend on the
+    subgroup and the whole of ``xs`` only, not on the other subgroups, so
+    each has the bits of the subgroup's own call on the same rows.  A
+    circle applies its nodes' rotation matrices to the rows by matrix
+    products, whose rounding may depend on how many rows they get: a
+    row's points may move in the last bit when it is passed with other
+    rows, and lie within 1e-15 of the node quaternions applied through
+    ``act_rows`` on the unit ball.  A bandwidth that is not
     finite and positive raises :class:`ConfigError` (from
     :func:`quadrature_count`'s rule).
     """
@@ -278,22 +277,13 @@ def quadrature_count(group: ClosedSubgroup, h: float) -> int:
 def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
     """``(per_axis, count)``: the quadrature nodes per parameter axis and
     per row of :func:`quadrature_count`."""
+    h = check_bandwidth(h)
     entry = FAMILY_TABLE[group.family]
     k = entry.orbit_dim(group)
-    return _axis_lattice(k, entry.extent(group) if k else 0.0, h)
-
-
-@functools.lru_cache(maxsize=1024)
-def _axis_lattice(k: int, extent: float, h: float) -> tuple[int, int]:
-    """:func:`_node_lattice` of an orbit of dimension ``k`` and ``extent``,
-    memoised: a cover's circles share one ``(k, extent)``, and the search
-    asks for each candidate's lattice twice, to size its pass and to build
-    its nodes."""
-    h = check_bandwidth(h)
     if k == 0:
         return 1, 1
     least, gap = (_QUADRATURE_1D, _NODE_GAP_1D) if k == 1 else (_QUADRATURE_2D, _NODE_GAP_2D)
-    per_axis = max(round(least ** (1.0 / k)), 2, extent / (gap * h))
+    per_axis = max(round(least ** (1.0 / k)), 2, entry.extent(group) / (gap * h))
     per_axis = math.ceil(min(per_axis, CHUNK_ROWS + 1))  # an infinite count has no ceiling
     if per_axis ** k > CHUNK_ROWS:
         raise _too_many_points(h)
@@ -383,9 +373,10 @@ class FamilyEntry:
       into ``out``, a C-contiguous array shaped (subgroups, rows, nodes,
       row width): by default the ``nodes`` applied through the parent's
       ``act_rows``, in steps of about ``CHUNK_ELEMENTS`` points that
-      bound its temporaries; circles override it with one matrix product
-      per subgroup (their nodes' rotation matrices, from
-      :func:`orbitreg.groups.quat_matrix`, stacked against all rows), and
+      bound its temporaries; circles override it with matrix products
+      (each subgroup's nodes' rotation matrices, from
+      :func:`orbitreg.groups.quat_matrix`, stacked and applied to its rows
+      in products of about ``CHUNK_ELEMENTS`` entries), and
       the full rotation group, whose nodes are a Fibonacci lattice on each
       row's sphere, not fixed elements, overrides it too;
     * ``net``: an eps-net of the subgroup as element rows.
@@ -491,21 +482,14 @@ class _Circle(FamilyEntry):
         safe_r = np.where(fixed, 1.0, r)
 
         def place(row, offsets):
-            # an offset t on the tangent line sits at angle arcsin(t / r):
-            # axial u + r cos e1 + r sin e2, summed into one array
-            angles = offsets[:, 0] / safe_r[row]
-            np.arcsin(np.clip(angles, -1.0, 1.0, out=angles), out=angles)
+            # an offset t on the tangent line sits at angle arcsin(t / r)
+            angles = np.arcsin(np.clip(offsets[:, 0] / safe_r[row], -1.0, 1.0))
             e1 = radial / safe_r[:, None]
             e2 = cross(u, e1)
             r_rep = r[row]
-            coords = axial[row, None] * u
-            term = e1[row]
-            term *= (r_rep * np.cos(angles))[:, None]
-            coords += term
-            np.take(e2, row, axis=0, out=term, mode="clip")
-            term *= (r_rep * np.sin(angles, out=angles))[:, None]
-            coords += term
-            return coords
+            return (axial[row, None] * u
+                    + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
+                    + r_rep[:, None] * np.sin(angles)[:, None] * e2[row])
 
         return np.where(fixed, 0.0, 2.0 * r), place
 
@@ -533,10 +517,20 @@ class _Circle(FamilyEntry):
         return quat_from_axis_angle(axes, np.arange(count) * (2.0 * np.pi / count))
 
     def quadrature(self, groups, xs, count, out):
-        # the nodes' rotation matrices, stacked (3 count, 3) per subgroup and
-        # applied to every row by one matrix product per subgroup
-        matrices = quat_matrix(self.nodes(groups, count)).reshape(len(groups), 3 * count, 3)
-        np.matmul(xs, matrices.swapaxes(1, 2), out=out.reshape(len(groups), len(xs), 3 * count))
+        # a subgroup's nodes as rotation matrices, stacked (3 count, 3) and
+        # applied to its rows by one matrix product of at most about
+        # CHUNK_ELEMENTS entries (one row's at least), small enough for
+        # OpenBLAS to run it on the calling thread (see spaces); a step of
+        # about CHUNK_ELEMENTS nodes bounds quat_matrix's temporaries
+        rows = len(xs)
+        points = out.reshape(len(groups), rows, 3 * count)
+        span = max(1, min(rows, CHUNK_ELEMENTS // (3 * count)))  # rows a product
+        step = max(1, CHUNK_ELEMENTS // count)  # subgroups a step
+        for i in range(0, len(groups), step):
+            matrices = quat_matrix(self.nodes(groups[i : i + step], count))
+            matrices = matrices.reshape(-1, 3 * count, 3).swapaxes(1, 2)
+            for r in range(0, rows, span):
+                np.matmul(xs[r : r + span], matrices, out=points[i : i + step, r : r + span])
 
     def net(self, g, eps):
         return self.nodes([g], max(int(np.ceil(2.0 * np.pi / eps)), 1))[0]
@@ -560,24 +554,12 @@ class _FullSO3(FamilyEntry):
 
         def place(row, offsets):
             # offsets in the tangent plane at x, moved along the normal onto
-            # the sphere of radius |x| (float_power rounds like the scalar
-            # square): a1 e1 + a2 e2 + normal unit, summed into one array
+            # the sphere of radius |x| (float_power rounds like the scalar square)
             unit = xs / np.where(fixed, 1.0, s)[:, None]
             e1, e2 = _tangent_frame(unit)
             a1, a2 = offsets[:, 0], offsets[:, 1]
-            normal = np.float_power(s[row], 2)
-            normal -= a1**2
-            normal -= a2**2
-            np.sqrt(np.maximum(normal, 0.0, out=normal), out=normal)
-            coords = e1[row]
-            coords *= a1[:, None]
-            term = e2[row]
-            term *= a2[:, None]
-            coords += term
-            np.take(unit, row, axis=0, out=term, mode="clip")
-            term *= normal[:, None]
-            coords += term
-            return coords
+            normal = np.sqrt(np.maximum(np.float_power(s[row], 2) - a1**2 - a2**2, 0.0))
+            return a1[:, None] * e1[row] + a2[:, None] * e2[row] + normal[:, None] * unit[row]
 
         return np.where(fixed, 0.0, np.sqrt(2.0) * s), place
 

@@ -668,8 +668,11 @@ class TestQuadrature:
     @pytest.mark.parametrize("case", ["circles", "torus_lines", "sub_tori", "mixed"])
     @pytest.mark.parametrize("h", [0.25, 0.02])
     def test_stepped_nodes_match_subgroups_one_by_one(self, case, h, chunk, monkeypatch):
-        # 13 rows: a circle or line class steps every 24 x 13 = 312 points,
-        # so the patched steps end inside, at and after a subgroup's nodes;
+        # 13 rows: a line class steps every 24 x 13 = 312 points, so the
+        # patched steps end inside, at and after a subgroup's nodes; a
+        # circle's products take 3 x 24 entries a row, so below 941 they
+        # split its 13 rows (4, 4, 4 and 1 at 311 and 312) and at 941 take
+        # all 13, and below 24 a step builds one circle's matrices;
         # the sub-tori mix 64- and 24-node runs, the mixed cover the trivial
         # group and the full rotation group's own generator between circles;
         # at h = 0.02 the lines get 50 to 159 nodes, the circles 315, the
@@ -696,14 +699,14 @@ class TestQuadrature:
         expected, expected_counts = self._one_by_one(groups, xs, h)
         assert counts.dtype == np.int64 and counts.tolist() == expected_counts.tolist()
         # the parent's action gives every point: bit for bit, except that
-        # circles apply their nodes' rotation matrices by one product, whose
-        # points sit up to 1.0e-15 from quat_rotate's here (quat_rotate's
-        # own error: it assumes unit quaternions, and keeps x.u and the
-        # radius only to 1.1e-15 where the matrices keep them to 6e-16)
+        # circles apply their nodes' rotation matrices by matrix products,
+        # whose points sit up to 9.99e-16 from quat_rotate's here (8.1e-16
+        # of it quat_rotate's own distance from the exact rotation: it
+        # assumes unit quaternions)
         circle = np.repeat([g.family is SubgroupFamily.CIRCLE3 for g in groups],
                            counts.reshape(len(groups), -1).sum(axis=1))
         assert coords[~circle].tobytes() == expected[~circle].tobytes()
-        assert np.abs(coords[circle] - expected[circle]).max(initial=0.0) <= 2e-15
+        assert np.abs(coords[circle] - expected[circle]).max(initial=0.0) <= 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), h=st.floats(0.01, 1.0))
