@@ -21,8 +21,8 @@ projection onto the orbit -- lives in one entry of :data:`FAMILY_TABLE`.
 An entry gives Haar draws and quadrature nodes as element rows
 (quaternions or shifts); orbit samples, single draws and quadrature points
 are those rows applied through the parent's one batched action, except
-where a family builds its quadrature points itself: circles by one matrix
-product of their nodes' rotation matrices, the full rotation group as a
+where a family builds its quadrature points itself: circles by matrix
+products of their nodes' rotation matrices, the full rotation group as a
 Fibonacci lattice.
 Quadrature nodes carry every orbit average of the ``uniform`` search and
 its final prediction; Haar draws serve :func:`sample_group` and the tests'
