@@ -15,9 +15,13 @@ element rows, and the batched action.  The element methods (``compose``,
 rules; a row of the wrong shape or with a NaN or infinite entry is
 rejected when the element is made.
 
-The group metric is the minimal rotation angle for rotations (the length of
-the shortest geodesic under the bi-invariant metric) and wrap-around
-Euclidean distance for torus shifts.
+Each group operation has one formula.  Rotations move points by their
+rotation matrices (:func:`quat_matrix`), shifts by adding and wrapping
+(:func:`orbitreg.spaces.wrap_rows`).  The group metric is the minimal
+rotation angle for rotations (the length of the shortest geodesic under
+the bi-invariant metric) and the wrap-around Euclidean distance of
+:func:`orbitreg.spaces.flat_distance_matrix` for torus shifts, the rule
+the torus nets use too.
 """
 
 from __future__ import annotations
@@ -74,46 +78,15 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _components(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return a[..., 0], a[..., 1], a[..., 2]
-
-
-def _cross_components(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-
-
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of 3-vector rows (broadcasting), bit for bit ``np.cross``:
-    the same products and differences, without its per-call axis set-up."""
-    return np.stack(_cross_components(_components(a), _components(b)), axis=-1)
-
-
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate row vectors ``v`` by quaternion(s) ``q`` (broadcasting rows).
-
-    v' = v + 2 w (u x v) + 2 u x (u x v), one component at a time: the
-    same products and sums as on whole rows, bit for bit, but no
-    broadcast loop runs over an axis of 3.  The 24 quadrature nodes of 54
-    circles on 50 rows took 3.5 against 4.1 ms, and 300 Haar draws on
-    each of 300 rows 6.3 against 7.1 ms (best of 40 interleaved runs,
-    2-core x86-64 host)."""
-    q = np.asarray(q, dtype=np.float64)
-    v = _components(np.asarray(v, dtype=np.float64))
-    w2 = 2.0 * q[..., 0]
-    u = q[..., 1], q[..., 2], q[..., 3]
-    uv = _cross_components(u, v)
-    uuv = _cross_components(u, uv)
-    return np.stack([v[i] + w2 * uv[i] + 2.0 * uuv[i] for i in range(3)], axis=-1)
-
-
 def quat_matrix(q: np.ndarray) -> np.ndarray:
     """The 3 x 3 rotation matrices of quaternion rows ``q``, shaped
-    ``q.shape[:-1] + (3, 3)``: ``quat_matrix(q) @ v`` is ``quat_rotate(q, v)``
-    to rounding.  Each row is scaled by ``2 / |q|^2``, so a row a few ulps
-    off unit norm (as ``quat_from_axis_angle`` makes them) still gives a
-    matrix orthogonal to rounding."""
+    ``q.shape[:-1] + (3, 3)``: ``quat_matrix(q) @ v`` is the vector part of
+    the Hamilton product ``q (0, v) conj(q)``, the rotation of ``v`` by
+    ``q``, to rounding.  It is the one way rotations move points: the SO(3)
+    ``act_rows``, and the circle quadrature's stacked products.  Each row
+    is scaled by ``2 / |q|^2``, so a row a few ulps off unit norm (as
+    ``quat_from_axis_angle`` makes them) still gives a matrix orthogonal
+    to rounding."""
     q = np.asarray(q, dtype=np.float64)
     # one copy makes each component contiguous, which halves the time
     w, x, y, z = np.ascontiguousarray(np.moveaxis(q, -1, 0))
@@ -263,6 +236,10 @@ def _rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(quat_rotation_angle(quat_multiply(quat_conjugate(a), b)))
 
 
+def _rotate_rows(quaternions: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    return (quat_matrix(quaternions) @ np.asarray(coords, dtype=np.float64)[..., None])[..., 0]
+
+
 def _shift_rows(shifts: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return wrap_rows(np.add(coords, shifts))
 
@@ -271,11 +248,6 @@ def _canonical_shift(s: np.ndarray) -> np.ndarray:
     # + 0.0 gives a new row and turns -0.0 (the negated identity) into 0.0,
     # so equal shifts hash alike
     return wrap_rows(s) + 0.0
-
-
-def _shift_distance(a: np.ndarray, b: np.ndarray) -> float:
-    diff = np.abs(a - b)
-    return float(np.linalg.norm(np.minimum(diff, 1.0 - diff)))
 
 
 @dataclass(frozen=True)
@@ -290,12 +262,14 @@ class ParentGroup:
     ``reduce`` (the canonical form of a checked row: a unit quaternion
     with its first nonzero component positive, or a shift reduced into
     [0, 1)), ``product``, ``invert`` and the group metric ``distance``.
-    Shift rows -- translated points and canonical shifts -- are reduced by
+    The SO(3) action is the broadcast product ``quat_matrix(q) @ v``;
+    shift rows -- translated points and canonical shifts -- are reduced by
     :func:`orbitreg.spaces.wrap_rows`, so they never come out as 1.0.
     Every orbit point set -- an element's action, Haar orbit samples,
-    quadrature nodes -- goes through ``act_rows``, except the quadrature
-    points of circles (one product of :func:`quat_matrix` rotation
-    matrices) and of the full rotation group (a Fibonacci lattice)."""
+    quadrature nodes -- goes through ``act_rows``, except two quadrature
+    rules: circles apply the same :func:`quat_matrix` rotation matrices,
+    stacked, by one matrix product per step, and the full rotation group
+    lays a Fibonacci lattice on each row's sphere."""
 
     name: str
     element: type
@@ -337,15 +311,17 @@ def parent_group(name: str) -> ParentGroup:
     """The entry of a parent name: ``"so3"`` or ``"torus{d}"``."""
     if name == PARENT_SO3:
         return ParentGroup(name, Rotation3, 3, 2, (SpaceKind.UNIT_BALL3, SpaceKind.UNIT_SPHERE2),
-                           (1.0, 0.0, 0.0, 0.0), _rotation_angles, quat_rotate,
+                           (1.0, 0.0, 0.0, 0.0), _rotation_angles, _rotate_rows,
                            _unit_quaternion, quat_multiply, quat_conjugate, _rotation_distance)
     match = re.fullmatch(r"torus([1-9][0-9]*)", name)
     if match is None:
         raise ConfigError(f"unknown parent group {name!r}")
     d = int(match[1])
-    return ParentGroup(name, TorusShift, d, d, (SpaceKind.TORUS,), (0.0,) * d,
-                       partial(flat_distance_matrix, wrap=True), _shift_rows,
-                       _canonical_shift, np.add, np.negative, _shift_distance)
+    # the element metric is the nets' rule on one pair of rows
+    metric = partial(flat_distance_matrix, wrap=True)
+    return ParentGroup(name, TorusShift, d, d, (SpaceKind.TORUS,), (0.0,) * d, metric,
+                       _shift_rows, _canonical_shift, np.add, np.negative,
+                       lambda a, b: float(metric(a[None], b[None])[0, 0]))
 
 
 # ---------------------------------------------------------------------------

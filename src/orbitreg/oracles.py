@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FunctionPredictor
-from .groups import quat_multiply, quat_conjugate, quat_rotate, quat_rotation_angle
+from .groups import parent_group, quat_multiply, quat_conjugate, quat_rotation_angle
 from .orbit_grids import build_orbit_grid
 from .randomness import polar_gaussian, substream
 from .spaces import (
@@ -99,8 +99,11 @@ def inverse_moment_oracle(scenario: str, samples: int, rng: np.random.Generator)
 def lipschitz_oracle(action: str, samples: int, rng: np.random.Generator) -> OracleReport:
     """Worst ratio of point displacement to group distance; excess over 1.
 
-    Degenerate pairs with group distance below 1e-12 are skipped; the count
-    of skipped pairs is folded into the sample budget, never a division.
+    Points move by the library's own actions (the parents' ``act_rows``);
+    the group and point metrics are the oracle's own, written out here as
+    the reference.  Degenerate pairs with group distance below 1e-12 are
+    skipped; the count of skipped pairs is folded into the sample budget,
+    never a division.
     """
     if samples < 10_000:
         raise ValueError("lipschitz oracles need at least 1e4 samples")
@@ -109,7 +112,8 @@ def lipschitz_oracle(action: str, samples: int, rng: np.random.Generator) -> Ora
         qb = _normalized(polar_gaussian(rng, 4 * samples).reshape(samples, 4))
         x = sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, samples, rng)
         dg = quat_rotation_angle(quat_multiply(quat_conjugate(qa), qb))
-        dx = np.linalg.norm(quat_rotate(qa, x) - quat_rotate(qb, x), axis=1)
+        act = parent_group(PARENT_SO3).act_rows
+        dx = np.linalg.norm(act(qa, x) - act(qb, x), axis=1)
         name = "lipschitz_ball_rotations"
     elif action == "torus_shifts":
         ga = rng.random((samples, 2))
@@ -118,7 +122,8 @@ def lipschitz_oracle(action: str, samples: int, rng: np.random.Generator) -> Ora
         diff = np.abs(ga - gb)
         diff = np.minimum(diff, 1.0 - diff)
         dg = np.sqrt(np.sum(diff * diff, axis=1))
-        pos = np.abs(np.mod(x + ga, 1.0) - np.mod(x + gb, 1.0))
+        act = parent_group(parent_torus(2)).act_rows
+        pos = np.abs(act(ga, x) - act(gb, x))
         pos = np.minimum(pos, 1.0 - pos)
         dx = np.sqrt(np.sum(pos * pos, axis=1))
         name = "lipschitz_torus_shifts"

@@ -20,10 +20,12 @@ each row's side (0 where the orbit is the point itself) and the
 projection onto the orbit -- lives in one entry of :data:`FAMILY_TABLE`.
 An entry gives Haar draws and quadrature nodes as element rows
 (quaternions or shifts); orbit samples, single draws and quadrature points
-are those rows applied through the parent's one batched action, except
-where a family builds its quadrature points itself: circles by matrix
-products of their nodes' rotation matrices, the full rotation group as a
-Fibonacci lattice.
+are those rows applied through the parent's one batched action (a
+rotation's matrix from :func:`orbitreg.groups.quat_matrix` times the row,
+or a wrapped shift), except where a family builds its quadrature points
+itself: circles by one matrix product of their nodes' stacked rotation
+matrices (the same matrices), the full rotation group as a Fibonacci
+lattice.
 Quadrature nodes carry every orbit average of the ``uniform`` search and
 its final prediction; Haar draws serve :func:`sample_group` and the tests'
 oracles.  The three translation families share one implementation
@@ -61,7 +63,6 @@ from .groups import (
     GroupElement,
     Rotation3,
     TorusShift,
-    cross,
     parent_group,
     parent_torus,
     quat_canonical,
@@ -350,7 +351,8 @@ class FamilyEntry:
     * ``orbit_dim(g)``: principal orbit dimension (``dim`` where it is
       fixed);
     * ``extent(g)``: the longest orbit's length along each parameter axis,
-      which sets the quadrature node count at small bandwidths;
+      which sets the quadrature node count at small bandwidths and the
+      net's point count (0 for the trivial group);
     * ``shadow(g, xs)``: ``(side, place)``, the orbit's tangent shadow at
       each row, from one pass over the rows' geometry: ``side`` is the side
       of the hypercube in it, exactly 0 on a row whose orbit is the point
@@ -373,13 +375,21 @@ class FamilyEntry:
       into ``out``, a C-contiguous array shaped (subgroups, rows, nodes,
       row width): by default the ``nodes`` applied through the parent's
       ``act_rows``, in steps of about ``CHUNK_ELEMENTS`` points that
-      bound its temporaries; circles override it with matrix products
-      (each subgroup's nodes' rotation matrices, from
-      :func:`orbitreg.groups.quat_matrix`, stacked and applied to its rows
-      in products of about ``CHUNK_ELEMENTS`` entries), and
+      bound its temporaries; circles override it with the rotation
+      matrices that SO(3)'s ``act_rows`` multiplies by
+      (:func:`orbitreg.groups.quat_matrix`), each subgroup's stacked and
+      applied to its rows in products of about ``CHUNK_ELEMENTS``
+      entries, and
       the full rotation group, whose nodes are a Fibonacci lattice on each
       row's sphere, not fixed elements, overrides it too;
-    * ``net``: an eps-net of the subgroup as element rows.
+    * ``net_count(g, eps)``: the points per parameter axis of its eps-net,
+      ``ceil(sqrt(k) extent / eps)``, so that a parameter cell of side
+      ``1 / count`` spans at most eps (held at one past
+      ``_MAX_COVER_CANDIDATES``, so a too fine eps counts without overflow);
+    * ``net_size(g, eps)``: the number of elements of its eps-net, from
+      the counts alone, before any element is built;
+    * ``net(g, eps)``: an eps-net of the subgroup as element rows (by
+      default the ``nodes`` at ``net_count`` per parameter axis).
 
     Orbit samples, single Haar draws, the default quadrature points and
     translation grids apply element rows through the parent's
@@ -388,6 +398,16 @@ class FamilyEntry:
 
     def orbit_dim(self, g: ClosedSubgroup) -> int:
         return self.dim
+
+    def net_count(self, g: ClosedSubgroup, eps: float) -> int:
+        spread = math.sqrt(self.orbit_dim(g)) * self.extent(g) / eps
+        return max(math.ceil(min(spread, _MAX_COVER_CANDIDATES + 1)), 1)
+
+    def net_size(self, g: ClosedSubgroup, eps: float) -> int:
+        return self.net_count(g, eps) ** self.orbit_dim(g)
+
+    def net(self, g: ClosedSubgroup, eps: float) -> np.ndarray:
+        return self.nodes([g], self.net_count(g, eps))[0]
 
     def quadrature(self, groups: Sequence[ClosedSubgroup], xs: np.ndarray, count: int,
                    out: np.ndarray) -> None:
@@ -413,7 +433,7 @@ def _tangent_frame(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = np.argmin(np.abs(unit), axis=1)
     e1 = np.eye(3)[k] - unit * unit[np.arange(len(unit)), k][:, None]
     e1 /= _row_norms(e1)
-    return e1, cross(unit, e1)
+    return e1, np.cross(unit, e1)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -425,7 +445,7 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 def _minimal_rotation(source: np.ndarray, target: np.ndarray) -> Rotation3:
     """Minimal-angle rotation taking ``source`` to ``target`` (equal norms)."""
-    normal = cross(source, target)
+    normal = np.cross(source, target)
     norm_cross = float(np.linalg.norm(normal))
     dot = float(source @ target)
     if norm_cross <= 1e-14 * max(float(source @ source), 1e-300):
@@ -457,11 +477,11 @@ class _Trivial(FamilyEntry):
         identity = parent_group(g.parent).identity_row
         return np.broadcast_to(identity, shape + (len(identity),))
 
+    def extent(self, g):
+        return 0.0  # the orbit is a point: its net is the identity alone
+
     def nodes(self, groups, count):
         return np.tile(parent_group(groups[0].parent).identity_row, (len(groups), 1, 1))
-
-    def net(self, g, eps):
-        return self.nodes([g], 1)[0]
 
 
 class _Circle(FamilyEntry):
@@ -485,7 +505,7 @@ class _Circle(FamilyEntry):
             # an offset t on the tangent line sits at angle arcsin(t / r)
             angles = np.arcsin(np.clip(offsets[:, 0] / safe_r[row], -1.0, 1.0))
             e1 = radial / safe_r[:, None]
-            e2 = cross(u, e1)
+            e2 = np.cross(u, e1)
             r_rep = r[row]
             return (axial[row, None] * u
                     + r_rep[:, None] * np.cos(angles)[:, None] * e1[row]
@@ -505,7 +525,7 @@ class _Circle(FamilyEntry):
         if r == 0.0:  # any r > 0 needs the angle: the orbit is 2r across, maybe > tol
             return parent_group(g.parent).identity()
         e1 = rad_x / r
-        e2 = cross(u, e1)
+        e2 = np.cross(u, e1)
         angle = float(np.arctan2(rad_t @ e2, rad_t @ e1))
         return Rotation3(quat_from_axis_angle(u, angle))
 
@@ -531,9 +551,6 @@ class _Circle(FamilyEntry):
             matrices = matrices.reshape(-1, 3 * count, 3).swapaxes(1, 2)
             for r in range(0, rows, span):
                 np.matmul(xs[r : r + span], matrices, out=points[i : i + step, r : r + span])
-
-    def net(self, g, eps):
-        return self.nodes([g], max(int(np.ceil(2.0 * np.pi / eps)), 1))[0]
 
 
 class _FullSO3(FamilyEntry):
@@ -581,6 +598,9 @@ class _FullSO3(FamilyEntry):
         radii = np.linalg.norm(xs, axis=1)
         np.multiply(radii[:, None, None], fibonacci_sphere(count ** self.dim)[None, :, :], out=out)
 
+    def net_size(self, g, eps):
+        return _so3_net_size(eps)
+
     def net(self, g, eps):
         return _so3_net(eps)
 
@@ -615,11 +635,7 @@ class _TorusTranslations(FamilyEntry):
                          for gens in map(self.generators, groups)])
 
     def net(self, g, eps):
-        # a parameter cell of side 1/count maps onto a cell of diameter
-        # sqrt(k) |generator| / count <= eps (the rows share one length)
-        gens = self.generators(g)
-        count = max(int(np.ceil(np.sqrt(len(gens)) * float(np.linalg.norm(gens[0])) / eps)), 1)
-        return wrap_rows(self.nodes([g], count)[0])
+        return wrap_rows(super().net(g, eps))
 
 
 class _TorusLine(_TorusTranslations):
@@ -683,11 +699,16 @@ def subgroup_net(group: ClosedSubgroup, eps: float) -> np.ndarray:
 
     Every element of G lies within ``eps`` of a net point in the group
     metric.  Rotations are returned as (n, 4) unit quaternions,
-    translations as (n, d) shift vectors.
+    translations as (n, d) shift vectors.  A resolution whose net would
+    hold more than ``_MAX_COVER_CANDIDATES`` elements (counted before any
+    is built) raises :class:`ConfigError`.
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError("net resolution must be finite and positive")
-    return FAMILY_TABLE[group.family].net(group, eps)
+    entry = FAMILY_TABLE[group.family]
+    if entry.net_size(group, eps) > _MAX_COVER_CANDIDATES:
+        raise ConfigError(f"net resolution = {eps!r} is too fine to build a net for")
+    return entry.net(group, eps)
 
 
 def _so3_net(eps: float) -> np.ndarray:
@@ -703,21 +724,44 @@ def _so3_net(eps: float) -> np.ndarray:
     of length at most sqrt(dpsi^2 + sin(psi_hi)^2 du^2), so splitting the
     radius budget rho = eps/2 evenly between the two terms suffices.
     """
-    rho = eps / 2.0
-    s_psi = rho * np.sqrt(2.0)
-    ring_count = max(int(np.ceil((np.pi / 2.0) / s_psi)), 1)
     quats = [np.array([[1.0, 0.0, 0.0, 0.0]])]
+    for psi, r_axis in _so3_rings(eps):
+        axes = sphere_net(r_axis)
+        quats.append(np.concatenate([np.full((len(axes), 1), np.cos(psi)), np.sin(psi) * axes],
+                                    axis=1))
+    return np.concatenate(quats, axis=0)
+
+
+def _so3_rings(eps: float):
+    """The middle angle ``psi`` and the axis net radius of each ring of
+    :func:`_so3_net`, one at a time."""
+    rho = eps / 2.0
+    s_psi = rho * math.sqrt(2.0)
+    # a ring holds three elements or more, so past _MAX_COVER_CANDIDATES
+    # rings the net is refused whatever their number: the count stops
+    # there, and an eps whose half underflows counts without overflow
+    ring_count = max(math.ceil(min(math.pi / 2.0 / max(s_psi, 1e-300), _MAX_COVER_CANDIDATES)), 1)
     for k in range(ring_count):
         psi_lo = k * (np.pi / 2.0) / ring_count
         psi_hi = (k + 1) * (np.pi / 2.0) / ring_count
-        psi = 0.5 * (psi_lo + psi_hi)
-        r_axis = (rho / np.sqrt(2.0)) / max(np.sin(psi_hi), 1e-9)
-        axes = sphere_net(min(r_axis, np.pi))
-        ring = np.concatenate(
-            [np.full((len(axes), 1), np.cos(psi)), np.sin(psi) * axes], axis=1
-        )
-        quats.append(ring)
-    return np.concatenate(quats, axis=0)
+        r_axis = (rho / math.sqrt(2.0)) / max(np.sin(psi_hi), 1e-9)
+        yield 0.5 * (psi_lo + psi_hi), min(r_axis, np.pi)
+
+
+def _so3_net_size(eps: float) -> int:
+    """The number of elements of ``_so3_net(eps)``, from its rings' band
+    counts: the identity, and each ring's two poles and bands.  The count
+    stops once it passes ``_MAX_COVER_CANDIDATES``; a band holds a point or
+    more, and ring k about k^2, so that takes some ten thousand bands at
+    a fine eps, never more than ``_MAX_COVER_CANDIDATES``."""
+    size = 1
+    for _, r_axis in _so3_rings(eps):
+        size += 2
+        for _, count in _sphere_bands(r_axis):
+            size += count
+            if size > _MAX_COVER_CANDIDATES:
+                return size
+    return size
 
 
 def sphere_net(r: float) -> np.ndarray:
@@ -734,29 +778,29 @@ def sphere_net(r: float) -> np.ndarray:
     follow the area element sin(theta), so the net stays near-uniform
     instead of crowding the poles.
     """
+    points = [np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]])]
+    for theta, count in _sphere_bands(r):
+        phi = np.arange(count) * (2.0 * np.pi / count)
+        points.append(np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                                np.full(count, np.cos(theta))], axis=1))
+    return np.concatenate(points, axis=0)
+
+
+def _sphere_bands(r: float):
+    """The middle latitude ``theta`` and the point count of each band of
+    :func:`sphere_net`, one at a time."""
     r = min(max(r, 1e-9), np.pi)
     s_theta = r * np.sqrt(2.0)
     bands = max(int(np.ceil(np.pi / s_theta)), 1)
-    points = [np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]])]
     for k in range(bands):
         theta_lo = k * np.pi / bands
         theta_hi = (k + 1) * np.pi / bands
-        theta = 0.5 * (theta_lo + theta_hi)
         if theta_lo <= np.pi / 2.0 <= theta_hi:
             sin_band = 1.0
         else:
             sin_band = max(np.sin(theta_lo), np.sin(theta_hi))
         s_phi = (r * np.sqrt(2.0)) / max(sin_band, 1e-9)
-        count = max(int(np.ceil(2.0 * np.pi / s_phi)), 1)
-        phi = np.arange(count) * (2.0 * np.pi / count)
-        points.append(
-            np.stack(
-                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                 np.full(count, np.cos(theta))],
-                axis=1,
-            )
-        )
-    return np.concatenate(points, axis=0)
+        yield 0.5 * (theta_lo + theta_hi), max(int(np.ceil(2.0 * np.pi / s_phi)), 1)
 
 
 def hausdorff_U_distance(g: ClosedSubgroup, h: ClosedSubgroup,
@@ -766,7 +810,9 @@ def hausdorff_U_distance(g: ClosedSubgroup, h: ClosedSubgroup,
     Every subgroup is compact, so the identity neighbourhood ``U`` of the
     name is the whole parent group.  The returned value is within
     ``2 * net_resolution`` of the exact Hausdorff distance (each point of
-    either group is within eps of its net).
+    either group is within eps of its net).  A resolution at which either
+    net would hold more than ``_MAX_COVER_CANDIDATES`` elements raises
+    :class:`ConfigError` (see :func:`subgroup_net`).
     """
     if g.parent != h.parent:
         raise IncompatibleActionError(f"subgroups of different parents: {g.parent} vs {h.parent}")
@@ -827,12 +873,15 @@ def canonical_cover(cover: Sequence[ClosedSubgroup]) -> list[ClosedSubgroup]:
     return [by_key[key] for key in sorted(by_key)]
 
 
-# The most candidates a cover may enumerate: the net points of the axis
-# cover, the (p, q) pairs of the line grid.  The shrinking-delta schedule's
-# largest cover, 6,982 circles at n = 3000, enumerates at most 16,700 net
-# points, in 0.2 s on a 2-core x86-64 host; a million keeps every schedule
-# and benchmark cover and refuses at once a delta whose cover would take
-# minutes, or overflow as at delta = 1e-300.
+# The most candidates a cover may enumerate (the net points of the axis
+# cover, the (p, q) pairs of the line grid), and the most elements one
+# subgroup net may hold.  The shrinking-delta schedule's largest cover,
+# 6,982 circles at n = 3000, enumerates at most 16,700 net points, in
+# 0.2 s on a 2-core x86-64 host; the full rotation group's net at the
+# default resolution 0.05 holds 473,649 elements (7.2 million at 0.02).
+# A million keeps every schedule and benchmark cover and the default nets,
+# and refuses at once a delta or resolution whose cover or net would take
+# minutes or gigabytes, or overflow as at delta = 1e-300.
 _MAX_COVER_CANDIDATES = 1_000_000
 
 

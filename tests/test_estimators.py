@@ -22,7 +22,7 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
-from orbitreg.groups import quat_from_axis_angle, quat_rotate
+from orbitreg.groups import PARENT_SO3, parent_group, quat_from_axis_angle
 from orbitreg.orbit_grids import orbit_coords_batch
 from orbitreg.spaces import neighbor_stats, pairwise_distance
 
@@ -278,7 +278,7 @@ class TestUniformSymmetrised:
         x = np.array([0.2, 0.5, 0.1])
         angles = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
         quats = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angles)
-        dense = float(f2(quat_rotate(quats, x[None, :]).reshape(-1, 3)).mean())
+        dense = float(f2(parent_group(PARENT_SO3).act_rows(quats, x)).mean())
         assert abs(dense - at(f, x)) > 1e-3  # generic point: a genuine orbit-average gap
         value = at(symmetrised(f, circle3([0.0, 0.0, 1.0]), 0.1, "uniform"), x)
         assert value == pytest.approx(dense, abs=1e-12)

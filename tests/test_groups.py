@@ -17,18 +17,17 @@ from orbitreg import (
 )
 from orbitreg.errors import IncompatibleActionError
 from orbitreg.groups import (
-    cross,
+    PARENT_SO3,
     parent_group,
     quat_canonical,
     quat_multiply,
     quat_conjugate,
     quat_from_axis_angle,
     quat_matrix,
-    quat_rotate,
     quat_rotation_angle,
 )
 from orbitreg.randomness import polar_gaussian
-from orbitreg.spaces import pairwise_distance
+from orbitreg.spaces import flat_distance_matrix, pairwise_distance
 
 BALL = unit_ball3()
 T2 = torus(2)
@@ -37,6 +36,14 @@ T2 = torus(2)
 def random_rotations(rng, n):
     q = polar_gaussian(rng, 4 * n).reshape(n, 4)
     return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def hamilton_rotate(q, v):
+    """The rotation of the rows ``v`` by the quaternions ``q`` as the vector
+    part of the Hamilton product q (0, v) conj(q): an independent
+    reference for the rotation matrices."""
+    pure = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
+    return quat_multiply(quat_multiply(q, pure), quat_conjugate(q))[..., 1:]
 
 
 class TestAction:
@@ -70,7 +77,7 @@ class TestAction:
             g, h = Rotation3(g_quat), Rotation3(h_quat)
             via_two = g.act_on(BALL, h.act_on(BALL, x[None, :]))
             via_product = g.compose(h).act_on(BALL, x[None, :])
-            assert np.linalg.norm(via_two - via_product) <= 1e-10
+            assert np.abs(via_two - via_product).max() <= 1e-15
 
     def test_torus_action_compatibility(self):
         rng = substream(2, "taxiom")
@@ -79,17 +86,26 @@ class TestAction:
             x = rng.random((1, 2))
             assert np.linalg.norm(g.act_on(T2, h.act_on(T2, x)) - g.compose(h).act_on(T2, x)) <= 1e-10
 
+    def test_rotation_rows_keep_norms(self):
+        # SO(3)'s act_rows is the product of the rotation matrices: it keeps
+        # each ball row's norm, and broadcasts element rows against points
+        rng = substream(2, "matrix-action")
+        X = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 4000, rng)
+        q = random_rotations(rng, 4000)
+        act = parent_group(PARENT_SO3).act_rows
+        assert np.abs(np.linalg.norm(act(q, X), axis=1) - np.linalg.norm(X, axis=1)).max() <= 1e-15
+        assert act(q[:5, None], X[None, :7]).shape == (5, 7, 3)
+        assert act(q[0], X[0]).shape == (3,)
 
-class TestCross:
-    @pytest.mark.parametrize("shapes", [((1000, 3), (1000, 3)), ((1, 24, 3), (40, 1, 3)),
-                                        ((3,), (50, 3)), ((3,), (3,))])
-    def test_equals_numpy_cross_bit_for_bit(self, shapes):
-        rng = substream(3, "cross")
-        a, b = (polar_gaussian(rng, int(np.prod(s))).reshape(s) for s in shapes)
-        expected = np.cross(a, b)
-        got = cross(a, b)
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
+    def test_torus_distance_is_the_nets_wrap_metric(self):
+        rng = substream(2, "tdist")
+        edges = [0.0, 0.5, 1.0 - 2.0**-53, 1e-17, 0.25]
+        for d in (1, 2, 3):
+            rows = np.vstack([rng.random((200, d)), np.array(edges)[:, None].repeat(d, axis=1)])
+            for a, b in zip(rows, np.roll(rows, 1, axis=0)):
+                g, h = TorusShift(a), TorusShift(b)
+                expected = flat_distance_matrix(g.shift[None], h.shift[None], wrap=True)[0, 0]
+                assert g.distance(h) == expected
 
 
 class TestQuatMatrix:
@@ -101,7 +117,7 @@ class TestQuatMatrix:
         v = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 40, rng)
         matrices = quat_matrix(q)
         assert matrices.shape == (40, 3, 3)
-        assert np.abs((matrices @ v[:, :, None])[:, :, 0] - quat_rotate(q, v)).max() <= 2e-15
+        assert np.abs((matrices @ v[:, :, None])[:, :, 0] - hamilton_rotate(q, v)).max() <= 2e-15
         assert np.abs(matrices @ matrices.swapaxes(1, 2) - np.eye(3)).max() <= 2e-15
         assert np.allclose(np.linalg.det(matrices), 1.0, rtol=0, atol=1e-14)
 
@@ -259,7 +275,8 @@ class TestIsometryAndLipschitz:
         n = 10_000
         qa, qb = random_rotations(rng, n), random_rotations(rng, n)
         X = sample_points(unit_ball3(), PointDistribution.UNIFORM_SPACE, n, rng)
-        moved = np.linalg.norm(quat_rotate(qa, X) - quat_rotate(qb, X), axis=1)
+        act = parent_group(PARENT_SO3).act_rows
+        moved = np.linalg.norm(act(qa, X) - act(qb, X), axis=1)
         dg = quat_rotation_angle(quat_multiply(quat_conjugate(qa), qb))
         keep = dg > 1e-12
         assert np.max(moved[keep] / dg[keep]) <= 1.0 + 1e-9
@@ -344,5 +361,8 @@ class TestElementOperationsBitIdentical:
             assert np.array_equal(g.shift, a) and np.array_equal(h.shift, b)
             assert np.array_equal(g.compose(h).shift, self._shift_row(a + b))
             assert np.array_equal(g.inverse().shift, self._shift_row(-a))
+            # the wrap metric of the torus nets: min(|a - b|, 1 - |a - b|) per
+            # coordinate, its squares summed as einsum sums them
             diff = np.abs(a - b)
-            assert g.distance(h) == float(np.linalg.norm(np.minimum(diff, 1.0 - diff)))
+            wrapped = np.minimum(diff, 1.0 - diff)
+            assert g.distance(h) == float(np.sqrt(np.einsum("k,k->", wrapped, wrapped)))

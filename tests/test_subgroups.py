@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -281,6 +282,37 @@ class TestHausdorff:
         with pytest.raises(IncompatibleActionError):
             hausdorff_U_distance(full_so3(), full_torus(2))
 
+    @pytest.mark.parametrize("eps", [0.02, 0.01, 1e-6, 1e-300, 5e-324])
+    def test_net_too_fine_to_build_rejected(self, eps):
+        # the full rotation group's net holds 7,173,073 elements at 0.02 and
+        # 56,582,501 at 0.01, counted from its rings' bands before any is built
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"net resolution = {eps!r} is too fine"):
+            hausdorff_U_distance(full_so3(), full_so3(), net_resolution=eps)
+        with pytest.raises(ConfigError, match="too fine"):
+            hausdorff_U_distance(circle3([0.0, 0.0, 1.0]), full_so3(), net_resolution=eps)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("group", [circle3([0.0, 0.0, 1.0]), torus_line(2, 1), full_torus(2),
+                                       axis_translations(3, [0, 2])], ids=str)
+    def test_every_family_refuses_a_net_too_fine(self, group):
+        with pytest.raises(ConfigError, match="too fine"):
+            subgroup_net(group, 1e-7)
+        with pytest.raises(ConfigError, match="too fine"):
+            subgroup_net(group, 5e-324)
+        # the trivial group's net is the identity at any resolution
+        assert len(subgroup_net(trivial_subgroup(group.parent), 5e-324)) == 1
+
+    def test_default_resolution_keeps_its_distances(self):
+        # the values before nets were counted, bit for bit; the full
+        # rotation group's net at 0.05 holds 473,649 elements
+        assert len(subgroup_net(full_so3(), 0.05)) == 473_649
+        z = circle3([0.0, 0.0, 1.0])
+        assert hausdorff_U_distance(trivial_subgroup(PARENT_SO3), full_so3()) == 3.1066860685499065
+        assert hausdorff_U_distance(z, full_so3()) == 3.0986967728875174
+        assert hausdorff_U_distance(z, circle3([0.6, 0.8, 0.0])) == 3.141592653589793
+        assert hausdorff_U_distance(torus_line(2, 1), full_torus(2)) == 0.21722482317121244
+
     def test_torus_long_line_close_to_full_torus(self):
         # a length-L line covers the torus to within 1/(2L)
         line = torus_line(3, 2)
@@ -500,6 +532,19 @@ class TestQuadrature:
                           np.full_like(dense_angles, 0.3)], axis=1)
         assert fn(coords).mean() == pytest.approx(fn(dense).mean(), abs=1e-3)
 
+    @pytest.mark.parametrize("space", [unit_ball3(), unit_sphere2()], ids=str)
+    def test_trivial_points_are_the_rows_bit_for_bit(self, space):
+        # the identity's rotation matrix is exactly the identity, so its one
+        # node per row through act_rows gives every row back as it is
+        rng = substream(22, "trivial-rows", str(space))
+        xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 5000, rng)
+        coords, counts = orbit_quadrature_coords(
+            [trivial_subgroup(PARENT_SO3), circle3([0.0, 0.0, 1.0]), trivial_subgroup(PARENT_SO3)],
+            xs, 0.1)
+        assert counts.tolist() == [1] * 5000 + [63] * 5000 + [1] * 5000
+        assert coords[:5000].tobytes() == xs.tobytes()
+        assert coords[-5000:].tobytes() == xs.tobytes()
+
     @pytest.mark.parametrize("case", ["trivial", "circles", "full_so3", "torus_lines",
                                       "full_torus", "sub_tori"])
     def test_a_runs_quadrature_is_its_subgroups_one_by_one(self, case):
@@ -699,10 +744,9 @@ class TestQuadrature:
         expected, expected_counts = self._one_by_one(groups, xs, h)
         assert counts.dtype == np.int64 and counts.tolist() == expected_counts.tolist()
         # the parent's action gives every point: bit for bit, except that
-        # circles apply their nodes' rotation matrices by matrix products,
-        # whose points sit up to 9.99e-16 from quat_rotate's here (8.1e-16
-        # of it quat_rotate's own distance from the exact rotation: it
-        # assumes unit quaternions)
+        # circles apply their nodes' rotation matrices stacked, by matrix
+        # products whose rounding depends on the rows they get, so their
+        # points may sit an ulp or so from act_rows' one-row products
         circle = np.repeat([g.family is SubgroupFamily.CIRCLE3 for g in groups],
                            counts.reshape(len(groups), -1).sum(axis=1))
         assert coords[~circle].tobytes() == expected[~circle].tobytes()
