@@ -11,7 +11,12 @@ two checkouts wrote the same risk rows for every seed.  A pair is won by
 the side whose value is better in the direction ``BENCHMARK.json`` gives
 the metric (``end_to_end[].better``); a tie counts for neither side.
 Each side also records the quartiles of every metric over its seeds.
-Each seed whose digests differ is printed.
+Each seed whose digests differ is printed.  Per workload and metric the
+file and the printout also give the verdict: ``gain``, whether the change
+won at least nine tenths of the pairs and its median beats the base's by
+more than the base's interquartile range, and ``within_bound``, whether
+the change's median is no worse than the base's by more than the metric's
+``bound`` in ``BENCHMARK.json`` (a fraction of the base's median).
 
     python3 scripts/bench_medians.py cells --base ../parent-checkout
 
@@ -29,9 +34,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("so3_sweep", "t2_sweep", "so3_schedule", "select_grid")
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 # metric -> "lower" or "higher", the direction in which it is better
-BETTER = {m["name"]: m["better"]
-          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+BETTER = {m["name"]: m["better"] for m in END_TO_END}
+# metric -> the fraction of the base's median by which it may worsen
+BOUND = {m["name"]: m["bound"] for m in END_TO_END}
 METRICS = tuple(BETTER)
 
 
@@ -74,6 +81,20 @@ def pairs_won(change: list[float], base: list[float], better: str) -> dict:
     gains = [sign * (c - b) for c, b in zip(change, base, strict=True)]
     return {"pairs": len(gains), "change_won": sum(g > 0 for g in gains),
             "base_won": sum(g < 0 for g in gains)}
+
+
+def verdict(change: list[float], base: list[float], better: str, bound: float) -> dict:
+    """``gain``: the change won at least nine tenths of the pairs
+    ``(change[i], base[i])`` and its median beats the base's by more than
+    the base's interquartile range; ``within_bound``: the change's median
+    is no worse than the base's by more than ``bound`` times the base's
+    median.  A value is better if it is ``better`` ("lower" or "higher")."""
+    won = pairs_won(change, base, better)
+    low, middle, high = quartiles(base)
+    sign = 1.0 if better == "higher" else -1.0
+    step = sign * (statistics.median(change) - middle)
+    return {"gain": 10 * won["change_won"] >= 9 * won["pairs"] and step > high - low,
+            "within_bound": step >= -bound * abs(middle)}
 
 
 def summarise(runs: list[dict]) -> dict:
@@ -140,6 +161,16 @@ def main() -> None:
         for w, won in record["pairs_won"].items():
             print(f"pairs won by the change, {w}: " + ", ".join(
                 f"{m} {c['change_won']}/{c['pairs']}" for m, c in won.items()))
+        record["verdict"] = {
+            w: {m: verdict([r["metrics"][m]["value"] for r in runs["change"][w]],
+                           [r["metrics"][m]["value"] for r in runs["base"][w]],
+                           BETTER[m], BOUND[m])
+                for m in METRICS}
+            for w in args.workloads}
+        for w, flags in record["verdict"].items():
+            print(f"verdict, {w}: " + ", ".join(
+                f"{m} gain {f['gain']} within_bound {f['within_bound']}"
+                for m, f in flags.items()))
         record["digests_equal"] = {}
         for w in args.workloads:
             differ = [change["seed"] for change, base in zip(runs["change"][w], runs["base"][w])

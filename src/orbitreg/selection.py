@@ -45,9 +45,11 @@ from .subgroups import (
     ClosedSubgroup,
     SubgroupFamily,
     canonical_cover,
+    _node_lattice,
+    # the quadrature nodes of given node lattices; bound at this name, at
+    # which perfbench traces its ``subgroups.orbit_quadrature_coords`` layer
+    _quadrature_coords as orbit_quadrature_coords,
     orbit_dimension,
-    orbit_quadrature_coords,
-    quadrature_count,
     # perfbench traces its ``subgroups.sample_orbit_coords`` layer at this
     # name and counts a layer it cannot resolve as missing; nothing here
     # calls it, so that layer reads 0
@@ -182,29 +184,32 @@ def _orbit_averages(base: Predictor, groups: Sequence[ClosedSubgroup], xs: np.nd
     order: over each row's orbit grid (``symmetriser="grid"``) or its
     quadrature nodes (``"uniform"``).
 
-    Each subgroup is sized by its points per row: its node count, or its
-    largest grid count over the rows (:func:`orbit_grid_counts`, computed
-    once per subgroup).  Subgroups share a pass by :func:`_passes`, and a
-    pass takes ``max(1, CHUNK_ROWS // s)`` rows at a time, ``s`` the sum of
-    its subgroups' points per row, so every pass holds at most
-    ``CHUNK_ROWS`` points or one row's.  Each pass's points are built just
-    before it runs: the nodes of all its subgroups by one
-    :func:`orbit_quadrature_coords` call, or each subgroup's grids by
-    :func:`orbit_coords_batch`.
+    Each subgroup is sized by its points per row: its node count (its
+    node lattice, computed once per subgroup and handed to the node
+    builder), or its largest grid count over the rows
+    (:func:`orbit_grid_counts`, computed once per subgroup).  Subgroups
+    share a pass by :func:`_passes`, and a pass takes ``max(1, CHUNK_ROWS
+    // s)`` rows at a time, ``s`` the sum of its subgroups' points per row,
+    so every pass holds at most ``CHUNK_ROWS`` points or one row's.  Each
+    pass's points are built just before it runs: the nodes of all its
+    subgroups by one call of the builder of
+    :func:`~orbitreg.subgroups.orbit_quadrature_coords`, or each
+    subgroup's grids by :func:`orbit_coords_batch`.
     """
     rows = xs.shape[0]
     uniform = symmetriser == "uniform"
-    blocks = ((group, quadrature_count(group, h) if uniform
-               else int(orbit_grid_counts(base.space, group, xs, h).max(initial=1)))
+    # (group, (nodes per axis, points per row)); a grid has no lattice
+    blocks = ((group, _node_lattice(group, h) if uniform
+               else (None, int(orbit_grid_counts(base.space, group, xs, h).max(initial=1))))
               for group in groups)
-    for chunk in _passes(blocks, lambda block: rows * block[1]):
-        step = max(1, CHUNK_ROWS // sum(per_row for _, per_row in chunk))
-        chunk = [group for group, _ in chunk]
+    for chunk in _passes(blocks, lambda block: rows * block[1][1]):
+        step = max(1, CHUNK_ROWS // sum(per_row for _, (_, per_row) in chunk))
+        chunk, lattices = [group for group, _ in chunk], [lattice for _, lattice in chunk]
         means = []
         for lo in range(0, max(rows, 1), step):  # no rows make one empty pass
             part = xs[lo:lo + step]
             if uniform:
-                coords, counts = orbit_quadrature_coords(chunk, part, h)
+                coords, counts = orbit_quadrature_coords(chunk, lattices, part)
             else:
                 grids = [orbit_coords_batch(base.space, group, part, h) for group in chunk]
                 coords, counts = grids[0] if len(grids) == 1 else map(np.concatenate, zip(*grids))

@@ -32,15 +32,19 @@ neighbour cell's rows are moved by the period it was wrapped across, so a
 block is scored as flat Euclidean space, like the ball.  A small cost
 model picks the cells per axis; one cell is the dense all-pairs kernel,
 taken when binning would not pay, for instance on at most
-``_QUERY_COST`` data points.  Each chunk of a block is scored by one BLAS
-product of augmented rows: ``[q, h^2 - |q|^2, 1]`` times ``[2x, 1,
--|x|^2]`` is h^2 - |q - x|^2 (ball, unwrapped torus), and ``[q, 1]``
-times ``[x, -cos h]`` is q.x - cos h (sphere).  The data rows are
+``_QUERY_COST`` data points.  Each chunk of a block is laid out
+candidates x queries and scored by one BLAS product of augmented rows:
+the candidate rows ``[2x, 1, -|x|^2]`` times the query columns ``[q, h^2 -
+|q|^2, 1]^T`` is h^2 - |q - x|^2 (ball, unwrapped torus), and ``[x, -cos
+h]`` times ``[q, 1]^T`` is q.x - cos h (sphere).  The data rows are
 augmented and gathered once per call (on the torus after the move) and
-the query rows one chunk at a time, into per-call scratch; only the
-torus's dense kernel, which wraps differences, scores elementwise.  The
-grid path writes every chunk's ``[sums, counts]`` into one array in cell
-order and scatters it back once.
+the query rows transposed one chunk at a time, into per-call scratch;
+only the torus's dense kernel, which wraps differences, scores
+elementwise.  Counts and value sums come from one more product, the
+``(2, candidates)`` rows ``[values, 1]`` times the chunk's indicator, so
+every product runs along the chunk's long side, its queries.  The grid
+path writes every chunk's ``[sums, counts]`` into the columns of one
+``(2, queries)`` array in cell order and scatters it back once.
 """
 
 from __future__ import annotations
@@ -56,19 +60,23 @@ from .errors import SpaceMismatchError, check_count
 from .randomness import polar_gaussian
 
 _MEMBERSHIP_TOL = 1e-12
-# entries of the score matrix of one chunk of query rows, and of the
-# chunk's augmented query rows (one row when the data, or the augmented
-# row, alone are wider).  neighbor_stats allocates that scratch once per
-# call, a line for the scores and one for the augmented query rows or, in
-# the torus's dense kernel, two for its differences and their rounding,
-# and every chunk writes into it: fresh 512 KB
-# temporaries per chunk were handed back to the OS by glibc and faulted in
-# again, 445 minor faults and 1.2 ms per torus chunk against 0.34 ms in
-# reused buffers.  At 512 KB a chunk stays in one core's L2 cache, and its
-# two BLAS products (the score, [q, h^2 - |q|^2, 1] times [2x, 1, -|x|^2]^T
-# or [q, 1] times [x, -cos h]^T, K = d + 2 or d + 1 multiply-adds, and the
-# indicator times [values, 1], x 2) are too small for OpenBLAS to split
-# over threads, so the kernel runs on the calling thread.  32 MB chunks
+# entries of the (candidates, queries) score matrix of one chunk of query
+# rows, and of the chunk's augmented query columns (one query when the
+# data, or the augmented row, alone are wider).  neighbor_stats allocates
+# that scratch once per call, a line for the scores and one for the
+# augmented query columns or, in the torus's dense kernel, two for its
+# differences and their rounding, and every chunk writes into it: fresh
+# 512 KB temporaries per chunk were handed back to the OS by glibc and
+# faulted in again, 445 minor faults and 1.2 ms per torus chunk against
+# 0.34 ms in reused buffers.  At 512 KB a chunk stays in one core's L2
+# cache, and its two BLAS products (the score, [2x, 1, -|x|^2] times
+# [q, h^2 - |q|^2, 1]^T or [x, -cos h] times [q, 1]^T, K = d + 2 or d + 1
+# multiply-adds, and [values, 1]^T times the indicator, 2 x candidates)
+# are too small for OpenBLAS to split over threads, so the kernel runs on
+# the calling thread.  Both run along the chunk's long side, its queries:
+# laid out queries x candidates, the same products of a 1,310-query x
+# 50-point dense chunk took 121 against 85 us on a 2-core x86-64 host
+# (OpenBLAS 0.3.31), and of a 675 x 30 cell block 48 against 34 us.  32 MB chunks
 # went through OpenBLAS's thread team: on a 2-core x86-64 host (OpenBLAS
 # 0.3.31) they ran 10-30 % slower for up to 65 % more CPU, their call
 # times swung with any other load on the machine, and under a process
@@ -266,29 +274,33 @@ def _ball_score(metric: SpaceKind, queries: np.ndarray, rows: np.ndarray,
                 h: float, scratch: np.ndarray) -> np.ndarray:
     """Positive entries mark strict h-neighbours: h^2 minus the squared
     distance, or the cosine margin on the sphere, so no square root is
-    taken.  ``metric`` is the space kind whose distance is scored; the
-    unwrapped blocks of the torus's cell path are scored as ``UNIT_BALL3``
-    (flat Euclidean, any dimension).  On the ball and the sphere ``rows``
-    are augmented candidate rows (see :func:`_augmented`), and the score is
-    one product of them with the query rows, augmented into ``scratch[1]``;
-    the torus's wrapped dense kernel takes plain rows and scores each axis
-    elementwise, in ``scratch[1]`` and ``scratch[2]``.  The score is written
-    into ``scratch[0]``."""
+    taken.  The score is laid out candidates x queries, one column per
+    query row, and written into ``scratch[0]``.  ``metric`` is the space
+    kind whose distance is scored; the unwrapped blocks of the torus's
+    cell path are scored as ``UNIT_BALL3`` (flat Euclidean, any
+    dimension).  On the ball and the sphere ``rows`` are augmented
+    candidate rows (see :func:`_augmented`), and the score is one product
+    ``rows @ left`` of them with the query rows, augmented and transposed
+    into ``scratch[1]`` as the columns of ``left``; the torus's wrapped
+    dense kernel takes plain rows and scores each axis elementwise, in
+    ``scratch[1]`` and ``scratch[2]``."""
     q, width = queries.shape[0], rows.shape[0]
-    score = scratch[0, : q * width].reshape(q, width)
+    score = scratch[0, : width * q].reshape(width, q)
     if metric is not SpaceKind.TORUS:
         d, k = queries.shape[1], rows.shape[1]
-        left = scratch[1, : q * k].reshape(q, k)
-        left[:, :d] = queries
+        left = scratch[1, : k * q].reshape(k, q)
+        left[:d] = queries.T
         if metric is SpaceKind.UNIT_BALL3:
-            np.subtract(h * h, np.einsum("ij,ij->i", queries, queries), out=left[:, d])
-        left[:, -1] = 1.0
-        return np.matmul(left, rows.T, out=score)
-    diff = scratch[1, : q * width].reshape(q, width)
-    rounded = scratch[2, : q * width].reshape(q, width)
+            np.subtract(h * h, np.einsum("ij,ij->i", queries, queries), out=left[d])
+        left[-1] = 1.0
+        return np.matmul(rows, left, out=score)
+    diff = scratch[1, : width * q].reshape(width, q)
+    rounded = scratch[2, : width * q].reshape(width, q)
     score.fill(0.0)
     for j in range(rows.shape[1]):
-        np.subtract.outer(queries[:, j], rows[:, j], out=diff)
+        # x - q is -(q - x) exactly, and rint is odd, so the squares are
+        # those of the query-major q - x bit for bit
+        np.subtract.outer(rows[:, j], queries[:, j], out=diff)
         # |d - rint(d)| wraps any finite difference; it equals
         # min(|d|, 1 - |d|) bit for bit when |d| < 1 (Sterbenz)
         diff -= np.rint(diff, out=rounded)
@@ -309,17 +321,21 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
     would not pay (see :func:`_cells_per_axis`), for example whenever
     there are at most ``_QUERY_COST`` data points.  Each block is chunked
     over query rows so a chunk's score matrix, and its augmented query
-    rows, stay within ``CHUNK_ELEMENTS`` entries (one query row when the
-    block is wider), written into scratch allocated once per call.  The
-    score of a chunk is one BLAS product of augmented rows (see
-    :func:`_augmented`): the data are augmented once per call, the
-    queries one chunk at a time.  The indicator is formed in place
-    (heaviside of the score) and both the count and the value sum come out
-    of a single matrix product.  The grid path gathers every block's
-    candidate rows and ``[values, 1]`` rows once per call, writes each
-    chunk's product into one ``(queries, 2)`` array in cell order and
-    scatters it back to the caller's order, with no other array as long
-    as the queries.
+    columns, stay within ``CHUNK_ELEMENTS`` entries (one query row when
+    the block is wider), written into scratch allocated once per call.  A
+    chunk is laid out candidates x queries, and its score is one BLAS
+    product of the augmented candidate rows (see :func:`_augmented`) with
+    the augmented query columns: the data are augmented once per call, the
+    queries transposed one chunk at a time.  The indicator is formed in
+    place (heaviside of the score) and both the count and the value sum
+    come out of a single matrix product, the ``(2, candidates)`` weights
+    ``[values, 1]`` (built once per call) times the indicator.  The grid
+    path gathers every block's candidate rows and weight columns once per
+    call, writes each chunk's product into the columns of one ``(2,
+    queries)`` array in cell order and scatters its two rows back to the
+    caller's order, with no other array as long as the queries.  Counts
+    are exact; a value sum is added in the order BLAS takes, which may
+    differ in the last bits from a sum in another order or another batch.
 
     On the torus, queries and data are first reduced into [0, 1) by
     :func:`wrap_rows` (exactly, however far off a row lies), and the grid
@@ -336,8 +352,9 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         queries, data = wrap_rows(queries), wrap_rows(data)
     if data.shape[0] == 0 or queries.shape[0] == 0:
         return np.zeros(queries.shape[0], dtype=np.int64), np.zeros(queries.shape[0])
-    stacked = np.column_stack([np.asarray(values, dtype=np.float64),
-                               np.ones(data.shape[0])])
+    # the [values, 1] rows of the data, as the two rows of one array
+    weights = np.empty((2, data.shape[0]))
+    weights[0], weights[1] = values, 1.0
     m = _cells_per_axis(space, queries, data.shape[0], h)
     # unwrapped torus blocks are flat: the ball's Euclidean score
     metric = SpaceKind.UNIT_BALL3 if space.kind is SpaceKind.TORUS and m > 1 else space.kind
@@ -351,30 +368,30 @@ def neighbor_stats(space: CovariateSpace, queries: np.ndarray, data: np.ndarray,
         counts = np.empty(queries.shape[0], dtype=np.int64)
         sums = np.empty(queries.shape[0])
         for start, indicator in _indicators(metric, queries, rows, h, scratch):
-            agg = indicator @ stacked
-            sums[start : start + agg.shape[0]] = agg[:, 0]
-            counts[start : start + agg.shape[0]] = np.rint(agg[:, 1]).astype(np.int64)
+            agg = weights @ indicator
+            sums[start : start + agg.shape[1]] = agg[0]
+            counts[start : start + agg.shape[1]] = np.rint(agg[1], out=agg[1])
         return counts, sums
-    order, agg = _cell_stats(space, metric, queries, data, rows, h, stacked, m, scratch)
+    order, agg = _cell_stats(space, metric, queries, data, rows, h, weights, m, scratch)
     # allocated only now, after the sorted queries and the gathered
     # candidates are dropped, so the kernel's peak holds neither pair
     counts = np.empty(queries.shape[0], dtype=np.int64)
     sums = np.empty(queries.shape[0])
-    np.rint(agg[:, 1], out=agg[:, 1])
-    counts[order] = agg[:, 1]
-    sums[order] = agg[:, 0]
+    counts[order] = np.rint(agg[1], out=agg[1])
+    sums[order] = agg[0]
     return counts, sums
 
 
 def _cell_stats(space: CovariateSpace, metric: SpaceKind, queries: np.ndarray,
-                data: np.ndarray, rows: np.ndarray, h: float, stacked: np.ndarray, m: int,
+                data: np.ndarray, rows: np.ndarray, h: float, weights: np.ndarray, m: int,
                 scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The grid path of :func:`neighbor_stats` with ``m`` cells per axis:
     the order that sorts the queries by cell, and ``[sums, counts]`` of
-    the sorted queries as one ``(queries, 2)`` array, into which every
-    chunk's product is written.  The sorted queries, the cell ids and the
-    gathered candidate rows are dropped on return, before the caller
-    scatters the array back."""
+    the sorted queries as the two rows of one ``(2, queries)`` array, into
+    whose columns every chunk's product ``weights @ indicator`` is
+    written.  The sorted queries, the cell ids and the gathered candidate
+    rows and weights are dropped on return, before the caller scatters
+    the array back."""
     qids = _cell_ids(space, queries, m)
     order = np.argsort(qids, kind="stable")
     # rows are gathered with take, not fancy indexing: 2.4 against 5.4 ms for
@@ -385,20 +402,20 @@ def _cell_stats(space: CovariateSpace, metric: SpaceKind, queries: np.ndarray,
     qend = np.cumsum(qcount[occupied])
     qstart = qend - qcount[occupied]
     cand, shift, offsets = _candidates(space, _cell_ids(space, data, m), m, occupied)
-    # every block's candidate rows and [values, 1] rows, gathered once
+    # every block's candidate rows and [values, 1] columns, gathered once
     near = rows.take(cand, axis=0)
     if shift is not None:
         near = _augmented(metric, near + shift, h)
-    weights = stacked.take(cand, axis=0)
-    agg = np.zeros((queries.shape[0], 2))
+    near_weights = weights.take(cand, axis=1)
+    agg = np.zeros((2, queries.shape[0]))
     for k in range(occupied.size):
         lo, hi = offsets[k], offsets[k + 1]
         if hi > lo:
             a = qstart[k]
             for start, indicator in _indicators(metric, sorted_queries[a : qend[k]],
                                                 near[lo:hi], h, scratch):
-                np.matmul(indicator, weights[lo:hi],
-                          out=agg[a + start : a + start + indicator.shape[0]])
+                np.matmul(near_weights[:, lo:hi], indicator,
+                          out=agg[:, a + start : a + start + indicator.shape[1]])
     return order, agg
 
 
@@ -406,8 +423,9 @@ def _indicators(metric: SpaceKind, queries: np.ndarray, rows: np.ndarray, h: flo
                 scratch: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """The 0/1 neighbour indicator of each chunk of query rows against one
     block of candidate rows (augmented on the ball and sphere), scored in
-    ``metric`` (see :func:`_ball_score`), with the chunk's first row.
-    Each indicator is written over its score in ``scratch``, so it is
+    ``metric`` (see :func:`_ball_score`), with the chunk's first row.  An
+    indicator is laid out candidates x queries, one column per query row
+    of the chunk, and written over its score in ``scratch``, so it is
     valid until the next one is drawn."""
     # max(rows.shape): the chunk's augmented query rows must fit a line too
     step = max(1, CHUNK_ELEMENTS // max(rows.shape))

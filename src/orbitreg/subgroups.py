@@ -230,10 +230,18 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     finite and positive raises :class:`ConfigError` (from
     :func:`quadrature_count`'s rule).
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     groups = [groups] if isinstance(groups, ClosedSubgroup) else list(groups)
+    return _quadrature_coords(groups, [_node_lattice(g, h) for g in groups], xs)
+
+
+def _quadrature_coords(groups: Sequence[ClosedSubgroup], lattices: Sequence[tuple[int, int]],
+                       xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of :func:`orbit_quadrature_coords` for a sequence of
+    subgroups, given each one's ``(per_axis, count)`` of
+    :func:`_node_lattice` at the bandwidth, so a caller that has sized its
+    passes by them does not compute them again."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     rows, width = xs.shape
-    lattices = [_node_lattice(g, h) for g in groups]
     counts = [count for _, count in lattices]
     coords = np.empty((rows * sum(counts), width))
     start = 0
@@ -703,12 +711,21 @@ def subgroup_net(group: ClosedSubgroup, eps: float) -> np.ndarray:
     hold more than ``_MAX_COVER_CANDIDATES`` elements (counted before any
     is built) raises :class:`ConfigError`.
     """
+    _net_size(group, eps)
+    return FAMILY_TABLE[group.family].net(group, eps)
+
+
+def _net_size(group: ClosedSubgroup, eps: float) -> int:
+    """The element count of ``subgroup_net(group, eps)``, counted without
+    building the net; a resolution that is not finite and positive, or at
+    which the net would hold more than ``_MAX_COVER_CANDIDATES`` elements,
+    raises :class:`ConfigError`."""
     if not 0.0 < eps < math.inf:
         raise ConfigError("net resolution must be finite and positive")
-    entry = FAMILY_TABLE[group.family]
-    if entry.net_size(group, eps) > _MAX_COVER_CANDIDATES:
+    size = FAMILY_TABLE[group.family].net_size(group, eps)
+    if size > _MAX_COVER_CANDIDATES:
         raise ConfigError(f"net resolution = {eps!r} is too fine to build a net for")
-    return entry.net(group, eps)
+    return size
 
 
 def _so3_net(eps: float) -> np.ndarray:
@@ -810,16 +827,34 @@ def hausdorff_U_distance(g: ClosedSubgroup, h: ClosedSubgroup,
     Every subgroup is compact, so the identity neighbourhood ``U`` of the
     name is the whole parent group.  The returned value is within
     ``2 * net_resolution`` of the exact Hausdorff distance (each point of
-    either group is within eps of its net).  A resolution at which either
-    net would hold more than ``_MAX_COVER_CANDIDATES`` elements raises
-    :class:`ConfigError` (see :func:`subgroup_net`).
+    either group is within eps of its net).  Every element of one net is
+    scored against every element of the other, so the time grows with the
+    product of the two net sizes.  A resolution at which either net would
+    hold more than ``_MAX_COVER_CANDIDATES`` elements (see
+    :func:`subgroup_net`), or the two nets more than ``_MAX_NET_PAIRS``
+    pairs, raises :class:`ConfigError`; both are counted before either net
+    is built.
     """
     if g.parent != h.parent:
         raise IncompatibleActionError(f"subgroups of different parents: {g.parent} vs {h.parent}")
+    size_a, size_b = _net_size(g, net_resolution), _net_size(h, net_resolution)
+    if size_a * size_b > _MAX_NET_PAIRS:
+        raise ConfigError(f"net resolution = {net_resolution!r} is too fine to compare nets of "
+                          f"{size_a:,} and {size_b:,} elements (more than {_MAX_NET_PAIRS:,} pairs)")
     metric = parent_group(g.parent).net_distance
     net_a = subgroup_net(g, net_resolution)
     net_b = subgroup_net(h, net_resolution)
     return float(max(_sup_inf(metric, net_a, net_b), _sup_inf(metric, net_b, net_a)))
+
+
+# the most element pairs one Hausdorff distance scores.  Pairs are scored
+# at about 3.3e7 a second on a 2-core x86-64 host (full_torus(2) against
+# itself at 0.01, 4.1e8 pairs, took 13.6 s), so the bound takes about 9 s;
+# full_so3() against itself at the default 0.05 (2.2e11 pairs, about two
+# hours) is refused.  The largest distance the package, its demos and its
+# tests take is a circle against full_so3() at 0.05, 126 x 473,649 = 6.0e7
+# pairs.
+_MAX_NET_PAIRS = 2 ** 28
 
 
 def _sup_inf(metric, a: np.ndarray, b: np.ndarray) -> float:

@@ -54,3 +54,44 @@ def test_summary_holds_medians_and_quartiles_of_every_metric():
     assert summary["quartiles"]["ops_per_s"] == [11.0, 12.0, 13.0]
     assert summary["quartiles"]["setup_s"] == [1.0, 1.0, 1.0]
     assert [r["seed"] for r in summary["runs"]] == [101, 102, 103, 104, 105]
+
+
+def test_bounds_come_from_the_benchmark_file():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert bench_medians.BOUND == {m["name"]: m["bound"] for m in declared}
+
+
+BASE = [10.0, 10.4, 9.6, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0]  # median 10, IQR 0.35
+
+
+def test_a_clear_gain():
+    change = [b + 2.0 for b in BASE]
+    assert bench_medians.verdict(change, BASE, "higher", 0.25) == {
+        "gain": True, "within_bound": True}
+    # in the lower direction the same runs are a regression of 20 %
+    assert bench_medians.verdict(change, BASE, "lower", 0.25) == {
+        "gain": False, "within_bound": True}
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_spread():
+    # eight of ten pairs won, by far
+    eight = [b + 2.0 for b in BASE[:8]] + [b - 0.1 for b in BASE[8:]]
+    assert bench_medians.verdict(eight, BASE, "higher", 0.25)["gain"] is False
+    # ten of ten won, but the medians differ by less than the base's IQR
+    close = [b + 0.3 for b in BASE]
+    assert bench_medians.verdict(close, BASE, "higher", 0.25)["gain"] is False
+    assert bench_medians.verdict([b + 0.5 for b in BASE], BASE, "higher", 0.25)["gain"] is True
+
+
+def test_a_tie_is_no_gain_and_within_bound():
+    assert bench_medians.verdict(list(BASE), BASE, "higher", 0.25) == {
+        "gain": False, "within_bound": True}
+
+
+@pytest.mark.parametrize("better, inside, past", [("higher", 0.76, 0.74), ("lower", 1.24, 1.26)])
+def test_regressions_just_inside_and_just_past_the_bound(better, inside, past):
+    base = [1.0] * 10
+    assert bench_medians.verdict([inside] * 10, base, better, 0.25) == {
+        "gain": False, "within_bound": True}
+    assert bench_medians.verdict([past] * 10, base, better, 0.25) == {
+        "gain": False, "within_bound": False}

@@ -32,7 +32,7 @@ from orbitreg import (
     unit_ball3,
     unit_sphere2,
 )
-from orbitreg import selection
+from orbitreg import selection, subgroups
 from orbitreg.bench import SCENARIOS, generate_data
 from orbitreg.estimators import bandwidth
 from orbitreg.subgroups import (FAMILY_TABLE, SubgroupFamily, delta_cover, fibonacci_sphere,
@@ -301,6 +301,46 @@ class TestGridGeometry:
         global_ems(SelectionInput(holdout=holdout, cover=SMALL_COVER, fit_data=fit))
         assert set(calls) == set(SMALL_COVER)
         assert max(calls.values()) <= 2
+
+
+class TestNodeLattices:
+    """The node lattice that sizes a candidate's passes also builds its
+    nodes: one ``_node_lattice`` call per candidate, however many passes
+    and row steps the candidate's nodes are built in."""
+
+    @staticmethod
+    def _count_lattices(monkeypatch):
+        calls = []
+        lattice = subgroups._node_lattice
+
+        def counted(group, h):
+            calls.append(group)
+            return lattice(group, h)
+        for module in (selection, subgroups):
+            monkeypatch.setattr(module, "_node_lattice", counted)
+        return calls
+
+    def test_uniform_search_computes_each_lattice_once(self, monkeypatch):
+        scen = SCENARIOS["so3_f2"]
+        fit, holdout = (generate_data(scen, 60, 0.5, substream(23, "lattice", part))
+                        for part in ("f", "h"))
+        cover = delta_cover(PARENT_SO3, BALL, 0.5)
+        calls = self._count_lattices(monkeypatch)
+        monkeypatch.setattr(selection, "CHUNK_ROWS", 2_000)  # several row steps a pass
+        sel = global_ems(SelectionInput(holdout=holdout, cover=cover, fit_data=fit,
+                                        symmetriser="uniform"))
+        assert sorted(calls, key=lambda g: g.canonical_key()) == sorted(
+            sel.per_group_error, key=lambda g: g.canonical_key())
+
+    def test_uniform_final_computes_its_lattice_once(self, monkeypatch):
+        fit = generate_data(SCENARIOS["so3_f1"], 80, 0.5, substream(23, "final"))
+        base = LocalConstantEstimator(fit, 0.3)
+        queries = sample_points(BALL, PointDistribution.UNIFORM_SPACE, 50, substream(23, "q"))
+        calls = self._count_lattices(monkeypatch)
+        monkeypatch.setattr(selection, "CHUNK_ROWS", 500)
+        chosen = SymmetrySelection(circle3([0.0, 0.0, 1.0]), 0.3, {})
+        BestSymmetricPredictor(base, chosen, method="uniform").predict_coords(queries)
+        assert calls == [circle3([0.0, 0.0, 1.0])]
 
 
 class TestChunkedSearch:

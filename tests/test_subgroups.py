@@ -293,6 +293,15 @@ class TestHausdorff:
             hausdorff_U_distance(circle3([0.0, 0.0, 1.0]), full_so3(), net_resolution=eps)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("group, eps", [(full_torus(2), 0.01), (full_so3(), 0.05)], ids=str)
+    def test_too_many_net_pairs_rejected(self, group, eps):
+        # 20,164^2 = 4.1e8 pairs took 13.6 s, and 473,649^2 = 2.2e11 would
+        # take about two hours; both are refused from the counted sizes
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"net resolution = {eps!r} is too fine to compare"):
+            hausdorff_U_distance(group, group, net_resolution=eps)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("group", [circle3([0.0, 0.0, 1.0]), torus_line(2, 1), full_torus(2),
                                        axis_translations(3, [0, 2])], ids=str)
     def test_every_family_refuses_a_net_too_fine(self, group):
