@@ -13,10 +13,12 @@ the metric (``end_to_end[].better``); a tie counts for neither side.
 Each side also records the quartiles of every metric over its seeds.
 Each seed whose digests differ is printed.  Per workload and metric the
 file and the printout also give the verdict: ``gain``, whether the change
-won at least nine tenths of the pairs and its median beats the base's by
-more than the base's interquartile range, and ``within_bound``, whether
-the change's median is no worse than the base's by more than the metric's
-``bound`` in ``BENCHMARK.json`` (a fraction of the base's median).
+won at least nine tenths of at least ten pairs and its median beats the
+base's by more than the base's interquartile range, and ``within_bound``,
+whether the change's median is no worse than the base's by more than the
+metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the base's
+median); it reads ``unresolved`` when the base's own interquartile range
+is wider than that bound, unless every change run beats every base run.
 
     python3 scripts/bench_medians.py cells --base ../parent-checkout
 
@@ -84,17 +86,26 @@ def pairs_won(change: list[float], base: list[float], better: str) -> dict:
 
 
 def verdict(change: list[float], base: list[float], better: str, bound: float) -> dict:
-    """``gain``: the change won at least nine tenths of the pairs
+    """``gain``: the change won at least nine tenths of at least ten pairs
     ``(change[i], base[i])`` and its median beats the base's by more than
     the base's interquartile range; ``within_bound``: the change's median
     is no worse than the base's by more than ``bound`` times the base's
-    median.  A value is better if it is ``better`` ("lower" or "higher")."""
+    median, or ``"unresolved"`` when the base's interquartile range is
+    wider than that and not every change run beats every base run.  A
+    value is better if it is ``better`` ("lower" or "higher")."""
     won = pairs_won(change, base, better)
     low, middle, high = quartiles(base)
     sign = 1.0 if better == "higher" else -1.0
     step = sign * (statistics.median(change) - middle)
-    return {"gain": 10 * won["change_won"] >= 9 * won["pairs"] and step > high - low,
-            "within_bound": step >= -bound * abs(middle)}
+    allowed = bound * abs(middle)
+    every_run_better = min(change) > max(base) if better == "higher" else max(change) < min(base)
+    if high - low > allowed and not every_run_better:
+        within = "unresolved"
+    else:
+        within = step >= -allowed
+    return {"gain": won["pairs"] >= 10 and 10 * won["change_won"] >= 9 * won["pairs"]
+            and step > high - low,
+            "within_bound": within}
 
 
 def summarise(runs: list[dict]) -> dict:

@@ -272,7 +272,7 @@ class BestSymmetricPredictor:
 
     ``method="grid"`` averages over each point's orbit grid of the whole
     subgroup at the chosen bandwidth; ``method="uniform"`` averages over
-    the subgroup's :func:`~orbitreg.subgroups.quadrature_count` quadrature
+    the subgroup's :func:`~orbitreg.subgroups._node_lattice` quadrature
     nodes at the chosen bandwidth, the nodes the ``uniform`` search scores
     it with.  Both are deterministic.  To symmetrise by a fixed subgroup,
     pass ``SymmetrySelection(group, h, {})``; ``h`` only sizes the orbit

@@ -207,7 +207,7 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
 
     Approximates the full orbit average (the symmetrised value) for the
     ``uniform`` search and final prediction of :mod:`orbitreg.selection`,
-    without randomness, with the node counts of :func:`quadrature_count` at
+    without randomness, with the node counts of :func:`_node_lattice` at
     bandwidth ``h``: equally spaced angles on circles, a Fibonacci lattice
     on sphere orbits, and a square lattice on flat orbits.
     Returns ``(coords, counts)`` shaped like
@@ -228,7 +228,7 @@ def orbit_quadrature_coords(groups: ClosedSubgroup | Sequence[ClosedSubgroup],
     rows, and lie within 1e-15 of the node quaternions applied through
     ``act_rows`` on the unit ball.  A bandwidth that is not
     finite and positive raises :class:`ConfigError` (from
-    :func:`quadrature_count`'s rule).
+    :func:`_node_lattice`'s rule).
     """
     groups = [groups] if isinstance(groups, ClosedSubgroup) else list(groups)
     return _quadrature_coords(groups, [_node_lattice(g, h) for g in groups], xs)
@@ -255,9 +255,10 @@ def _quadrature_coords(groups: Sequence[ClosedSubgroup], lattices: Sequence[tupl
     return coords, np.repeat(np.asarray(counts, dtype=np.int64), rows)
 
 
-def quadrature_count(group: ClosedSubgroup, h: float) -> int:
-    """Nodes per row that :func:`orbit_quadrature_coords` gives ``group``
-    at bandwidth ``h``.
+def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
+    """``(per_axis, count)``: the quadrature nodes per parameter axis and
+    per row that :func:`orbit_quadrature_coords` gives ``group`` at
+    bandwidth ``h``.
 
     An orbit of dimension k = 0 gets one node.  Otherwise each of the k
     parameter axes gets ``p = max(round(m ** (1/k)), 2, ceil(L / (c h)))``
@@ -280,12 +281,6 @@ def quadrature_count(group: ClosedSubgroup, h: float) -> int:
     that a row would get more than ``CHUNK_ROWS`` nodes, raises
     :class:`ConfigError`.
     """
-    return _node_lattice(group, h)[1]
-
-
-def _node_lattice(group: ClosedSubgroup, h: float) -> tuple[int, int]:
-    """``(per_axis, count)``: the quadrature nodes per parameter axis and
-    per row of :func:`quadrature_count`."""
     h = check_bandwidth(h)
     entry = FAMILY_TABLE[group.family]
     k = entry.orbit_dim(group)
@@ -352,7 +347,7 @@ class FamilyEntry:
     What follows from the orbit dimension and the parameters alone -- the
     canonical rank, the catalog line and the quadrature node counts -- is
     derived once, in :meth:`ClosedSubgroup.canonical_key`,
-    :meth:`ClosedSubgroup.describe` and :func:`quadrature_count`.  An
+    :meth:`ClosedSubgroup.describe` and :func:`_node_lattice`.  An
     entry's methods take the subgroup ``g`` first, or a run ``groups`` of
     subgroups of the family; ``xs`` is row-stacked coordinates:
 

@@ -95,3 +95,20 @@ def test_regressions_just_inside_and_just_past_the_bound(better, inside, past):
         "gain": False, "within_bound": True}
     assert bench_medians.verdict([past] * 10, base, better, 0.25) == {
         "gain": False, "within_bound": False}
+
+
+def test_fewer_than_ten_pairs_claim_no_gain():
+    # four of four won by far, and one of one with no spread at all
+    assert bench_medians.verdict([b + 2.0 for b in BASE[:4]], BASE[:4], "higher", 0.25)["gain"] is False
+    assert bench_medians.verdict([12.0], [10.0], "higher", 0.25)["gain"] is False
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # quartiles 0.7 and 1.3: a spread of 0.6 against a bound of 0.25 x 1.0
+    base = [0.6, 0.7, 0.7, 0.8, 1.0, 1.0, 1.2, 1.3, 1.3, 1.4]
+    assert bench_medians.verdict(list(base), base, "lower", 0.25)["within_bound"] == "unresolved"
+    assert bench_medians.verdict([v * 1.5 for v in base], base, "lower", 0.25)[
+        "within_bound"] == "unresolved"
+    # unless every change run beats every base run
+    assert bench_medians.verdict([0.5] * 10, base, "lower", 0.25)["within_bound"] is True
+    assert bench_medians.verdict([1.5] * 10, base, "higher", 0.25)["within_bound"] is True

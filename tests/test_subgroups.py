@@ -609,7 +609,7 @@ class TestQuadrature:
                 groups += [torus_line(1, 1), torus_line(2, -3), torus_line(1, -23)]
         xs = sample_points(space, PointDistribution.UNIFORM_SPACE, 3, substream(26, "count", parent))
         _, counts = orbit_quadrature_coords(groups, xs, h)
-        assert counts.tolist() == [subgroups.quadrature_count(g, h) for g in groups for _ in xs]
+        assert counts.tolist() == [subgroups._node_lattice(g, h)[1] for g in groups for _ in xs]
         pinned = {  # (h = 0.25, h = 0.04), groups in order after the trivial one
             "so3": ([26, 64], [158, 45 ** 2]),
             "torus2": ([24, 24, 64, 24, 24, 93], [25, 25, 13 ** 2, 36, 91, 576]),
@@ -617,7 +617,7 @@ class TestQuadrature:
             "torus4": ([24] * 4 + [64] * 10 + [81], [25] * 4 + [13 ** 2] * 6 + [13 ** 3] * 4
                        + [13 ** 4]),
         }[parent][h == 0.04]
-        assert [subgroups.quadrature_count(g, h) for g in groups] == [1] + pinned
+        assert [subgroups._node_lattice(g, h)[1] for g in groups] == [1] + pinned
 
     @pytest.mark.parametrize("h", [0.3, 0.2, 0.15, 0.1, 0.05])
     @pytest.mark.parametrize("family", ["circle", "sphere", "line", "torus2"])
@@ -652,7 +652,7 @@ class TestQuadrature:
         # a negative or infinite h once gave the floor of 24 nodes, 0 a
         # ZeroDivisionError and NaN a raw ValueError
         with pytest.raises(ConfigError, match="^bandwidth must be finite and positive"):
-            subgroups.quadrature_count(group, h)
+            subgroups._node_lattice(group, h)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("group", [circle3([0.0, 0.0, 1.0]), full_so3(), full_torus(3)],
@@ -662,15 +662,15 @@ class TestQuadrature:
         # a circle took 6e12 nodes a row at h = 1e-12; past the float range
         # the ceiling of the node count raised a raw OverflowError
         with pytest.raises(ConfigError, match=f"h = {h!r} would put more than 2,000,000"):
-            subgroups.quadrature_count(group, h)
-        assert subgroups.quadrature_count(trivial_subgroup(PARENT_SO3), h) == 1
+            subgroups._node_lattice(group, h)
+        assert subgroups._node_lattice(trivial_subgroup(PARENT_SO3), h)[1] == 1
 
     def test_the_row_bound_admits_its_own_count(self):
         # 2 pi / h nodes on a circle: two million fit, one more does not
         circle = circle3([0.0, 0.0, 1.0])
-        assert subgroups.quadrature_count(circle, 2.0 * np.pi / subgroups.CHUNK_ROWS) == 2_000_000
+        assert subgroups._node_lattice(circle, 2.0 * np.pi / subgroups.CHUNK_ROWS)[1] == 2_000_000
         with pytest.raises(ConfigError):
-            subgroups.quadrature_count(circle, 2.0 * np.pi / (subgroups.CHUNK_ROWS + 0.5))
+            subgroups._node_lattice(circle, 2.0 * np.pi / (subgroups.CHUNK_ROWS + 0.5))
 
     @pytest.mark.parametrize("delta", [0.5, 0.1, 0.041])
     def test_line_nodes_average_low_frequencies_exactly(self, delta):
